@@ -134,21 +134,6 @@ class LieAlgebra:
         return algebra
 
     @classmethod
-    def from_structure_constants(cls, basis_names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> "LieAlgebra":
-        """Build from a full table after validating both axioms."""
-        dim = len(table)
-        violation = validate_structure(dim, table)
-        if violation is not None:
-            raise StructureError(violation)
-        entries = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = as_vector(table[i][j])
-                if not is_zero(v):
-                    entries[(i, j)] = v
-        return cls(dim, tuple(basis_names), tuple(sorted(entries.items())))
-
-    @classmethod
     def abelian(cls, dim: int, basis_names: Sequence[str] | None = None) -> "LieAlgebra":
         names = tuple(basis_names) if basis_names is not None else tuple(f"a{k + 1}" for k in range(dim))
         return cls(dim, names, ())

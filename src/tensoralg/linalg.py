@@ -85,6 +85,11 @@ def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+def support(v: Vector) -> list[tuple[int, Fraction]]:
+    """The nonzero coordinates of v as (index, value) pairs."""
+    return [(k, a) for k, a in enumerate(v) if a != 0]
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense ``rows x cols`` grid of rationals, row-major."""
@@ -117,10 +122,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -131,7 +132,8 @@ class Matrix:
         vec = as_vector(v)
         if len(vec) != self.cols:
             raise LinalgError(f"expected vector of length {self.cols}, got {len(vec)}")
-        return tuple(sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0)) for row in self.entries)
+        nonzero = support(vec)
+        return tuple(sum((row[j] * a for j, a in nonzero), Fraction(0)) for row in self.entries)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -142,14 +144,6 @@ class Matrix:
             for row in self.entries
         )
         return Matrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise LinalgError("column mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 def _int_row(row: Vector) -> tuple[int, ...]:

@@ -85,10 +85,6 @@ class ActionData:
     def from_rows(cls, actor_dim: int, acted_dim: int, rows: Sequence[Sequence[Iterable]]) -> "ActionData":
         return cls(actor_dim, acted_dim, tuple(tuple(as_vector(v) for v in row) for row in rows))
 
-    @classmethod
-    def trivial(cls, actor_dim: int, acted_dim: int) -> "ActionData":
-        return cls(actor_dim, acted_dim, tuple(tuple(zero_vector(acted_dim) for _ in range(acted_dim)) for _ in range(actor_dim)))
-
     def act_basis(self, i: int, j: int) -> Vector:
         return self.table[i][j]
 

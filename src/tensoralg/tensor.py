@@ -20,9 +20,10 @@ the kernels and images that go with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .liealg import LieAlgebra, NotAnIdealError, validate_structure
+from .liealg import LieAlgebra, NotAnIdealError, StructureError, StructureViolation
 from .linalg import (
     LinalgError,
     LinearMap,
@@ -32,6 +33,7 @@ from .linalg import (
     is_zero,
     kernel,
     quotient_with_section,
+    support,
     vadd,
     vscale,
     zero_vector,
@@ -236,29 +238,45 @@ def symbol_expand(tensor: NonabelianTensor, x: Sequence, n: Sequence) -> Vector:
 
 
 def construct_tensor(pair: Pair) -> NonabelianTensor:
-    """Build the tensor product of a pair and verify the induced structure."""
+    """Build the tensor product of a pair and verify the induced structure.
+
+    The bracket of two section representatives is read off the collapse
+    tables: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
+    over the nonzero entries of the collapsed slots and projection columns.
+    """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
     proj, reps = quotient_with_section(sym.dim, relations)
     t_dim = sym.dim - relations.dim
+    q = sym.right_dim
     left, right = _collapse_tables(pair, sym)
-    lc = [_combine(left, r, sym.left_dim) for r in reps]
-    rc = [_combine(right, r, sym.right_dim) for r in reps]
-    table = [
-        [proj.apply(vscale(-1, sym.expand(lc[i], rc[j]))) for j in range(t_dim)]
-        for i in range(t_dim)
-    ]
-    violation = validate_structure(t_dim, table)
-    if violation is not None:
-        raise TensorConstructionError(f"induced bracket is not a Lie bracket: {violation}")
-    names = tuple(f"t{k}" for k in range(t_dim))
-    brackets = {
-        (i, j): table[i][j]
-        for i in range(t_dim)
-        for j in range(i + 1, t_dim)
-        if not is_zero(table[i][j])
-    }
-    algebra = LieAlgebra.make(t_dim, names, brackets)
+    lc = [support(_combine(left, r, sym.left_dim)) for r in reps]
+    rc = [support(_combine(right, r, q)) for r in reps]
+    proj_cols = [support(proj.matrix.column(k)) for k in range(sym.dim)]
+
+    def bracket(i: int, j: int) -> list:
+        out = [Fraction(0)] * t_dim
+        for a, x in lc[i]:
+            for b, y in rc[j]:
+                c = -x * y
+                for t, v in proj_cols[a * q + b]:
+                    out[t] += c * v
+        return out
+
+    brackets = {}
+    try:
+        for i in range(t_dim):
+            for j in range(i, t_dim):
+                v = bracket(i, j)
+                w = v if i == j else bracket(j, i)
+                for k in range(t_dim):
+                    if v[k] + w[k] != 0:
+                        raise StructureError(StructureViolation("antisymmetry", (i, j, k), v[k] + w[k]))
+                if i < j and any(v):
+                    brackets[(i, j)] = tuple(v)
+        algebra = LieAlgebra.make(t_dim, tuple(f"t{k}" for k in range(t_dim)), brackets)
+    except StructureError as exc:
+        raise TensorConstructionError(f"induced bracket is not a Lie bracket: {exc.violation}") from exc
     section = LinearMap.from_columns(sym.dim, reps)
     return NonabelianTensor(pair, sym, relations, algebra, proj, section)
 

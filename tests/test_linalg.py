@@ -205,3 +205,19 @@ def test_matrix_apply_is_linear(m, coeffs):
     f = LinearMap(m)
     assert f.apply(vadd(v, w)) == vadd(f.apply(v), f.apply(w))
     assert f.apply(vscale(Fraction(3, 2), v)) == vscale(Fraction(3, 2), f.apply(v))
+
+
+def _sparse_vectors(n: int):
+    # Mostly zeros, so the sparse path skips most coordinates.
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+    return st.lists(entry, min_size=n, max_size=n).map(as_vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(max_dim=6).flatmap(lambda m: st.tuples(st.just(m), _sparse_vectors(m.cols))))
+def test_matrix_apply_matches_dense_row_sum(case):
+    m, v = case
+    dense = tuple(sum((row[j] * v[j] for j in range(m.cols)), Fraction(0)) for row in m.entries)
+    out = m.apply(v)
+    assert out == dense
+    assert all(isinstance(a, Fraction) for a in out)

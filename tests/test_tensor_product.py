@@ -9,12 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from tensoralg.liealg import LieAlgebra
-from tensoralg.linalg import kernel
+import tensoralg.tensor
+from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full
+from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
+from tensoralg.linalg import Subspace, kernel, quotient_with_section, vadd
 from tensoralg.pairs import make_pair, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
+    TensorConstructionError,
     beta_bracket,
+    closure,
     construct_tensor,
     diagonal,
     exterior,
@@ -196,3 +200,83 @@ def test_evaluation_image_agrees_between_tensor_and_exterior():
         assert maps.j2.dim + maps.kappa.image().dim == t.dim
         assert maps.multiplier.dim + maps.kappa_prime.image().dim == maps.exterior.dim
         assert kernel(maps.eps) == maps.square
+
+
+def _dense_bracket_table(pair):
+    """The induced bracket as the full T x T table of projected symbol brackets."""
+    sym = SymbolSpace(pair.left_dim, pair.right_dim)
+    relations = closure(pair, relation_seed(pair))
+    proj, reps = quotient_with_section(sym.dim, relations)
+    return [[proj.apply(beta_bracket(pair, u, v)) for v in reps] for u in reps]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        pair_full(abelian(3)),
+        pair_full(abelian(4)),
+        pair_full(heisenberg(2)),
+        pair_full(direct_sum(heisenberg(1), abelian(1))),
+        pair_full(direct_sum(sl2(), heisenberg(1))),
+        pair_center(heisenberg(1)),
+    ],
+    ids=["abelian3", "abelian4", "heisenberg2", "heisenberg1+abelian1", "sl2+heisenberg1", "center-heisenberg1"],
+)
+def test_induced_bracket_matches_dense_reference(pair):
+    t = construct_tensor(pair)
+    table = _dense_bracket_table(pair)
+    assert len(table) == t.dim
+    for i in range(t.dim):
+        for j in range(t.dim):
+            assert t.algebra.bracket_basis(i, j) == table[i][j]
+    assert validate_structure(t.dim, table) is None
+
+
+def _symbol_vector(dim, k):
+    return tuple(Fraction(1 if m == k else 0) for m in range(dim))
+
+
+def _antisymmetry_defects(pair, seed):
+    """Span of [e_u, e_v] + [e_v, e_u] over unit symbols; ignores the seed."""
+    n = seed.ambient_dim
+    units = [_symbol_vector(n, k) for k in range(n)]
+    return Subspace.from_vectors(
+        n,
+        [vadd(beta_bracket(pair, units[u], units[v]), beta_bracket(pair, units[v], units[u]))
+         for u in range(n) for v in range(u, n)],
+    )
+
+
+def test_induced_bracket_antisymmetry_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(tensoralg.tensor, "closure", lambda pair, seed: Subspace.zero(seed.ambient_dim))
+    with pytest.raises(TensorConstructionError) as caught:
+        construct_tensor(full_pair(heisenberg1()))
+    assert str(caught.value) == (
+        "induced bracket is not a Lie bracket: antisymmetry violation at (1, 1, 8), residual 2"
+    )
+
+
+def test_induced_bracket_jacobi_failure_is_reported(monkeypatch):
+    # The filiform nilpotent algebra n4 extended by its grading derivation d.
+    # Its derived algebra n4 has x1 ^ [x2, x3] + x2 ^ [x3, x1] + x3 ^ [x1, x2]
+    # = -x2 ^ x4 != 0, so killing only the antisymmetry defects leaves a
+    # quotient bracket that is antisymmetric but breaks Jacobi.
+    algebra = LieAlgebra.make(
+        5,
+        ("d", "x1", "x2", "x3", "x4"),
+        {
+            (0, 1): (0, 1, 0, 0, 0),
+            (0, 2): (0, 0, 1, 0, 0),
+            (0, 3): (0, 0, 0, 2, 0),
+            (0, 4): (0, 0, 0, 0, 3),
+            (1, 2): (0, 0, 0, 1, 0),
+            (1, 3): (0, 0, 0, 0, 1),
+        },
+    )
+    pair = full_pair(algebra)
+    assert construct_tensor(pair).dim == 5
+    monkeypatch.setattr(tensoralg.tensor, "closure", _antisymmetry_defects)
+    with pytest.raises(TensorConstructionError) as caught:
+        construct_tensor(pair)
+    assert str(caught.value).startswith("induced bracket is not a Lie bracket: jacobi violation at ")
+    assert isinstance(caught.value.__cause__, StructureError)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
-from .pairs import Pair, PairValidationError, direct_sum_pair, make_pair
+from .pairs import Pair, PairValidationError, direct_sum_pair, make_pair, pair_full
 from .verify import VerificationReport
 
 
@@ -70,10 +70,6 @@ def heisenberg(m: int) -> LieAlgebra:
     return LieAlgebra.make(dim, names, {(i, m + i): z for i in range(m)})
 
 
-def pair_full(algebra: LieAlgebra) -> Pair:
-    return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
-
-
 def pair_center(algebra: LieAlgebra) -> Pair:
     return make_pair(algebra, list(center(algebra).space.basis))
 
@@ -83,6 +79,9 @@ def pair_direct_sum(a: Pair, b: Pair) -> Pair:
 
 
 _TOKEN = re.compile(r"\s*([a-z_][a-z0-9_]*|\d+|[(),])")
+# The catalog nests three calls deep; the bound keeps parsing and evaluation
+# far from the interpreter's recursion limit.
+_MAX_SELECTOR_DEPTH = 32
 
 
 def _tokenize(text: str) -> list[str]:
@@ -99,7 +98,9 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_node(tokens: list[str], at: int):
+def _parse_node(tokens: list[str], at: int, depth: int = 0):
+    if depth > _MAX_SELECTOR_DEPTH:
+        raise SelectorError(f"selector nests deeper than {_MAX_SELECTOR_DEPTH} levels")
     if at >= len(tokens):
         raise SelectorError("selector ends unexpectedly")
     head = tokens[at]
@@ -115,7 +116,7 @@ def _parse_node(tokens: list[str], at: int):
             at += 1
         else:
             while True:
-                node, at = _parse_node(tokens, at)
+                node, at = _parse_node(tokens, at, depth + 1)
                 args.append(node)
                 if at >= len(tokens):
                     raise SelectorError("unclosed parenthesis in selector")
@@ -349,10 +350,6 @@ def parse(text: str) -> AlgebraDocument | PairDocument:
     return _algebra_document(obj, text)
 
 
-def _scalar_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _algebra_payload(doc: AlgebraDocument) -> dict:
     return {
         "name": doc.name,
@@ -360,7 +357,7 @@ def _algebra_payload(doc: AlgebraDocument) -> dict:
         "basis": list(doc.basis),
         "brackets": {
             f"{doc.basis[i]},{doc.basis[j]}": {
-                doc.basis[k]: _scalar_str(c) for k, c in enumerate(v) if c != 0
+                doc.basis[k]: str(c) for k, c in enumerate(v) if c != 0
             }
             for (i, j), v in doc.brackets
         },
@@ -373,7 +370,7 @@ def serialize(doc: AlgebraDocument | PairDocument) -> str:
         payload = _algebra_payload(doc)
     else:
         algebra = doc.algebra if isinstance(doc.algebra, str) else _algebra_payload(doc.algebra)
-        ideal = "all" if doc.ideal is None else [[_scalar_str(c) for c in v] for v in doc.ideal]
+        ideal = "all" if doc.ideal is None else [[str(c) for c in v] for v in doc.ideal]
         payload = {"algebra": algebra, "ideal": ideal}
     return json.dumps(payload, indent=2) + "\n"
 

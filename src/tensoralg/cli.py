@@ -2,8 +2,9 @@
 
 Targets are either builtin selectors (builtin:pair_full(heisenberg(1))) or
 paths to JSON documents.  Exit codes: 0 when everything asserted passed,
-1 when a validation fails or an asserted check misses, 2 for usage errors
-and for pairs over the dimension cap (TENSORALG_MAX_DIM, default 8).
+1 when a validation fails or an asserted check misses, 2 for usage errors,
+for pairs over the dimension cap (TENSORALG_MAX_DIM, default 8) and for an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,21 +26,25 @@ from .catalog import (
 from .liealg import LieAlgebra, StructureError
 from .pairs import Pair
 from .tensor import construct_tensor, kappa_maps
-from .verify import VerificationReport, verify_kunneth, verify_pair
+from .verify import VerificationReport, _fmt_vector, verify_kunneth, verify_pair
 
 _DEFAULT_CAP = 8
 
 
-class _CapError(RuntimeError):
-    pass
+class _UsageError(RuntimeError):
+    """A refusal that exits with code 2: a dimension over the cap, or unwritable output."""
 
 
-def _cap() -> int:
+def _check_cap(dim: int, what: str) -> None:
     raw = os.environ.get("TENSORALG_MAX_DIM", str(_DEFAULT_CAP))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise SelectorError(f"TENSORALG_MAX_DIM is not an integer: {raw!r}") from None
+    if dim > cap:
+        raise _UsageError(
+            f"{what} dimension {dim} exceeds the cap {cap}; raise TENSORALG_MAX_DIM to allow it"
+        )
 
 
 def _load(target: str) -> LieAlgebra | Pair:
@@ -52,21 +57,19 @@ def _load_pair(target: str) -> Pair:
     obj = _load(target)
     if not isinstance(obj, Pair):
         raise SelectorError(f"{target} names an algebra; this command needs a pair")
-    cap = _cap()
-    if obj.left_dim > cap:
-        raise _CapError(
-            f"pair dimension {obj.left_dim} exceeds the cap {cap};"
-            " raise TENSORALG_MAX_DIM to allow it"
-        )
+    _check_cap(obj.left_dim, "pair")
     return obj
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {out}: {e.strerror or e}") from None
 
 
 def _fmt_combo(v, names) -> str:
@@ -88,15 +91,10 @@ def _fmt_combo(v, names) -> str:
     return out
 
 
-def _fmt_vector(v) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
-
-
 def _symbol_names(pair: Pair, tensor) -> list[str]:
     names = []
     for k in range(tensor.dim):
-        column = tensor.section.apply(tuple(1 if m == k else 0 for m in range(tensor.dim)))
-        at = next(i for i, c in enumerate(column) if c != 0)
+        at = next(i for i, c in enumerate(tensor.section.column(k)) if c != 0)
         i, a = tensor.symbols.split(at)
         names.append(f"{pair.algebra.name_of(i)}(x){pair.ideal_algebra.name_of(a)}")
     return names
@@ -105,12 +103,7 @@ def _symbol_names(pair: Pair, tensor) -> list[str]:
 def _cmd_validate(args) -> int:
     obj = _load(args.target)
     if isinstance(obj, Pair):
-        cap = _cap()
-        if obj.left_dim > cap:
-            raise _CapError(
-                f"pair dimension {obj.left_dim} exceeds the cap {cap};"
-                " raise TENSORALG_MAX_DIM to allow it"
-            )
+        _check_cap(obj.left_dim, "pair")
         if args.machine:
             payload = {"kind": "pair", "algebra-dim": obj.left_dim, "ideal-dim": obj.right_dim}
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -199,12 +192,7 @@ def _cmd_verify(args) -> int:
 def _cmd_kunneth(args) -> int:
     pair_a = _load_pair(args.left)
     pair_b = _load_pair(args.right)
-    cap = _cap()
-    if pair_a.left_dim + pair_b.left_dim > cap:
-        raise _CapError(
-            f"direct sum dimension {pair_a.left_dim + pair_b.left_dim} exceeds the cap {cap};"
-            " raise TENSORALG_MAX_DIM to allow it"
-        )
+    _check_cap(pair_a.left_dim + pair_b.left_dim, "direct sum")
     records = verify_kunneth(pair_a, pair_b, args.left, args.right)
     return _finish_report(VerificationReport(tuple(records)), args)
 
@@ -271,10 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _CapError as e:
-        print(f"tensoralg: {e}", file=sys.stderr)
-        return 2
-    except SelectorError as e:
+    except (_UsageError, SelectorError) as e:
         print(f"tensoralg: {e}", file=sys.stderr)
         return 2
     except DocumentError as e:

@@ -22,11 +22,11 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
+    combine,
     is_zero,
     kernel,
     quotient_with_section,
     vadd,
-    vscale,
     zero_vector,
 )
 
@@ -156,12 +156,8 @@ class LieAlgebra:
         y = as_vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise LinalgError("vector does not match algebra dimension")
-        out = zero_vector(self.dim)
-        for (i, j), v in self.brackets:
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff != 0:
-                out = vadd(out, vscale(coeff, v))
-        return out
+        coeffs = (x[i] * y[j] - x[j] * y[i] for (i, j), _ in self.brackets)
+        return combine(coeffs, (v for _, v in self.brackets), self.dim)
 
     def jacobi_violation(self) -> StructureViolation | None:
         for i in range(self.dim):
@@ -308,12 +304,17 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.dim + b.dim, names, tuple(sorted(brackets.items())))
 
 
+def derived_algebra(a: LieAlgebra) -> AlgebraSubspace:
+    """[L, L] as a subspace of L."""
+    full = AlgebraSubspace.full(a)
+    return bracket_subspaces(a, full, full)
+
+
 def abelianization(a: LieAlgebra) -> tuple[LieAlgebra, AlgebraHom]:
-    derived = bracket_subspaces(a, AlgebraSubspace.full(a), AlgebraSubspace.full(a))
-    return quotient_algebra(a, derived)
+    return quotient_algebra(a, derived_algebra(a))
 
 
-def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace, names_prefix: str = "n") -> LieAlgebra:
+def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
     """The Lie algebra structure induced on a bracket-closed subspace, in its own coordinates."""
     if s.parent != a:
         raise LinalgError("subspace parent mismatch")
@@ -328,7 +329,7 @@ def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace, names_prefix: str 
                 raise NotAnIdealError("subspace is not closed under the bracket", witness=(i, j))
             if not is_zero(coords):
                 brackets[(i, j)] = coords
-    names = tuple(f"{names_prefix}{k}" for k in range(q))
+    names = tuple(f"n{k}" for k in range(q))
     return LieAlgebra.make(q, names, brackets)
 
 
@@ -338,10 +339,6 @@ def coordinates_in(space: Subspace, v: Sequence) -> Vector | None:
     if len(vec) != space.ambient_dim:
         raise LinalgError("vector does not match ambient dimension")
     coords = tuple(vec[p] for p in space.pivots())
-    rebuilt = zero_vector(space.ambient_dim)
-    for c, row in zip(coords, space.basis):
-        if c != 0:
-            rebuilt = vadd(rebuilt, vscale(c, row))
-    if rebuilt != vec:
+    if combine(coords, space.basis, space.ambient_dim) != vec:
         return None
     return coords

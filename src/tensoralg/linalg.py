@@ -70,12 +70,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise LinalgError("vector length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c: Fraction, v: Vector) -> Vector:
     c = _coerce(c)
     return tuple(c * a for a in v)
@@ -88,6 +82,24 @@ def is_zero(v: Vector) -> bool:
 def support(v: Vector) -> list[tuple[int, Fraction]]:
     """The nonzero coordinates of v as (index, value) pairs."""
     return [(k, a) for k, a in enumerate(v) if a != 0]
+
+
+def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:
+    """The sum of c * v over paired coefficients and vectors, of length width.
+
+    Zero coefficients and zero entries are skipped; a vector with a nonzero
+    coefficient must have length width.
+    """
+    out = [Fraction(0)] * width
+    for c, v in zip(coeffs, vectors):
+        if c == 0:
+            continue
+        if len(v) != width:
+            raise LinalgError("vector length mismatch")
+        for k, a in enumerate(v):
+            if a != 0:
+                out[k] += c * a
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -121,9 +133,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -298,13 +307,7 @@ def span_intersect(a: Subspace, b: Subspace) -> Subspace:
         for r in range(a.ambient_dim)
     )
     ker = kernel(LinearMap(Matrix(a.ambient_dim, k + l, rows)))
-    vectors = []
-    for coeffs in ker.basis:
-        v = zero_vector(a.ambient_dim)
-        for c in range(k):
-            if coeffs[c] != 0:
-                v = vadd(v, vscale(coeffs[c], a.basis[c]))
-        vectors.append(v)
+    vectors = [combine(coeffs[:k], a.basis, a.ambient_dim) for coeffs in ker.basis]
     return Subspace.from_vectors(a.ambient_dim, vectors)
 
 
@@ -333,6 +336,12 @@ class LinearMap:
 
     def apply(self, v: Sequence) -> Vector:
         return self.matrix.apply(v)
+
+    def column(self, k: int) -> Vector:
+        """The image of the k-th domain basis vector."""
+        if not 0 <= k < self.domain_dim:
+            raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
+        return self.matrix.column(k)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""

@@ -21,6 +21,7 @@ from .liealg import (
     NotAnIdealError,
     bracket_subspaces,
     coordinates_in,
+    derived_algebra,
     quotient_algebra,
     restrict_to_subalgebra,
 )
@@ -30,7 +31,8 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
-    is_zero,
+    combine,
+    support,
     vadd,
     vscale,
     zero_vector,
@@ -93,17 +95,9 @@ class ActionData:
         n = as_vector(n)
         if len(x) != self.actor_dim or len(n) != self.acted_dim:
             raise LinalgError("action argument of wrong length")
-        out = zero_vector(self.acted_dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, nj in enumerate(n):
-                if nj == 0:
-                    continue
-                v = self.table[i][j]
-                if not is_zero(v):
-                    out = vadd(out, vscale(xi * nj, v))
-        return out
+        # support(n) is taken once per nonzero coordinate of x, so a zero x never scans n
+        terms = [(xi * nj, self.table[i][j]) for i, xi in support(x) for j, nj in support(n)]
+        return combine([c for c, _ in terms], [v for _, v in terms], self.acted_dim)
 
 
 @dataclass(frozen=True)
@@ -144,11 +138,7 @@ class Pair:
         n = as_vector(n)
         if len(n) != self.right_dim:
             raise LinalgError("ideal coordinate vector of wrong length")
-        out = zero_vector(self.left_dim)
-        for c, row in zip(n, self.ideal.space.basis):
-            if c != 0:
-                out = vadd(out, vscale(c, row))
-        return out
+        return combine(n, self.ideal.space.basis, self.left_dim)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
         coords = coordinates_in(self.ideal.space, v)
@@ -157,13 +147,17 @@ class Pair:
         return coords
 
 
-def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
-    """Pair with the inner actions; raises when the span is not an ideal."""
+def _ideal_span(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> AlgebraSubspace:
     ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     witness = ideal.is_ideal()
     if witness is not None:
-        i, v = witness
-        raise NotAnIdealError(f"bracket of basis element {i} leaves the span", witness=(i, v))
+        raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
+    return ideal
+
+
+def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
+    """Pair with the inner actions; raises when the span is not an ideal."""
+    ideal = _ideal_span(algebra, ideal_vectors)
     p, q = algebra.dim, ideal.dim
     on_ideal = []
     for i in range(p):
@@ -182,6 +176,11 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
     return Pair(algebra, ideal, ActionData(p, q, tuple(on_ideal)), ActionData(q, p, on_algebra))
 
 
+def pair_full(algebra: LieAlgebra) -> Pair:
+    """The pair (L, L) with the inner actions."""
+    return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
+
+
 def make_pair_with_actions(
     algebra: LieAlgebra,
     ideal_vectors: Sequence[Iterable],
@@ -189,12 +188,7 @@ def make_pair_with_actions(
     act_on_algebra: ActionData,
 ) -> Pair:
     """Pair with supplied actions; both axioms and compatibility are enforced."""
-    ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
-    witness = ideal.is_ideal()
-    if witness is not None:
-        i, v = witness
-        raise NotAnIdealError(f"bracket of basis element {i} leaves the span", witness=(i, v))
-    pair = Pair(algebra, ideal, act_on_ideal, act_on_algebra)
+    pair = Pair(algebra, _ideal_span(algebra, ideal_vectors), act_on_ideal, act_on_algebra)
     bad = validate_action(act_on_ideal, algebra, pair.ideal_algebra)
     if bad is not None:
         raise PairValidationError("action of the algebra on the ideal breaks an axiom", bad)
@@ -310,17 +304,13 @@ def pair_is_clean(pair: Pair) -> bool:
     """True when the intersection of N with [L,L] is exactly [N,L]."""
     from .linalg import span_intersect
 
-    full = AlgebraSubspace.full(pair.algebra)
-    derived = bracket_subspaces(pair.algebra, full, full)
-    meet = span_intersect(pair.ideal.space, derived.space)
+    meet = span_intersect(pair.ideal.space, derived_algebra(pair.algebra).space)
     return meet == relative_commutator(pair).space
 
 
 def complement_condition(pair: Pair) -> bool:
     """True when [N,L] = [L,L]; a vector-space complement of N always exists."""
-    full = AlgebraSubspace.full(pair.algebra)
-    derived = bracket_subspaces(pair.algebra, full, full)
-    return relative_commutator(pair).space == derived.space
+    return relative_commutator(pair).space == derived_algebra(pair.algebra).space
 
 
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:

@@ -23,20 +23,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .liealg import LieAlgebra, NotAnIdealError, StructureError, StructureViolation
+from .liealg import AlgebraSubspace, LieAlgebra, NotAnIdealError, StructureError, StructureViolation
 from .linalg import (
     LinalgError,
     LinearMap,
     Subspace,
     Vector,
     as_vector,
+    combine,
     is_zero,
     kernel,
     quotient_with_section,
     support,
     vadd,
     vscale,
-    zero_vector,
 )
 from .pairs import Pair
 
@@ -92,14 +92,6 @@ def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Vector, ...], 
     return tuple(left), tuple(right)
 
 
-def _combine(table: Sequence[Vector], coords: Vector, width: int) -> Vector:
-    out = zero_vector(width)
-    for c, v in zip(coords, table):
-        if c != 0 and not is_zero(v):
-            out = vadd(out, vscale(c, v))
-    return out
-
-
 def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     """Bracket of two symbol vectors, as a symbol vector.
 
@@ -113,8 +105,8 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     if len(u) != sym.dim or len(v) != sym.dim:
         raise LinalgError("bracket argument of wrong length")
     left, right = _collapse_tables(pair, sym)
-    lc = _combine(left, u, sym.left_dim)
-    rc = _combine(right, v, sym.right_dim)
+    lc = combine(u, left, sym.left_dim)
+    rc = combine(v, right, sym.right_dim)
     return vscale(-1, sym.expand(lc, rc))
 
 
@@ -189,13 +181,13 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     while True:
         fresh = []
         for r in relations.basis:
-            rc = _combine(right, r, q)
+            rc = combine(r, right, q)
             if not is_zero(rc):
                 for a in left_span.basis:
                     w = sym.expand(a, rc)
                     if not relations.contains(w):
                         fresh.append(w)
-            lc = _combine(left, r, p)
+            lc = combine(r, left, p)
             if not is_zero(lc):
                 for b in right_span.basis:
                     w = sym.expand(lc, b)
@@ -250,8 +242,8 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     t_dim = sym.dim - relations.dim
     q = sym.right_dim
     left, right = _collapse_tables(pair, sym)
-    lc = [support(_combine(left, r, sym.left_dim)) for r in reps]
-    rc = [support(_combine(right, r, q)) for r in reps]
+    lc = [support(combine(r, left, sym.left_dim)) for r in reps]
+    rc = [support(combine(r, right, q)) for r in reps]
     proj_cols = [support(proj.matrix.column(k)) for k in range(sym.dim)]
 
     def bracket(i: int, j: int) -> list:
@@ -305,11 +297,9 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, Line
     """Diagonal, exterior algebra, projection, and section for a tensor product."""
     box = diagonal(tensor)
     t_alg = tensor.algebra
-    for b in box.basis:
-        for k in range(t_alg.dim):
-            w = t_alg.bracket_vectors(t_alg.basis_vector(k), b)
-            if not box.contains(w):
-                raise NotAnIdealError("diagonal subspace is not an ideal", witness=(k, b))
+    witness = AlgebraSubspace(t_alg, box).is_ideal()
+    if witness is not None:
+        raise NotAnIdealError("diagonal subspace is not an ideal", witness=witness)
     proj, reps = quotient_with_section(t_alg.dim, box)
     e_dim = t_alg.dim - box.dim
     brackets = {}
@@ -356,12 +346,10 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     _, right = _collapse_tables(pair, sym)
     q = pair.right_dim
     for r in tensor.relations.basis:
-        if not is_zero(_combine(right, r, q)):
+        if not is_zero(combine(r, right, q)):
             raise TensorConstructionError("evaluation map does not kill the relations")
     columns = [
-        pair.ideal_vector_to_ambient(
-            _combine(right, tensor.section.apply(tuple(1 if k == m else 0 for m in range(tensor.dim))), q)
-        )
+        pair.ideal_vector_to_ambient(combine(tensor.section.column(k), right, q))
         for k in range(tensor.dim)
     ]
     kappa = LinearMap.from_columns(pair.left_dim, columns)
@@ -378,10 +366,7 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     for b in box.basis:
         if not is_zero(kappa.apply(b)):
             raise TensorConstructionError("evaluation map does not kill the diagonal")
-    kp_columns = [
-        kappa.apply(ext_section.apply(tuple(1 if k == m else 0 for m in range(ext_algebra.dim))))
-        for k in range(ext_algebra.dim)
-    ]
+    kp_columns = [kappa.apply(ext_section.column(k)) for k in range(ext_algebra.dim)]
     kappa_prime = LinearMap.from_columns(pair.left_dim, kp_columns)
     return DerivedMaps(
         kappa=kappa,

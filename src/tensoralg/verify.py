@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
-from .liealg import LieAlgebra, abelianization, center, direct_sum
+from .liealg import AlgebraSubspace, abelianization, center, direct_sum
 from .linalg import (
     LinearMap,
     Subspace,
+    combine,
     is_zero,
     kernel,
     quotient_with_section,
@@ -24,14 +25,13 @@ from .linalg import (
     span_sum,
     vadd,
     vscale,
-    zero_vector,
 )
 from .pairs import (
     Pair,
     QuotientPair,
     complement_condition,
     direct_sum_pair,
-    make_pair,
+    pair_full,
     pair_is_clean,
     quotient_pair,
     relative_abelianization_dim,
@@ -146,21 +146,10 @@ def _induced_projection(
         for a in range(pair.right_dim):
             na = qp.proj_ideal.apply(pair.ideal_algebra.basis_vector(a))
             sym_images.append(tq.tensor_of(li, na))
-
-    def push(symbol_vector):
-        out = zero_vector(tq.dim)
-        for c, img in zip(symbol_vector, sym_images):
-            if c != 0 and not is_zero(img):
-                out = vadd(out, vscale(c, img))
-        return out
-
     for r in tensor.relations.basis:
-        if not is_zero(push(r)):
+        if not is_zero(combine(r, sym_images, tq.dim)):
             raise TensorConstructionError("projection does not kill the relations")
-    columns = [
-        push(tensor.section.apply(tuple(1 if m == k else 0 for m in range(tensor.dim))))
-        for k in range(tensor.dim)
-    ]
+    columns = [combine(tensor.section.column(k), sym_images, tq.dim) for k in range(tensor.dim)]
     return qp, tq, LinearMap.from_columns(tq.dim, columns)
 
 
@@ -314,22 +303,16 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     complement = Subspace.from_vectors(t.dim, kept)
     meet = span_intersect(box, complement)
     spans = span_sum(box, complement) == Subspace.full(t.dim)
-    is_ideal = True
-    ideal_witness = None
-    for k in range(t.dim):
-        for c in complement.basis:
-            w = t.algebra.bracket_vectors(t.algebra.basis_vector(k), c)
-            if not complement.contains(w):
-                is_ideal = False
-                ideal_witness = _fmt_vector(w)
-                break
-        if not is_ideal:
-            break
-    ok = meet.dim == 0 and spans and is_ideal and complement.dim == maps.exterior.dim
-    witness = ideal_witness or (
-        f"diagonal {box.dim} + complement {complement.dim} spans {span_sum(box, complement).dim}"
-        f" of {t.dim}, intersection {meet.dim}"
-    )
+    escape = AlgebraSubspace(t.algebra, complement).is_ideal()
+    ok = meet.dim == 0 and spans and escape is None and complement.dim == maps.exterior.dim
+    if escape is not None:
+        k, c = escape
+        witness = _fmt_vector(t.algebra.bracket_vectors(t.algebra.basis_vector(k), c))
+    else:
+        witness = (
+            f"diagonal {box.dim} + complement {complement.dim} spans {span_sum(box, complement).dim}"
+            f" of {t.dim}, intersection {meet.dim}"
+        )
     return _record(
         pair_id,
         "tensor-splits-as-diagonal-plus-complement",
@@ -409,10 +392,6 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     )
 
 
-def _full_pair(algebra: LieAlgebra) -> Pair:
-    return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
-
-
 def _pair_dims(pair: Pair) -> tuple[int, int, int]:
     """(diagonal, j2, multiplier) dimensions of a pair's tensor product."""
     maps = kappa_maps(construct_tensor(pair))
@@ -450,9 +429,9 @@ def verify_kunneth(
             witness=f"gamma({hk}) vs gamma({h}) + gamma({k}) + {h * k}",
         ),
     ]
-    _, j2_a, mult_a = _pair_dims(_full_pair(alg_a))
-    _, j2_b, mult_b = _pair_dims(_full_pair(alg_b))
-    _, j2_s, mult_s = _pair_dims(_full_pair(direct_sum(alg_a, alg_b)))
+    _, j2_a, mult_a = _pair_dims(pair_full(alg_a))
+    _, j2_b, mult_b = _pair_dims(pair_full(alg_b))
+    _, j2_s, mult_s = _pair_dims(pair_full(direct_sum(alg_a, alg_b)))
     records.append(
         _record(
             pair_id,

@@ -1,10 +1,14 @@
 """Command line behaviour: outputs, exit codes, and the dimension cap."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import tensoralg.catalog
 from tensoralg.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -180,3 +184,41 @@ def test_missing_command_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "tensor", "builtin:pair_full(abelian(1))", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"tensoralg: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_deeply_nested_selector_is_refused_before_evaluation(monkeypatch, capsys):
+    def no_evaluation(node):
+        raise AssertionError("a refused selector must not be evaluated")
+
+    monkeypatch.setattr(tensoralg.catalog, "_eval_node", no_evaluation)
+    selector = "builtin:" + "pair_full(" * 1200 + "abelian(1)" + ")" * 1200
+    code, out, err = run(capsys, "validate", selector)
+    assert code == 2
+    assert "nests deeper" in err
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("tensor_pair_full_heisenberg1.txt", ["tensor", "builtin:pair_full(heisenberg(1))"]),
+        ("tensor_pair_full_heisenberg1.json", ["tensor", "--machine", "builtin:pair_full(heisenberg(1))"]),
+        (
+            "kunneth_nonabelian2_abelian1.json",
+            ["kunneth", "--machine", "builtin:pair_full(nonabelian2)", "builtin:pair_full(abelian(1))"],
+        ),
+    ],
+)
+def test_output_matches_golden_bytes(golden, argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / golden).read_bytes()

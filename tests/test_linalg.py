@@ -13,6 +13,7 @@ from tensoralg.linalg import (
     Matrix,
     Subspace,
     as_vector,
+    combine,
     format_scalar,
     kernel,
     parse_scalar,
@@ -221,3 +222,41 @@ def test_matrix_apply_matches_dense_row_sum(case):
     out = m.apply(v)
     assert out == dense
     assert all(isinstance(a, Fraction) for a in out)
+
+
+_mostly_zero = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.lists(st.tuples(_mostly_zero, st.lists(_mostly_zero, min_size=w, max_size=w)), max_size=6),
+        )
+    )
+)
+def test_combine_matches_vadd_vscale_fold(case):
+    width, terms = case
+    fold = zero_vector(width)
+    for c, v in terms:
+        fold = vadd(fold, vscale(c, as_vector(v)))
+    out = combine([c for c, _ in terms], [as_vector(v) for _, v in terms], width)
+    assert out == fold
+    assert all(isinstance(a, Fraction) for a in out)
+
+
+def test_combine_rejects_vector_of_wrong_length():
+    with pytest.raises(LinalgError):
+        combine([1, 2], [as_vector([1, 0]), as_vector([1, 0, 0])], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices(max_dim=5))
+def test_linear_map_column_is_image_of_unit_vector(m):
+    f = LinearMap(m)
+    for k in range(f.domain_dim):
+        unit = tuple(Fraction(1 if j == k else 0) for j in range(f.domain_dim))
+        assert f.column(k) == f.apply(unit)
+    with pytest.raises(LinalgError):
+        f.column(f.domain_dim)

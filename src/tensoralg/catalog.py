@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
@@ -50,10 +50,20 @@ class SelectorError(ValueError):
 # ---------------------------------------------------------------- builtins
 
 
-def abelian(n: int) -> LieAlgebra:
+def _abelian_dim(n: int) -> int:
     if n < 0:
         raise SelectorError("abelian dimension must be non-negative")
-    return LieAlgebra.abelian(n)
+    return n
+
+
+def _heisenberg_dim(m: int) -> int:
+    if m < 1:
+        raise SelectorError("heisenberg rank must be positive")
+    return 2 * m + 1
+
+
+def abelian(n: int) -> LieAlgebra:
+    return LieAlgebra.abelian(_abelian_dim(n))
 
 
 def nonabelian2() -> LieAlgebra:
@@ -62,10 +72,8 @@ def nonabelian2() -> LieAlgebra:
 
 def heisenberg(m: int) -> LieAlgebra:
     """2m+1 dimensional: [x_i, y_i] = z, everything else zero."""
-    if m < 1:
-        raise SelectorError("heisenberg rank must be positive")
+    dim = _heisenberg_dim(m)
     names = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m)) + ("z",)
-    dim = 2 * m + 1
     z = tuple(Fraction(1 if k == dim - 1 else 0) for k in range(dim))
     return LieAlgebra.make(dim, names, {(i, m + i): z for i in range(m)})
 
@@ -130,7 +138,18 @@ def _parse_node(tokens: list[str], at: int, depth: int = 0):
     return (head, args), at
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What a selector or document names, known before it is built: its kind
+    (LieAlgebra or Pair), the dimension of its algebra, and how to build it."""
+
+    kind: type
+    dim: int
+    build: Callable[[], LieAlgebra | Pair]
+
+
 def _eval_node(node):
+    """Check a parsed selector and size what it names; nothing is built."""
     if isinstance(node, int):
         return node
     name, args = node
@@ -140,32 +159,32 @@ def _eval_node(node):
         if len(values) != n:
             raise SelectorError(f"{name} takes {n} argument(s), got {len(values)}")
         for v, kind in zip(values, kinds):
-            if not isinstance(v, kind):
+            if (v.kind if isinstance(v, _Plan) else type(v)) is not kind:
                 raise SelectorError(f"{name} argument has the wrong kind")
 
     if name == "abelian":
         arity(1, [int])
-        return abelian(values[0])
+        return _Plan(LieAlgebra, _abelian_dim(values[0]), lambda: abelian(values[0]))
     if name == "nonabelian2":
         arity(0, [])
-        return nonabelian2()
+        return _Plan(LieAlgebra, 2, nonabelian2)
     if name == "heisenberg":
         arity(1, [int])
-        return heisenberg(values[0])
+        return _Plan(LieAlgebra, _heisenberg_dim(values[0]), lambda: heisenberg(values[0]))
     if name == "pair_full":
         arity(1, [LieAlgebra])
-        return pair_full(values[0])
+        return _Plan(Pair, values[0].dim, lambda: pair_full(values[0].build()))
     if name == "pair_center":
         arity(1, [LieAlgebra])
-        return pair_center(values[0])
+        return _Plan(Pair, values[0].dim, lambda: pair_center(values[0].build()))
     if name == "pair_direct_sum":
         arity(2, [Pair, Pair])
-        return pair_direct_sum(values[0], values[1])
+        a, b = values
+        return _Plan(Pair, a.dim + b.dim, lambda: pair_direct_sum(a.build(), b.build()))
     raise SelectorError(f"unknown builtin {name!r}")
 
 
-def resolve_selector(text: str) -> LieAlgebra | Pair:
-    """Evaluate a builtin selector such as builtin:pair_full(heisenberg(1))."""
+def _selector_plan(text: str) -> _Plan:
     body = text.strip()
     if body.startswith("builtin:"):
         body = body[len("builtin:"):]
@@ -179,6 +198,11 @@ def resolve_selector(text: str) -> LieAlgebra | Pair:
     if isinstance(value, int):
         raise SelectorError("selector names a number, not an algebra or pair")
     return value
+
+
+def resolve_selector(text: str) -> LieAlgebra | Pair:
+    """Evaluate a builtin selector such as builtin:pair_full(heisenberg(1))."""
+    return _selector_plan(text).build()
 
 
 def catalog_selectors() -> tuple[str, ...]:
@@ -382,29 +406,18 @@ def algebra_from_document(doc: AlgebraDocument) -> LieAlgebra:
         raise DocumentError("structure violation", witness=e.args[0]) from None
 
 
-def pair_from_document(doc: PairDocument, base_dir: str | None = None) -> Pair:
-    if isinstance(doc.algebra, str):
-        path = os.path.join(base_dir or ".", doc.algebra)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                inner = parse(fh.read())
-        except OSError as e:
-            raise DocumentError(f"cannot read referenced algebra: {e}") from None
-        if not isinstance(inner, AlgebraDocument):
-            raise DocumentError("referenced document is not an algebra", witness=doc.algebra)
-        algebra = algebra_from_document(inner)
-    else:
-        algebra = algebra_from_document(doc.algebra)
-    if doc.ideal is None:
+def _build_pair(doc: AlgebraDocument, ideal: tuple[Vector, ...] | None) -> Pair:
+    algebra = algebra_from_document(doc)
+    if ideal is None:
         vectors: Sequence[Vector] = [algebra.basis_vector(i) for i in range(algebra.dim)]
     else:
-        for v in doc.ideal:
+        for v in ideal:
             if len(v) != algebra.dim:
                 raise DocumentError(
                     "ideal vector length does not match the algebra dimension",
                     witness=f"{len(v)} vs {algebra.dim}",
                 )
-        vectors = doc.ideal
+        vectors = ideal
     try:
         return make_pair(algebra, vectors)
     except NotAnIdealError as e:
@@ -413,8 +426,26 @@ def pair_from_document(doc: PairDocument, base_dir: str | None = None) -> Pair:
         raise DocumentError("pair actions are inconsistent", witness=e.witness) from None
 
 
-def load_path(path: str) -> LieAlgebra | Pair:
-    """Read a document from disk and build the object it describes."""
+def _pair_plan(doc: PairDocument, base_dir: str | None) -> _Plan:
+    """Size a pair document from its algebra's header, parsing a file reference."""
+    inner = doc.algebra
+    if isinstance(inner, str):
+        path = os.path.join(base_dir or ".", inner)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                inner = parse(fh.read())
+        except OSError as e:
+            raise DocumentError(f"cannot read referenced algebra: {e}") from None
+        if not isinstance(inner, AlgebraDocument):
+            raise DocumentError("referenced document is not an algebra", witness=doc.algebra)
+    return _Plan(Pair, inner.dim, lambda: _build_pair(inner, doc.ideal))
+
+
+def pair_from_document(doc: PairDocument, base_dir: str | None = None) -> Pair:
+    return _pair_plan(doc, base_dir).build()
+
+
+def _document_plan(path: str) -> _Plan:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -422,8 +453,13 @@ def load_path(path: str) -> LieAlgebra | Pair:
         raise DocumentError(f"cannot read document: {e}") from None
     doc = parse(text)
     if isinstance(doc, AlgebraDocument):
-        return algebra_from_document(doc)
-    return pair_from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+        return _Plan(LieAlgebra, doc.dim, lambda: algebra_from_document(doc))
+    return _pair_plan(doc, os.path.dirname(os.path.abspath(path)))
+
+
+def load_path(path: str) -> LieAlgebra | Pair:
+    """Read a document from disk and build the object it describes."""
+    return _document_plan(path).build()
 
 
 # ---------------------------------------------------------------- reports

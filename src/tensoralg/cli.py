@@ -3,8 +3,9 @@
 Targets are either builtin selectors (builtin:pair_full(heisenberg(1))) or
 paths to JSON documents.  Exit codes: 0 when everything asserted passed,
 1 when a validation fails or an asserted check misses, 2 for usage errors,
-for pairs over the dimension cap (TENSORALG_MAX_DIM, default 8) and for an
-output path that cannot be written.
+for pairs over the dimension cap (TENSORALG_MAX_DIM, default 8; read from the
+selector or the document header before anything is built) and for an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Sequence
 from .catalog import (
     DocumentError,
     SelectorError,
+    _document_plan,
+    _selector_plan,
     catalog_selectors,
     load_path,
     resolve_selector,
@@ -47,18 +50,30 @@ def _check_cap(dim: int, what: str) -> None:
         )
 
 
+def _checked_dim(target: str, need_pair: bool) -> int:
+    """Read what a target names without building it; refuse a pair over the cap."""
+    plan = _selector_plan(target) if target.startswith("builtin:") else _document_plan(target)
+    if plan.kind is Pair:
+        _check_cap(plan.dim, "pair")
+    elif need_pair:
+        raise SelectorError(f"{target} names an algebra; this command needs a pair")
+    return plan.dim
+
+
 def _load(target: str) -> LieAlgebra | Pair:
+    """Build a target that `_checked_dim` has passed.
+
+    It goes through the public loaders, which read the target again, so that
+    a CLI run records the same loader spans under `bench/tracer.py` as a
+    library call."""
     if target.startswith("builtin:"):
         return resolve_selector(target)
     return load_path(target)
 
 
 def _load_pair(target: str) -> Pair:
-    obj = _load(target)
-    if not isinstance(obj, Pair):
-        raise SelectorError(f"{target} names an algebra; this command needs a pair")
-    _check_cap(obj.left_dim, "pair")
-    return obj
+    _checked_dim(target, need_pair=True)
+    return _load(target)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,9 +116,9 @@ def _symbol_names(pair: Pair, tensor) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
+    _checked_dim(args.target, need_pair=False)
     obj = _load(args.target)
     if isinstance(obj, Pair):
-        _check_cap(obj.left_dim, "pair")
         if args.machine:
             payload = {"kind": "pair", "algebra-dim": obj.left_dim, "ideal-dim": obj.right_dim}
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -190,9 +205,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kunneth(args) -> int:
-    pair_a = _load_pair(args.left)
-    pair_b = _load_pair(args.right)
-    _check_cap(pair_a.left_dim + pair_b.left_dim, "direct sum")
+    dims = [_checked_dim(target, need_pair=True) for target in (args.left, args.right)]
+    _check_cap(sum(dims), "direct sum")
+    pair_a = _load(args.left)
+    pair_b = _load(args.right)
     records = verify_kunneth(pair_a, pair_b, args.left, args.right)
     return _finish_report(VerificationReport(tuple(records)), args)
 

@@ -22,6 +22,7 @@ from .liealg import (
     bracket_subspaces,
     coordinates_in,
     derived_algebra,
+    direct_sum,
     quotient_algebra,
     restrict_to_subalgebra,
 )
@@ -32,6 +33,7 @@ from .linalg import (
     Vector,
     as_vector,
     combine,
+    span_intersect,
     support,
     vadd,
     vscale,
@@ -302,8 +304,6 @@ def relative_abelianization_dim(pair: Pair) -> int:
 
 def pair_is_clean(pair: Pair) -> bool:
     """True when the intersection of N with [L,L] is exactly [N,L]."""
-    from .linalg import span_intersect
-
     meet = span_intersect(pair.ideal.space, derived_algebra(pair.algebra).space)
     return meet == relative_commutator(pair).space
 
@@ -315,8 +315,6 @@ def complement_condition(pair: Pair) -> bool:
 
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:
     """(L1 + L2, N1 + N2) with inner actions, via block embedding."""
-    from .liealg import direct_sum
-
     algebra = direct_sum(a.algebra, b.algebra)
     left = [tuple(v) + zero_vector(b.left_dim) for v in a.ideal.space.basis]
     right = [zero_vector(a.left_dim) + tuple(v) for v in b.ideal.space.basis]

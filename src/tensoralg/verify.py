@@ -1,7 +1,7 @@
 """Structural checks on tensor products, reported as pass/fail records.
 
-Every check recomputes what it needs from the pair through the public
-constructions; no record depends on a conclusion drawn by another record.
+Checks share one derivation per pair, not verdicts: no record depends on a
+conclusion drawn by another record.
 A record is asserted when the underlying statement is expected to hold for
 the pair unconditionally; records produced under known hypothesis gaps are
 reported with the relevant flags instead of being asserted.
@@ -10,6 +10,7 @@ reported with the relevant flags instead of being asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
@@ -115,42 +116,61 @@ def _fmt_vector(v: Sequence) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _mixed_commutator_span(pair: Pair, tensor: NonabelianTensor) -> Subspace:
-    """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
-    comm = relative_commutator_in_ideal(pair)
-    gens = []
-    for i in range(pair.left_dim):
-        e = pair.algebra.basis_vector(i)
+class _Derivation:
+    """One pair's derived objects, each built on first use; lives for one call."""
+
+    def __init__(self, pair: Pair):
+        self.pair = pair
+
+    @cached_property
+    def tensor(self) -> NonabelianTensor:
+        return construct_tensor(self.pair)
+
+    @cached_property
+    def maps(self):
+        return kappa_maps(self.tensor)
+
+    @cached_property
+    def mixed(self) -> Subspace:
+        """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
+        pair, tensor = self.pair, self.tensor
+        comm = relative_commutator_in_ideal(pair)
+        gens = []
+        for i in range(pair.left_dim):
+            e = pair.algebra.basis_vector(i)
+            for m in comm.basis:
+                gens.append(tensor.tensor_of(e, m))
         for m in comm.basis:
-            gens.append(tensor.tensor_of(e, m))
-    for m in comm.basis:
-        amb = pair.ideal_vector_to_ambient(m)
-        for a in range(pair.right_dim):
-            gens.append(tensor.tensor_of(amb, pair.ideal_algebra.basis_vector(a)))
-    return Subspace.from_vectors(tensor.dim, gens)
+            amb = pair.ideal_vector_to_ambient(m)
+            for a in range(pair.right_dim):
+                gens.append(tensor.tensor_of(amb, pair.ideal_algebra.basis_vector(a)))
+        return Subspace.from_vectors(tensor.dim, gens)
+
+    @cached_property
+    def induced(self) -> tuple[QuotientPair, NonabelianTensor, LinearMap]:
+        """The map of tensor products induced by quotienting the pair by [N, L].
+
+        Built symbol by symbol; the relations of the source must die in the
+        target for the map to make sense, and that is checked on a basis.
+        """
+        pair, tensor = self.pair, self.tensor
+        qp = quotient_pair(pair)
+        tq = construct_tensor(qp.pair)
+        sym_images = []
+        for i in range(pair.left_dim):
+            li = qp.proj_algebra.apply(pair.algebra.basis_vector(i))
+            for a in range(pair.right_dim):
+                na = qp.proj_ideal.apply(pair.ideal_algebra.basis_vector(a))
+                sym_images.append(tq.tensor_of(li, na))
+        for r in tensor.relations.basis:
+            if not is_zero(combine(r, sym_images, tq.dim)):
+                raise TensorConstructionError("projection does not kill the relations")
+        columns = [combine(tensor.section.column(k), sym_images, tq.dim) for k in range(tensor.dim)]
+        return qp, tq, LinearMap.from_columns(tq.dim, columns)
 
 
-def _induced_projection(
-    pair: Pair, tensor: NonabelianTensor
-) -> tuple[QuotientPair, NonabelianTensor, LinearMap]:
-    """The map of tensor products induced by quotienting the pair by [N, L].
-
-    Built symbol by symbol; the relations of the source must die in the
-    target for the map to make sense, and that is checked on a basis.
-    """
-    qp = quotient_pair(pair)
-    tq = construct_tensor(qp.pair)
-    sym_images = []
-    for i in range(pair.left_dim):
-        li = qp.proj_algebra.apply(pair.algebra.basis_vector(i))
-        for a in range(pair.right_dim):
-            na = qp.proj_ideal.apply(pair.ideal_algebra.basis_vector(a))
-            sym_images.append(tq.tensor_of(li, na))
-    for r in tensor.relations.basis:
-        if not is_zero(combine(r, sym_images, tq.dim)):
-            raise TensorConstructionError("projection does not kill the relations")
-    columns = [combine(tensor.section.column(k), sym_images, tq.dim) for k in range(tensor.dim)]
-    return qp, tq, LinearMap.from_columns(tq.dim, columns)
+def _derive(pair: Pair | _Derivation) -> _Derivation:
+    return pair if isinstance(pair, _Derivation) else _Derivation(pair)
 
 
 def _containment_witness(container: Subspace, sub: Subspace) -> str | None:
@@ -162,12 +182,12 @@ def _containment_witness(container: Subspace, sub: Subspace) -> str | None:
 
 def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
     """Centrality and image checks tying together all derived objects."""
-    t = construct_tensor(pair)
-    maps = kappa_maps(t)
+    d = _derive(pair)
+    t, maps = d.tensor, d.maps
     box = maps.square
     t_center = center(t.algebra).space
     e_center = center(maps.exterior).space
-    comm = relative_commutator(pair).space
+    comm = relative_commutator(d.pair).space
     dims = {
         "tensor": t.dim,
         "diagonal": box.dim,
@@ -219,25 +239,26 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
 
 def verify_ker_pi(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """Kernel of the induced projection equals the mixed commutator span."""
-    t = construct_tensor(pair)
-    _, tq, pi = _induced_projection(pair, t)
+    d = _derive(pair)
+    _, tq, pi = d.induced
     ker = kernel(pi)
-    mix = _mixed_commutator_span(pair, t)
+    mix = d.mixed
     return _record(
         pair_id,
         "projection-kernel-is-mixed-commutator-span",
         "kernel-of-induced-projection",
         ker == mix,
         True,
-        {"tensor": t.dim, "quotient-tensor": tq.dim, "kernel": ker.dim, "mixed-span": mix.dim},
+        {"tensor": d.tensor.dim, "quotient-tensor": tq.dim, "kernel": ker.dim, "mixed-span": mix.dim},
         witness=f"kernel dim {ker.dim} vs mixed span dim {mix.dim}",
     )
 
 
 def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """The induced projection restricts to an isomorphism of diagonals."""
-    t = construct_tensor(pair)
-    _, tq, pi = _induced_projection(pair, t)
+    d = _derive(pair)
+    pair, t = d.pair, d.tensor
+    _, tq, pi = d.induced
     box = diagonal(t)
     boxq = diagonal(tq)
     image = Subspace.from_vectors(tq.dim, [pi.apply(b) for b in box.basis])
@@ -275,11 +296,10 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     antisymmetrized ideal-ideal symbols, keeping whatever stays independent
     of the diagonal and of what was kept before.
     """
-    t = construct_tensor(pair)
-    maps = kappa_maps(t)
+    d = _derive(pair)
+    pair, t, maps = d.pair, d.tensor, d.maps
     box = maps.square
-    mix = _mixed_commutator_span(pair, t)
-    candidates = list(mix.basis)
+    candidates = list(d.mixed.basis)
     _, outside = quotient_with_section(pair.left_dim, pair.ideal.space)
     ideal_units = [pair.ideal_algebra.basis_vector(a) for a in range(pair.right_dim)]
     ideal_ambient = [pair.ideal_basis_vector(a) for a in range(pair.right_dim)]
@@ -332,8 +352,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
 
 def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """The evaluation kernel is the diagonal plus a copy of the multiplier."""
-    t = construct_tensor(pair)
-    maps = kappa_maps(t)
+    maps = _derive(pair).maps
     box = maps.square
     eps_j2 = Subspace.from_vectors(
         maps.exterior.dim, [maps.eps.apply(b) for b in maps.j2.basis]
@@ -364,11 +383,13 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     on its quotient by [N, L].  The count is known to overshoot in general,
     so this record is never asserted; the deficit is reported.
     """
+    d = _derive(pair)
+    pair = d.pair
     if pair.algebra.is_abelian():
-        target = pair
+        target, tt = pair, d.tensor
     else:
-        target = quotient_pair(pair).pair
-    tt = construct_tensor(target)
+        qp, tt, _ = d.induced
+        target = qp.pair
     box = diagonal(tt)
     n = target.left_dim
     m = target.right_dim
@@ -549,14 +570,16 @@ def check_names() -> tuple[str, ...]:
 
 
 def verify_pair(pair: Pair, pair_id: str = "pair", checks: Sequence[str] | None = None) -> VerificationReport:
-    """Run the per-pair checks, or the named subset, and bundle the records."""
+    """Run the per-pair checks, or the named subset, on one shared derivation
+    of the pair, and bundle the records."""
     table = dict(_PAIR_CHECKS)
     selected = check_names() if checks is None else tuple(checks)
+    derivation = _Derivation(pair)
     records = []
     for name in selected:
         if name not in table:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(check_names())}")
-        result = table[name](pair, pair_id)
+        result = table[name](derivation, pair_id)
         if isinstance(result, CheckRecord):
             records.append(result)
         else:

@@ -171,6 +171,54 @@ def test_dimension_cap_applies_to_kunneth_sum(monkeypatch, capsys):
     assert "direct sum" in err
 
 
+def _abelian_document(dim):
+    basis = [f"b{k}" for k in range(dim)]
+    return {"name": f"a{dim}", "dim": dim, "basis": basis, "brackets": {}}
+
+
+@pytest.fixture
+def no_building(monkeypatch, tmp_path):
+    """Every function that builds an algebra or a pair from a target raises."""
+
+    def refuse(*args):
+        raise AssertionError("a target over the cap must not be built")
+
+    for name in ("abelian", "heisenberg", "nonabelian2", "pair_full", "pair_center",
+                 "direct_sum_pair", "make_pair", "algebra_from_document"):
+        monkeypatch.setattr(tensoralg.catalog, name, refuse)
+    monkeypatch.delenv("TENSORALG_MAX_DIM", raising=False)
+    (tmp_path / "inline.json").write_text(json.dumps({"algebra": _abelian_document(40), "ideal": "all"}))
+    (tmp_path / "a40.json").write_text(json.dumps(_abelian_document(40)))
+    (tmp_path / "referenced.json").write_text(json.dumps({"algebra": "a40.json", "ideal": "all"}))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tensor", "builtin:pair_center(heisenberg(20))"], "pair dimension 41"),
+        (["validate", "builtin:pair_full(abelian(80))"], "pair dimension 80"),
+        (["verify", "builtin:pair_direct_sum(pair_full(abelian(5)),pair_full(heisenberg(2)))"],
+         "pair dimension 10"),
+        (["tensor", "{dir}/inline.json"], "pair dimension 40"),
+        (["verify", "{dir}/referenced.json"], "pair dimension 40"),
+        (["kunneth", "builtin:pair_full(abelian(5))", "builtin:pair_full(nonabelian2)"],
+         "direct sum dimension 7"),
+        (["tensor", "builtin:heisenberg(20)"], "names an algebra; this command needs a pair"),
+    ],
+    ids=["selector", "validate", "direct-sum", "inline-document", "referenced-document",
+         "kunneth-sum", "algebra-target"],
+)
+def test_over_cap_target_is_refused_before_it_is_built(argv, message, no_building, monkeypatch, capsys):
+    if argv[0] == "kunneth":
+        monkeypatch.setenv("TENSORALG_MAX_DIM", "6")
+    code, out, err = run(capsys, *(a.format(dir=no_building) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tensoralg: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_invalid_cap_value(monkeypatch, capsys):
     monkeypatch.setenv("TENSORALG_MAX_DIM", "eight")
     code, out, err = run(capsys, "tensor", "builtin:pair_full(abelian(1))")

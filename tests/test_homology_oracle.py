@@ -44,6 +44,14 @@ def test_second_cohomology_of_small_algebras():
     )  # sl2 is rigid
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_second_cohomology_of_heisenberg_matches_closed_form(m):
+    # dim M(H(m)) = 2m^2 - m - 1 for m >= 2 and 2 for m = 1
+    # (Batten, Moneyhun and Stitzinger, Comm. Algebra 1996)
+    h = heisenberg(m)
+    assert second_cohomology_dim(h.dim, dict(h.brackets)) == (2 if m == 1 else 2 * m * m - m - 1)
+
+
 def test_second_cohomology_of_a_direct_sum():
     # solvable plane + line: one cross class survives
     alg = direct_sum(nonabelian2(), LieAlgebra.abelian(1))
@@ -58,10 +66,11 @@ def test_second_cohomology_of_a_direct_sum():
         LieAlgebra.abelian(3),
         nonabelian2(),
         heisenberg(1),
+        heisenberg(2),
         sl2(),
         direct_sum(nonabelian2(), LieAlgebra.abelian(1)),
     ],
-    ids=["a1", "a2", "a3", "r2", "h1", "sl2", "r2+a1"],
+    ids=["a1", "a2", "a3", "r2", "h1", "h2", "sl2", "r2+a1"],
 )
 def test_engine_multiplier_matches_reference_cohomology(algebra):
     maps = kappa_maps(construct_tensor(full_pair(algebra)))

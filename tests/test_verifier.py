@@ -2,6 +2,8 @@
 
 import pytest
 
+import tensoralg.verify
+from tensoralg.catalog import catalog_selectors, resolve_selector
 from tensoralg.liealg import LieAlgebra
 from tensoralg.pairs import make_pair
 from tensoralg.verify import (
@@ -234,3 +236,48 @@ def test_report_merge_and_sorting():
     assert len(merged.records) == 2
     assert [r.pair_id for r in merged.sorted_records()] == ["a-pair", "b-pair"]
     assert merged.ok
+
+
+# pair_full(abelian(4)) is left out for time: its tensor alone takes seconds
+SHARED_SELECTORS = [s for s in catalog_selectors() if s != "builtin:pair_full(abelian(4))"]
+
+
+@pytest.mark.parametrize("selector", SHARED_SELECTORS)
+def test_verify_pair_matches_each_check_run_alone(selector):
+    pair = resolve_selector(selector)
+    alone = []
+    for check in (
+        verify_diagram,
+        verify_ker_pi,
+        verify_diagonal_descent,
+        verify_splitting,
+        verify_j2_decomposition,
+        verify_abelian_basis,
+    ):
+        result = check(pair, selector)
+        alone.extend(result if isinstance(result, list) else [result])
+    assert verify_pair(pair, selector).records == tuple(alone)
+
+
+@pytest.mark.parametrize("selector", SHARED_SELECTORS)
+def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
+    pair = resolve_selector(selector)
+    calls = {"construct_tensor": 0, "quotient_pair": 0}
+
+    def counting(name):
+        real = getattr(tensoralg.verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tensoralg.verify, name, counting(name))
+    verify_pair(pair, selector)
+    # the pair's tensor and the tensor of its quotient by [N, L]
+    assert calls == {"construct_tensor": 2, "quotient_pair": 1}
+    calls.update(construct_tensor=0, quotient_pair=0)
+    verify_diagram(pair, selector)
+    assert calls == {"construct_tensor": 1, "quotient_pair": 0}

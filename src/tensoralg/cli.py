@@ -2,10 +2,12 @@
 
 Targets are either builtin selectors (builtin:pair_full(heisenberg(1))) or
 paths to JSON documents.  Exit codes: 0 when everything asserted passed,
-1 when a validation fails or an asserted check misses, 2 for usage errors,
-for pairs over the dimension cap (TENSORALG_MAX_DIM, default 8; read from the
-selector or the document header before anything is built) and for an output
-path that cannot be written.
+1 when a validation fails, an asserted check misses, or the construction
+raises TensorConstructionError, NotAnIdealError or LinalgError (one line
+`tensoralg: <message>`, no traceback), 2 for usage errors, for pairs over the
+dimension cap (TENSORALG_MAX_DIM, default 8; read from the selector or the
+document header before anything is built) and for an output path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .catalog import (
     resolve_selector,
     serialize_report,
 )
-from .liealg import LieAlgebra, StructureError
+from .liealg import LieAlgebra, NotAnIdealError, StructureError
+from .linalg import LinalgError
 from .pairs import Pair
-from .tensor import construct_tensor, kappa_maps
-from .verify import VerificationReport, _fmt_vector, verify_kunneth, verify_pair
+from .tensor import TensorConstructionError, construct_tensor, kappa_maps
+from .verify import VerificationReport, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
 
 _DEFAULT_CAP = 8
 
@@ -182,11 +185,16 @@ def _cmd_tensor(args) -> int:
 
 
 def _theorem_list(raw: str | None) -> Sequence[str] | None:
+    """The checks --theorems names; an unknown name is a usage error."""
     if raw is None:
         return None
     names = [part.strip() for part in raw.split(",") if part.strip()]
     if not names:
         raise SelectorError("--theorems must name at least one check")
+    try:
+        _selected_checks(names)
+    except ValueError as e:
+        raise SelectorError(str(e)) from None
     return names
 
 
@@ -196,12 +204,9 @@ def _finish_report(report: VerificationReport, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    checks = _theorem_list(args.theorems)
     pair = _load_pair(args.target)
-    try:
-        report = verify_pair(pair, pair_id=args.target, checks=_theorem_list(args.theorems))
-    except ValueError as e:
-        raise SelectorError(str(e)) from None
-    return _finish_report(report, args)
+    return _finish_report(verify_pair(pair, pair_id=args.target, checks=checks), args)
 
 
 def _cmd_kunneth(args) -> int:
@@ -283,6 +288,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except StructureError as e:
         print(f"tensoralg: structure violation: {e}", file=sys.stderr)
+        return 1
+    except (TensorConstructionError, NotAnIdealError, LinalgError) as e:
+        print(f"tensoralg: {e}", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 from .liealg import AlgebraSubspace, LieAlgebra, NotAnIdealError, StructureError, StructureViolation
 from .linalg import (
@@ -30,15 +31,16 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
-    combine,
     is_zero,
     kernel,
     quotient_with_section,
     support,
     vadd,
-    vscale,
 )
 from .pairs import Pair
+
+# The nonzero entries of a vector as (index, value) pairs, as linalg.support gives them.
+Support = Iterable[tuple[int, Fraction]]
 
 
 class TensorConstructionError(RuntimeError):
@@ -81,15 +83,53 @@ class SymbolSpace:
         return tuple(out)
 
 
-def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Per-symbol values (n_a . l_i) in L and (l_i . n_a) in N coordinates."""
+def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Support, ...], tuple[Support, ...]]:
+    """Per-symbol (n_a . l_i) in L and (l_i . n_a) in N coordinates, as support lists."""
     left = []
     right = []
     for i in range(sym.left_dim):
         for a in range(sym.right_dim):
-            left.append(pair.act_on_algebra.act_basis(a, i))
-            right.append(pair.act_on_ideal.act_basis(i, a))
+            left.append(support(pair.act_on_algebra.act_basis(a, i)))
+            right.append(support(pair.act_on_ideal.act_basis(i, a)))
     return tuple(left), tuple(right)
+
+
+def _collapse(coeffs: Support, table: Sequence[Support]) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of sum c * table[k] over the (k, c) in coeffs."""
+    acc: dict[int, Fraction] = {}
+    for k, c in coeffs:
+        for m, x in table[k]:
+            acc[m] = acc.get(m, 0) + c * x
+    return [(m, x) for m, x in acc.items() if x != 0]
+
+
+def _add_expansion(acc: dict[int, Fraction], x: Support, n: Support, q: int, c=1) -> None:
+    """acc += c * (x (x) n) in symbol coordinates, for sparse x over L and n over N."""
+    for i, xi in x:
+        cx = c * xi
+        for a, na in n:
+            k = i * q + a
+            acc[k] = acc.get(k, 0) + cx * na
+
+
+def _dense(entries: Support, width: int) -> Vector:
+    """The vector of the given length with the given nonzero entries."""
+    out = [Fraction(0)] * width
+    for k, a in entries:
+        out[k] = a
+    return tuple(out)
+
+
+def _keep_nonzero(gens: dict, acc: dict[int, Fraction]) -> None:
+    """Record an accumulated generator by its sorted support, once, unless it vanishes."""
+    key = tuple(sorted((k, a) for k, a in acc.items() if a != 0))
+    if key:
+        gens[key] = None
+
+
+def _span(gens: dict, width: int) -> Subspace:
+    """The span of the recorded generators, in the order they were first seen."""
+    return Subspace.from_vectors(width, [_dense(g, width) for g in gens])
 
 
 def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
@@ -105,37 +145,38 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     if len(u) != sym.dim or len(v) != sym.dim:
         raise LinalgError("bracket argument of wrong length")
     left, right = _collapse_tables(pair, sym)
-    lc = combine(u, left, sym.left_dim)
-    rc = combine(v, right, sym.right_dim)
-    return vscale(-1, sym.expand(lc, rc))
+    acc: dict[int, Fraction] = {}
+    _add_expansion(acc, _collapse(support(u), left), _collapse(support(v), right), sym.right_dim, -1)
+    return _dense(acc.items(), sym.dim)
 
 
 def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
-    algebra = pair.algebra
-    n_alg = pair.ideal_algebra
     p, q = sym.left_dim, sym.right_dim
-    unit_l = [algebra.basis_vector(i) for i in range(p)]
-    unit_n = [n_alg.basis_vector(a) for a in range(q)]
-    out = []
+    left, right = _collapse_tables(pair, sym)
+    out: dict = {}
+    # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
     for i in range(p):
         for j in range(i + 1, p):
+            bracket = support(pair.algebra.bracket_basis(i, j))
             for a in range(q):
-                v = sym.expand(algebra.bracket_basis(i, j), unit_n[a])
-                v = vadd(v, vscale(-1, sym.expand(unit_l[i], pair.act_on_ideal.act_basis(j, a))))
-                v = vadd(v, sym.expand(unit_l[j], pair.act_on_ideal.act_basis(i, a)))
-                if not is_zero(v):
-                    out.append(v)
+                acc: dict[int, Fraction] = {}
+                _add_expansion(acc, bracket, ((a, 1),), q)
+                _add_expansion(acc, ((i, 1),), right[j * q + a], q, -1)
+                _add_expansion(acc, ((j, 1),), right[i * q + a], q)
+                _keep_nonzero(out, acc)
+    # l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
+    n_alg = pair.ideal_algebra
     for i in range(p):
         for a in range(q):
             for b in range(a + 1, q):
-                v = sym.expand(unit_l[i], n_alg.bracket_basis(a, b))
-                v = vadd(v, vscale(-1, sym.expand(pair.act_on_algebra.act_basis(b, i), unit_n[a])))
-                v = vadd(v, sym.expand(pair.act_on_algebra.act_basis(a, i), unit_n[b]))
-                if not is_zero(v):
-                    out.append(v)
-    return Subspace.from_vectors(sym.dim, out)
+                acc = {}
+                _add_expansion(acc, ((i, 1),), support(n_alg.bracket_basis(a, b)), q)
+                _add_expansion(acc, left[i * q + b], ((a, 1),), q, -1)
+                _add_expansion(acc, left[i * q + a], ((b, 1),), q)
+                _keep_nonzero(out, acc)
+    return _span(out, sym.dim)
 
 
 def closure(pair: Pair, seed: Subspace) -> Subspace:
@@ -144,58 +185,68 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     Antisymmetry and Jacobi defects of the bracket are added up front, then
     brackets of arbitrary vectors against the accumulating span are swept
     until nothing new appears.  Collapsed slots range over the spans of the
-    per-symbol collapse tables, which is enough by bilinearity.
+    per-symbol collapse tables, which is enough by bilinearity.  Every
+    generator is accumulated over the nonzero entries of the collapse tables
+    and the action table only.
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     if seed.ambient_dim != sym.dim:
         raise LinalgError("seed lives in the wrong symbol space")
     left, right = _collapse_tables(pair, sym)
-    act = pair.act_on_ideal
-    p, q = sym.left_dim, sym.right_dim
-    left_zero = [is_zero(v) for v in left]
-    right_zero = [is_zero(v) for v in right]
-    gens = list(seed.basis)
+    p, q, n = sym.left_dim, sym.right_dim, sym.dim
+    gens = dict.fromkeys(tuple(support(r)) for r in seed.basis)
     # antisymmetry defects [u, v] + [v, u], including u = v
-    for u in range(sym.dim):
-        for v in range(u, sym.dim):
-            if (left_zero[u] or right_zero[v]) and (left_zero[v] or right_zero[u]):
-                continue
-            w = vadd(sym.expand(left[u], right[v]), sym.expand(left[v], right[u]))
-            if not is_zero(w):
-                gens.append(w)
-    # Jacobi defects [u, [v, w]] + [v, [w, u]] + [w, [u, v]]
-    for u in range(sym.dim):
-        for v in range(u + 1, sym.dim):
-            for w in range(v + 1, sym.dim):
-                if left_zero[u] and left_zero[v] and left_zero[w]:
-                    continue
-                d = sym.expand(left[u], act.apply(left[v], right[w]))
-                d = vadd(d, sym.expand(left[v], act.apply(left[w], right[u])))
-                d = vadd(d, sym.expand(left[w], act.apply(left[u], right[v])))
-                if not is_zero(d):
-                    gens.append(d)
-    relations = Subspace.from_vectors(sym.dim, gens)
+    for u in range(n):
+        for v in range(u, n):
+            acc: dict[int, Fraction] = {}
+            _add_expansion(acc, left[u], right[v], q)
+            _add_expansion(acc, left[v], right[u], q)
+            _keep_nonzero(gens, acc)
+    # Jacobi defects [u, [v, w]] + [v, [w, u]] + [w, [u, v]].  The inner
+    # bracket needs left[v] acting on right[w], the right collapse of the
+    # symbol vector left[v] (x) right[w]; it is taken once per symbol pair.
+    acted = {}
+    for v in range(n):
+        for w in range(n):
+            if left[v] and right[w]:
+                moved = _collapse([(i * q + a, x * y) for i, x in left[v] for a, y in right[w]], right)
+                if moved:
+                    acted[(v, w)] = moved
+    for u, v, w in combinations(range(n), 3):
+        acc = {}
+        for x, inner in ((u, (v, w)), (v, (w, u)), (w, (u, v))):
+            if left[x] and inner in acted:
+                _add_expansion(acc, left[x], acted[inner], q)
+        _keep_nonzero(gens, acc)
+    relations = _span(gens, n)
     # sweep: the bracket of anything with a relation must stay a relation
-    left_span = Subspace.from_vectors(p, [v for v in left if not is_zero(v)])
-    right_span = Subspace.from_vectors(q, [v for v in right if not is_zero(v)])
+    left_span = Subspace.from_vectors(p, [_dense(s, p) for s in left if s])
+    right_span = Subspace.from_vectors(q, [_dense(s, q) for s in right if s])
+    left_basis = [support(a) for a in left_span.basis]
+    right_basis = [support(b) for b in right_span.basis]
     while True:
         fresh = []
         for r in relations.basis:
-            rc = combine(r, right, q)
-            if not is_zero(rc):
-                for a in left_span.basis:
-                    w = sym.expand(a, rc)
+            coeffs = support(r)
+            rc = _collapse(coeffs, right)
+            if rc:
+                for a in left_basis:
+                    acc = {}
+                    _add_expansion(acc, a, rc, q)
+                    w = _dense(acc.items(), n)
                     if not relations.contains(w):
                         fresh.append(w)
-            lc = combine(r, left, p)
-            if not is_zero(lc):
-                for b in right_span.basis:
-                    w = sym.expand(lc, b)
+            lc = _collapse(coeffs, left)
+            if lc:
+                for b in right_basis:
+                    acc = {}
+                    _add_expansion(acc, lc, b, q)
+                    w = _dense(acc.items(), n)
                     if not relations.contains(w):
                         fresh.append(w)
         if not fresh:
             return relations
-        relations = Subspace.from_vectors(sym.dim, list(relations.basis) + fresh)
+        relations = Subspace.from_vectors(n, list(relations.basis) + fresh)
 
 
 @dataclass(frozen=True)
@@ -242,8 +293,8 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     t_dim = sym.dim - relations.dim
     q = sym.right_dim
     left, right = _collapse_tables(pair, sym)
-    lc = [support(combine(r, left, sym.left_dim)) for r in reps]
-    rc = [support(combine(r, right, q)) for r in reps]
+    lc = [_collapse(support(r), left) for r in reps]
+    rc = [_collapse(support(r), right) for r in reps]
     proj_cols = [support(proj.matrix.column(k)) for k in range(sym.dim)]
 
     def bracket(i: int, j: int) -> list:
@@ -346,10 +397,10 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     _, right = _collapse_tables(pair, sym)
     q = pair.right_dim
     for r in tensor.relations.basis:
-        if not is_zero(combine(r, right, q)):
+        if _collapse(support(r), right):
             raise TensorConstructionError("evaluation map does not kill the relations")
     columns = [
-        pair.ideal_vector_to_ambient(combine(tensor.section.column(k), right, q))
+        pair.ideal_vector_to_ambient(_dense(_collapse(support(tensor.section.column(k)), right), q))
         for k in range(tensor.dim)
     ]
     kappa = LinearMap.from_columns(pair.left_dim, columns)

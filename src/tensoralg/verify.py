@@ -259,7 +259,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     d = _derive(pair)
     pair, t = d.pair, d.tensor
     _, tq, pi = d.induced
-    box = diagonal(t)
+    box = d.maps.square
     boxq = diagonal(tq)
     image = Subspace.from_vectors(tq.dim, [pi.apply(b) for b in box.basis])
     d = relative_abelianization_dim(pair)
@@ -386,11 +386,10 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     d = _derive(pair)
     pair = d.pair
     if pair.algebra.is_abelian():
-        target, tt = pair, d.tensor
+        target, tt, box = pair, d.tensor, d.maps.square
     else:
         qp, tt, _ = d.induced
-        target = qp.pair
-    box = diagonal(tt)
+        target, box = qp.pair, diagonal(tt)
     n = target.left_dim
     m = target.right_dim
     claimed = box.dim + (n - m) * m
@@ -569,17 +568,25 @@ def check_names() -> tuple[str, ...]:
     return tuple(name for name, _ in _PAIR_CHECKS)
 
 
-def verify_pair(pair: Pair, pair_id: str = "pair", checks: Sequence[str] | None = None) -> VerificationReport:
-    """Run the per-pair checks, or the named subset, on one shared derivation
-    of the pair, and bundle the records."""
+def _selected_checks(checks: Sequence[str] | None) -> tuple[Callable, ...]:
+    """The named check functions in the given order, or all of them; ValueError names an unknown one."""
     table = dict(_PAIR_CHECKS)
-    selected = check_names() if checks is None else tuple(checks)
-    derivation = _Derivation(pair)
-    records = []
-    for name in selected:
+    names = check_names() if checks is None else tuple(checks)
+    for name in names:
         if name not in table:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(check_names())}")
-        result = table[name](derivation, pair_id)
+    return tuple(table[name] for name in names)
+
+
+def verify_pair(pair: Pair, pair_id: str = "pair", checks: Sequence[str] | None = None) -> VerificationReport:
+    """Run the per-pair checks, or the named subset, on one shared derivation
+    of the pair, and bundle the records.  Every name is checked before any
+    work starts."""
+    selected = _selected_checks(checks)
+    derivation = _Derivation(pair)
+    records = []
+    for check in selected:
+        result = check(derivation, pair_id)
         if isinstance(result, CheckRecord):
             records.append(result)
         else:

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import tensoralg.catalog
+import tensoralg.tensor
 from tensoralg.cli import main
+from tensoralg.linalg import Subspace
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,6 +219,62 @@ def test_over_cap_target_is_refused_before_it_is_built(argv, message, no_buildin
     assert out == ""
     assert err.startswith("tensoralg: ") and message in err
     assert err.count("\n") == 1
+
+
+HEISENBERG1_PAIR = {
+    "algebra": {"name": "h1", "dim": 3, "basis": ["x", "y", "z"], "brackets": {"x,y": {"z": "1"}}},
+    "ideal": "all",
+}
+SL2_PAIR = {
+    "algebra": {
+        "name": "sl2", "dim": 3, "basis": ["e", "f", "h"],
+        "brackets": {"e,f": {"h": "1"}, "e,h": {"e": "-2"}, "f,h": {"f": "2"}},
+    },
+    "ideal": "all",
+}
+
+
+def _zero_relations(pair, seed):
+    return Subspace.zero(seed.ambient_dim)
+
+
+def _relations_in_wrong_space(pair, seed):
+    return Subspace.zero(seed.ambient_dim + 1)
+
+
+def _line_as_diagonal(tensor):
+    return Subspace.from_vectors(tensor.dim, [tensor.algebra.basis_vector(0)])
+
+
+@pytest.mark.parametrize("command", ["tensor", "verify"])
+@pytest.mark.parametrize(
+    "document, patch, message",
+    [
+        (HEISENBERG1_PAIR, ("closure", _zero_relations),
+         "induced bracket is not a Lie bracket: antisymmetry violation at (1, 1, 8), residual 2"),
+        (SL2_PAIR, ("diagonal", _line_as_diagonal), "diagonal subspace is not an ideal"),
+        (HEISENBERG1_PAIR, ("closure", _relations_in_wrong_space), "subspace does not match ambient dimension"),
+    ],
+    ids=["TensorConstructionError", "NotAnIdealError", "LinalgError"],
+)
+def test_construction_errors_exit_1_with_one_line(document, patch, message, command, tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps(document))
+    monkeypatch.setattr(tensoralg.tensor, *patch)
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == f"tensoralg: {message}\n"
+
+
+def test_unknown_theorem_is_refused_before_the_pair_is_built(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an unknown check must be refused before the pair is built")
+
+    monkeypatch.setattr(tensoralg.catalog, "pair_full", refuse)
+    code, out, err = run(capsys, "verify", "--theorems", "diagram,spectral", "builtin:pair_full(abelian(1))")
+    assert code == 2
+    assert err.startswith("tensoralg: unknown check 'spectral'") and err.count("\n") == 1
 
 
 def test_invalid_cap_value(monkeypatch, capsys):

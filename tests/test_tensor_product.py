@@ -5,14 +5,16 @@ relations before the module existed: seed relations, bracket defects, and
 the closure sweep were traced by hand for each pair.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tensoralg.tensor
-from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full
+from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
 from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
-from tensoralg.linalg import Subspace, kernel, quotient_with_section, vadd
+from tensoralg.linalg import Matrix, Subspace, combine, is_zero, kernel, quotient_with_section, rref, vadd, vscale
 from tensoralg.pairs import make_pair, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
@@ -280,3 +282,187 @@ def test_induced_bracket_jacobi_failure_is_reported(monkeypatch):
         construct_tensor(pair)
     assert str(caught.value).startswith("induced bracket is not a Lie bracket: jacobi violation at ")
     assert isinstance(caught.value.__cause__, StructureError)
+
+
+# ---------------------------------------------------------------- dense reference
+#
+# The relation seed and the closure as they were first written: every
+# generator is a dense symbol vector built from full expansions, and the
+# collapse tables are dense.  The construction reads sparse supports instead;
+# both must give the same subspaces.
+
+
+def _dense_collapse_tables(pair):
+    left, right = [], []
+    for i in range(pair.left_dim):
+        for a in range(pair.right_dim):
+            left.append(pair.act_on_algebra.act_basis(a, i))
+            right.append(pair.act_on_ideal.act_basis(i, a))
+    return left, right
+
+
+def _dense_relation_seed(pair):
+    sym = SymbolSpace(pair.left_dim, pair.right_dim)
+    algebra = pair.algebra
+    n_alg = pair.ideal_algebra
+    p, q = sym.left_dim, sym.right_dim
+    unit_l = [algebra.basis_vector(i) for i in range(p)]
+    unit_n = [n_alg.basis_vector(a) for a in range(q)]
+    out = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            for a in range(q):
+                v = sym.expand(algebra.bracket_basis(i, j), unit_n[a])
+                v = vadd(v, vscale(-1, sym.expand(unit_l[i], pair.act_on_ideal.act_basis(j, a))))
+                v = vadd(v, sym.expand(unit_l[j], pair.act_on_ideal.act_basis(i, a)))
+                if not is_zero(v):
+                    out.append(v)
+    for i in range(p):
+        for a in range(q):
+            for b in range(a + 1, q):
+                v = sym.expand(unit_l[i], n_alg.bracket_basis(a, b))
+                v = vadd(v, vscale(-1, sym.expand(pair.act_on_algebra.act_basis(b, i), unit_n[a])))
+                v = vadd(v, sym.expand(pair.act_on_algebra.act_basis(a, i), unit_n[b]))
+                if not is_zero(v):
+                    out.append(v)
+    return Subspace.from_vectors(sym.dim, out)
+
+
+def _dense_closure(pair, seed):
+    sym = SymbolSpace(pair.left_dim, pair.right_dim)
+    left, right = _dense_collapse_tables(pair)
+    act = pair.act_on_ideal
+    p, q = sym.left_dim, sym.right_dim
+    gens = list(seed.basis)
+    for u in range(sym.dim):
+        for v in range(u, sym.dim):
+            w = vadd(sym.expand(left[u], right[v]), sym.expand(left[v], right[u]))
+            if not is_zero(w):
+                gens.append(w)
+    for u in range(sym.dim):
+        for v in range(u + 1, sym.dim):
+            for w in range(v + 1, sym.dim):
+                d = sym.expand(left[u], act.apply(left[v], right[w]))
+                d = vadd(d, sym.expand(left[v], act.apply(left[w], right[u])))
+                d = vadd(d, sym.expand(left[w], act.apply(left[u], right[v])))
+                if not is_zero(d):
+                    gens.append(d)
+    relations = Subspace.from_vectors(sym.dim, gens)
+    left_span = Subspace.from_vectors(p, [v for v in left if not is_zero(v)])
+    right_span = Subspace.from_vectors(q, [v for v in right if not is_zero(v)])
+    while True:
+        fresh = []
+        for r in relations.basis:
+            rc = combine(r, right, q)
+            if not is_zero(rc):
+                for a in left_span.basis:
+                    w = sym.expand(a, rc)
+                    if not relations.contains(w):
+                        fresh.append(w)
+            lc = combine(r, left, p)
+            if not is_zero(lc):
+                for b in right_span.basis:
+                    w = sym.expand(lc, b)
+                    if not relations.contains(w):
+                        fresh.append(w)
+        if not fresh:
+            return relations
+        relations = Subspace.from_vectors(sym.dim, list(relations.basis) + fresh)
+
+
+def _inverse(columns):
+    """The inverse of the square matrix with the given columns, as a Matrix."""
+    n = len(columns)
+    rows = [tuple(columns[k][r] for k in range(n)) + tuple(int(r == c) for c in range(n)) for r in range(n)]
+    reduced, pivots = rref(Matrix.from_rows(rows))
+    assert pivots == tuple(range(n)), "change of basis is not invertible"
+    return Matrix.from_rows([row[n:] for row in reduced.entries])
+
+
+def _rebased(pair, columns):
+    """The same pair in the algebra basis whose k-th vector is columns[k] in the old basis."""
+    a = pair.algebra
+    to_new = _inverse(columns).apply
+    brackets = {
+        (i, j): to_new(a.bracket_vectors(columns[i], columns[j]))
+        for i in range(a.dim)
+        for j in range(i + 1, a.dim)
+    }
+    algebra = LieAlgebra.make(a.dim, a.basis_names, brackets)
+    return make_pair(algebra, [to_new(v) for v in pair.ideal.space.basis])
+
+
+def _permuted(pair, rng):
+    perm = list(range(pair.left_dim))
+    rng.shuffle(perm)
+    return _rebased(pair, [pair.algebra.basis_vector(k) for k in perm])
+
+
+DIFFERENTIAL_PAIRS = {
+    # tensor-wide
+    "abelian(3)": lambda: pair_full(abelian(3)),
+    "abelian(4)": lambda: pair_full(abelian(4)),
+    "heisenberg(2)": lambda: pair_full(heisenberg(2)),
+    "heisenberg(1)+abelian(1)": lambda: pair_full(direct_sum(heisenberg(1), abelian(1))),
+    # closure-deep
+    "sl2": lambda: pair_full(sl2()),
+    "sl2+abelian(1)": lambda: pair_full(direct_sum(sl2(), abelian(1))),
+    "sl2+nonabelian2": lambda: pair_full(direct_sum(sl2(), nonabelian2())),
+    "sl2+heisenberg(1)": lambda: pair_full(direct_sum(sl2(), heisenberg(1))),
+    "sl2+sl2": lambda: pair_full(direct_sum(sl2(), sl2())),
+    # verify-catalog
+    "abelian(1)": lambda: pair_full(abelian(1)),
+    "abelian(2)": lambda: pair_full(abelian(2)),
+    "nonabelian2": lambda: pair_full(nonabelian2()),
+    "heisenberg(1)": lambda: pair_full(heisenberg(1)),
+    "center(heisenberg(1))": lambda: pair_center(heisenberg(1)),
+    "nonabelian2 (+) abelian(1)": lambda: resolve_selector(
+        "builtin:pair_direct_sum(pair_full(nonabelian2),pair_full(abelian(1)))"
+    ),
+    "center(heisenberg(1)) (+) abelian(1)": lambda: resolve_selector(
+        "builtin:pair_direct_sum(pair_center(heisenberg(1)),pair_full(abelian(1)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+def test_sparse_relations_match_dense_reference(name):
+    rng = random.Random(f"differential/{name}")
+    pair = _permuted(DIFFERENTIAL_PAIRS[name](), rng)
+    assert relation_seed(pair) == _dense_relation_seed(pair)
+    # The defining relations are already closed, so closing them cannot tell
+    # two closures apart.  A seed of one random symbol vector is not closed:
+    # its closure needs the defect families and, on some pairs, sweeps.
+    n = pair.left_dim * pair.right_dim
+    v = [Fraction(0)] * n
+    for k in rng.sample(range(n), min(2, n)):
+        v[k] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+    seed = Subspace.from_vectors(n, [v])
+    assert closure(pair, seed) == _dense_closure(pair, seed)
+
+
+def _derived_dims(pair):
+    t = construct_tensor(pair)
+    maps = kappa_maps(t)
+    return (t.dim, maps.square.dim, maps.exterior.dim, maps.j2.dim, maps.multiplier.dim)
+
+
+# (T, diagonal, exterior, j2, multiplier) of pair_full(L); the identity example
+# checks them in the original basis
+INVARIANCE_ALGEBRAS = {
+    "heisenberg(1)": (heisenberg(1), (6, 3, 3, 5, 2)),
+    "nonabelian2+abelian(1)": (direct_sum(nonabelian2(), abelian(1)), (5, 3, 2, 4, 1)),
+    "sl2": (sl2(), (3, 0, 3, 0, 0)),
+}
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("name", list(INVARIANCE_ALGEBRAS))
+@settings(max_examples=20, deadline=None)
+@given(entries=st.lists(_small_fractions, min_size=9, max_size=9))
+@example(entries=[Fraction(int(i == j)) for i in range(3) for j in range(3)])
+def test_derived_dimensions_invariant_under_rational_change_of_basis(name, entries):
+    algebra, dims = INVARIANCE_ALGEBRAS[name]
+    columns = [tuple(entries[3 * k : 3 * k + 3]) for k in range(3)]
+    assume(Subspace.from_vectors(3, columns).dim == 3)
+    assert _derived_dims(_rebased(pair_full(algebra), columns)) == dims

@@ -262,7 +262,7 @@ def test_verify_pair_matches_each_check_run_alone(selector):
 @pytest.mark.parametrize("selector", SHARED_SELECTORS)
 def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
     pair = resolve_selector(selector)
-    calls = {"construct_tensor": 0, "quotient_pair": 0}
+    calls = {"construct_tensor": 0, "quotient_pair": 0, "diagonal": 0}
 
     def counting(name):
         real = getattr(tensoralg.verify, name)
@@ -276,8 +276,11 @@ def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
     for name in calls:
         monkeypatch.setattr(tensoralg.verify, name, counting(name))
     verify_pair(pair, selector)
-    # the pair's tensor and the tensor of its quotient by [N, L]
-    assert calls == {"construct_tensor": 2, "quotient_pair": 1}
-    calls.update(construct_tensor=0, quotient_pair=0)
+    # the pair's tensor and the tensor of its quotient by [N, L]; the pair's
+    # diagonal is read off its maps, so only the quotient's diagonal is built,
+    # by the descent check and, for a non-abelian algebra, the basis reporter
+    quotient_diagonals = 1 if pair.algebra.is_abelian() else 2
+    assert calls == {"construct_tensor": 2, "quotient_pair": 1, "diagonal": quotient_diagonals}
+    calls.update(construct_tensor=0, quotient_pair=0, diagonal=0)
     verify_diagram(pair, selector)
-    assert calls == {"construct_tensor": 1, "quotient_pair": 0}
+    assert calls == {"construct_tensor": 1, "quotient_pair": 0, "diagonal": 0}

@@ -168,6 +168,11 @@ class _Derivation:
         columns = [combine(tensor.section.column(k), sym_images, tq.dim) for k in range(tensor.dim)]
         return qp, tq, LinearMap.from_columns(tq.dim, columns)
 
+    @cached_property
+    def quotient_diagonal(self) -> Subspace:
+        """The diagonal of the quotient pair's tensor product."""
+        return diagonal(self.induced[1])
+
 
 def _derive(pair: Pair | _Derivation) -> _Derivation:
     return pair if isinstance(pair, _Derivation) else _Derivation(pair)
@@ -260,7 +265,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     pair, t = d.pair, d.tensor
     _, tq, pi = d.induced
     box = d.maps.square
-    boxq = diagonal(tq)
+    boxq = d.quotient_diagonal
     image = Subspace.from_vectors(tq.dim, [pi.apply(b) for b in box.basis])
     d = relative_abelianization_dim(pair)
     psi_rank = psi_map(pair, t).image().dim
@@ -389,7 +394,7 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
         target, tt, box = pair, d.tensor, d.maps.square
     else:
         qp, tt, _ = d.induced
-        target, box = qp.pair, diagonal(tt)
+        target, box = qp.pair, d.quotient_diagonal
     n = target.left_dim
     m = target.right_dim
     claimed = box.dim + (n - m) * m

@@ -1,21 +1,23 @@
 """Tensor product construction against hand-computed presentations.
 
 Every dimension asserted here was worked out by hand from the defining
-relations before the module existed: seed relations, bracket defects, and
-the closure sweep were traced by hand for each pair.
+relations before the module existed.  The relations need no closing (the
+proof is in the tensor module docstring); the dense reference closure below
+checks that on every pair it is given.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import tensoralg.tensor
 from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
-from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
+from tensoralg.liealg import LieAlgebra, StructureError, center, derived_algebra, direct_sum, validate_structure
 from tensoralg.linalg import Matrix, Subspace, combine, is_zero, kernel, quotient_with_section, rref, vadd, vscale
-from tensoralg.pairs import make_pair, relative_commutator
+from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
     TensorConstructionError,
@@ -284,12 +286,42 @@ def test_induced_bracket_jacobi_failure_is_reported(monkeypatch):
     assert isinstance(caught.value.__cause__, StructureError)
 
 
+def _unchecked_pair(algebra, ideal_vectors, on_ideal_rows, on_algebra_rows):
+    """A pair whose action tables go in without the axiom and compatibility checks."""
+    ideal = make_pair(algebra, ideal_vectors).ideal
+    p, q = algebra.dim, ideal.space.dim
+    return Pair(algebra, ideal, ActionData.from_rows(p, q, on_ideal_rows), ActionData.from_rows(q, p, on_algebra_rows))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        # the incompatible tables of test_incompatible_actions_are_detected:
+        # (z . x) = x and x . z = z
+        (
+            _unchecked_pair(heisenberg1(), [(0, 0, 1)], [[(1,)], [(0,)], [(0,)]], [[(1, 0, 0), (0, 0, 0), (0, 0, 1)]]),
+            "left collapse n . l does not kill the relations",
+        ),
+        # L acts on N as the identity, N on L by zero
+        (
+            _unchecked_pair(nonabelian2(), [(1, 0), (0, 1)], [[(1, 0), (0, 1)]] * 2, [[(0, 0), (0, 0)]] * 2),
+            "right collapse l . n does not kill the relations",
+        ),
+    ],
+    ids=["heisenberg-centre", "nonabelian2-identity"],
+)
+def test_relations_the_bracket_does_not_kill_are_refused(pair, message):
+    with pytest.raises(TensorConstructionError) as caught:
+        construct_tensor(pair)
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------- dense reference
 #
 # The relation seed and the closure as they were first written: every
 # generator is a dense symbol vector built from full expansions, and the
-# collapse tables are dense.  The construction reads sparse supports instead;
-# both must give the same subspaces.
+# collapse tables are dense.  The construction reads sparse supports instead
+# and does not close the relations; both must give the same subspaces.
 
 
 def _dense_collapse_tables(pair):
@@ -425,20 +457,78 @@ DIFFERENTIAL_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+# More algebras, each with its full, derived and centre ideals
+IDEAL_ALGEBRAS = {
+    "n4": LieAlgebra.make(4, ("x1", "x2", "x3", "x4"), {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)}),
+    "n5": LieAlgebra.make(
+        5, ("x1", "x2", "x3", "x4", "x5"),
+        {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)},
+    ),
+    # basis e11, e12, e21, e22
+    "gl2": LieAlgebra.make(
+        4, ("a", "b", "c", "d"),
+        {(0, 1): (0, 1, 0, 0), (0, 2): (0, 0, -1, 0), (1, 2): (1, 0, 0, -1), (1, 3): (0, 1, 0, 0),
+         (2, 3): (0, 0, -1, 0)},
+    ),
+    "r3(1/2)": LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 1, 0), (0, 2): (0, 0, Fraction(1, 2))}),
+    "so3": LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
+    # sl2 acting on Q^2 = span(u, v): e.v = u, f.u = v, h.u = u, h.v = -v
+    "sl2+Q2": LieAlgebra.make(
+        5, ("e", "f", "h", "u", "v"),
+        {(0, 1): (0, 0, 1, 0, 0), (0, 2): (-2, 0, 0, 0, 0), (1, 2): (0, 2, 0, 0, 0),
+         (0, 4): (0, 0, 0, 1, 0), (1, 3): (0, 0, 0, 0, 1), (2, 3): (0, 0, 0, 1, 0), (2, 4): (0, 0, 0, 0, -1)},
+    ),
+}
+
+
+def _ideals(algebra):
+    """The full, derived and centre ideals that are nonzero, each space once."""
+    out = {}
+    for kind, space in (
+        ("full", Subspace.full(algebra.dim)),
+        ("derived", derived_algebra(algebra).space),
+        ("centre", center(algebra).space),
+    ):
+        if space.dim and space not in out.values():
+            out[kind] = space
+    return out
+
+
+DIFFERENTIAL_PAIRS.update(
+    (f"{kind}({name})", partial(make_pair, algebra, space.basis))
+    for name, algebra in IDEAL_ALGEBRAS.items()
+    for kind, space in _ideals(algebra).items()
+)
+
+# Zero actions pass both action axioms and both compatibility equations on any
+# pair, and they are not the inner actions.
+ZERO_ACTION_ALGEBRAS = {
+    "heisenberg(1), zero actions": heisenberg(1),
+    "sl2, zero actions": sl2(),
+    "n4, zero actions": IDEAL_ALGEBRAS["n4"],
+}
+
+
+def _zero_actions(pair):
+    p, q = pair.left_dim, pair.right_dim
+    on_ideal = ActionData.from_rows(p, q, [[(0,) * q] * q] * p)
+    on_algebra = ActionData.from_rows(q, p, [[(0,) * p] * p] * q)
+    return make_pair_with_actions(pair.algebra, pair.ideal.space.basis, on_ideal, on_algebra)
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS) + list(ZERO_ACTION_ALGEBRAS))
 def test_sparse_relations_match_dense_reference(name):
     rng = random.Random(f"differential/{name}")
-    pair = _permuted(DIFFERENTIAL_PAIRS[name](), rng)
-    assert relation_seed(pair) == _dense_relation_seed(pair)
-    # The defining relations are already closed, so closing them cannot tell
-    # two closures apart.  A seed of one random symbol vector is not closed:
-    # its closure needs the defect families and, on some pairs, sweeps.
-    n = pair.left_dim * pair.right_dim
-    v = [Fraction(0)] * n
-    for k in rng.sample(range(n), min(2, n)):
-        v[k] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
-    seed = Subspace.from_vectors(n, [v])
-    assert closure(pair, seed) == _dense_closure(pair, seed)
+    if name in DIFFERENTIAL_PAIRS:
+        pair = _permuted(DIFFERENTIAL_PAIRS[name](), rng)
+    else:
+        pair = _zero_actions(_permuted(pair_full(ZERO_ACTION_ALGEBRAS[name]), rng))
+    seed = relation_seed(pair)
+    assert seed == _dense_relation_seed(pair)
+    # The defining relations are already closed (the proof is in the tensor
+    # module docstring): the dense closure adds nothing, and closure checks
+    # the seed and returns it.
+    assert _dense_closure(pair, seed) == seed == closure(pair, seed)
 
 
 def _derived_dims(pair):

@@ -278,9 +278,8 @@ def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
     verify_pair(pair, selector)
     # the pair's tensor and the tensor of its quotient by [N, L]; the pair's
     # diagonal is read off its maps, so only the quotient's diagonal is built,
-    # by the descent check and, for a non-abelian algebra, the basis reporter
-    quotient_diagonals = 1 if pair.algebra.is_abelian() else 2
-    assert calls == {"construct_tensor": 2, "quotient_pair": 1, "diagonal": quotient_diagonals}
+    # once, for the descent check and the basis reporter to share
+    assert calls == {"construct_tensor": 2, "quotient_pair": 1, "diagonal": 1}
     calls.update(construct_tensor=0, quotient_pair=0, diagonal=0)
     verify_diagram(pair, selector)
     assert calls == {"construct_tensor": 1, "quotient_pair": 0, "diagonal": 0}

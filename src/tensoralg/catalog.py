@@ -364,14 +364,17 @@ def _pair_document(obj: dict, text: str) -> PairDocument:
     return PairDocument(algebra, tuple(vectors))
 
 
-def parse(text: str) -> AlgebraDocument | PairDocument:
-    """Read one document; the shape decides whether it is an algebra or a pair."""
-    obj = _loads(text)
+def _document(obj, text: str) -> AlgebraDocument | PairDocument:
     if not isinstance(obj, dict):
         raise DocumentError("document must be an object")
     if "ideal" in obj:
         return _pair_document(obj, text)
     return _algebra_document(obj, text)
+
+
+def parse(text: str) -> AlgebraDocument | PairDocument:
+    """Read one document; the shape decides whether it is an algebra or a pair."""
+    return _document(_loads(text), text)
 
 
 def _algebra_payload(doc: AlgebraDocument) -> dict:
@@ -426,16 +429,21 @@ def _build_pair(doc: AlgebraDocument, ideal: tuple[Vector, ...] | None) -> Pair:
         raise DocumentError("pair actions are inconsistent", witness=e.witness) from None
 
 
+def _read_json(path: str, what: str) -> tuple[object, str]:
+    """A document file decoded, but not yet checked, together with its text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise DocumentError(f"cannot read {what}: {e}") from None
+    return _loads(text), text
+
+
 def _pair_plan(doc: PairDocument, base_dir: str | None) -> _Plan:
-    """Size a pair document from its algebra's header, parsing a file reference."""
+    """Size a parsed pair document from its algebra, parsing a file reference."""
     inner = doc.algebra
     if isinstance(inner, str):
-        path = os.path.join(base_dir or ".", inner)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                inner = parse(fh.read())
-        except OSError as e:
-            raise DocumentError(f"cannot read referenced algebra: {e}") from None
+        inner = _document(*_read_json(os.path.join(base_dir or ".", inner), "referenced algebra"))
         if not isinstance(inner, AlgebraDocument):
             raise DocumentError("referenced document is not an algebra", witness=doc.algebra)
     return _Plan(Pair, inner.dim, lambda: _build_pair(inner, doc.ideal))
@@ -445,16 +453,36 @@ def pair_from_document(doc: PairDocument, base_dir: str | None = None) -> Pair:
     return _pair_plan(doc, base_dir).build()
 
 
+def _header_dim(obj) -> int | None:
+    """The dim an algebra document declares, or None when it declares no usable one."""
+    if not isinstance(obj, dict) or "ideal" in obj:
+        return None
+    dim = obj.get("dim")
+    return dim if isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0 else None
+
+
 def _document_plan(path: str) -> _Plan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read document: {e}") from None
-    doc = parse(text)
-    if isinstance(doc, AlgebraDocument):
-        return _Plan(LieAlgebra, doc.dim, lambda: algebra_from_document(doc))
-    return _pair_plan(doc, os.path.dirname(os.path.abspath(path)))
+    """Size a document from its algebra's header, inline or referenced; the
+    body is checked when the plan is built, so an oversized body is never read
+    into vectors.  Without a usable header the whole document is checked now,
+    which reports its fault."""
+    obj, text = _read_json(path, "document")
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    def parsed_plan() -> _Plan:
+        doc = _document(obj, text)
+        if isinstance(doc, AlgebraDocument):
+            return _Plan(LieAlgebra, doc.dim, lambda: algebra_from_document(doc))
+        return _pair_plan(doc, base_dir)
+
+    is_pair = isinstance(obj, dict) and "ideal" in obj
+    header = obj.get("algebra") if is_pair else obj
+    if isinstance(header, str):
+        header, _ = _read_json(os.path.join(base_dir, header), "referenced algebra")
+    dim = _header_dim(header)
+    if dim is None:
+        return parsed_plan()
+    return _Plan(Pair if is_pair else LieAlgebra, dim, lambda: parsed_plan().build())
 
 
 def load_path(path: str) -> LieAlgebra | Pair:

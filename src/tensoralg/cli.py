@@ -4,10 +4,11 @@ Targets are either builtin selectors (builtin:pair_full(heisenberg(1))) or
 paths to JSON documents.  Exit codes: 0 when everything asserted passed,
 1 when a validation fails, an asserted check misses, or the construction
 raises TensorConstructionError, NotAnIdealError or LinalgError (one line
-`tensoralg: <message>`, no traceback), 2 for usage errors, for pairs over the
-dimension cap (TENSORALG_MAX_DIM, default 8; read from the selector or the
-document header before anything is built) and for an output path that cannot
-be written.
+`tensoralg: <message>`, no traceback), 2 for usage errors, for algebras and
+pairs over the dimension cap (TENSORALG_MAX_DIM, default 8; read from the
+selector, or from the "dim" in the header of the document or of the algebra
+document it references, before anything is built or the body is checked) and
+for an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ def _check_cap(dim: int, what: str) -> None:
 
 
 def _checked_dim(target: str, need_pair: bool) -> int:
-    """Read what a target names without building it; refuse a pair over the cap."""
+    """Read what a target names without building it; refuse a pair or an algebra over the cap."""
     plan = _selector_plan(target) if target.startswith("builtin:") else _document_plan(target)
-    if plan.kind is Pair:
-        _check_cap(plan.dim, "pair")
-    elif need_pair:
+    if need_pair and plan.kind is not Pair:
         raise SelectorError(f"{target} names an algebra; this command needs a pair")
+    _check_cap(plan.dim, "pair" if plan.kind is Pair else "algebra")
     return plan.dim
 
 

@@ -92,18 +92,10 @@ def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace | None = Non
         raise ValueError("tensor was built from a different pair")
     if gamma is None:
         gamma = GammaSpace.from_pair(pair)
-    ambient = [pair.ideal_vector_to_ambient(r) for r in gamma.reps]
-    columns = []
-    for a, b in gamma.pairs:
-        if a == b:
-            columns.append(tensor.tensor_of(ambient[a], gamma.reps[a]))
-        else:
-            columns.append(
-                vadd(
-                    tensor.tensor_of(ambient[a], gamma.reps[b]),
-                    tensor.tensor_of(ambient[b], gamma.reps[a]),
-                )
-            )
+    reps = gamma.reps
+    columns = [
+        _square_class(tensor, reps[a]) if a == b else sigma(tensor, reps[a], reps[b]) for a, b in gamma.pairs
+    ]
     return LinearMap.from_columns(tensor.dim, columns)
 
 

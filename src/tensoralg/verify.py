@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
-from .liealg import AlgebraSubspace, abelianization, center, direct_sum
+from .liealg import AlgebraSubspace, LieAlgebra, center, derived_algebra, direct_sum
 from .linalg import (
     LinearMap,
     Subspace,
@@ -93,10 +93,7 @@ class VerificationReport:
 
     @classmethod
     def merge(cls, reports: Sequence["VerificationReport"]) -> "VerificationReport":
-        out = []
-        for r in reports:
-            out.extend(r.records)
-        return cls(tuple(out))
+        return cls(tuple(r for report in reports for r in report.records))
 
 
 def _record(pair_id, check, anchor, ok, asserted, dims, flags=None, witness=None):
@@ -185,13 +182,35 @@ def _containment_witness(container: Subspace, sub: Subspace) -> str | None:
     return None
 
 
+def _containment_record(pair_id, check, anchor, dims, container: Subspace, sub: Subspace) -> CheckRecord:
+    """Asserted: sub lies in container; the witness is the first basis vector outside it."""
+    witness = _containment_witness(container, sub)
+    return _record(pair_id, check, anchor, witness is None, True, dims, witness=witness)
+
+
+def _equality_record(pair_id, check, anchor, dims, left: tuple[str, Subspace], right: tuple[str, Subspace]):
+    """Asserted: two named subspaces are equal; the witness compares their dimensions."""
+    (a_name, a), (b_name, b) = left, right
+    witness = f"{a_name} dim {a.dim} vs {b_name} dim {b.dim}"
+    return _record(pair_id, check, anchor, a == b, True, dims, witness=witness)
+
+
+def _sum_record(pair_id, check, anchor, asserted, sizes: tuple[int, int, int], cross: int, flags=None):
+    """sum == left + right + cross, for sizes given as (left, right, sum)."""
+    left, right, total = sizes
+    return _record(
+        pair_id, check, anchor, total == left + right + cross, asserted,
+        {"left": left, "right": right, "sum": total, "cross": cross},
+        flags, witness=f"{total} vs {left} + {right} + {cross}",
+    )
+
+
 def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
     """Centrality and image checks tying together all derived objects."""
     d = _derive(pair)
     t, maps = d.tensor, d.maps
     box = maps.square
     t_center = center(t.algebra).space
-    e_center = center(maps.exterior).space
     comm = relative_commutator(d.pair).space
     dims = {
         "tensor": t.dim,
@@ -201,37 +220,26 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
         "multiplier": maps.multiplier.dim,
         "commutator": comm.dim,
     }
-    eps_kernel = kernel(maps.eps)
-    records = [
-        _record(
-            pair_id, "exterior-kernel-is-diagonal", "tensor-to-exterior-kernel",
-            eps_kernel == box, True, dims,
-            witness=f"kernel dim {eps_kernel.dim} vs diagonal dim {box.dim}",
+    return [
+        _equality_record(
+            pair_id, "exterior-kernel-is-diagonal", "tensor-to-exterior-kernel", dims,
+            ("kernel", kernel(maps.eps)), ("diagonal", box),
         ),
-        _record(
-            pair_id, "diagonal-is-central", "diagonal-centrality",
-            t_center.contains_subspace(box), True, dims,
-            witness=_containment_witness(t_center, box),
+        _containment_record(pair_id, "diagonal-is-central", "diagonal-centrality", dims, t_center, box),
+        _containment_record(
+            pair_id, "evaluation-kernel-is-central", "evaluation-kernel-centrality", dims, t_center, maps.j2
         ),
-        _record(
-            pair_id, "evaluation-kernel-is-central", "evaluation-kernel-centrality",
-            t_center.contains_subspace(maps.j2), True, dims,
-            witness=_containment_witness(t_center, maps.j2),
+        _equality_record(
+            pair_id, "evaluation-image-is-commutator", "evaluation-image", dims,
+            ("image", maps.kappa.image()), ("commutator", comm),
         ),
-        _record(
-            pair_id, "evaluation-image-is-commutator", "evaluation-image",
-            maps.kappa.image() == comm, True, dims,
-            witness=f"image dim {maps.kappa.image().dim} vs commutator dim {comm.dim}",
+        _equality_record(
+            pair_id, "exterior-evaluation-image-is-commutator", "exterior-evaluation-image", dims,
+            ("image", maps.kappa_prime.image()), ("commutator", comm),
         ),
-        _record(
-            pair_id, "exterior-evaluation-image-is-commutator", "exterior-evaluation-image",
-            maps.kappa_prime.image() == comm, True, dims,
-            witness=f"image dim {maps.kappa_prime.image().dim} vs commutator dim {comm.dim}",
-        ),
-        _record(
-            pair_id, "multiplier-is-central-in-exterior", "multiplier-centrality",
-            e_center.contains_subspace(maps.multiplier), True, dims,
-            witness=_containment_witness(e_center, maps.multiplier),
+        _containment_record(
+            pair_id, "multiplier-is-central-in-exterior", "multiplier-centrality", dims,
+            center(maps.exterior).space, maps.multiplier,
         ),
         _record(
             pair_id, "kernel-dimensions-split", "kernel-dimension-identity",
@@ -239,7 +247,6 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
             witness=f"j2 {maps.j2.dim} vs diagonal {box.dim} + multiplier {maps.multiplier.dim}",
         ),
     ]
-    return records
 
 
 def verify_ker_pi(pair: Pair, pair_id: str = "pair") -> CheckRecord:
@@ -248,14 +255,10 @@ def verify_ker_pi(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     _, tq, pi = d.induced
     ker = kernel(pi)
     mix = d.mixed
-    return _record(
-        pair_id,
-        "projection-kernel-is-mixed-commutator-span",
-        "kernel-of-induced-projection",
-        ker == mix,
-        True,
+    return _equality_record(
+        pair_id, "projection-kernel-is-mixed-commutator-span", "kernel-of-induced-projection",
         {"tensor": d.tensor.dim, "quotient-tensor": tq.dim, "kernel": ker.dim, "mixed-span": mix.dim},
-        witness=f"kernel dim {ker.dim} vs mixed span dim {mix.dim}",
+        ("kernel", ker), ("mixed span", mix),
     )
 
 
@@ -267,27 +270,23 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     box = d.maps.square
     boxq = d.quotient_diagonal
     image = Subspace.from_vectors(tq.dim, [pi.apply(b) for b in box.basis])
-    d = relative_abelianization_dim(pair)
+    rel = relative_abelianization_dim(pair)
     psi_rank = psi_map(pair, t).image().dim
     ok = image == boxq and image.dim == box.dim
     return _record(
-        pair_id,
-        "diagonal-descends-isomorphically",
-        "diagonal-descent",
-        ok,
-        True,
+        pair_id, "diagonal-descends-isomorphically", "diagonal-descent", ok, True,
         {
             "diagonal": box.dim,
             "quotient-diagonal": boxq.dim,
-            "gamma": gamma_dim(d),
+            "gamma": gamma_dim(rel),
             "psi-rank": psi_rank,
-            "relative-abelianization": d,
+            "relative-abelianization": rel,
         },
         flags={
             "clean-intersection": pair_is_clean(pair),
-            "psi-injective": psi_rank == gamma_dim(d),
+            "psi-injective": psi_rank == gamma_dim(rel),
             "psi-welldefined": psi_welldefined(pair, t) is None,
-            "diagonal-law": box.dim == gamma_dim(d),
+            "diagonal-law": box.dim == gamma_dim(rel),
         },
         witness=f"image dim {image.dim} vs quotient diagonal dim {boxq.dim}",
     )
@@ -313,12 +312,8 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
             candidates.append(t.tensor_of(y, unit))
     for i in range(pair.right_dim):
         for j in range(i + 1, pair.right_dim):
-            candidates.append(
-                vadd(
-                    t.tensor_of(ideal_ambient[i], ideal_units[j]),
-                    vscale(-1, t.tensor_of(ideal_ambient[j], ideal_units[i])),
-                )
-            )
+            u = t.tensor_of(ideal_ambient[i], ideal_units[j])
+            candidates.append(vadd(u, vscale(-1, t.tensor_of(ideal_ambient[j], ideal_units[i]))))
     grown = box
     kept = []
     for v in candidates:
@@ -327,29 +322,20 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
             grown = span_sum(grown, Subspace.from_vectors(t.dim, [v]))
     complement = Subspace.from_vectors(t.dim, kept)
     meet = span_intersect(box, complement)
-    spans = span_sum(box, complement) == Subspace.full(t.dim)
+    spanned = span_sum(box, complement).dim
     escape = AlgebraSubspace(t.algebra, complement).is_ideal()
-    ok = meet.dim == 0 and spans and escape is None and complement.dim == maps.exterior.dim
+    ok = meet.dim == 0 and spanned == t.dim and escape is None and complement.dim == maps.exterior.dim
     if escape is not None:
         k, c = escape
         witness = _fmt_vector(t.algebra.bracket_vectors(t.algebra.basis_vector(k), c))
     else:
         witness = (
-            f"diagonal {box.dim} + complement {complement.dim} spans {span_sum(box, complement).dim}"
+            f"diagonal {box.dim} + complement {complement.dim} spans {spanned}"
             f" of {t.dim}, intersection {meet.dim}"
         )
     return _record(
-        pair_id,
-        "tensor-splits-as-diagonal-plus-complement",
-        "diagonal-complement-splitting",
-        ok,
-        True,
-        {
-            "tensor": t.dim,
-            "diagonal": box.dim,
-            "complement": complement.dim,
-            "exterior": maps.exterior.dim,
-        },
+        pair_id, "tensor-splits-as-diagonal-plus-complement", "diagonal-complement-splitting", ok, True,
+        {"tensor": t.dim, "diagonal": box.dim, "complement": complement.dim, "exterior": maps.exterior.dim},
         flags={"complement-hypothesis": complement_condition(pair)},
         witness=witness,
     )
@@ -359,20 +345,14 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """The evaluation kernel is the diagonal plus a copy of the multiplier."""
     maps = _derive(pair).maps
     box = maps.square
-    eps_j2 = Subspace.from_vectors(
-        maps.exterior.dim, [maps.eps.apply(b) for b in maps.j2.basis]
-    )
+    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps.apply(b) for b in maps.j2.basis])
     ok = (
         maps.j2.dim == box.dim + maps.multiplier.dim
         and maps.j2.contains_subspace(box)
         and eps_j2 == maps.multiplier
     )
     return _record(
-        pair_id,
-        "evaluation-kernel-splits-as-diagonal-plus-multiplier",
-        "kernel-decomposition",
-        ok,
-        True,
+        pair_id, "evaluation-kernel-splits-as-diagonal-plus-multiplier", "kernel-decomposition", ok, True,
         {"j2": maps.j2.dim, "diagonal": box.dim, "multiplier": maps.multiplier.dim},
         witness=(
             f"j2 {maps.j2.dim}, diagonal {box.dim}, multiplier {maps.multiplier.dim},"
@@ -395,15 +375,10 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     else:
         qp, tt, _ = d.induced
         target, box = qp.pair, d.quotient_diagonal
-    n = target.left_dim
-    m = target.right_dim
+    n, m = target.left_dim, target.right_dim
     claimed = box.dim + (n - m) * m
     return _record(
-        pair_id,
-        "diagonal-and-cross-symbols-exhaust-tensor",
-        "abelian-pair-basis",
-        claimed == tt.dim,
-        False,
+        pair_id, "diagonal-and-cross-symbols-exhaust-tensor", "abelian-pair-basis", claimed == tt.dim, False,
         {
             "tensor": tt.dim,
             "diagonal": box.dim,
@@ -417,10 +392,9 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     )
 
 
-def _pair_dims(pair: Pair) -> tuple[int, int, int]:
-    """(diagonal, j2, multiplier) dimensions of a pair's tensor product."""
-    maps = kappa_maps(construct_tensor(pair))
-    return maps.square.dim, maps.j2.dim, maps.multiplier.dim
+def _abelianization_dim(algebra: LieAlgebra) -> int:
+    """dim L/[L, L], read without building the quotient algebra."""
+    return algebra.dim - derived_algebra(algebra).dim
 
 
 def verify_kunneth(
@@ -439,124 +413,65 @@ def verify_kunneth(
     range they are reported with hypothesis flags.
     """
     pair_id = f"{pair_id_a}+{pair_id_b}"
-    alg_a, alg_b = pair_a.algebra, pair_b.algebra
-    h = abelianization(alg_a)[0].dim
-    k = abelianization(alg_b)[0].dim
-    hk = abelianization(direct_sum(alg_a, alg_b))[0].dim
-    records = [
-        _record(
-            pair_id,
-            "abelianization-square-additivity",
-            "gamma-additivity",
-            gamma_dim(hk) == gamma_dim(h) + gamma_dim(k) + h * k,
-            True,
-            {"left-abelianization": h, "right-abelianization": k, "sum-abelianization": hk},
-            witness=f"gamma({hk}) vs gamma({h}) + gamma({k}) + {h * k}",
-        ),
-    ]
-    _, j2_a, mult_a = _pair_dims(pair_full(alg_a))
-    _, j2_b, mult_b = _pair_dims(pair_full(alg_b))
-    _, j2_s, mult_s = _pair_dims(pair_full(direct_sum(alg_a, alg_b)))
-    records.append(
-        _record(
-            pair_id,
-            "multiplier-of-direct-sum",
-            "multiplier-additivity",
-            mult_s == mult_a + mult_b + h * k,
-            True,
-            {"left": mult_a, "right": mult_b, "sum": mult_s, "cross": h * k},
-            witness=f"{mult_s} vs {mult_a} + {mult_b} + {h * k}",
-        )
+    alg_s = direct_sum(pair_a.algebra, pair_b.algebra)
+    h, k, hk = (_abelianization_dim(alg) for alg in (pair_a.algebra, pair_b.algebra, alg_s))
+    squares = [_Derivation(pair_full(alg)).maps for alg in (pair_a.algebra, pair_b.algebra, alg_s)]
+    sums = [_Derivation(p).maps for p in (pair_a, pair_b, direct_sum_pair(pair_a, pair_b))]
+    (d_a, clean_a, comp_a), (d_b, clean_b, comp_b) = (
+        (relative_abelianization_dim(p), pair_is_clean(p), complement_condition(p)) for p in (pair_a, pair_b)
     )
-    records.append(
-        _record(
-            pair_id,
-            "evaluation-kernel-of-direct-sum",
-            "kernel-additivity",
-            j2_s == j2_a + j2_b + 2 * h * k,
-            True,
-            {"left": j2_a, "right": j2_b, "sum": j2_s, "cross": 2 * h * k},
-            witness=f"{j2_s} vs {j2_a} + {j2_b} + {2 * h * k}",
-        )
-    )
-    records.append(
-        _record(
-            pair_id,
-            "free-presentation-square-additivity",
-            "presentation-square-additivity",
-            gamma_dim(h + k) == gamma_dim(h) + gamma_dim(k) + h * k,
-            True,
-            {"left-abelianization": h, "right-abelianization": k},
-            witness=f"gamma({h + k}) vs gamma({h}) + gamma({k}) + {h * k}",
-        )
-    )
-    # identities for the direct sum of the pairs themselves
-    d_a = relative_abelianization_dim(pair_a)
-    d_b = relative_abelianization_dim(pair_b)
-    clean_a = pair_is_clean(pair_a)
-    clean_b = pair_is_clean(pair_b)
     # h - d_a is how far the pair's abelianization falls short of the algebra's
     cross_clean = (h - d_a) * d_b + (k - d_b) * d_a == 0
     flags = {
         "left-clean": clean_a,
         "right-clean": clean_b,
-        "left-complement": complement_condition(pair_a),
-        "right-complement": complement_condition(pair_b),
+        "left-complement": comp_a,
+        "right-complement": comp_b,
         "cross-excess-zero": cross_clean,
     }
-    box_a, j2p_a, mul_a = _pair_dims(pair_a)
-    box_b, j2p_b, mul_b = _pair_dims(pair_b)
-    box_s, j2p_s, mul_s = _pair_dims(direct_sum_pair(pair_a, pair_b))
-    records.append(
-        _record(
-            pair_id,
-            "direct-sum-evaluation-kernel",
-            "direct-sum-kernel-identity",
-            j2p_s == j2p_a + j2p_b + 2 * d_a * d_b,
-            clean_a and clean_b and cross_clean,
-            {"left": j2p_a, "right": j2p_b, "sum": j2p_s, "cross": 2 * d_a * d_b},
-            flags=flags,
-            witness=f"{j2p_s} vs {j2p_a} + {j2p_b} + {2 * d_a * d_b}",
-        )
-    )
-    records.append(
-        _record(
-            pair_id,
-            "direct-sum-diagonal",
-            "direct-sum-diagonal-identity",
-            box_s == box_a + box_b + d_a * d_b,
-            clean_a and clean_b,
-            {"left": box_a, "right": box_b, "sum": box_s, "cross": d_a * d_b},
-            flags=flags,
-            witness=f"{box_s} vs {box_a} + {box_b} + {d_a * d_b}",
-        )
-    )
-    records.append(
-        _record(
-            pair_id,
-            "direct-sum-multiplier",
-            "direct-sum-multiplier-identity",
-            mul_s == mul_a + mul_b + d_a * d_b,
-            clean_a and clean_b and cross_clean,
-            {"left": mul_a, "right": mul_b, "sum": mul_s, "cross": d_a * d_b},
-            flags=flags,
-            witness=f"{mul_s} vs {mul_a} + {mul_b} + {d_a * d_b}",
-        )
-    )
+    j2p_a, j2p_b, j2p_s = (m.j2.dim for m in sums)
+    mul_a, mul_b, mul_s = (m.multiplier.dim for m in sums)
     lhs = (j2p_a + j2p_b + 2 * d_a * d_b) - (mul_a + mul_b + d_a * d_b)
     rhs = (j2p_a - mul_a) + (j2p_b - mul_b) + d_a * d_b
-    records.append(
+    return [
         _record(
-            pair_id,
-            "kernel-multiplier-difference",
-            "kernel-quotient-consistency",
-            lhs == rhs,
-            True,
-            {"difference": d_a * d_b},
-            witness=f"{lhs} vs {rhs}",
-        )
-    )
-    return records
+            pair_id, "abelianization-square-additivity", "gamma-additivity",
+            gamma_dim(hk) == gamma_dim(h) + gamma_dim(k) + h * k, True,
+            {"left-abelianization": h, "right-abelianization": k, "sum-abelianization": hk},
+            witness=f"gamma({hk}) vs gamma({h}) + gamma({k}) + {h * k}",
+        ),
+        _sum_record(
+            pair_id, "multiplier-of-direct-sum", "multiplier-additivity", True,
+            tuple(m.multiplier.dim for m in squares), h * k,
+        ),
+        _sum_record(
+            pair_id, "evaluation-kernel-of-direct-sum", "kernel-additivity", True,
+            tuple(m.j2.dim for m in squares), 2 * h * k,
+        ),
+        _record(
+            pair_id, "free-presentation-square-additivity", "presentation-square-additivity",
+            gamma_dim(h + k) == gamma_dim(h) + gamma_dim(k) + h * k, True,
+            {"left-abelianization": h, "right-abelianization": k},
+            witness=f"gamma({h + k}) vs gamma({h}) + gamma({k}) + {h * k}",
+        ),
+        # identities for the direct sum of the pairs themselves
+        _sum_record(
+            pair_id, "direct-sum-evaluation-kernel", "direct-sum-kernel-identity",
+            clean_a and clean_b and cross_clean, (j2p_a, j2p_b, j2p_s), 2 * d_a * d_b, flags,
+        ),
+        _sum_record(
+            pair_id, "direct-sum-diagonal", "direct-sum-diagonal-identity",
+            clean_a and clean_b, tuple(m.square.dim for m in sums), d_a * d_b, flags,
+        ),
+        _sum_record(
+            pair_id, "direct-sum-multiplier", "direct-sum-multiplier-identity",
+            clean_a and clean_b and cross_clean, (mul_a, mul_b, mul_s), d_a * d_b, flags,
+        ),
+        _record(
+            pair_id, "kernel-multiplier-difference", "kernel-quotient-consistency", lhs == rhs, True,
+            {"difference": d_a * d_b}, witness=f"{lhs} vs {rhs}",
+        ),
+    ]
 
 
 _PAIR_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -592,8 +507,5 @@ def verify_pair(pair: Pair, pair_id: str = "pair", checks: Sequence[str] | None 
     records = []
     for check in selected:
         result = check(derivation, pair_id)
-        if isinstance(result, CheckRecord):
-            records.append(result)
-        else:
-            records.extend(result)
+        records.extend([result] if isinstance(result, CheckRecord) else result)
     return VerificationReport(tuple(records))

@@ -48,7 +48,10 @@ def _snapshot() -> dict:
     return out
 
 
-@pytest.mark.parametrize("workload, constructions", [("verify-catalog", 2), ("kunneth-sums", 6)])
+@pytest.mark.parametrize(
+    "workload, constructions",
+    [("tensor-wide", 1), ("closure-deep", 1), ("verify-catalog", 2), ("kunneth-sums", 6)],
+)
 def test_tracer_round_trip_and_cli_pass(workload, constructions, tmp_path):
     pins = workloads.load_pins()
     items = workloads.build_pass(workload, 0, 0, str(tmp_path), pins, identity=True)

@@ -186,7 +186,7 @@ def no_building(monkeypatch, tmp_path):
         raise AssertionError("a target over the cap must not be built")
 
     for name in ("abelian", "heisenberg", "nonabelian2", "pair_full", "pair_center",
-                 "direct_sum_pair", "make_pair", "algebra_from_document"):
+                 "direct_sum_pair", "make_pair", "algebra_from_document", "_algebra_document"):
         monkeypatch.setattr(tensoralg.catalog, name, refuse)
     monkeypatch.delenv("TENSORALG_MAX_DIM", raising=False)
     (tmp_path / "inline.json").write_text(json.dumps({"algebra": _abelian_document(40), "ideal": "all"}))
@@ -207,9 +207,11 @@ def no_building(monkeypatch, tmp_path):
         (["kunneth", "builtin:pair_full(abelian(5))", "builtin:pair_full(nonabelian2)"],
          "direct sum dimension 7"),
         (["tensor", "builtin:heisenberg(20)"], "names an algebra; this command needs a pair"),
+        (["validate", "builtin:heisenberg(40)"], "algebra dimension 81"),
+        (["validate", "{dir}/a40.json"], "algebra dimension 40"),
     ],
     ids=["selector", "validate", "direct-sum", "inline-document", "referenced-document",
-         "kunneth-sum", "algebra-target"],
+         "kunneth-sum", "algebra-target", "algebra-selector", "algebra-document"],
 )
 def test_over_cap_target_is_refused_before_it_is_built(argv, message, no_building, monkeypatch, capsys):
     if argv[0] == "kunneth":
@@ -321,6 +323,10 @@ def test_deeply_nested_selector_is_refused_before_evaluation(monkeypatch, capsys
         (
             "kunneth_nonabelian2_abelian1.json",
             ["kunneth", "--machine", "builtin:pair_full(nonabelian2)", "builtin:pair_full(abelian(1))"],
+        ),
+        (
+            "kunneth_center_heisenberg1_abelian1.txt",
+            ["kunneth", "builtin:pair_center(heisenberg(1))", "builtin:pair_full(abelian(1))"],
         ),
     ],
 )

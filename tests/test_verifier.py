@@ -2,9 +2,11 @@
 
 import pytest
 
+import tensoralg.liealg
 import tensoralg.verify
 from tensoralg.catalog import catalog_selectors, resolve_selector
-from tensoralg.liealg import LieAlgebra
+from tensoralg.liealg import AlgebraSubspace, LieAlgebra
+from tensoralg.linalg import Subspace
 from tensoralg.pairs import make_pair
 from tensoralg.verify import (
     CheckRecord,
@@ -283,3 +285,63 @@ def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
     calls.update(construct_tensor=0, quotient_pair=0, diagonal=0)
     verify_diagram(pair, selector)
     assert calls == {"construct_tensor": 1, "quotient_pair": 0, "diagonal": 0}
+
+
+def _zero_kernel(linear_map):
+    return Subspace.zero(linear_map.domain_dim)
+
+
+def _zero_center(algebra):
+    return AlgebraSubspace(algebra, Subspace.zero(algebra.dim))
+
+
+def _zero_commutator(pair):
+    return AlgebraSubspace(pair.algebra, Subspace.zero(pair.left_dim))
+
+
+@pytest.mark.parametrize(
+    "name, zero, witnesses",
+    [
+        ("kernel", _zero_kernel, {
+            "exterior-kernel-is-diagonal": "kernel dim 0 vs diagonal dim 3",
+            "projection-kernel-is-mixed-commutator-span": "kernel dim 0 vs mixed span dim 2",
+        }),
+        ("center", _zero_center, {
+            "diagonal-is-central": "(1, 0, 0, 0, 0, 0)",
+            "evaluation-kernel-is-central": "(1, 0, 0, 0, 0, 0)",
+            "multiplier-is-central-in-exterior": "(0, 1, 0)",
+        }),
+        ("relative_commutator", _zero_commutator, {
+            "evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
+            "exterior-evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
+        }),
+    ],
+    ids=["kernel", "center", "relative_commutator"],
+)
+def test_broken_subspace_gives_the_pinned_witness(name, zero, witnesses, monkeypatch):
+    # every equality and containment record names what it compared when it fails
+    monkeypatch.setattr(tensoralg.verify, name, zero)
+    report = verify_pair(full_pair(heisenberg1()), "h1")
+    failed = {r.check: r.witness for r in report.records if r.failed_assertion}
+    assert failed == witnesses
+
+
+def test_verify_kunneth_derives_each_pair_once(monkeypatch):
+    calls = {"construct_tensor": 0, "quotient_algebra": 0}
+    real_construct = tensoralg.verify.construct_tensor
+    real_quotient = tensoralg.liealg.quotient_algebra
+
+    def construct(*args):
+        calls["construct_tensor"] += 1
+        return real_construct(*args)
+
+    def quotient(*args):
+        calls["quotient_algebra"] += 1
+        return real_quotient(*args)
+
+    monkeypatch.setattr(tensoralg.verify, "construct_tensor", construct)
+    monkeypatch.setattr(tensoralg.liealg, "quotient_algebra", quotient)
+    verify_kunneth(full_pair(heisenberg1()), central_pair(), "h1", "h1-centre")
+    # the squares of both algebras and of their sum, then both pairs and their
+    # sum; abelianizations are read as dim L - dim [L, L], with no quotient built
+    assert calls == {"construct_tensor": 6, "quotient_algebra": 0}

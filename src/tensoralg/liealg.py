@@ -2,10 +2,12 @@
 
 A ``LieAlgebra`` stores only the brackets of basis pairs (i, j) with i < j;
 antisymmetry is implied by the storage, so validated instances cannot even
-represent an antisymmetric violation.  Raw structure-constant tables (full
-p x p x p grids, as they arrive from documents or by hand) are checked by
-:func:`validate_structure`, which returns violations as values rather than
-raising.
+represent an antisymmetric violation.  Every computation reads the bracket
+table as supports: ``ad[i][j]`` lists the nonzero (k, c) entries of
+[e_i, e_j], for both orders of each nonzero pair, built once on first use.
+Raw structure-constant tables (full p x p x p grids, as they arrive from
+documents or by hand) are checked by :func:`validate_structure`, which
+returns violations as values rather than raising.
 """
 
 from __future__ import annotations
@@ -20,15 +22,20 @@ from .linalg import (
     LinearMap,
     Matrix,
     Subspace,
+    Support,
     Vector,
     as_vector,
     combine,
+    from_support,
     is_zero,
     kernel,
     quotient_with_section,
-    vadd,
+    support,
     zero_vector,
 )
+
+# ad[i] maps each j with [e_i, e_j] != 0 to the support of [e_i, e_j].
+SupportTable = tuple[dict[int, tuple[tuple[int, Fraction], ...]], ...]
 
 
 class StructureError(ValueError):
@@ -59,6 +66,43 @@ class StructureViolation:
         return f"{self.kind} violation at {self.indices}, residual {self.residual}"
 
 
+def _support_table(dim: int, brackets: Iterable[tuple[tuple[int, int], Vector]]) -> SupportTable:
+    """The support adjacency of the brackets given for pairs i < j; zero brackets are left out."""
+    ad: SupportTable = tuple({} for _ in range(dim))
+    for (i, j), v in brackets:
+        entries = tuple(support(v))
+        if entries:
+            ad[i][j] = entries
+            ad[j][i] = tuple((k, -c) for k, c in entries)
+    return ad
+
+
+def _jacobi_violation(dim: int, ad: SupportTable) -> StructureViolation | None:
+    """First (i, j, k, m) with i < j < k where [e_i,[e_j,e_k]] + cyclic has a nonzero m-th entry.
+
+    A triple whose three inner brackets all vanish sums to zero and is skipped.
+    """
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ij = ad[i].get(j)
+            for k in range(j + 1, dim):
+                jk = ad[j].get(k)
+                ki = ad[k].get(i)
+                if not (ij or jk or ki):
+                    continue
+                total: dict[int, Fraction] = {}
+                for outer, inner in ((i, jk), (j, ki), (k, ij)):
+                    row = ad[outer]
+                    for t, c in inner or ():
+                        for m, x in row.get(t, ()):
+                            total[m] = total.get(m, 0) + c * x
+                bad = [m for m, x in total.items() if x != 0]
+                if bad:
+                    m = min(bad)
+                    return StructureViolation("jacobi", (i, j, k, m), total[m])
+    return None
+
+
 def validate_structure(dim: int, table: Sequence[Sequence[Sequence]]) -> StructureViolation | None:
     """Check a full structure-constant table c[i][j][k].
 
@@ -76,20 +120,8 @@ def validate_structure(dim: int, table: Sequence[Sequence[Sequence]]) -> Structu
                 residual = c[i][j][k] + c[j][i][k]
                 if residual != 0:
                     return StructureViolation("antisymmetry", (i, j, k), residual)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                for m in range(dim):
-                    residual = Fraction(0)
-                    for t in range(dim):
-                        residual += (
-                            c[j][k][t] * c[i][t][m]
-                            + c[k][i][t] * c[j][t][m]
-                            + c[i][j][t] * c[k][t][m]
-                        )
-                    if residual != 0:
-                        return StructureViolation("jacobi", (i, j, k, m), residual)
-    return None
+    upper = (((i, j), c[i][j]) for i in range(dim) for j in range(i + 1, dim))
+    return _jacobi_violation(dim, _support_table(dim, upper))
 
 
 @dataclass(frozen=True)
@@ -139,41 +171,44 @@ class LieAlgebra:
         return cls(dim, names, ())
 
     @cached_property
-    def _table(self) -> dict[tuple[int, int], Vector]:
-        return dict(self.brackets)
+    def _ad(self) -> SupportTable:
+        return _support_table(self.dim, self.brackets)
+
+    def bracket_entries(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero (k, c) entries of [e_i, e_j]."""
+        return self._ad[i].get(j, ())
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vector(self.dim))
-        v = self._table.get((j, i))
-        return zero_vector(self.dim) if v is None else tuple(-a for a in v)
+        return from_support(self.bracket_entries(i, j), self.dim)
+
+    def bracket_sparse(self, xs: Support, ys: Support) -> dict[int, Fraction]:
+        """[x, y] as {k: coefficient} over its nonzero coefficients, for x and y given by supports."""
+        y = dict(ys)
+        acc: dict[int, Fraction] = {}
+        for i, xi in xs:
+            row = self._ad[i]
+            # walk the shorter of the row and the support of y
+            if len(row) < len(y):
+                terms = ((e, y.get(j)) for j, e in row.items())
+            else:
+                terms = ((row.get(j), yj) for j, yj in y.items())
+            for entries, yj in terms:
+                if entries and yj:
+                    c = xi * yj
+                    for k, x in entries:
+                        acc[k] = acc.get(k, 0) + c * x
+        return {k: x for k, x in acc.items() if x != 0}
 
     def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] by bilinear expansion over the stored nonzero pairs."""
+        """[x, y] by bilinear expansion over the nonzero basis brackets."""
         x = as_vector(x)
         y = as_vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise LinalgError("vector does not match algebra dimension")
-        coeffs = (x[i] * y[j] - x[j] * y[i] for (i, j), _ in self.brackets)
-        return combine(coeffs, (v for _, v in self.brackets), self.dim)
+        return from_support(self.bracket_sparse(support(x), support(y)).items(), self.dim)
 
     def jacobi_violation(self) -> StructureViolation | None:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    total = vadd(
-                        vadd(
-                            self.bracket_vectors(self.basis_vector(i), self.bracket_basis(j, k)),
-                            self.bracket_vectors(self.basis_vector(j), self.bracket_basis(k, i)),
-                        ),
-                        self.bracket_vectors(self.basis_vector(k), self.bracket_basis(i, j)),
-                    )
-                    for m in range(self.dim):
-                        if total[m] != 0:
-                            return StructureViolation("jacobi", (i, j, k, m), total[m])
-        return None
+        return _jacobi_violation(self.dim, self._ad)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
@@ -213,10 +248,12 @@ class AlgebraSubspace:
 
     def is_ideal(self) -> tuple[int, Vector] | None:
         """None when [L, S] <= S, otherwise a witness (basis index, subspace vector)."""
-        for i in range(self.parent.dim):
-            for v in self.space.basis:
-                w = self.parent.bracket_vectors(self.parent.basis_vector(i), v)
-                if not self.space.contains(w):
+        a = self.parent
+        basis = [(v, support(v)) for v in self.space.basis]
+        for i in range(a.dim):
+            for v, sv in basis:
+                w = a.bracket_sparse(((i, 1),), sv)
+                if w and not self.space.contains(from_support(w.items(), a.dim)):
                     return (i, v)
         return None
 
@@ -248,26 +285,45 @@ def bracket_subspaces(a: LieAlgebra, s: AlgebraSubspace, t: AlgebraSubspace) -> 
     """The span [S, T]; bilinearity makes basis products a spanning set."""
     if s.parent != a or t.parent != a:
         raise LinalgError("subspace parent mismatch")
+    right = [support(v) for v in t.space.basis]
     vectors = []
     for u in s.space.basis:
-        for v in t.space.basis:
-            w = a.bracket_vectors(u, v)
-            if not is_zero(w):
-                vectors.append(w)
+        left = support(u)
+        for sv in right:
+            w = a.bracket_sparse(left, sv)
+            if w:
+                vectors.append(from_support(w.items(), a.dim))
     return AlgebraSubspace(a, Subspace.from_vectors(a.dim, vectors))
 
 
 def center(a: LieAlgebra) -> AlgebraSubspace:
-    """Kernel of v |-> ([v, b_0], ..., [v, b_{p-1}]) stacked into one map."""
-    if a.dim == 0:
-        return AlgebraSubspace(a, Subspace.zero(0))
-    rows = []
-    for j in range(a.dim):
-        # Block j: matrix of v |-> [v, b_j], entry (k, i) = coefficient of b_k in [b_i, b_j].
-        for k in range(a.dim):
-            rows.append(tuple(a.bracket_basis(i, j)[k] for i in range(a.dim)))
-    ker = kernel(LinearMap(Matrix(a.dim * a.dim, a.dim, tuple(rows))))
-    return AlgebraSubspace(a, ker)
+    """Kernel of v |-> ([v, b_0], ..., [v, b_{p-1}]) stacked into one map.
+
+    Block j is the matrix of v |-> [v, b_j]; its row k holds the coefficients
+    of b_k in [b_i, b_j] over i.  Rows that are zero are left out, which does
+    not change the kernel.
+    """
+    rows: dict[tuple[int, int], list] = {}
+    for i in range(a.dim):
+        for j, entries in a._ad[i].items():
+            for k, c in entries:
+                rows.setdefault((j, k), [Fraction(0)] * a.dim)[i] = c
+    matrix = Matrix(len(rows), a.dim, tuple(tuple(rows[key]) for key in sorted(rows)))
+    return AlgebraSubspace(a, kernel(LinearMap(matrix)))
+
+
+def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: Sequence[Vector]) -> dict[tuple[int, int], Vector]:
+    """The nonzero brackets of a quotient algebra: proj([section[i], section[j]]) for i < j."""
+    sections = [support(r) for r in section]
+    brackets = {}
+    for i, si in enumerate(sections):
+        for j in range(i + 1, len(sections)):
+            w = a.bracket_sparse(si, sections[j])
+            if w:
+                v = proj.apply(from_support(w.items(), a.dim))
+                if not is_zero(v):
+                    brackets[(i, j)] = v
+    return brackets
 
 
 def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra, AlgebraHom]:
@@ -283,13 +339,7 @@ def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra,
     proj, section = quotient_with_section(a.dim, ideal.space)
     qdim = proj.codomain_dim
     names = tuple(f"q{k}" for k in range(qdim))
-    brackets = {}
-    for i in range(qdim):
-        for j in range(i + 1, qdim):
-            w = proj.apply(a.bracket_vectors(section[i], section[j]))
-            if not is_zero(w):
-                brackets[(i, j)] = w
-    quotient = LieAlgebra.make(qdim, names, brackets)
+    quotient = LieAlgebra.make(qdim, names, quotient_brackets(a, proj, section))
     return quotient, AlgebraHom(a, quotient, proj)
 
 

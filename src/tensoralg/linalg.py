@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+# The nonzero entries of a vector as (index, value) pairs, as support() gives them.
+Support = Iterable[tuple[int, Fraction]]
 
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?\Z")
 
@@ -82,6 +84,14 @@ def is_zero(v: Vector) -> bool:
 def support(v: Vector) -> list[tuple[int, Fraction]]:
     """The nonzero coordinates of v as (index, value) pairs."""
     return [(k, a) for k, a in enumerate(v) if a != 0]
+
+
+def from_support(entries: Support, width: int) -> Vector:
+    """Inverse of :func:`support`: the vector of length width with the given nonzero entries."""
+    out = [Fraction(0)] * width
+    for k, a in entries:
+        out[k] = a
+    return tuple(out)
 
 
 def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:

@@ -33,6 +33,7 @@ from .linalg import (
     Vector,
     as_vector,
     combine,
+    from_support,
     span_intersect,
     support,
     vadd,
@@ -149,33 +150,37 @@ class Pair:
         return coords
 
 
+def _leaves_span(i: int, v: Vector) -> NotAnIdealError:
+    return NotAnIdealError(f"bracket of basis element {i} leaves the span", witness=(i, v))
+
+
 def _ideal_span(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> AlgebraSubspace:
     ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     witness = ideal.is_ideal()
     if witness is not None:
-        raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
+        raise _leaves_span(*witness)
     return ideal
 
 
 def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
-    """Pair with the inner actions; raises when the span is not an ideal."""
-    ideal = _ideal_span(algebra, ideal_vectors)
+    """Pair with the inner actions; raises when the span is not an ideal.
+
+    Each [l_i, n_a] is computed once, in the order is_ideal tests it: l_i acts
+    on n_a by it, in ideal coordinates, and n_a acts on l_i by its negative.
+    """
+    ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     p, q = algebra.dim, ideal.dim
-    on_ideal = []
+    on_ideal = [[None] * q for _ in range(p)]
+    on_algebra = [[None] * p for _ in range(q)]
     for i in range(p):
-        row = []
-        for a in range(q):
-            w = algebra.bracket_vectors(algebra.basis_vector(i), ideal.space.basis[a])
-            coords = coordinates_in(ideal.space, w)
+        for a, n in enumerate(ideal.space.basis):
+            w = algebra.bracket_sparse(((i, 1),), support(n))
+            coords = coordinates_in(ideal.space, from_support(w.items(), p))
             if coords is None:
-                raise NotAnIdealError("bracket left the ideal", witness=(i, ideal.space.basis[a]))
-            row.append(coords)
-        on_ideal.append(tuple(row))
-    on_algebra = tuple(
-        tuple(algebra.bracket_vectors(ideal.space.basis[a], algebra.basis_vector(i)) for i in range(p))
-        for a in range(q)
-    )
-    return Pair(algebra, ideal, ActionData(p, q, tuple(on_ideal)), ActionData(q, p, on_algebra))
+                raise _leaves_span(i, n)
+            on_ideal[i][a] = coords
+            on_algebra[a][i] = from_support(((k, -x) for k, x in w.items()), p)
+    return Pair(algebra, ideal, ActionData.from_rows(p, q, on_ideal), ActionData.from_rows(q, p, on_algebra))
 
 
 def pair_full(algebra: LieAlgebra) -> Pair:

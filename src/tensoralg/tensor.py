@@ -45,15 +45,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .liealg import AlgebraSubspace, LieAlgebra, NotAnIdealError, StructureError, StructureViolation
+from .liealg import (
+    AlgebraSubspace,
+    LieAlgebra,
+    NotAnIdealError,
+    StructureError,
+    StructureViolation,
+    quotient_brackets,
+)
 from .linalg import (
     LinalgError,
     LinearMap,
     Subspace,
+    Support,
     Vector,
     as_vector,
+    from_support,
     is_zero,
     kernel,
     quotient_with_section,
@@ -61,9 +70,6 @@ from .linalg import (
     vadd,
 )
 from .pairs import Pair
-
-# The nonzero entries of a vector as (index, value) pairs, as linalg.support gives them.
-Support = Iterable[tuple[int, Fraction]]
 
 
 class TensorConstructionError(RuntimeError):
@@ -135,14 +141,6 @@ def _add_expansion(acc: dict[int, Fraction], x: Support, n: Support, q: int, c=1
             acc[k] = acc.get(k, 0) + cx * na
 
 
-def _dense(entries: Support, width: int) -> Vector:
-    """The vector of the given length with the given nonzero entries."""
-    out = [Fraction(0)] * width
-    for k, a in entries:
-        out[k] = a
-    return tuple(out)
-
-
 def _keep_nonzero(gens: dict, acc: dict[int, Fraction]) -> None:
     """Record an accumulated generator by its sorted support, once, unless it vanishes."""
     key = tuple(sorted((k, a) for k, a in acc.items() if a != 0))
@@ -152,7 +150,7 @@ def _keep_nonzero(gens: dict, acc: dict[int, Fraction]) -> None:
 
 def _span(gens: dict, width: int) -> Subspace:
     """The span of the recorded generators, in the order they were first seen."""
-    return Subspace.from_vectors(width, [_dense(g, width) for g in gens])
+    return Subspace.from_vectors(width, [from_support(g, width) for g in gens])
 
 
 def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
@@ -170,7 +168,7 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     left, right = _collapse_tables(pair, sym)
     acc: dict[int, Fraction] = {}
     _add_expansion(acc, _collapse(support(u), left), _collapse(support(v), right), sym.right_dim, -1)
-    return _dense(acc.items(), sym.dim)
+    return from_support(acc.items(), sym.dim)
 
 
 def relation_seed(pair: Pair) -> Subspace:
@@ -182,7 +180,7 @@ def relation_seed(pair: Pair) -> Subspace:
     # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
     for i in range(p):
         for j in range(i + 1, p):
-            bracket = support(pair.algebra.bracket_basis(i, j))
+            bracket = pair.algebra.bracket_entries(i, j)
             for a in range(q):
                 acc: dict[int, Fraction] = {}
                 _add_expansion(acc, bracket, ((a, 1),), q)
@@ -195,7 +193,7 @@ def relation_seed(pair: Pair) -> Subspace:
         for a in range(q):
             for b in range(a + 1, q):
                 acc = {}
-                _add_expansion(acc, ((i, 1),), support(n_alg.bracket_basis(a, b)), q)
+                _add_expansion(acc, ((i, 1),), n_alg.bracket_entries(a, b), q)
                 _add_expansion(acc, left[i * q + b], ((a, 1),), q, -1)
                 _add_expansion(acc, left[i * q + a], ((b, 1),), q)
                 _keep_nonzero(out, acc)
@@ -324,13 +322,7 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, Line
         raise NotAnIdealError("diagonal subspace is not an ideal", witness=witness)
     proj, reps = quotient_with_section(t_alg.dim, box)
     e_dim = t_alg.dim - box.dim
-    brackets = {}
-    for i in range(e_dim):
-        for j in range(i + 1, e_dim):
-            v = proj.apply(t_alg.bracket_vectors(reps[i], reps[j]))
-            if not is_zero(v):
-                brackets[(i, j)] = v
-    algebra = LieAlgebra.make(e_dim, tuple(f"e{k}" for k in range(e_dim)), brackets)
+    algebra = LieAlgebra.make(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, reps))
     section = LinearMap.from_columns(t_alg.dim, reps)
     return box, algebra, proj, section
 
@@ -368,17 +360,18 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     _, right = _collapse_tables(pair, sym)
     q = pair.right_dim
     columns = [
-        pair.ideal_vector_to_ambient(_dense(_collapse(support(tensor.section.column(k)), right), q))
+        pair.ideal_vector_to_ambient(from_support(_collapse(support(tensor.section.column(k)), right), q))
         for k in range(tensor.dim)
     ]
     kappa = LinearMap.from_columns(pair.left_dim, columns)
     t_alg = tensor.algebra
     ambient = pair.algebra
+    images = [support(c) for c in columns]
     for i in range(t_alg.dim):
         for j in range(i + 1, t_alg.dim):
-            lhs = kappa.apply(t_alg.bracket_basis(i, j))
-            rhs = ambient.bracket_vectors(columns[i], columns[j])
-            if lhs != rhs:
+            # kappa([t_i, t_j]) against [kappa(t_i), kappa(t_j)], both as nonzero entries
+            lhs = dict(_collapse(t_alg.bracket_entries(i, j), images))
+            if lhs != ambient.bracket_sparse(images[i], images[j]):
                 raise TensorConstructionError(
                     f"evaluation map does not respect the bracket of basis pair ({i}, {j})"
                 )

@@ -86,3 +86,60 @@ def second_cohomology_dim(dim, brackets):
 def abelian_tensor_dims(n):
     """(tensor, diagonal, exterior, j2, multiplier) for the abelian pair of rank n."""
     return (n * n, n * (n + 1) // 2, n * (n - 1) // 2, n * n, n * (n - 1) // 2)
+
+
+# Dense references for the Lie algebra core.  These are the loops the engine
+# ran before it read its bracket table as supports; they visit every basis
+# pair and triple through dense vectors.  brackets maps (i, j) with i < j to
+# the coefficient tuple of [e_i, e_j], as in second_cohomology_dim.
+
+
+def dense_bracket(dim, brackets, x, y):
+    """[x, y] by bilinear expansion over the stored pairs, as a dense tuple."""
+    out = [Fraction(0)] * dim
+    for (i, j), v in brackets.items():
+        c = Fraction(x[i]) * Fraction(y[j]) - Fraction(x[j]) * Fraction(y[i])
+        if c != 0:
+            for k, a in enumerate(v):
+                out[k] += c * Fraction(a)
+    return tuple(out)
+
+
+def _unit(dim, i):
+    return tuple(Fraction(int(k == i)) for k in range(dim))
+
+
+def dense_jacobi_violation(dim, brackets):
+    """First ((i, j, k, m), residual) with i < j < k where the Jacobi sum has a nonzero entry m.
+
+    The sum is [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]];
+    None when it vanishes on every triple.
+    """
+
+    def basis_bracket(i, j):
+        return dense_bracket(dim, brackets, _unit(dim, i), _unit(dim, j))
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                terms = [
+                    dense_bracket(dim, brackets, _unit(dim, i), basis_bracket(j, k)),
+                    dense_bracket(dim, brackets, _unit(dim, j), basis_bracket(k, i)),
+                    dense_bracket(dim, brackets, _unit(dim, k), basis_bracket(i, j)),
+                ]
+                for m in range(dim):
+                    total = sum(t[m] for t in terms)
+                    if total != 0:
+                        return (i, j, k, m), total
+    return None
+
+
+def dense_is_ideal(dim, brackets, basis):
+    """None when [e_i, v] lies in span(basis) for every i and v, otherwise the first (i, v)."""
+    r = rank(basis)
+    for i in range(dim):
+        for v in basis:
+            w = dense_bracket(dim, brackets, _unit(dim, i), v)
+            if rank(list(basis) + [w]) != r:
+                return (i, v)
+    return None

@@ -67,17 +67,18 @@ def test_second_cohomology_of_a_direct_sum():
         nonabelian2(),
         heisenberg(1),
         heisenberg(2),
+        heisenberg(3),
         sl2(),
         direct_sum(nonabelian2(), LieAlgebra.abelian(1)),
     ],
-    ids=["a1", "a2", "a3", "r2", "h1", "h2", "sl2", "r2+a1"],
+    ids=["a1", "a2", "a3", "r2", "h1", "h2", "h3", "sl2", "r2+a1"],
 )
 def test_engine_multiplier_matches_reference_cohomology(algebra):
     maps = kappa_maps(construct_tensor(full_pair(algebra)))
     assert maps.multiplier.dim == second_cohomology_dim(algebra.dim, dict(algebra.brackets))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_engine_matches_abelian_formulas(n):
     t = construct_tensor(full_pair(LieAlgebra.abelian(n)))
     maps = kappa_maps(t)

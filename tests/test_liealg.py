@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+from oracles import dense_bracket, dense_is_ideal, dense_jacobi_violation
 
 from tensoralg.liealg import (
     AlgebraHom,
@@ -166,3 +168,56 @@ def test_quotient_projection_is_a_hom():
     q, proj = quotient_algebra(nonabelian2(), AlgebraSubspace.from_vectors(nonabelian2(), [[0, 1]]))
     assert isinstance(proj, AlgebraHom)
     assert q.dim == 1 and q.is_abelian()
+
+
+# ---------------------------------------------------------------- dense reference
+
+
+@st.composite
+def _cases(draw):
+    """(dim, brackets, vectors) with small integer entries, brackets[(i, j)] for i < j.
+
+    Unrestricted tables mostly break Jacobi.  Two-step tables put every
+    bracket into the span of trailing basis vectors that bracket with
+    nothing, which always satisfies it.  The vectors are read in pairs as
+    bracket arguments and together as the span of a subspace.
+    """
+    dim = draw(st.integers(1, 5))
+    two_step = draw(st.booleans())
+    cut = draw(st.integers(1, dim)) if two_step else dim
+    brackets = {}
+    for i in range(cut):
+        for j in range(i + 1, cut):
+            if draw(st.booleans()):
+                v = [draw(st.integers(-2, 2)) if k >= cut or not two_step else 0 for k in range(dim)]
+                if any(v):
+                    brackets[(i, j)] = tuple(Fraction(a) for a in v)
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=dim))
+    return dim, brackets, vectors
+
+
+def _both_orders(brackets):
+    out = dict(brackets)
+    out.update({(j, i): tuple(-c for c in v) for (i, j), v in brackets.items()})
+    return out
+
+
+@seed(1502)
+@settings(max_examples=150, deadline=None)
+@given(case=_cases())
+# only [e_2, e_0] = -e_3 is nonzero at the first failing triple (0, 1, 2)
+@example(case=(4, {(0, 2): (0, 0, 0, 1), (1, 3): (1, 0, 0, 0)}, [[0, 1, 0, 0]]))
+def test_sparse_core_matches_dense_reference(case):
+    dim, brackets, vectors = case
+    a = LieAlgebra(dim, tuple(f"x{k}" for k in range(dim)), tuple(sorted(brackets.items())))
+    expected = dense_jacobi_violation(dim, brackets)
+    for found in (a.jacobi_violation(), validate_structure(dim, _full_table(_both_orders(brackets), dim))):
+        if expected is None:
+            assert found is None
+        else:
+            assert (found.kind, found.indices, found.residual) == ("jacobi", *expected)
+    for x, y in zip(vectors, vectors[1:]):
+        assert a.bracket_vectors(x, y) == dense_bracket(dim, brackets, x, y)
+    full = AlgebraSubspace.full(a)
+    for s in (AlgebraSubspace.from_vectors(a, vectors), full, bracket_subspaces(a, full, full)):
+        assert s.is_ideal() == dense_is_ideal(dim, brackets, s.basis())

@@ -57,8 +57,9 @@ def test_make_pair_rejects_non_ideal():
     a = heisenberg1()
     with pytest.raises(NotAnIdealError) as exc:
         make_pair(a, [(1, 0, 0)])
-    i, v = exc.value.witness
-    assert v == (Fraction(1), Fraction(0), Fraction(0))
+    # [y, x] = -z is the first bracket outside the line
+    assert str(exc.value) == "bracket of basis element 1 leaves the span"
+    assert exc.value.witness == (1, (Fraction(1), Fraction(0), Fraction(0)))
 
 
 def test_inner_actions_satisfy_axioms_and_compatibility():

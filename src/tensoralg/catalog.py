@@ -439,11 +439,16 @@ def _read_json(path: str, what: str) -> tuple[object, str]:
     return _loads(text), text
 
 
-def _pair_plan(doc: PairDocument, base_dir: str | None) -> _Plan:
-    """Size a parsed pair document from its algebra, parsing a file reference."""
+def _pair_plan(doc: PairDocument, base_dir: str | None, referenced: tuple[object, str] | None = None) -> _Plan:
+    """Size a parsed pair document from its algebra, parsing a file reference.
+
+    referenced is the reference already read by `_read_json`, if the caller
+    has read it."""
     inner = doc.algebra
     if isinstance(inner, str):
-        inner = _document(*_read_json(os.path.join(base_dir or ".", inner), "referenced algebra"))
+        if referenced is None:
+            referenced = _read_json(os.path.join(base_dir or ".", inner), "referenced algebra")
+        inner = _document(*referenced)
         if not isinstance(inner, AlgebraDocument):
             raise DocumentError("referenced document is not an algebra", witness=doc.algebra)
     return _Plan(Pair, inner.dim, lambda: _build_pair(inner, doc.ideal))
@@ -468,17 +473,19 @@ def _document_plan(path: str) -> _Plan:
     which reports its fault."""
     obj, text = _read_json(path, "document")
     base_dir = os.path.dirname(os.path.abspath(path))
+    referenced = None
 
     def parsed_plan() -> _Plan:
         doc = _document(obj, text)
         if isinstance(doc, AlgebraDocument):
             return _Plan(LieAlgebra, doc.dim, lambda: algebra_from_document(doc))
-        return _pair_plan(doc, base_dir)
+        return _pair_plan(doc, base_dir, referenced)
 
     is_pair = isinstance(obj, dict) and "ideal" in obj
     header = obj.get("algebra") if is_pair else obj
     if isinstance(header, str):
-        header, _ = _read_json(os.path.join(base_dir, header), "referenced algebra")
+        referenced = _read_json(os.path.join(base_dir, header), "referenced algebra")
+        header = referenced[0]
     dim = _header_dim(header)
     if dim is None:
         return parsed_plan()

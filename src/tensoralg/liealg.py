@@ -253,7 +253,7 @@ class AlgebraSubspace:
         for i in range(a.dim):
             for v, sv in basis:
                 w = a.bracket_sparse(((i, 1),), sv)
-                if w and not self.space.contains(from_support(w.items(), a.dim)):
+                if w and not self.space.contains(w):
                     return (i, v)
         return None
 
@@ -292,7 +292,7 @@ def bracket_subspaces(a: LieAlgebra, s: AlgebraSubspace, t: AlgebraSubspace) -> 
         for sv in right:
             w = a.bracket_sparse(left, sv)
             if w:
-                vectors.append(from_support(w.items(), a.dim))
+                vectors.append(w)
     return AlgebraSubspace(a, Subspace.from_vectors(a.dim, vectors))
 
 
@@ -320,7 +320,7 @@ def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: Sequence[Vector])
         for j in range(i + 1, len(sections)):
             w = a.bracket_sparse(si, sections[j])
             if w:
-                v = proj.apply(from_support(w.items(), a.dim))
+                v = proj.apply(w)
                 if not is_zero(v):
                     brackets[(i, j)] = v
     return brackets

@@ -1,11 +1,19 @@
 """Exact linear algebra over the rational field.
 
-Vectors are tuples of ``Fraction``, matrices are immutable dense grids, and a
-subspace is stored through the reduced row-echelon basis of its span, so two
-subspaces are equal as sets exactly when the stored bases compare equal.
-Row reduction runs fraction-free on integer-scaled rows internally; after the
-final normalization the result is identical to naive exact Gaussian
-elimination (the reduced echelon form is unique).
+At the public edge vectors are tuples of ``Fraction`` and a ``Matrix`` is a
+dense grid of them.  Row reduction has one internal representation: sparse
+primitive integer rows ``{column: int}``, with gcd 1 and a positive leading
+entry, held in Gauss-Jordan form by :class:`Echelon` (fraction-free
+elimination, as in Bareiss, Math. Comp. 22, 1968).  A subspace is stored
+through the reduced row-echelon basis of its span, so two subspaces are equal
+as sets exactly when the stored bases compare equal.  Its ``Fraction`` basis
+is built once from the integer rows; the reduced echelon form is unique, so
+it is identical to the result of naive exact Gaussian elimination.  A linear
+map keeps the supports of its columns, so applying it touches only nonzero
+entries.
+
+Subspace, map and kernel entry points take a vector either densely, as a
+sequence of scalars, or sparsely, as a mapping from index to scalar.
 
 All values are immutable after construction.
 """
@@ -16,14 +24,18 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from collections.abc import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
 # The nonzero entries of a vector as (index, value) pairs, as support() gives them.
 Support = Iterable[tuple[int, Fraction]]
+# A primitive integer row: its nonzero entries by column, with gcd 1.
+IntRow = dict[int, int]
 
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?\Z")
+_ZERO = Fraction(0)
 
 
 class LinalgError(ValueError):
@@ -63,7 +75,7 @@ def as_vector(entries: Iterable) -> Vector:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -83,12 +95,12 @@ def is_zero(v: Vector) -> bool:
 
 def support(v: Vector) -> list[tuple[int, Fraction]]:
     """The nonzero coordinates of v as (index, value) pairs."""
-    return [(k, a) for k, a in enumerate(v) if a != 0]
+    return [(k, a) for k, a in enumerate(v) if a]
 
 
 def from_support(entries: Support, width: int) -> Vector:
     """Inverse of :func:`support`: the vector of length width with the given nonzero entries."""
-    out = [Fraction(0)] * width
+    out = [_ZERO] * width
     for k, a in entries:
         out[k] = a
     return tuple(out)
@@ -100,7 +112,7 @@ def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:
     Zero coefficients and zero entries are skipped; a vector with a nonzero
     coefficient must have length width.
     """
-    out = [Fraction(0)] * width
+    out = [_ZERO] * width
     for c, v in zip(coeffs, vectors):
         if c == 0:
             continue
@@ -110,6 +122,124 @@ def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:
             if a != 0:
                 out[k] += c * a
     return tuple(out)
+
+
+def _entries(v, width: int) -> dict[int, int | Fraction]:
+    """The nonzero entries of v, given as width scalars or as a mapping from index to scalar.
+
+    Values stay ints or Fractions as given (other scalars are coerced)."""
+    if not isinstance(v, (tuple, list)):  # tested first: the Mapping check is slower
+        if isinstance(v, Mapping):
+            for k in v:
+                if not 0 <= k < width:
+                    raise LinalgError(f"index {k} out of range for a vector of length {width}")
+            return _nonzero(v.items())
+        v = tuple(v)
+    if len(v) != width:
+        raise LinalgError(f"expected vector of length {width}, got {len(v)}")
+    return _nonzero(enumerate(v))
+
+
+def _nonzero(pairs: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
+    out = {}
+    for k, a in pairs:
+        if not isinstance(a, (int, Fraction)):
+            a = _coerce(a)
+        if a:
+            out[k] = a
+    return out
+
+
+def _content_free(row: IntRow) -> IntRow:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {k: x // g for k, x in row.items()}
+    return row
+
+
+def _primitive(entries: Mapping[int, int | Fraction]) -> IntRow:
+    """The nonzero rational entries scaled to a primitive integer row, by a positive factor."""
+    den = 1
+    for a in entries.values():
+        d = a.denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+    return _content_free({k: a.numerator * (den // a.denominator) for k, a in entries.items()})
+
+
+def _reduce(rows: Mapping[int, IntRow], x: IntRow) -> IntRow:
+    """x minus its components along a Gauss-Jordan basis, as a primitive row; empty when x is in the span.
+
+    Every basis row is zero at the other pivots, so one pass removes each
+    pivot of x: x * L - sum x[p] * (L / a_p) * row_p, with L the lcm of the
+    leading entries a_p met."""
+    hits = [p for p in x if p in rows]
+    if not hits:
+        return x
+    scale = 1
+    for p in hits:
+        a = rows[p][p]
+        if scale % a:
+            scale = scale * a // math.gcd(scale, a)
+    acc = {k: c * scale for k, c in x.items()} if scale != 1 else dict(x)
+    for p in hits:
+        row = rows[p]
+        f = x[p] * (scale // row[p])
+        for k, y in row.items():
+            acc[k] = acc.get(k, 0) - f * y
+    return _content_free({k: c for k, c in acc.items() if c})
+
+
+class Echelon:
+    """A growing Gauss-Jordan basis of primitive integer rows.
+
+    ``rows`` maps each pivot column to its row: the pivot is the row's leading
+    column, the row's entry there is positive, and every other row is zero in
+    that column.  Rows are replaced, never changed in place, so a row may be
+    shared with the subspaces built from this basis.
+    """
+
+    def __init__(self, width: int, rows: Mapping[int, IntRow] | None = None):
+        self.width = width
+        self.rows: dict[int, IntRow] = dict(rows or {})
+
+    def insert(self, v) -> bool:
+        """Add v to the span; False, and nothing changes, when v already lies in it."""
+        x = _reduce(self.rows, _primitive(_entries(v, self.width)))
+        if not x:
+            return False
+        pivot = min(x)
+        a = x[pivot]
+        if a < 0:
+            x = {k: -c for k, c in x.items()}
+            a = -a
+        # Back-elimination: clear the new pivot column from every other row.
+        for p, row in list(self.rows.items()):
+            b = row.get(pivot)
+            if b:
+                g = math.gcd(a, b)
+                s, t = a // g, b // g
+                acc = {k: s * y for k, y in row.items()}
+                for k, c in x.items():
+                    acc[k] = acc.get(k, 0) - t * c
+                self.rows[p] = _content_free({k: y for k, y in acc.items() if y})
+        self.rows[pivot] = x
+        return True
+
+    def subspace(self) -> "Subspace":
+        """The span, with its Fraction basis built from the rows."""
+        rows = {p: self.rows[p] for p in sorted(self.rows)}
+        basis = []
+        for p, row in rows.items():
+            a = row[p]
+            out = [_ZERO] * self.width
+            for k, y in row.items():
+                out[k] = Fraction(y) if a == 1 else Fraction(y, a)
+            basis.append(tuple(out))
+        space = Subspace(self.width, tuple(basis))
+        vars(space)["_rows"] = rows  # the cached_property, already known
+        return space
 
 
 @dataclass(frozen=True)
@@ -154,78 +284,18 @@ class Matrix:
         nonzero = support(vec)
         return tuple(sum((row[j] * a for j, a in nonzero), Fraction(0)) for row in self.entries)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise LinalgError("matrix shape mismatch in product")
-        cols = tuple(other.column(j) for j in range(other.cols))
-        data = tuple(
-            tuple(sum((row[k] * col[k] for k in range(self.cols)), Fraction(0)) for col in cols)
-            for row in self.entries
-        )
-        return Matrix(self.rows, other.cols, data)
-
-
-def _int_row(row: Vector) -> tuple[int, ...]:
-    # Scale a rational row to integers; sign and scale wash out at the end.
-    den = 1
-    for a in row:
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    scaled = tuple(int(a * den) for a in row)
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, x)
-    if g > 1:
-        scaled = tuple(x // g for x in scaled)
-    return scaled
-
-
-def _reduce_int_row(row: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    if g > 1:
-        return tuple(x // g for x in row)
-    return row
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns.
 
     The shape is preserved; rows beyond the rank come out as zero rows.
     """
-    work = [_int_row(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m.cols):
-        pivot_at = None
-        for i in range(r, m.rows):
-            if work[i][col] != 0:
-                pivot_at = i
-                break
-        if pivot_at is None:
-            continue
-        work[r], work[pivot_at] = work[pivot_at], work[r]
-        prow = work[r]
-        a = prow[col]
-        for i in range(m.rows):
-            if i == r:
-                continue
-            b = work[i][col]
-            if b == 0:
-                continue
-            work[i] = _reduce_int_row(tuple(a * x - b * y for x, y in zip(work[i], prow)))
-        pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
-    out: list[Vector] = []
-    for i, row in enumerate(work):
-        if i < len(pivots):
-            p = row[pivots[i]]
-            out.append(tuple(Fraction(x, p) for x in row))
-        else:
-            out.append(zero_vector(m.cols))
-    return Matrix(m.rows, m.cols, tuple(out)), tuple(pivots)
+    basis = Echelon(m.cols)
+    for row in m.entries:
+        basis.insert(row)
+    space = basis.subspace()
+    out = space.basis + (zero_vector(m.cols),) * (m.rows - space.dim)
+    return Matrix(m.rows, m.cols, out), space.pivots()
 
 
 @dataclass(frozen=True)
@@ -238,32 +308,35 @@ class Subspace:
     def __post_init__(self):
         if self.ambient_dim < 0:
             raise LinalgError("negative ambient dimension")
-        last_pivot = -1
+        pivots: list[int] = []
         for row in self.basis:
             if len(row) != self.ambient_dim:
                 raise LinalgError("basis vector of wrong length")
-            pivot = next((j for j, a in enumerate(row) if a != 0), None)
+            pivot = next((j for j, a in enumerate(row) if a), None)
             if pivot is None:
                 raise LinalgError("zero vector stored in basis")
-            if pivot <= last_pivot or row[pivot] != 1:
+            if (pivots and pivot <= pivots[-1]) or row[pivot] != 1:
                 raise LinalgError("basis is not in reduced echelon form")
-            last_pivot = pivot
+            pivots.append(pivot)
         for k, row in enumerate(self.basis):
-            pivot = next(j for j, a in enumerate(row) if a != 0)
-            for other in range(len(self.basis)):
-                if other != k and self.basis[other][pivot] != 0:
-                    raise LinalgError("basis is not in reduced echelon form")
+            if any(row[p] for other, p in enumerate(pivots) if other != k):
+                raise LinalgError("basis is not in reduced echelon form")
+
+    @cached_property
+    def _rows(self) -> dict[int, IntRow]:
+        """The basis as primitive integer rows, by pivot column in increasing order."""
+        out = {}
+        for v in self.basis:
+            row = _primitive({k: a for k, a in enumerate(v) if a})
+            out[min(row)] = row
+        return out
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Iterable]) -> "Subspace":
-        rows = [as_vector(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise LinalgError("vector does not match ambient dimension")
-        if not rows:
-            return cls(ambient_dim, ())
-        reduced, pivots = rref(Matrix.from_rows(rows, cols=ambient_dim))
-        return cls(ambient_dim, reduced.entries[: len(pivots)])
+        basis = Echelon(ambient_dim)
+        for v in vectors:
+            basis.insert(v)
+        return basis.subspace()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -278,31 +351,23 @@ class Subspace:
         return len(self.basis)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, a in enumerate(row) if a != 0) for row in self.basis)
+        return tuple(self._rows)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical representative of v modulo this subspace."""
-        vec = as_vector(v)
-        if len(vec) != self.ambient_dim:
-            raise LinalgError("vector does not match ambient dimension")
-        for row in self.basis:
-            pivot = next(j for j, a in enumerate(row) if a != 0)
-            c = vec[pivot]
-            if c != 0:
-                vec = tuple(a - c * b for a, b in zip(vec, row))
-        return vec
+    def echelon(self) -> Echelon:
+        """This subspace's basis as an :class:`Echelon` that can grow without changing it."""
+        return Echelon(self.ambient_dim, self._rows)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero(self.reduce(v))
+        return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other._rows.values())
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("ambient dimension mismatch in span sum")
-    return Subspace.from_vectors(a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace.from_vectors(a.ambient_dim, [*a._rows.values(), *b._rows.values()])
 
 
 def span_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -310,14 +375,19 @@ def span_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise LinalgError("ambient dimension mismatch in span intersection")
     if not a.basis or not b.basis:
         return Subspace.zero(a.ambient_dim)
-    k, l = a.dim, b.dim
+    a_rows = list(a._rows.values())
+    k = len(a_rows)
     # Kernel of (x, y) |-> sum x_i a_i - sum y_j b_j recovers the intersection.
-    rows = tuple(
-        tuple(a.basis[c][r] for c in range(k)) + tuple(-b.basis[c][r] for c in range(l))
-        for r in range(a.ambient_dim)
-    )
-    ker = kernel(LinearMap(Matrix(a.ambient_dim, k + l, rows)))
-    vectors = [combine(coeffs[:k], a.basis, a.ambient_dim) for coeffs in ker.basis]
+    columns = a_rows + [{c: -y for c, y in row.items()} for row in b._rows.values()]
+    ker = kernel(LinearMap.from_columns(a.ambient_dim, columns))
+    vectors = []
+    for coeffs in ker._rows.values():
+        acc: dict[int, int] = {}
+        for i, x in coeffs.items():
+            if i < k:
+                for c, y in a_rows[i].items():
+                    acc[c] = acc.get(c, 0) + x * y
+        vectors.append(acc)
     return Subspace.from_vectors(a.ambient_dim, vectors)
 
 
@@ -335,44 +405,75 @@ class LinearMap:
     def codomain_dim(self) -> int:
         return self.matrix.rows
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero (row, value) entries of each column, in row order."""
+        entries = self.matrix.entries
+        return tuple(
+            tuple((r, row[j]) for r, row in enumerate(entries) if row[j]) for j in range(self.matrix.cols)
+        )
+
     @classmethod
     def from_columns(cls, codomain_dim: int, columns: Sequence[Sequence]) -> "LinearMap":
-        cols = [as_vector(c) for c in columns]
-        for c in cols:
-            if len(c) != codomain_dim:
-                raise LinalgError("column does not match codomain dimension")
-        rows = tuple(tuple(col[r] for col in cols) for r in range(codomain_dim))
-        return cls(Matrix(codomain_dim, len(cols), rows))
+        cols = []
+        for c in columns:
+            entries = _entries(c, codomain_dim)
+            cols.append(tuple((r, _coerce(entries[r])) for r in sorted(entries)))
+        grid = [[_ZERO] * len(cols) for _ in range(codomain_dim)]
+        for j, col in enumerate(cols):
+            for r, a in col:
+                grid[r][j] = a
+        f = cls(Matrix(codomain_dim, len(cols), tuple(map(tuple, grid))))
+        vars(f)["_columns"] = tuple(cols)  # the cached_property, already known
+        return f
 
     def apply(self, v: Sequence) -> Vector:
-        return self.matrix.apply(v)
+        cols = self._columns
+        out = [_ZERO] * self.codomain_dim
+        for j, a in _entries(v, self.domain_dim).items():
+            for r, m in cols[j]:
+                out[r] += a * m
+        return tuple(out)
+
+    def column_entries(self, k: int) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero (row, value) entries of the image of the k-th domain basis vector."""
+        if not 0 <= k < self.domain_dim:
+            raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
+        return self._columns[k]
 
     def column(self, k: int) -> Vector:
         """The image of the k-th domain basis vector."""
-        if not 0 <= k < self.domain_dim:
-            raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
-        return self.matrix.column(k)
+        return from_support(self.column_entries(k), self.codomain_dim)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""
-        return LinearMap(self.matrix.mul(inner.matrix))
+        if self.domain_dim != inner.codomain_dim:
+            raise LinalgError("matrix shape mismatch in product")
+        return LinearMap.from_columns(self.codomain_dim, [self.apply(dict(c)) for c in inner._columns])
 
     def image(self) -> Subspace:
-        cols = [self.matrix.column(j) for j in range(self.matrix.cols)]
-        return Subspace.from_vectors(self.codomain_dim, cols)
+        return Subspace.from_vectors(self.codomain_dim, [dict(c) for c in self._columns])
 
 
 def kernel(f: LinearMap) -> Subspace:
-    reduced, pivots = rref(f.matrix)
-    pivot_set = set(pivots)
-    free = [j for j in range(f.domain_dim) if j not in pivot_set]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(f.codomain_dim)]
+    for j, col in enumerate(f._columns):
+        for r, a in col:
+            rows[r][j] = a
+    reduced = Echelon(f.domain_dim)
+    for row in rows:
+        if row:
+            reduced.insert(row)
+    # One vector per free column j: e_j minus the pivot rows' entries in column j.
     vectors = []
-    for j in free:
-        v = [Fraction(0)] * f.domain_dim
-        v[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][j]
-        vectors.append(tuple(v))
+    for j in range(f.domain_dim):
+        if j not in reduced.rows:
+            v = {j: 1}
+            for p, row in reduced.rows.items():
+                y = row.get(j)
+                if y:
+                    v[p] = Fraction(-y, row[p])
+            vectors.append(v)
     return Subspace.from_vectors(f.domain_dim, vectors)
 
 
@@ -386,19 +487,18 @@ def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tup
     """
     if r.ambient_dim != ambient_dim:
         raise LinalgError("subspace does not match ambient dimension")
-    pivot_of = {p: i for i, p in enumerate(r.pivots())}
-    free = [j for j in range(ambient_dim) if j not in pivot_of]
-    qdim = len(free)
-    rows = []
-    for t in range(qdim):
-        row = [Fraction(0)] * ambient_dim
-        row[free[t]] = Fraction(1)
-        for p, i in pivot_of.items():
-            # e_p reduces to -(r.basis[i] - e_p), supported on free columns.
-            row[p] = -r.basis[i][free[t]]
-        rows.append(tuple(row))
-    proj = LinearMap(Matrix(qdim, ambient_dim, tuple(rows)))
-    section = tuple(
-        tuple(Fraction(1 if j == free[t] else 0) for j in range(ambient_dim)) for t in range(qdim)
-    )
+    rows = r._rows
+    free = [j for j in range(ambient_dim) if j not in rows]
+    slot = {j: t for t, j in enumerate(free)}
+    columns = []
+    for j in range(ambient_dim):
+        row = rows.get(j)
+        if row is None:
+            columns.append({slot[j]: 1})
+        else:
+            # e_j reduces to -(basis row at pivot j - e_j), supported on free columns.
+            a = row[j]
+            columns.append({slot[k]: Fraction(-y, a) for k, y in row.items() if k != j})
+    proj = LinearMap.from_columns(len(free), columns)
+    section = tuple(from_support(((j, Fraction(1)),), ambient_dim) for j in free)
     return proj, section

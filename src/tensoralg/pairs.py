@@ -93,6 +93,14 @@ class ActionData:
     def act_basis(self, i: int, j: int) -> Vector:
         return self.table[i][j]
 
+    @cached_property
+    def _supports(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        return tuple(tuple(tuple(support(v)) for v in row) for row in self.table)
+
+    def act_entries(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero (k, c) entries of act_basis(i, j)."""
+        return self._supports[i][j]
+
     def apply(self, x: Sequence, n: Sequence) -> Vector:
         x = as_vector(x)
         n = as_vector(n)

@@ -67,7 +67,6 @@ from .linalg import (
     kernel,
     quotient_with_section,
     support,
-    vadd,
 )
 from .pairs import Pair
 
@@ -97,19 +96,19 @@ class SymbolSpace:
             raise LinalgError("symbol index out of range")
         return divmod(k, self.right_dim)
 
-    def expand(self, x: Sequence, n: Sequence) -> Vector:
-        """Bilinear expansion of x (x) n into symbol coordinates."""
+    def expand_entries(self, x: Sequence, n: Sequence) -> dict[int, Fraction]:
+        """Bilinear expansion of x (x) n into symbol coordinates, as {symbol: coefficient}."""
         x = as_vector(x)
         n = as_vector(n)
         if len(x) != self.left_dim or len(n) != self.right_dim:
             raise LinalgError("expansion argument of wrong length")
-        out = []
-        for xi in x:
-            if xi == 0:
-                out.extend([xi * 0] * self.right_dim)
-            else:
-                out.extend([xi * na for na in n])
-        return tuple(out)
+        acc: dict[int, Fraction] = {}
+        _add_expansion(acc, support(x), support(n), self.right_dim)
+        return acc
+
+    def expand(self, x: Sequence, n: Sequence) -> Vector:
+        """Bilinear expansion of x (x) n into symbol coordinates."""
+        return from_support(self.expand_entries(x, n).items(), self.dim)
 
 
 def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Support, ...], tuple[Support, ...]]:
@@ -118,8 +117,8 @@ def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Support, ...],
     right = []
     for i in range(sym.left_dim):
         for a in range(sym.right_dim):
-            left.append(support(pair.act_on_algebra.act_basis(a, i)))
-            right.append(support(pair.act_on_ideal.act_basis(i, a)))
+            left.append(pair.act_on_algebra.act_entries(a, i))
+            right.append(pair.act_on_ideal.act_entries(i, a))
     return tuple(left), tuple(right)
 
 
@@ -150,7 +149,7 @@ def _keep_nonzero(gens: dict, acc: dict[int, Fraction]) -> None:
 
 def _span(gens: dict, width: int) -> Subspace:
     """The span of the recorded generators, in the order they were first seen."""
-    return Subspace.from_vectors(width, [from_support(g, width) for g in gens])
+    return Subspace.from_vectors(width, [dict(g) for g in gens])
 
 
 def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
@@ -213,7 +212,7 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
         raise LinalgError("seed lives in the wrong symbol space")
     left, right = _collapse_tables(pair, sym)
     for name, table in (("left collapse n . l", left), ("right collapse l . n", right)):
-        if any(_collapse(support(r), table) for r in seed.basis):
+        if any(_collapse(row.items(), table) for row in seed.echelon().rows.values()):
             raise TensorConstructionError(f"{name} does not kill the relations")
     return seed
 
@@ -235,7 +234,7 @@ class NonabelianTensor:
 
     def tensor_of(self, x: Sequence, n: Sequence) -> Vector:
         """Class of x (x) n; x in algebra coordinates, n in ideal coordinates."""
-        return self.projection.apply(self.symbols.expand(x, n))
+        return self.projection.apply(self.symbols.expand_entries(x, n))
 
     def generator(self, i: int, a: int) -> Vector:
         """Class of the basis symbol l_i (x) n_a."""
@@ -259,21 +258,22 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
     proj, reps = quotient_with_section(sym.dim, relations)
-    t_dim = sym.dim - relations.dim
+    section = LinearMap.from_columns(sym.dim, reps)
+    t_dim = proj.codomain_dim
     q = sym.right_dim
     left, right = _collapse_tables(pair, sym)
-    lc = [_collapse(support(r), left) for r in reps]
-    rc = [_collapse(support(r), right) for r in reps]
-    proj_cols = [support(proj.matrix.column(k)) for k in range(sym.dim)]
+    lc = [_collapse(section.column_entries(t), left) for t in range(t_dim)]
+    rc = [_collapse(section.column_entries(t), right) for t in range(t_dim)]
+    proj_cols = [proj.column_entries(k) for k in range(sym.dim)]
 
-    def bracket(i: int, j: int) -> list:
-        out = [Fraction(0)] * t_dim
+    def bracket(i: int, j: int) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
         for a, x in lc[i]:
             for b, y in rc[j]:
                 c = -x * y
                 for t, v in proj_cols[a * q + b]:
-                    out[t] += c * v
-        return out
+                    out[t] = out.get(t, 0) + c * v
+        return {t: v for t, v in out.items() if v}
 
     brackets = {}
     try:
@@ -281,15 +281,14 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
             for j in range(i, t_dim):
                 v = bracket(i, j)
                 w = v if i == j else bracket(j, i)
-                for k in range(t_dim):
-                    if v[k] + w[k] != 0:
-                        raise StructureError(StructureViolation("antisymmetry", (i, j, k), v[k] + w[k]))
-                if i < j and any(v):
-                    brackets[(i, j)] = tuple(v)
+                if v != {t: -x for t, x in w.items()}:
+                    k = min(t for t in v.keys() | w.keys() if v.get(t, 0) + w.get(t, 0))
+                    raise StructureError(StructureViolation("antisymmetry", (i, j, k), v.get(k, 0) + w.get(k, 0)))
+                if i < j and v:
+                    brackets[(i, j)] = from_support(v.items(), t_dim)
         algebra = LieAlgebra.make(t_dim, tuple(f"t{k}" for k in range(t_dim)), brackets)
     except StructureError as exc:
         raise TensorConstructionError(f"induced bracket is not a Lie bracket: {exc.violation}") from exc
-    section = LinearMap.from_columns(sym.dim, reps)
     return NonabelianTensor(pair, sym, relations, algebra, proj, section)
 
 
@@ -300,17 +299,28 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     the squares n_a (x) n_a together with n_a (x) n_b + n_b (x) n_a.
     """
     pair = tensor.pair
-    sym = tensor.symbols
+    proj = tensor.projection
     q = pair.right_dim
-    ambient = [pair.ideal_basis_vector(a) for a in range(q)]
-    unit_n = [pair.ideal_algebra.basis_vector(a) for a in range(q)]
+    ambient = [support(pair.ideal_basis_vector(a)) for a in range(q)]
+
+    def add_square(acc: dict[int, Fraction], a: int, b: int) -> None:
+        # acc += proj(n_a (x) n_b), read off the projection's columns
+        for i, x in ambient[a]:
+            for t, v in proj.column_entries(i * q + b):
+                acc[t] = acc.get(t, 0) + x * v
+
     gens = []
     for a in range(q):
-        gens.append(sym.expand(ambient[a], unit_n[a]))
+        acc: dict[int, Fraction] = {}
+        add_square(acc, a, a)
+        gens.append(acc)
     for a in range(q):
         for b in range(a + 1, q):
-            gens.append(vadd(sym.expand(ambient[a], unit_n[b]), sym.expand(ambient[b], unit_n[a])))
-    return Subspace.from_vectors(tensor.dim, [tensor.projection.apply(g) for g in gens])
+            acc = {}
+            add_square(acc, a, b)
+            add_square(acc, b, a)
+            gens.append(acc)
+    return Subspace.from_vectors(tensor.dim, gens)
 
 
 def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, LinearMap, LinearMap]:
@@ -360,7 +370,7 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     _, right = _collapse_tables(pair, sym)
     q = pair.right_dim
     columns = [
-        pair.ideal_vector_to_ambient(from_support(_collapse(support(tensor.section.column(k)), right), q))
+        pair.ideal_vector_to_ambient(from_support(_collapse(tensor.section.column_entries(k), right), q))
         for k in range(tensor.dim)
     ]
     kappa = LinearMap.from_columns(pair.left_dim, columns)
@@ -378,7 +388,7 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     for b in box.basis:
         if not is_zero(kappa.apply(b)):
             raise TensorConstructionError("evaluation map does not kill the diagonal")
-    kp_columns = [kappa.apply(ext_section.column(k)) for k in range(ext_algebra.dim)]
+    kp_columns = [kappa.apply(dict(ext_section.column_entries(k))) for k in range(ext_algebra.dim)]
     kappa_prime = LinearMap.from_columns(pair.left_dim, kp_columns)
     return DerivedMaps(
         kappa=kappa,

@@ -23,7 +23,6 @@ from .linalg import (
     kernel,
     quotient_with_section,
     span_intersect,
-    span_sum,
     vadd,
     vscale,
 )
@@ -314,15 +313,12 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
         for j in range(i + 1, pair.right_dim):
             u = t.tensor_of(ideal_ambient[i], ideal_units[j])
             candidates.append(vadd(u, vscale(-1, t.tensor_of(ideal_ambient[j], ideal_units[i]))))
-    grown = box
-    kept = []
-    for v in candidates:
-        if not is_zero(v) and not grown.contains(v):
-            kept.append(v)
-            grown = span_sum(grown, Subspace.from_vectors(t.dim, [v]))
+    # Each candidate is reduced once against the growing basis and kept when it adds to it.
+    grown = box.echelon()
+    kept = [v for v in candidates if grown.insert(v)]
     complement = Subspace.from_vectors(t.dim, kept)
     meet = span_intersect(box, complement)
-    spanned = span_sum(box, complement).dim
+    spanned = len(grown.rows)
     escape = AlgebraSubspace(t.algebra, complement).is_ideal()
     ok = meet.dim == 0 and spanned == t.dim and escape is None and complement.dim == maps.exterior.dim
     if escape is not None:

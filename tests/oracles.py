@@ -7,6 +7,7 @@ between the two is meaningful evidence rather than circularity.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def rank(rows):
@@ -143,3 +144,131 @@ def dense_is_ideal(dim, brackets, basis):
             if rank(list(basis) + [w]) != r:
                 return (i, v)
     return None
+
+
+# Dense references for the linear algebra kernel.  These are the loops
+# tensoralg.linalg ran before its sparse integer elimination: rows are scaled
+# to integers, reduced column by column over the whole grid, and divided by
+# their pivots at the end.  They take and return plain tuples of Fractions
+# where the package uses Matrix, Subspace and LinearMap; a subspace is the
+# tuple of its RREF basis vectors.
+
+
+def _int_row(row):
+    # Scale a rational row to integers; sign and scale wash out at the end.
+    den = 1
+    for a in row:
+        den = den * a.denominator // gcd(den, a.denominator)
+    scaled = tuple(int(a * den) for a in row)
+    g = 0
+    for x in scaled:
+        g = gcd(g, x)
+    if g > 1:
+        scaled = tuple(x // g for x in scaled)
+    return scaled
+
+
+def _reduce_int_row(row):
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    if g > 1:
+        return tuple(x // g for x in row)
+    return row
+
+
+def dense_rref(rows, cols):
+    """(reduced rows, pivot columns) of the matrix with the given rows; rows beyond the rank are zero."""
+    n_rows = len(rows)
+    work = [_int_row(tuple(map(Fraction, row))) for row in rows]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot_at = None
+        for i in range(r, n_rows):
+            if work[i][col] != 0:
+                pivot_at = i
+                break
+        if pivot_at is None:
+            continue
+        work[r], work[pivot_at] = work[pivot_at], work[r]
+        prow = work[r]
+        a = prow[col]
+        for i in range(n_rows):
+            if i == r:
+                continue
+            b = work[i][col]
+            if b == 0:
+                continue
+            work[i] = _reduce_int_row(tuple(a * x - b * y for x, y in zip(work[i], prow)))
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    out = []
+    for i, row in enumerate(work):
+        if i < len(pivots):
+            p = row[pivots[i]]
+            out.append(tuple(Fraction(x, p) for x in row))
+        else:
+            out.append((Fraction(0),) * cols)
+    return tuple(out), tuple(pivots)
+
+
+def dense_span(cols, vectors):
+    """The RREF basis of the span of vectors."""
+    reduced, pivots = dense_rref(vectors, cols)
+    return reduced[: len(pivots)]
+
+
+def dense_kernel(rows, cols):
+    """The RREF basis of the null space of the matrix with the given rows and cols columns."""
+    reduced, pivots = dense_rref(rows, cols)
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set]
+    vectors = []
+    for j in free:
+        v = [Fraction(0)] * cols
+        v[j] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][j]
+        vectors.append(tuple(v))
+    return dense_span(cols, vectors)
+
+
+def dense_quotient_with_section(ambient_dim, basis):
+    """(projection rows, section vectors) for the quotient by the span of an RREF basis."""
+    pivot_of = {next(j for j, a in enumerate(row) if a != 0): i for i, row in enumerate(basis)}
+    free = [j for j in range(ambient_dim) if j not in pivot_of]
+    rows = []
+    for t in range(len(free)):
+        row = [Fraction(0)] * ambient_dim
+        row[free[t]] = Fraction(1)
+        for p, i in pivot_of.items():
+            # e_p reduces to -(basis[i] - e_p), supported on free columns.
+            row[p] = -basis[i][free[t]]
+        rows.append(tuple(row))
+    section = tuple(
+        tuple(Fraction(1 if j == free[t] else 0) for j in range(ambient_dim)) for t in range(len(free))
+    )
+    return tuple(rows), section
+
+
+def dense_span_intersect(ambient_dim, a, b):
+    """The RREF basis of span(a) meet span(b), for RREF bases a and b."""
+    if not a or not b:
+        return ()
+    k, l = len(a), len(b)
+    # Kernel of (x, y) |-> sum x_i a_i - sum y_j b_j recovers the intersection.
+    rows = tuple(
+        tuple(a[c][r] for c in range(k)) + tuple(-b[c][r] for c in range(l))
+        for r in range(ambient_dim)
+    )
+    vectors = []
+    for coeffs in dense_kernel(rows, k + l):
+        v = [Fraction(0)] * ambient_dim
+        for c, row in zip(coeffs[:k], a):
+            for m, x in enumerate(row):
+                v[m] += c * x
+        vectors.append(tuple(v))
+    return dense_span(ambient_dim, vectors)

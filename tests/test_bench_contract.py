@@ -81,3 +81,9 @@ def test_tracer_round_trip_and_cli_pass(workload, constructions, tmp_path):
         if name == "tensor.construct_tensor":
             per_item[item] = per_item.get(item, 0) + 1
     assert per_item == {item.name: constructions for item in items}
+    # Row reduction still runs through the traced names, so the per-layer
+    # linalg metrics of every workload measure it.
+    reductions = [sizes for name, _, _, _, _, sizes in tracer.spans if name == "linalg.Subspace.from_vectors"]
+    assert reductions and all(set(sizes) == {"rows_in", "rank_out"} for sizes in reductions)
+    assert any(sizes["rank_out"] > 0 for sizes in reductions)
+    assert any(name == "linalg.kernel" for name, *_ in tracer.spans)

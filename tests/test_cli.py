@@ -1,6 +1,9 @@
 """Command line behaviour: outputs, exit codes, and the dimension cap."""
 
+import builtins
 import json
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -267,6 +270,27 @@ def test_construction_errors_exit_1_with_one_line(document, patch, message, comm
     assert code == 1
     assert out == ""
     assert err == f"tensoralg: {message}\n"
+
+
+def test_referenced_algebra_document_is_read_once_per_load(tmp_path, monkeypatch, capsys):
+    """`_checked_dim` reads the reference for its header and `_load` reads it
+    once more; building the plan reuses the decoded reference."""
+    (tmp_path / "h1.json").write_text(
+        '{"name": "h1", "dim": 3, "basis": ["x", "y", "z"], "brackets": {"x,y": {"z": "1"}}}'
+    )
+    (tmp_path / "centre.json").write_text('{"algebra": "h1.json", "ideal": [["0", "0", "1"]]}')
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[os.path.basename(str(file))] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, err = run(capsys, "tensor", str(tmp_path / "centre.json"))
+    assert (code, err) == (0, "")
+    assert opened["centre.json"] == 2
+    assert opened["h1.json"] == 2
 
 
 def test_unknown_theorem_is_refused_before_the_pair_is_built(monkeypatch, capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
+from oracles import dense_kernel, dense_quotient_with_section, dense_rref, dense_span, dense_span_intersect
 
 from tensoralg.linalg import (
     LinalgError,
@@ -260,3 +262,70 @@ def test_linear_map_column_is_image_of_unit_vector(m):
         assert f.column(k) == f.apply(unit)
     with pytest.raises(LinalgError):
         f.column(f.domain_dim)
+
+
+# Differential test against the dense elimination kept in tests/oracles.py.
+
+_nonzero_fractions = small_fractions.filter(lambda a: a != 0)
+
+
+@st.composite
+def _row_lists(draw, cols: int):
+    """Rows of width cols: rational, zero, mostly zero, and repeats of earlier rows up to a scalar."""
+    mostly_zero = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["rational", "mostly-zero", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            c = draw(_nonzero_fractions)
+            rows.append(tuple(c * a for a in draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append((Fraction(0),) * cols)
+        else:
+            entry = small_fractions if kind == "rational" else mostly_zero
+            rows.append(tuple(draw(st.lists(entry, min_size=cols, max_size=cols))))
+    return rows
+
+
+_shapes = st.integers(0, 12).flatmap(lambda c: st.tuples(st.just(c), _row_lists(c), _row_lists(c)))
+
+
+def _assert_integer_rows_match(space: Subspace):
+    """The echelon rows are primitive, lead with a positive pivot, and scale to the RREF basis."""
+    rows = space.echelon().rows
+    assert tuple(sorted(rows)) == space.pivots()
+    for (p, row), vector in zip(sorted(rows.items()), space.basis):
+        assert min(row) == p and row[p] > 0
+        assert all(isinstance(x, int) and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert {k: Fraction(x, row[p]) for k, x in row.items()} == {k: a for k, a in enumerate(vector) if a}
+
+
+@seed(1968)
+@settings(max_examples=100, deadline=None)
+@given(_shapes)
+def test_sparse_elimination_matches_dense_reference(case):
+    cols, rows, other = case
+    m = Matrix(len(rows), cols, tuple(rows))
+    reduced, pivots = rref(m)
+    assert (reduced.entries, pivots) == dense_rref(rows, cols)
+    space = Subspace.from_vectors(cols, rows)
+    assert space.basis == dense_span(cols, rows)
+    assert space.pivots() == pivots
+    assert Subspace.from_vectors(cols, [{k: a for k, a in enumerate(r) if a} for r in rows]) == space
+    _assert_integer_rows_match(space)
+    f = LinearMap(m)
+    ker = kernel(f)
+    assert ker.basis == dense_kernel(rows, cols)
+    _assert_integer_rows_match(ker)
+    assert f.compose(LinearMap(Matrix.identity(cols))) == f
+    assert f.compose(LinearMap.from_columns(cols, ker.basis)).matrix.entries == ((Fraction(0),) * ker.dim,) * len(rows)
+    proj, section = quotient_with_section(cols, space)
+    assert (proj.matrix.entries, section) == dense_quotient_with_section(cols, space.basis)
+    b = Subspace.from_vectors(cols, other)
+    meet = span_intersect(space, b)
+    assert meet.basis == dense_span_intersect(cols, space.basis, b.basis)
+    assert span_sum(space, b).basis == dense_span(cols, space.basis + b.basis)
+    for v in other:
+        assert space.contains(v) == (dense_span(cols, space.basis + (v,)) == space.basis)
+    assert all(isinstance(a, Fraction) for v in space.basis + ker.basis + meet.basis + section for a in v)

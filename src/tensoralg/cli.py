@@ -14,6 +14,7 @@ for an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,8 +33,8 @@ from .catalog import (
 from .liealg import LieAlgebra, NotAnIdealError, StructureError
 from .linalg import LinalgError
 from .pairs import Pair
-from .tensor import TensorConstructionError, construct_tensor, kappa_maps
-from .verify import VerificationReport, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
+from .tensor import TensorConstructionError
+from .verify import VerificationReport, _Derivation, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
 
 _DEFAULT_CAP = 8
 
@@ -142,8 +143,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_tensor(args) -> int:
     pair = _load_pair(args.target)
-    t = construct_tensor(pair)
-    maps = kappa_maps(t)
+    derivation = _Derivation(pair)
+    t, maps = derivation.tensor, derivation.maps
     names = _symbol_names(pair, t)
     image = maps.kappa.image()
     if args.machine:
@@ -232,7 +233,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="tensoralg",
         description="Tensor products of Lie algebra pairs and their decompositions.",

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
+    Exact,
     LinalgError,
     LinearMap,
     Matrix,
@@ -25,7 +26,6 @@ from .linalg import (
     Support,
     Vector,
     as_vector,
-    combine,
     from_support,
     is_zero,
     kernel,
@@ -34,8 +34,8 @@ from .linalg import (
     zero_vector,
 )
 
-# ad[i] maps each j with [e_i, e_j] != 0 to the support of [e_i, e_j].
-SupportTable = tuple[dict[int, tuple[tuple[int, Fraction], ...]], ...]
+# ad[i] maps each j with [e_i, e_j] != 0 to the support of [e_i, e_j], values as support() gives them.
+SupportTable = tuple[dict[int, tuple[tuple[int, Exact], ...]], ...]
 
 
 class StructureError(ValueError):
@@ -90,7 +90,7 @@ def _jacobi_violation(dim: int, ad: SupportTable) -> StructureViolation | None:
                 ki = ad[k].get(i)
                 if not (ij or jk or ki):
                     continue
-                total: dict[int, Fraction] = {}
+                total: dict[int, Exact] = {}
                 for outer, inner in ((i, jk), (j, ki), (k, ij)):
                     row = ad[outer]
                     for t, c in inner or ():
@@ -99,7 +99,7 @@ def _jacobi_violation(dim: int, ad: SupportTable) -> StructureViolation | None:
                 bad = [m for m, x in total.items() if x != 0]
                 if bad:
                     m = min(bad)
-                    return StructureViolation("jacobi", (i, j, k, m), total[m])
+                    return StructureViolation("jacobi", (i, j, k, m), Fraction(total[m]))
     return None
 
 
@@ -174,17 +174,17 @@ class LieAlgebra:
     def _ad(self) -> SupportTable:
         return _support_table(self.dim, self.brackets)
 
-    def bracket_entries(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+    def bracket_entries(self, i: int, j: int) -> tuple[tuple[int, Exact], ...]:
         """The nonzero (k, c) entries of [e_i, e_j]."""
         return self._ad[i].get(j, ())
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return from_support(self.bracket_entries(i, j), self.dim)
 
-    def bracket_sparse(self, xs: Support, ys: Support) -> dict[int, Fraction]:
+    def bracket_sparse(self, xs: Support, ys: Support) -> dict[int, Exact]:
         """[x, y] as {k: coefficient} over its nonzero coefficients, for x and y given by supports."""
         y = dict(ys)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Exact] = {}
         for i, xi in xs:
             row = self._ad[i]
             # walk the shorter of the row and the support of y
@@ -368,27 +368,16 @@ def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
     """The Lie algebra structure induced on a bracket-closed subspace, in its own coordinates."""
     if s.parent != a:
         raise LinalgError("subspace parent mismatch")
-    basis = s.space.basis
+    space = s.space
+    basis = [support(v) for v in space.basis]
     q = len(basis)
     brackets = {}
     for i in range(q):
         for j in range(i + 1, q):
-            w = a.bracket_vectors(basis[i], basis[j])
-            coords = coordinates_in(s.space, w)
-            if coords is None:
+            w = a.bracket_sparse(basis[i], basis[j])
+            if not space.contains(w):
                 raise NotAnIdealError("subspace is not closed under the bracket", witness=(i, j))
-            if not is_zero(coords):
-                brackets[(i, j)] = coords
+            if w:
+                brackets[(i, j)] = space.coordinates(w)
     names = tuple(f"n{k}" for k in range(q))
     return LieAlgebra.make(q, names, brackets)
-
-
-def coordinates_in(space: Subspace, v: Sequence) -> Vector | None:
-    """Coordinates of v in the RREF basis of ``space``, or None when outside."""
-    vec = as_vector(v)
-    if len(vec) != space.ambient_dim:
-        raise LinalgError("vector does not match ambient dimension")
-    coords = tuple(vec[p] for p in space.pivots())
-    if combine(coords, space.basis, space.ambient_dim) != vec:
-        return None
-    return coords

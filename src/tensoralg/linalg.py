@@ -1,16 +1,22 @@
 """Exact linear algebra over the rational field.
 
 At the public edge vectors are tuples of ``Fraction`` and a ``Matrix`` is a
-dense grid of them.  Row reduction has one internal representation: sparse
-primitive integer rows ``{column: int}``, with gcd 1 and a positive leading
-entry, held in Gauss-Jordan form by :class:`Echelon` (fraction-free
-elimination, as in Bareiss, Math. Comp. 22, 1968).  A subspace is stored
-through the reduced row-echelon basis of its span, so two subspaces are equal
-as sets exactly when the stored bases compare equal.  Its ``Fraction`` basis
-is built once from the integer rows; the reduced echelon form is unique, so
-it is identical to the result of naive exact Gaussian elimination.  A linear
-map keeps the supports of its columns, so applying it touches only nonzero
-entries.
+dense grid of them.  Inside, every sparse table (a support, the column
+supports of a map, the vectors the entry points read) holds a scalar as an
+``int`` when it is integral and as a ``Fraction`` only when it has a
+denominator (``_exact`` normalises), so the sparse loops of every layer do
+integer arithmetic wherever the input is integral.  :func:`from_support` and
+every public vector turn the values back into ``Fraction``.
+
+Row reduction has one internal representation: sparse primitive integer rows
+``{column: int}``, with gcd 1 and a positive leading entry, held in
+Gauss-Jordan form by :class:`Echelon` (fraction-free elimination, as in
+Bareiss, Math. Comp. 22, 1968).  A subspace is stored through the reduced
+row-echelon basis of its span, so two subspaces are equal as sets exactly
+when the stored bases compare equal.  Its ``Fraction`` basis is built once
+from the integer rows; the reduced echelon form is unique, so it is identical
+to the result of naive exact Gaussian elimination.  A linear map keeps the
+supports of its columns, so applying it touches only nonzero entries.
 
 Subspace, map and kernel entry points take a vector either densely, as a
 sequence of scalars, or sparsely, as a mapping from index to scalar.
@@ -27,10 +33,11 @@ from fractions import Fraction
 from functools import cached_property
 from collections.abc import Iterable, Mapping, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
+# A scalar in its internal form: an int when it is integral, else a Fraction (see _exact).
+Exact = int | Fraction
 # The nonzero entries of a vector as (index, value) pairs, as support() gives them.
-Support = Iterable[tuple[int, Fraction]]
+Support = Iterable[tuple[int, Exact]]
 # A primitive integer row: its nonzero entries by column, with gcd 1.
 IntRow = dict[int, int]
 
@@ -58,6 +65,18 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(value: Fraction) -> str:
     """Inverse of :func:`parse_scalar`; lowest terms with positive denominator."""
     return str(value)
+
+
+def _exact(a: Exact) -> Exact:
+    """The internal form of a rational scalar: an int when it is integral, else the Fraction."""
+    if type(a) is int or a.denominator != 1:
+        return a
+    return a.numerator
+
+
+def _ratio(n: int, d: int) -> Exact:
+    """n / d for ints n and d > 0, in its internal form."""
+    return n if d == 1 else _exact(Fraction(n, d))
 
 
 def _coerce(entry) -> Fraction:
@@ -93,16 +112,16 @@ def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def support(v: Vector) -> list[tuple[int, Fraction]]:
-    """The nonzero coordinates of v as (index, value) pairs."""
-    return [(k, a) for k, a in enumerate(v) if a]
+def support(v: Vector) -> list[tuple[int, Exact]]:
+    """The nonzero coordinates of v as (index, value) pairs, each value in its internal form."""
+    return [(k, _exact(a)) for k, a in enumerate(v) if a]
 
 
 def from_support(entries: Support, width: int) -> Vector:
-    """Inverse of :func:`support`: the vector of length width with the given nonzero entries."""
+    """Inverse of :func:`support`: the vector of length width with the given nonzero entries, as Fractions."""
     out = [_ZERO] * width
     for k, a in entries:
-        out[k] = a
+        out[k] = _coerce(a)
     return tuple(out)
 
 
@@ -124,10 +143,10 @@ def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:
     return tuple(out)
 
 
-def _entries(v, width: int) -> dict[int, int | Fraction]:
+def _entries(v, width: int) -> dict[int, Exact]:
     """The nonzero entries of v, given as width scalars or as a mapping from index to scalar.
 
-    Values stay ints or Fractions as given (other scalars are coerced)."""
+    Values come out in their internal form (other scalars are coerced first)."""
     if not isinstance(v, (tuple, list)):  # tested first: the Mapping check is slower
         if isinstance(v, Mapping):
             for k in v:
@@ -140,13 +159,13 @@ def _entries(v, width: int) -> dict[int, int | Fraction]:
     return _nonzero(enumerate(v))
 
 
-def _nonzero(pairs: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
+def _nonzero(pairs: Iterable[tuple[int, object]]) -> dict[int, Exact]:
     out = {}
     for k, a in pairs:
         if not isinstance(a, (int, Fraction)):
             a = _coerce(a)
         if a:
-            out[k] = a
+            out[k] = a if type(a) is int else _exact(a)
     return out
 
 
@@ -158,13 +177,18 @@ def _content_free(row: IntRow) -> IntRow:
     return row
 
 
-def _primitive(entries: Mapping[int, int | Fraction]) -> IntRow:
-    """The nonzero rational entries scaled to a primitive integer row, by a positive factor."""
+def _primitive(entries: dict[int, Exact]) -> IntRow:
+    """The nonzero entries, in their internal form, scaled to a primitive integer row by a positive factor.
+
+    A row of ints may come back as the same dict."""
     den = 1
     for a in entries.values():
-        d = a.denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
+        if type(a) is not int:
+            d = a.denominator
+            if den % d:
+                den = den * d // math.gcd(den, d)
+    if den == 1:
+        return _content_free(entries)
     return _content_free({k: a.numerator * (den // a.denominator) for k, a in entries.items()})
 
 
@@ -318,8 +342,9 @@ class Subspace:
             if (pivots and pivot <= pivots[-1]) or row[pivot] != 1:
                 raise LinalgError("basis is not in reduced echelon form")
             pivots.append(pivot)
+        # a row is zero before its pivot, so only the later pivots can meet it
         for k, row in enumerate(self.basis):
-            if any(row[p] for other, p in enumerate(pivots) if other != k):
+            if any(row[p] for p in pivots[k + 1:]):
                 raise LinalgError("basis is not in reduced echelon form")
 
     @cached_property
@@ -327,7 +352,7 @@ class Subspace:
         """The basis as primitive integer rows, by pivot column in increasing order."""
         out = {}
         for v in self.basis:
-            row = _primitive({k: a for k, a in enumerate(v) if a})
+            row = _primitive(dict(support(v)))
             out[min(row)] = row
         return out
 
@@ -359,6 +384,13 @@ class Subspace:
 
     def contains(self, v: Sequence) -> bool:
         return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))
+
+    def coordinates(self, v: Sequence) -> Vector:
+        """The coordinates in the RREF basis of a vector v of this subspace: its entries at the pivots.
+
+        Each basis vector is 1 at its own pivot and 0 at the others; v must lie in the span."""
+        entries = _entries(v, self.ambient_dim)
+        return from_support(((t, entries[p]) for t, p in enumerate(self._rows) if p in entries), self.dim)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other._rows.values())
@@ -406,11 +438,11 @@ class LinearMap:
         return self.matrix.rows
 
     @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The nonzero (row, value) entries of each column, in row order."""
+    def _columns(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
+        """The nonzero (row, value) entries of each column, in row order, values in their internal form."""
         entries = self.matrix.entries
         return tuple(
-            tuple((r, row[j]) for r, row in enumerate(entries) if row[j]) for j in range(self.matrix.cols)
+            tuple((r, _exact(row[j])) for r, row in enumerate(entries) if row[j]) for j in range(self.matrix.cols)
         )
 
     @classmethod
@@ -418,24 +450,24 @@ class LinearMap:
         cols = []
         for c in columns:
             entries = _entries(c, codomain_dim)
-            cols.append(tuple((r, _coerce(entries[r])) for r in sorted(entries)))
+            cols.append(tuple((r, entries[r]) for r in sorted(entries)))
         grid = [[_ZERO] * len(cols) for _ in range(codomain_dim)]
         for j, col in enumerate(cols):
             for r, a in col:
-                grid[r][j] = a
+                grid[r][j] = _coerce(a)
         f = cls(Matrix(codomain_dim, len(cols), tuple(map(tuple, grid))))
         vars(f)["_columns"] = tuple(cols)  # the cached_property, already known
         return f
 
     def apply(self, v: Sequence) -> Vector:
         cols = self._columns
-        out = [_ZERO] * self.codomain_dim
+        acc: dict[int, Exact] = {}
         for j, a in _entries(v, self.domain_dim).items():
             for r, m in cols[j]:
-                out[r] += a * m
-        return tuple(out)
+                acc[r] = acc.get(r, 0) + a * m
+        return from_support(acc.items(), self.codomain_dim)
 
-    def column_entries(self, k: int) -> tuple[tuple[int, Fraction], ...]:
+    def column_entries(self, k: int) -> tuple[tuple[int, Exact], ...]:
         """The nonzero (row, value) entries of the image of the k-th domain basis vector."""
         if not 0 <= k < self.domain_dim:
             raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
@@ -456,7 +488,7 @@ class LinearMap:
 
 
 def kernel(f: LinearMap) -> Subspace:
-    rows: list[dict[int, Fraction]] = [{} for _ in range(f.codomain_dim)]
+    rows: list[dict[int, Exact]] = [{} for _ in range(f.codomain_dim)]
     for j, col in enumerate(f._columns):
         for r, a in col:
             rows[r][j] = a
@@ -472,7 +504,7 @@ def kernel(f: LinearMap) -> Subspace:
             for p, row in reduced.rows.items():
                 y = row.get(j)
                 if y:
-                    v[p] = Fraction(-y, row[p])
+                    v[p] = _ratio(-y, row[p])
             vectors.append(v)
     return Subspace.from_vectors(f.domain_dim, vectors)
 
@@ -498,7 +530,7 @@ def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tup
         else:
             # e_j reduces to -(basis row at pivot j - e_j), supported on free columns.
             a = row[j]
-            columns.append({slot[k]: Fraction(-y, a) for k, y in row.items() if k != j})
+            columns.append({slot[k]: _ratio(-y, a) for k, y in row.items() if k != j})
     proj = LinearMap.from_columns(len(free), columns)
     section = tuple(from_support(((j, Fraction(1)),), ambient_dim) for j in free)
     return proj, section

@@ -20,13 +20,13 @@ from .liealg import (
     LieAlgebra,
     NotAnIdealError,
     bracket_subspaces,
-    coordinates_in,
     derived_algebra,
     direct_sum,
     quotient_algebra,
     restrict_to_subalgebra,
 )
 from .linalg import (
+    Exact,
     LinalgError,
     LinearMap,
     Subspace,
@@ -94,10 +94,10 @@ class ActionData:
         return self.table[i][j]
 
     @cached_property
-    def _supports(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+    def _supports(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
         return tuple(tuple(tuple(support(v)) for v in row) for row in self.table)
 
-    def act_entries(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+    def act_entries(self, i: int, j: int) -> tuple[tuple[int, Exact], ...]:
         """The nonzero (k, c) entries of act_basis(i, j)."""
         return self._supports[i][j]
 
@@ -152,10 +152,9 @@ class Pair:
         return combine(n, self.ideal.space.basis, self.left_dim)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
-        coords = coordinates_in(self.ideal.space, v)
-        if coords is None:
+        if not self.ideal.space.contains(v):
             raise LinalgError("vector is not in the ideal")
-        return coords
+        return self.ideal.space.coordinates(v)
 
 
 def _leaves_span(i: int, v: Vector) -> NotAnIdealError:
@@ -174,21 +173,26 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
     """Pair with the inner actions; raises when the span is not an ideal.
 
     Each [l_i, n_a] is computed once, in the order is_ideal tests it: l_i acts
-    on n_a by it, in ideal coordinates, and n_a acts on l_i by its negative.
+    on n_a by it, in ideal coordinates (its entries at the ideal's pivots),
+    and n_a acts on l_i by its negative.
     """
     ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
+    space = ideal.space
     p, q = algebra.dim, ideal.dim
+    ideal_supports = [support(n) for n in space.basis]
     on_ideal = [[None] * q for _ in range(p)]
     on_algebra = [[None] * p for _ in range(q)]
     for i in range(p):
-        for a, n in enumerate(ideal.space.basis):
-            w = algebra.bracket_sparse(((i, 1),), support(n))
-            coords = coordinates_in(ideal.space, from_support(w.items(), p))
-            if coords is None:
+        for a, n in enumerate(space.basis):
+            w = algebra.bracket_sparse(((i, 1),), ideal_supports[a])
+            if not space.contains(w):
                 raise _leaves_span(i, n)
-            on_ideal[i][a] = coords
+            on_ideal[i][a] = space.coordinates(w)
             on_algebra[a][i] = from_support(((k, -x) for k, x in w.items()), p)
-    return Pair(algebra, ideal, ActionData.from_rows(p, q, on_ideal), ActionData.from_rows(q, p, on_algebra))
+    # the action values are Fraction vectors already, so they skip from_rows' coercion
+    act_on_ideal = ActionData(p, q, tuple(map(tuple, on_ideal)))
+    act_on_algebra = ActionData(q, p, tuple(map(tuple, on_algebra)))
+    return Pair(algebra, ideal, act_on_ideal, act_on_algebra)
 
 
 def pair_full(algebra: LieAlgebra) -> Pair:

@@ -56,6 +56,7 @@ from .liealg import (
     quotient_brackets,
 )
 from .linalg import (
+    Exact,
     LinalgError,
     LinearMap,
     Subspace,
@@ -96,13 +97,13 @@ class SymbolSpace:
             raise LinalgError("symbol index out of range")
         return divmod(k, self.right_dim)
 
-    def expand_entries(self, x: Sequence, n: Sequence) -> dict[int, Fraction]:
+    def expand_entries(self, x: Sequence, n: Sequence) -> dict[int, Exact]:
         """Bilinear expansion of x (x) n into symbol coordinates, as {symbol: coefficient}."""
         x = as_vector(x)
         n = as_vector(n)
         if len(x) != self.left_dim or len(n) != self.right_dim:
             raise LinalgError("expansion argument of wrong length")
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Exact] = {}
         _add_expansion(acc, support(x), support(n), self.right_dim)
         return acc
 
@@ -122,16 +123,16 @@ def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Support, ...],
     return tuple(left), tuple(right)
 
 
-def _collapse(coeffs: Support, table: Sequence[Support]) -> list[tuple[int, Fraction]]:
+def _collapse(coeffs: Support, table: Sequence[Support]) -> list[tuple[int, Exact]]:
     """The nonzero entries of sum c * table[k] over the (k, c) in coeffs."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Exact] = {}
     for k, c in coeffs:
         for m, x in table[k]:
             acc[m] = acc.get(m, 0) + c * x
     return [(m, x) for m, x in acc.items() if x != 0]
 
 
-def _add_expansion(acc: dict[int, Fraction], x: Support, n: Support, q: int, c=1) -> None:
+def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int, c=1) -> None:
     """acc += c * (x (x) n) in symbol coordinates, for sparse x over L and n over N."""
     for i, xi in x:
         cx = c * xi
@@ -140,9 +141,19 @@ def _add_expansion(acc: dict[int, Fraction], x: Support, n: Support, q: int, c=1
             acc[k] = acc.get(k, 0) + cx * na
 
 
-def _keep_nonzero(gens: dict, acc: dict[int, Fraction]) -> None:
+def _add_slot(acc: dict[int, Exact], entries: Support, start: int, step: int, sign: int = 1) -> None:
+    """acc[start + step * k] += sign * c over the (k, c) in entries.
+
+    This is acc += sign * (x (x) n) when one slot is a basis vector: x (x) n_a
+    is start = a, step = q, and l_i (x) n is start = i * q, step = 1."""
+    for k, c in entries:
+        s = start + step * k
+        acc[s] = acc.get(s, 0) + sign * c
+
+
+def _keep_nonzero(gens: dict, acc: dict[int, Exact]) -> None:
     """Record an accumulated generator by its sorted support, once, unless it vanishes."""
-    key = tuple(sorted((k, a) for k, a in acc.items() if a != 0))
+    key = tuple(sorted((k, a) for k, a in acc.items() if a))
     if key:
         gens[key] = None
 
@@ -165,7 +176,7 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     if len(u) != sym.dim or len(v) != sym.dim:
         raise LinalgError("bracket argument of wrong length")
     left, right = _collapse_tables(pair, sym)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Exact] = {}
     _add_expansion(acc, _collapse(support(u), left), _collapse(support(v), right), sym.right_dim, -1)
     return from_support(acc.items(), sym.dim)
 
@@ -181,10 +192,10 @@ def relation_seed(pair: Pair) -> Subspace:
         for j in range(i + 1, p):
             bracket = pair.algebra.bracket_entries(i, j)
             for a in range(q):
-                acc: dict[int, Fraction] = {}
-                _add_expansion(acc, bracket, ((a, 1),), q)
-                _add_expansion(acc, ((i, 1),), right[j * q + a], q, -1)
-                _add_expansion(acc, ((j, 1),), right[i * q + a], q)
+                acc: dict[int, Exact] = {}
+                _add_slot(acc, bracket, a, q)
+                _add_slot(acc, right[j * q + a], i * q, 1, -1)
+                _add_slot(acc, right[i * q + a], j * q, 1)
                 _keep_nonzero(out, acc)
     # l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
     n_alg = pair.ideal_algebra
@@ -192,9 +203,9 @@ def relation_seed(pair: Pair) -> Subspace:
         for a in range(q):
             for b in range(a + 1, q):
                 acc = {}
-                _add_expansion(acc, ((i, 1),), n_alg.bracket_entries(a, b), q)
-                _add_expansion(acc, left[i * q + b], ((a, 1),), q, -1)
-                _add_expansion(acc, left[i * q + a], ((b, 1),), q)
+                _add_slot(acc, n_alg.bracket_entries(a, b), i * q, 1)
+                _add_slot(acc, left[i * q + b], a, q, -1)
+                _add_slot(acc, left[i * q + a], b, q)
                 _keep_nonzero(out, acc)
     return _span(out, sym.dim)
 
@@ -266,8 +277,8 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     rc = [_collapse(section.column_entries(t), right) for t in range(t_dim)]
     proj_cols = [proj.column_entries(k) for k in range(sym.dim)]
 
-    def bracket(i: int, j: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def bracket(i: int, j: int) -> dict[int, Exact]:
+        out: dict[int, Exact] = {}
         for a, x in lc[i]:
             for b, y in rc[j]:
                 c = -x * y
@@ -283,7 +294,8 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
                 w = v if i == j else bracket(j, i)
                 if v != {t: -x for t, x in w.items()}:
                     k = min(t for t in v.keys() | w.keys() if v.get(t, 0) + w.get(t, 0))
-                    raise StructureError(StructureViolation("antisymmetry", (i, j, k), v.get(k, 0) + w.get(k, 0)))
+                    residual = Fraction(v.get(k, 0) + w.get(k, 0))
+                    raise StructureError(StructureViolation("antisymmetry", (i, j, k), residual))
                 if i < j and v:
                     brackets[(i, j)] = from_support(v.items(), t_dim)
         algebra = LieAlgebra.make(t_dim, tuple(f"t{k}" for k in range(t_dim)), brackets)
@@ -303,7 +315,7 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     q = pair.right_dim
     ambient = [support(pair.ideal_basis_vector(a)) for a in range(q)]
 
-    def add_square(acc: dict[int, Fraction], a: int, b: int) -> None:
+    def add_square(acc: dict[int, Exact], a: int, b: int) -> None:
         # acc += proj(n_a (x) n_b), read off the projection's columns
         for i, x in ambient[a]:
             for t, v in proj.column_entries(i * q + b):
@@ -311,7 +323,7 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
 
     gens = []
     for a in range(q):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Exact] = {}
         add_square(acc, a, a)
         gens.append(acc)
     for a in range(q):

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, and the dimension cap."""
 
+import argparse
 import builtins
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import tensoralg.catalog
+import tensoralg.cli
 import tensoralg.tensor
+import tensoralg.verify
 from tensoralg.cli import main
 from tensoralg.linalg import Subspace
 
@@ -316,6 +319,43 @@ def test_missing_command_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_two_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tensoralg.cli._build_parser.cache_clear()
+    assert run(capsys, "validate", "builtin:heisenberg(1)")[0] == 0
+    assert built[0] == "tensoralg"
+    first = len(built)
+    assert run(capsys, "validate", "builtin:abelian(2)")[0] == 0
+    assert len(built) == first
+    # usage errors and --help read the same on a shared parser
+    for argv in (["--help"], ["tensor"], ["verify", "--bogus", "x"]):
+        assert run(capsys, *argv) == run(capsys, *argv)
+    assert len(built) == first
+
+
+def test_tensor_command_reads_one_derivation(monkeypatch, capsys):
+    built = Counter()
+    for name in ("construct_tensor", "kappa_maps"):
+        original = getattr(tensoralg.verify, name)
+
+        def counting(*args, name=name, original=original):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(tensoralg.verify, name, counting)
+    code, out, err = run(capsys, "tensor", "builtin:pair_full(heisenberg(1))")
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "tensor_pair_full_heisenberg1.txt").read_bytes()
+    assert built == {"construct_tensor": 1, "kappa_maps": 1}
 
 
 def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):

@@ -326,6 +326,14 @@ def test_sparse_elimination_matches_dense_reference(case):
     meet = span_intersect(space, b)
     assert meet.basis == dense_span_intersect(cols, space.basis, b.basis)
     assert span_sum(space, b).basis == dense_span(cols, space.basis + b.basis)
-    for v in other:
-        assert space.contains(v) == (dense_span(cols, space.basis + (v,)) == space.basis)
-    assert all(isinstance(a, Fraction) for v in space.basis + ker.basis + meet.basis + section for a in v)
+    coordinates = []
+    for v in other + rows:
+        inside = space.contains(v)
+        assert inside == (dense_span(cols, space.basis + (v,)) == space.basis)
+        if inside:
+            coords = space.coordinates(v)
+            assert combine(coords, space.basis, cols) == v
+            assert space.coordinates({k: a for k, a in enumerate(v) if a}) == coords
+            coordinates.append(coords)
+    public = space.basis + ker.basis + meet.basis + section + tuple(coordinates)
+    assert all(isinstance(a, Fraction) for v in public for a in v)

@@ -126,7 +126,11 @@ def validate_structure(dim: int, table: Sequence[Sequence[Sequence]]) -> Structu
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """A Lie algebra with brackets stored for basis pairs i < j only."""
+    """A Lie algebra with brackets stored for basis pairs i < j only.
+
+    The algebra is immutable, so what is derived from it alone is built once
+    per object and shared: the sparse bracket table and [L, L].
+    """
 
     dim: int
     basis_names: tuple[str, ...]
@@ -173,6 +177,12 @@ class LieAlgebra:
     @cached_property
     def _ad(self) -> SupportTable:
         return _support_table(self.dim, self.brackets)
+
+    @cached_property
+    def derived_algebra(self) -> "AlgebraSubspace":
+        """[L, L] as a subspace of L."""
+        full = AlgebraSubspace.full(self)
+        return bracket_subspaces(self, full, full)
 
     def bracket_entries(self, i: int, j: int) -> tuple[tuple[int, Exact], ...]:
         """The nonzero (k, c) entries of [e_i, e_j]."""
@@ -355,9 +365,8 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 def derived_algebra(a: LieAlgebra) -> AlgebraSubspace:
-    """[L, L] as a subspace of L."""
-    full = AlgebraSubspace.full(a)
-    return bracket_subspaces(a, full, full)
+    """[L, L] as a subspace of L, built once per algebra."""
+    return a.derived_algebra
 
 
 def abelianization(a: LieAlgebra) -> tuple[LieAlgebra, AlgebraHom]:

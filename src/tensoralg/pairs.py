@@ -113,7 +113,12 @@ class ActionData:
 
 @dataclass(frozen=True)
 class Pair:
-    """A Lie algebra L, an ideal N in RREF coordinates, and the two actions."""
+    """A Lie algebra L, an ideal N in RREF coordinates, and the two actions.
+
+    The pair is immutable, so what is derived from it alone is built once per
+    object and shared: the ideal's own algebra and [N, L] in both coordinate
+    systems.
+    """
 
     algebra: LieAlgebra
     ideal: AlgebraSubspace
@@ -141,6 +146,17 @@ class Pair:
     def ideal_algebra(self) -> LieAlgebra:
         """N with its inherited bracket, in ideal coordinates."""
         return restrict_to_subalgebra(self.algebra, self.ideal)
+
+    @cached_property
+    def relative_commutator(self) -> AlgebraSubspace:
+        """[N, L] as a subspace of L."""
+        return bracket_subspaces(self.algebra, self.ideal, AlgebraSubspace.full(self.algebra))
+
+    @cached_property
+    def relative_commutator_in_ideal(self) -> Subspace:
+        """[N, L] in the ideal's own coordinates."""
+        comm = self.relative_commutator
+        return Subspace.from_vectors(self.right_dim, [self.ambient_to_ideal(v) for v in comm.basis()])
 
     def ideal_basis_vector(self, a: int) -> Vector:
         return self.ideal.space.basis[a]
@@ -289,8 +305,8 @@ class QuotientPair:
 
 
 def relative_commutator(pair: Pair) -> AlgebraSubspace:
-    """[N, L] as a subspace of L."""
-    return bracket_subspaces(pair.algebra, pair.ideal, AlgebraSubspace.full(pair.algebra))
+    """[N, L] as a subspace of L, built once per pair."""
+    return pair.relative_commutator
 
 
 def quotient_pair(pair: Pair) -> QuotientPair:
@@ -309,9 +325,8 @@ def quotient_pair(pair: Pair) -> QuotientPair:
 
 
 def relative_commutator_in_ideal(pair: Pair) -> Subspace:
-    """[N, L] expressed in the ideal's own coordinates."""
-    comm = relative_commutator(pair)
-    return Subspace.from_vectors(pair.right_dim, [pair.ambient_to_ideal(v) for v in comm.basis()])
+    """[N, L] expressed in the ideal's own coordinates, built once per pair."""
+    return pair.relative_commutator_in_ideal
 
 
 def relative_abelianization_dim(pair: Pair) -> int:

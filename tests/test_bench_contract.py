@@ -50,7 +50,15 @@ def _snapshot() -> dict:
 
 @pytest.mark.parametrize(
     "workload, constructions",
-    [("tensor-wide", 1), ("closure-deep", 1), ("verify-catalog", 2), ("kunneth-sums", 6)],
+    [
+        ("tensor-wide", 1),
+        ("closure-deep", 1),
+        ("verify-catalog", 2),
+        # One per distinct pair: a full summand is its algebra's square, and
+        # the sum of two full pairs is the square of the sum.  In item order:
+        # r2|r2, r2|a1, r2|centre, a1|r2, a1|a1, a1|centre, centre|r2, centre|a1.
+        pytest.param("kunneth-sums", (2, 3, 5, 3, 2, 5, 5, 5), id="kunneth-sums-per-item"),
+    ],
 )
 def test_tracer_round_trip_and_cli_pass(workload, constructions, tmp_path):
     pins = workloads.load_pins()
@@ -80,7 +88,8 @@ def test_tracer_round_trip_and_cli_pass(workload, constructions, tmp_path):
     for name, _, _, _, item, _ in tracer.spans:
         if name == "tensor.construct_tensor":
             per_item[item] = per_item.get(item, 0) + 1
-    assert per_item == {item.name: constructions for item in items}
+    counts = constructions if isinstance(constructions, tuple) else (constructions,) * len(items)
+    assert per_item == {item.name: n for item, n in zip(items, counts, strict=True)}
     # Row reduction still runs through the traced names, so the per-layer
     # linalg metrics of every workload measure it.
     reductions = [sizes for name, _, _, _, _, sizes in tracer.spans if name == "linalg.Subspace.from_vectors"]

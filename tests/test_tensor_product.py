@@ -13,10 +13,12 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
+
 import tensoralg.tensor
 from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
-from tensoralg.liealg import LieAlgebra, StructureError, center, derived_algebra, direct_sum, validate_structure
-from tensoralg.linalg import Matrix, Subspace, combine, is_zero, kernel, quotient_with_section, rref, vadd, vscale
+from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
+from tensoralg.linalg import Subspace, combine, is_zero, kernel, quotient_with_section, vadd, vscale
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
@@ -38,13 +40,6 @@ def nonabelian2():
 
 def heisenberg1():
     return LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
-
-
-def sl2():
-    # [e, f] = h, [h, e] = 2e, [h, f] = -2f
-    return LieAlgebra.make(
-        3, ("e", "f", "h"), {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}
-    )
 
 
 def full_pair(algebra):
@@ -402,32 +397,10 @@ def _dense_closure(pair, seed):
         relations = Subspace.from_vectors(sym.dim, list(relations.basis) + fresh)
 
 
-def _inverse(columns):
-    """The inverse of the square matrix with the given columns, as a Matrix."""
-    n = len(columns)
-    rows = [tuple(columns[k][r] for k in range(n)) + tuple(int(r == c) for c in range(n)) for r in range(n)]
-    reduced, pivots = rref(Matrix.from_rows(rows))
-    assert pivots == tuple(range(n)), "change of basis is not invertible"
-    return Matrix.from_rows([row[n:] for row in reduced.entries])
-
-
-def _rebased(pair, columns):
-    """The same pair in the algebra basis whose k-th vector is columns[k] in the old basis."""
-    a = pair.algebra
-    to_new = _inverse(columns).apply
-    brackets = {
-        (i, j): to_new(a.bracket_vectors(columns[i], columns[j]))
-        for i in range(a.dim)
-        for j in range(i + 1, a.dim)
-    }
-    algebra = LieAlgebra.make(a.dim, a.basis_names, brackets)
-    return make_pair(algebra, [to_new(v) for v in pair.ideal.space.basis])
-
-
 def _permuted(pair, rng):
     perm = list(range(pair.left_dim))
     rng.shuffle(perm)
-    return _rebased(pair, [pair.algebra.basis_vector(k) for k in perm])
+    return rebased(pair, [pair.algebra.basis_vector(k) for k in perm])
 
 
 DIFFERENTIAL_PAIRS = {
@@ -457,47 +430,10 @@ DIFFERENTIAL_PAIRS = {
 }
 
 
-# More algebras, each with its full, derived and centre ideals
-IDEAL_ALGEBRAS = {
-    "n4": LieAlgebra.make(4, ("x1", "x2", "x3", "x4"), {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)}),
-    "n5": LieAlgebra.make(
-        5, ("x1", "x2", "x3", "x4", "x5"),
-        {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0), (0, 3): (0, 0, 0, 0, 1)},
-    ),
-    # basis e11, e12, e21, e22
-    "gl2": LieAlgebra.make(
-        4, ("a", "b", "c", "d"),
-        {(0, 1): (0, 1, 0, 0), (0, 2): (0, 0, -1, 0), (1, 2): (1, 0, 0, -1), (1, 3): (0, 1, 0, 0),
-         (2, 3): (0, 0, -1, 0)},
-    ),
-    "r3(1/2)": LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 1, 0), (0, 2): (0, 0, Fraction(1, 2))}),
-    "so3": LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
-    # sl2 acting on Q^2 = span(u, v): e.v = u, f.u = v, h.u = u, h.v = -v
-    "sl2+Q2": LieAlgebra.make(
-        5, ("e", "f", "h", "u", "v"),
-        {(0, 1): (0, 0, 1, 0, 0), (0, 2): (-2, 0, 0, 0, 0), (1, 2): (0, 2, 0, 0, 0),
-         (0, 4): (0, 0, 0, 1, 0), (1, 3): (0, 0, 0, 0, 1), (2, 3): (0, 0, 0, 1, 0), (2, 4): (0, 0, 0, 0, -1)},
-    ),
-}
-
-
-def _ideals(algebra):
-    """The full, derived and centre ideals that are nonzero, each space once."""
-    out = {}
-    for kind, space in (
-        ("full", Subspace.full(algebra.dim)),
-        ("derived", derived_algebra(algebra).space),
-        ("centre", center(algebra).space),
-    ):
-        if space.dim and space not in out.values():
-            out[kind] = space
-    return out
-
-
 DIFFERENTIAL_PAIRS.update(
     (f"{kind}({name})", partial(make_pair, algebra, space.basis))
     for name, algebra in IDEAL_ALGEBRAS.items()
-    for kind, space in _ideals(algebra).items()
+    for kind, space in ideals(algebra).items()
 )
 
 # Zero actions pass both action axioms and both compatibility equations on any
@@ -555,4 +491,4 @@ def test_derived_dimensions_invariant_under_rational_change_of_basis(name, entri
     algebra, dims = INVARIANCE_ALGEBRAS[name]
     columns = [tuple(entries[3 * k : 3 * k + 3]) for k in range(3)]
     assume(Subspace.from_vectors(3, columns).dim == 3)
-    assert _derived_dims(_rebased(pair_full(algebra), columns)) == dims
+    assert _derived_dims(rebased(pair_full(algebra), columns)) == dims

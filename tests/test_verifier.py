@@ -326,6 +326,19 @@ def test_broken_subspace_gives_the_pinned_witness(name, zero, witnesses, monkeyp
     assert failed == witnesses
 
 
+def test_splitting_fails_on_a_short_span(monkeypatch):
+    # Without the complement representatives (x) ideal symbols the kept
+    # candidates stop short of the tensor.  The complement never meets the
+    # diagonal, so only the span, the size and the ideal test can fail.
+    real = tensoralg.verify.quotient_with_section
+    monkeypatch.setattr(tensoralg.verify, "quotient_with_section", lambda n, space: (real(n, space)[0], []))
+    pair = resolve_selector("builtin:pair_direct_sum(pair_center(heisenberg(1)),pair_full(abelian(1)))")
+    record = verify_splitting(pair, "z+a1")
+    assert record.failed_assertion
+    assert record.dims == {"tensor": 6, "diagonal": 2, "complement": 0, "exterior": 4}
+    assert record.witness == "diagonal 2 + complement 0 spans 2 of 6"
+
+
 def test_verify_kunneth_derives_each_pair_once(monkeypatch):
     calls = {"construct_tensor": 0, "quotient_algebra": 0}
     real_construct = tensoralg.verify.construct_tensor
@@ -341,7 +354,20 @@ def test_verify_kunneth_derives_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(tensoralg.verify, "construct_tensor", construct)
     monkeypatch.setattr(tensoralg.liealg, "quotient_algebra", quotient)
-    verify_kunneth(full_pair(heisenberg1()), central_pair(), "h1", "h1-centre")
-    # the squares of both algebras and of their sum, then both pairs and their
-    # sum; abelianizations are read as dim L - dim [L, L], with no quotient built
-    assert calls == {"construct_tensor": 6, "quotient_algebra": 0}
+    # One tensor per distinct pair among the squares of both algebras and of
+    # their sum, and both pairs and their sum; abelianizations are read as
+    # dim L - dim [L, L], with no quotient built.
+    for pair_a, pair_b, constructions in (
+        # both algebras are h1, so the two squares are one pair, and the full
+        # summand is that square too: pair_full(h1), pair_full(h1+h1), the
+        # centre pair and the sum of the pairs
+        (full_pair(heisenberg1()), central_pair(), 4),
+        # two full pairs are the squares of their algebras, and their sum is
+        # the square of the sum
+        (full_pair(nonabelian2()), full_pair(heisenberg1()), 3),
+        # the same full pair twice: its square and the square of its double
+        (full_pair(nonabelian2()), full_pair(nonabelian2()), 2),
+    ):
+        calls.update(construct_tensor=0, quotient_algebra=0)
+        verify_kunneth(pair_a, pair_b, "left", "right")
+        assert calls == {"construct_tensor": constructions, "quotient_algebra": 0}

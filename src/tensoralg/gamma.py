@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import LinearMap, Subspace, Vector, quotient_with_section, vadd, vscale
+from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_with_section, support
 from .pairs import Pair, relative_commutator_in_ideal
 from .tensor import NonabelianTensor
 
@@ -56,21 +56,20 @@ class GammaSpace:
         return self.pairs.index((a, b))
 
 
+def _ideal_class(tensor: NonabelianTensor, products: Sequence[tuple[Support, Support]]) -> dict[int, Exact]:
+    """The entries of the class of the sum of x (x) y over pairs of ideal vectors, given as supports."""
+    inclusion = tensor.pair.inclusion
+    return tensor.class_entries((inclusion.apply_entries(dict(x)).items(), y) for x, y in products)
+
+
 def sigma(tensor: NonabelianTensor, x: Sequence, y: Sequence) -> Vector:
     """Class of x (x) y + y (x) x for two ideal vectors, in tensor coordinates.
 
     Both arguments are given in ideal coordinates.
     """
-    pair = tensor.pair
-    return vadd(
-        tensor.tensor_of(pair.ideal_vector_to_ambient(x), y),
-        tensor.tensor_of(pair.ideal_vector_to_ambient(y), x),
-    )
-
-
-def _square_class(tensor: NonabelianTensor, n: Sequence) -> Vector:
-    """Class of n (x) n for an ideal vector n."""
-    return tensor.tensor_of(tensor.pair.ideal_vector_to_ambient(n), n)
+    q = tensor.pair.right_dim
+    xs, ys = _entries(x, q).items(), _entries(y, q).items()
+    return from_support(_ideal_class(tensor, [(xs, ys), (ys, xs)]).items(), tensor.dim)
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,10 @@ def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace | None = Non
         raise ValueError("tensor was built from a different pair")
     if gamma is None:
         gamma = GammaSpace.from_pair(pair)
-    reps = gamma.reps
+    reps = [support(r) for r in gamma.reps]
     columns = [
-        _square_class(tensor, reps[a]) if a == b else sigma(tensor, reps[a], reps[b]) for a, b in gamma.pairs
+        _ideal_class(tensor, [(reps[a], reps[b])] if a == b else [(reps[a], reps[b]), (reps[b], reps[a])])
+        for a, b in gamma.pairs
     ]
     return LinearMap.from_columns(tensor.dim, columns)
 
@@ -105,12 +105,13 @@ def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
     image = psi_map(pair, tensor, gamma).image()
     comm = relative_commutator_in_ideal(pair)
     for k, rep in enumerate(gamma.reps):
-        base = _square_class(tensor, rep)
+        r = support(rep)
         for m in comm.basis:
-            shifted = _square_class(tensor, vadd(rep, m))
-            residual = vadd(shifted, vscale(-1, base))
+            # (r + m) (x) (r + m) - r (x) r, expanded bilinearly
+            ms = support(m)
+            residual = _ideal_class(tensor, [(r, ms), (ms, r), (ms, ms)])
             if not image.contains(residual):
-                return PsiDefect(k, m, residual)
+                return PsiDefect(k, m, from_support(residual.items(), tensor.dim))
     return None
 
 

@@ -18,13 +18,14 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
+    Entries,
     Exact,
     LinalgError,
     LinearMap,
-    Matrix,
     Subspace,
     Support,
     Vector,
+    _entries,
     as_vector,
     from_support,
     is_zero,
@@ -34,8 +35,8 @@ from .linalg import (
     zero_vector,
 )
 
-# ad[i] maps each j with [e_i, e_j] != 0 to the support of [e_i, e_j], values as support() gives them.
-SupportTable = tuple[dict[int, tuple[tuple[int, Exact], ...]], ...]
+# ad[i] maps each j with [e_i, e_j] != 0 to the entries of [e_i, e_j].
+SupportTable = tuple[dict[int, Entries], ...]
 
 
 class StructureError(ValueError):
@@ -66,11 +67,10 @@ class StructureViolation:
         return f"{self.kind} violation at {self.indices}, residual {self.residual}"
 
 
-def _support_table(dim: int, brackets: Iterable[tuple[tuple[int, int], Vector]]) -> SupportTable:
-    """The support adjacency of the brackets given for pairs i < j; zero brackets are left out."""
+def _support_table(dim: int, brackets: Iterable[tuple[tuple[int, int], Entries]]) -> SupportTable:
+    """The support adjacency of the bracket supports given for pairs i < j; zero brackets are left out."""
     ad: SupportTable = tuple({} for _ in range(dim))
-    for (i, j), v in brackets:
-        entries = tuple(support(v))
+    for (i, j), entries in brackets:
         if entries:
             ad[i][j] = entries
             ad[j][i] = tuple((k, -c) for k, c in entries)
@@ -120,7 +120,7 @@ def validate_structure(dim: int, table: Sequence[Sequence[Sequence]]) -> Structu
                 residual = c[i][j][k] + c[j][i][k]
                 if residual != 0:
                     return StructureViolation("antisymmetry", (i, j, k), residual)
-    upper = (((i, j), c[i][j]) for i in range(dim) for j in range(i + 1, dim))
+    upper = (((i, j), tuple(support(c[i][j]))) for i in range(dim) for j in range(i + 1, dim))
     return _jacobi_violation(dim, _support_table(dim, upper))
 
 
@@ -156,14 +156,19 @@ class LieAlgebra:
                 raise LinalgError("zero bracket entries must be omitted")
 
     @classmethod
-    def make(cls, dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Iterable]) -> "LieAlgebra":
-        """Build from an i < j bracket mapping and verify the Jacobi identity."""
-        entries = []
+    def make(cls, dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Sequence]) -> "LieAlgebra":
+        """Build from an i < j bracket mapping and verify the Jacobi identity.
+
+        Each bracket is read once, densely or as a mapping from index to
+        scalar; zero brackets are dropped.  The sparse table is kept as read.
+        """
+        supports = []
         for (i, j) in sorted(brackets):
-            v = as_vector(brackets[(i, j)])
-            if not is_zero(v):
-                entries.append(((i, j), v))
-        algebra = cls(dim, tuple(basis_names), tuple(entries))
+            entries = _entries(brackets[(i, j)], dim)
+            if entries:
+                supports.append(((i, j), tuple(sorted(entries.items()))))
+        algebra = cls(dim, tuple(basis_names), tuple((ij, from_support(e, dim)) for ij, e in supports))
+        vars(algebra)["_ad"] = _support_table(dim, supports)  # the cached_property, already known
         violation = algebra.jacobi_violation()
         if violation is not None:
             raise StructureError(violation)
@@ -176,7 +181,7 @@ class LieAlgebra:
 
     @cached_property
     def _ad(self) -> SupportTable:
-        return _support_table(self.dim, self.brackets)
+        return _support_table(self.dim, ((ij, tuple(support(v))) for ij, v in self.brackets))
 
     @cached_property
     def derived_algebra(self) -> "AlgebraSubspace":
@@ -184,7 +189,7 @@ class LieAlgebra:
         full = AlgebraSubspace.full(self)
         return bracket_subspaces(self, full, full)
 
-    def bracket_entries(self, i: int, j: int) -> tuple[tuple[int, Exact], ...]:
+    def bracket_entries(self, i: int, j: int) -> Entries:
         """The nonzero (k, c) entries of [e_i, e_j]."""
         return self._ad[i].get(j, ())
 
@@ -211,11 +216,8 @@ class LieAlgebra:
 
     def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] by bilinear expansion over the nonzero basis brackets."""
-        x = as_vector(x)
-        y = as_vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise LinalgError("vector does not match algebra dimension")
-        return from_support(self.bracket_sparse(support(x), support(y)).items(), self.dim)
+        xs, ys = _entries(x, self.dim), _entries(y, self.dim)
+        return from_support(self.bracket_sparse(xs.items(), ys.items()).items(), self.dim)
 
     def jacobi_violation(self) -> StructureViolation | None:
         return _jacobi_violation(self.dim, self._ad)
@@ -279,12 +281,11 @@ class AlgebraHom:
     def __post_init__(self):
         if self.map.domain_dim != self.source.dim or self.map.codomain_dim != self.target.dim:
             raise LinalgError("homomorphism matrix has wrong shape")
-        images = [self.map.apply(self.source.basis_vector(i)) for i in range(self.source.dim)]
+        images = [self.map.column_entries(i) for i in range(self.source.dim)]
         for i in range(self.source.dim):
             for j in range(i + 1, self.source.dim):
-                lhs = self.map.apply(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket_vectors(images[i], images[j])
-                if lhs != rhs:
+                lhs = self.map.apply_entries(dict(self.source.bracket_entries(i, j)))
+                if lhs != self.target.bracket_sparse(images[i], images[j]):
                     raise LinalgError(f"map does not respect the bracket of basis pair ({i}, {j})")
 
     def apply(self, v: Sequence) -> Vector:
@@ -310,28 +311,29 @@ def center(a: LieAlgebra) -> AlgebraSubspace:
     """Kernel of v |-> ([v, b_0], ..., [v, b_{p-1}]) stacked into one map.
 
     Block j is the matrix of v |-> [v, b_j]; its row k holds the coefficients
-    of b_k in [b_i, b_j] over i.  Rows that are zero are left out, which does
-    not change the kernel.
+    of b_k in [b_i, b_j] over i, so column i is read off the support table.
+    Rows that are zero are left out, which does not change the kernel.
     """
-    rows: dict[tuple[int, int], list] = {}
-    for i in range(a.dim):
-        for j, entries in a._ad[i].items():
-            for k, c in entries:
-                rows.setdefault((j, k), [Fraction(0)] * a.dim)[i] = c
-    matrix = Matrix(len(rows), a.dim, tuple(tuple(rows[key]) for key in sorted(rows)))
-    return AlgebraSubspace(a, kernel(LinearMap(matrix)))
+    row_of: dict[tuple[int, int], int] = {}
+    columns = [
+        {row_of.setdefault((j, k), len(row_of)): c for j, entries in a._ad[i].items() for k, c in entries}
+        for i in range(a.dim)
+    ]
+    return AlgebraSubspace(a, kernel(LinearMap.from_columns(len(row_of), columns)))
 
 
-def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: Sequence[Vector]) -> dict[tuple[int, int], Vector]:
-    """The nonzero brackets of a quotient algebra: proj([section[i], section[j]]) for i < j."""
+def quotient_brackets(
+    a: LieAlgebra, proj: LinearMap, section: Sequence[Vector]
+) -> dict[tuple[int, int], dict[int, Exact]]:
+    """The nonzero brackets of a quotient algebra, proj([section[i], section[j]]) for i < j, as their entries."""
     sections = [support(r) for r in section]
     brackets = {}
     for i, si in enumerate(sections):
         for j in range(i + 1, len(sections)):
             w = a.bracket_sparse(si, sections[j])
             if w:
-                v = proj.apply(w)
-                if not is_zero(v):
+                v = proj.apply_entries(w)
+                if v:
                     brackets[(i, j)] = v
     return brackets
 
@@ -387,6 +389,6 @@ def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
             if not space.contains(w):
                 raise NotAnIdealError("subspace is not closed under the bracket", witness=(i, j))
             if w:
-                brackets[(i, j)] = space.coordinates(w)
+                brackets[(i, j)] = space.coordinate_entries(w)
     names = tuple(f"n{k}" for k in range(q))
     return LieAlgebra.make(q, names, brackets)

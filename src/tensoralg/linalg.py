@@ -1,12 +1,16 @@
 """Exact linear algebra over the rational field.
 
-At the public edge vectors are tuples of ``Fraction`` and a ``Matrix`` is a
-dense grid of them.  Inside, every sparse table (a support, the column
-supports of a map, the vectors the entry points read) holds a scalar as an
-``int`` when it is integral and as a ``Fraction`` only when it has a
-denominator (``_exact`` normalises), so the sparse loops of every layer do
-integer arithmetic wherever the input is integral.  :func:`from_support` and
-every public vector turn the values back into ``Fraction``.
+Inside the package every vector is sparse: a support, the (index, value)
+pairs of its nonzero entries, or a mapping from index to value.  A scalar in
+such a table is an ``int`` when it is integral and a ``Fraction`` only when it
+has a denominator (``_exact`` normalises), so the sparse loops of every layer
+do integer arithmetic wherever the input is integral.  Dense tuples of
+``Fraction`` and the ``Matrix`` grid appear only at the public edge: the
+values the library returns (through :func:`from_support`) and the input it
+reads.  :func:`_entries` is the one point where input is read: every entry
+point that takes a vector takes it densely, as a sequence of scalars, or
+sparsely, as a mapping from index to scalar, and ``*_entries`` methods return
+their results sparsely.
 
 Row reduction has one internal representation: sparse primitive integer rows
 ``{column: int}``, with gcd 1 and a positive leading entry, held in
@@ -15,11 +19,12 @@ Bareiss, Math. Comp. 22, 1968).  A subspace is stored through the reduced
 row-echelon basis of its span, so two subspaces are equal as sets exactly
 when the stored bases compare equal.  Its ``Fraction`` basis is built once
 from the integer rows; the reduced echelon form is unique, so it is identical
-to the result of naive exact Gaussian elimination.  A linear map keeps the
-supports of its columns, so applying it touches only nonzero entries.
+to the result of naive exact Gaussian elimination.
 
-Subspace, map and kernel entry points take a vector either densely, as a
-sequence of scalars, or sparsely, as a mapping from index to scalar.
+A :class:`LinearMap` is stored as the supports of its columns and nothing
+else, so applying it touches only nonzero entries; its ``Fraction`` grid is
+built on first read of ``matrix``.  Build one with
+:meth:`LinearMap.from_columns` or, from a grid, :meth:`LinearMap.from_matrix`.
 
 All values are immutable after construction.
 """
@@ -38,6 +43,8 @@ Vector = tuple[Fraction, ...]
 Exact = int | Fraction
 # The nonzero entries of a vector as (index, value) pairs, as support() gives them.
 Support = Iterable[tuple[int, Exact]]
+# A support held as a tuple, in index order.
+Entries = tuple[tuple[int, Exact], ...]
 # A primitive integer row: its nonzero entries by column, with gcd 1.
 IntRow = dict[int, int]
 
@@ -97,17 +104,6 @@ def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise LinalgError("vector length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, v: Vector) -> Vector:
-    c = _coerce(c)
-    return tuple(c * a for a in v)
-
-
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -122,24 +118,6 @@ def from_support(entries: Support, width: int) -> Vector:
     out = [_ZERO] * width
     for k, a in entries:
         out[k] = _coerce(a)
-    return tuple(out)
-
-
-def combine(coeffs: Iterable, vectors: Iterable[Vector], width: int) -> Vector:
-    """The sum of c * v over paired coefficients and vectors, of length width.
-
-    Zero coefficients and zero entries are skipped; a vector with a nonzero
-    coefficient must have length width.
-    """
-    out = [_ZERO] * width
-    for c, v in zip(coeffs, vectors):
-        if c == 0:
-            continue
-        if len(v) != width:
-            raise LinalgError("vector length mismatch")
-        for k, a in enumerate(v):
-            if a != 0:
-                out[k] += c * a
     return tuple(out)
 
 
@@ -301,13 +279,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def apply(self, v: Sequence) -> Vector:
-        vec = as_vector(v)
-        if len(vec) != self.cols:
-            raise LinalgError(f"expected vector of length {self.cols}, got {len(vec)}")
-        nonzero = support(vec)
-        return tuple(sum((row[j] * a for j, a in nonzero), Fraction(0)) for row in self.entries)
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns.
@@ -385,12 +356,16 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))
 
-    def coordinates(self, v: Sequence) -> Vector:
-        """The coordinates in the RREF basis of a vector v of this subspace: its entries at the pivots.
+    def coordinate_entries(self, v: Sequence) -> dict[int, Exact]:
+        """The nonzero coordinates in the RREF basis of a vector v of this subspace: its entries at the pivots.
 
         Each basis vector is 1 at its own pivot and 0 at the others; v must lie in the span."""
         entries = _entries(v, self.ambient_dim)
-        return from_support(((t, entries[p]) for t, p in enumerate(self._rows) if p in entries), self.dim)
+        return {t: entries[p] for t, p in enumerate(self._rows) if p in entries}
+
+    def coordinates(self, v: Sequence) -> Vector:
+        """The coordinates of :meth:`coordinate_entries` as a vector of length dim."""
+        return from_support(self.coordinate_entries(v).items(), self.dim)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other._rows.values())
@@ -425,25 +400,28 @@ def span_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map stored as a codomain_dim x domain_dim matrix."""
+    """A linear map held by the supports of its columns.
 
-    matrix: Matrix
+    Column k lists the nonzero (row, value) entries of the image of the k-th
+    domain basis vector, in row order, values in their internal form.  Build
+    one with :meth:`from_columns` or :meth:`from_matrix`.
+    """
+
+    codomain_dim: int
+    _columns: tuple[Entries, ...]
 
     @property
     def domain_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.rows
+        return len(self._columns)
 
     @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
-        """The nonzero (row, value) entries of each column, in row order, values in their internal form."""
-        entries = self.matrix.entries
-        return tuple(
-            tuple((r, _exact(row[j])) for r, row in enumerate(entries) if row[j]) for j in range(self.matrix.cols)
-        )
+    def matrix(self) -> Matrix:
+        """The codomain_dim x domain_dim grid of Fractions."""
+        grid = [[_ZERO] * self.domain_dim for _ in range(self.codomain_dim)]
+        for j, col in enumerate(self._columns):
+            for r, a in col:
+                grid[r][j] = _coerce(a)
+        return Matrix(self.codomain_dim, self.domain_dim, tuple(map(tuple, grid)))
 
     @classmethod
     def from_columns(cls, codomain_dim: int, columns: Sequence[Sequence]) -> "LinearMap":
@@ -451,23 +429,26 @@ class LinearMap:
         for c in columns:
             entries = _entries(c, codomain_dim)
             cols.append(tuple((r, entries[r]) for r in sorted(entries)))
-        grid = [[_ZERO] * len(cols) for _ in range(codomain_dim)]
-        for j, col in enumerate(cols):
-            for r, a in col:
-                grid[r][j] = _coerce(a)
-        f = cls(Matrix(codomain_dim, len(cols), tuple(map(tuple, grid))))
-        vars(f)["_columns"] = tuple(cols)  # the cached_property, already known
-        return f
+        return cls(codomain_dim, tuple(cols))
 
-    def apply(self, v: Sequence) -> Vector:
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "LinearMap":
+        """The map whose matrix is m."""
+        return cls.from_columns(m.rows, [m.column(j) for j in range(m.cols)])
+
+    def apply_entries(self, v: Sequence) -> dict[int, Exact]:
+        """The nonzero entries of the image of v."""
         cols = self._columns
         acc: dict[int, Exact] = {}
         for j, a in _entries(v, self.domain_dim).items():
             for r, m in cols[j]:
                 acc[r] = acc.get(r, 0) + a * m
-        return from_support(acc.items(), self.codomain_dim)
+        return {r: x for r, x in acc.items() if x}
 
-    def column_entries(self, k: int) -> tuple[tuple[int, Exact], ...]:
+    def apply(self, v: Sequence) -> Vector:
+        return from_support(self.apply_entries(v).items(), self.codomain_dim)
+
+    def column_entries(self, k: int) -> Entries:
         """The nonzero (row, value) entries of the image of the k-th domain basis vector."""
         if not 0 <= k < self.domain_dim:
             raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
@@ -481,7 +462,7 @@ class LinearMap:
         """self after inner."""
         if self.domain_dim != inner.codomain_dim:
             raise LinalgError("matrix shape mismatch in product")
-        return LinearMap.from_columns(self.codomain_dim, [self.apply(dict(c)) for c in inner._columns])
+        return LinearMap.from_columns(self.codomain_dim, [self.apply_entries(dict(c)) for c in inner._columns])
 
     def image(self) -> Subspace:
         return Subspace.from_vectors(self.codomain_dim, [dict(c) for c in self._columns])

@@ -10,7 +10,6 @@ axioms and the two compatibility equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -26,19 +25,18 @@ from .liealg import (
     restrict_to_subalgebra,
 )
 from .linalg import (
+    Entries,
     Exact,
     LinalgError,
     LinearMap,
     Subspace,
+    Support,
     Vector,
+    _entries,
     as_vector,
-    combine,
     from_support,
     span_intersect,
     support,
-    vadd,
-    vscale,
-    zero_vector,
 )
 
 
@@ -94,21 +92,28 @@ class ActionData:
         return self.table[i][j]
 
     @cached_property
-    def _supports(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
+    def _supports(self) -> tuple[tuple[Entries, ...], ...]:
         return tuple(tuple(tuple(support(v)) for v in row) for row in self.table)
 
-    def act_entries(self, i: int, j: int) -> tuple[tuple[int, Exact], ...]:
+    def act_entries(self, i: int, j: int) -> Entries:
         """The nonzero (k, c) entries of act_basis(i, j)."""
         return self._supports[i][j]
 
+    def act_sparse(self, xs: Support, ns: Support) -> dict[int, Exact]:
+        """x . n as {k: coefficient} over its nonzero coefficients, for x and n given by supports."""
+        ns = tuple(ns)
+        acc: dict[int, Exact] = {}
+        for i, xi in xs:
+            row = self._supports[i]
+            for j, nj in ns:
+                c = xi * nj
+                for k, v in row[j]:
+                    acc[k] = acc.get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
+
     def apply(self, x: Sequence, n: Sequence) -> Vector:
-        x = as_vector(x)
-        n = as_vector(n)
-        if len(x) != self.actor_dim or len(n) != self.acted_dim:
-            raise LinalgError("action argument of wrong length")
-        # support(n) is taken once per nonzero coordinate of x, so a zero x never scans n
-        terms = [(xi * nj, self.table[i][j]) for i, xi in support(x) for j, nj in support(n)]
-        return combine([c for c, _ in terms], [v for _, v in terms], self.acted_dim)
+        xs, ns = _entries(x, self.actor_dim), _entries(n, self.acted_dim)
+        return from_support(self.act_sparse(xs.items(), ns.items()).items(), self.acted_dim)
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,8 @@ class Pair:
     """A Lie algebra L, an ideal N in RREF coordinates, and the two actions.
 
     The pair is immutable, so what is derived from it alone is built once per
-    object and shared: the ideal's own algebra and [N, L] in both coordinate
-    systems.
+    object and shared: the ideal's own algebra, its inclusion into L, and
+    [N, L] in both coordinate systems.
     """
 
     algebra: LieAlgebra
@@ -158,14 +163,16 @@ class Pair:
         comm = self.relative_commutator
         return Subspace.from_vectors(self.right_dim, [self.ambient_to_ideal(v) for v in comm.basis()])
 
+    @cached_property
+    def inclusion(self) -> LinearMap:
+        """N into L: ideal coordinates to ambient coordinates."""
+        return LinearMap.from_columns(self.left_dim, self.ideal.space.basis)
+
     def ideal_basis_vector(self, a: int) -> Vector:
         return self.ideal.space.basis[a]
 
     def ideal_vector_to_ambient(self, n: Sequence) -> Vector:
-        n = as_vector(n)
-        if len(n) != self.right_dim:
-            raise LinalgError("ideal coordinate vector of wrong length")
-        return combine(n, self.ideal.space.basis, self.left_dim)
+        return self.inclusion.apply(n)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
         if not self.ideal.space.contains(v):
@@ -213,7 +220,7 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
 
 def pair_full(algebra: LieAlgebra) -> Pair:
     """The pair (L, L) with the inner actions."""
-    return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
+    return make_pair(algebra, [{i: 1} for i in range(algebra.dim)])
 
 
 def make_pair_with_actions(
@@ -236,30 +243,44 @@ def make_pair_with_actions(
     return pair
 
 
+def _residual(width: int, lhs: dict[int, Exact], *rhs: dict[int, Exact]) -> Vector | None:
+    """lhs minus the sum of rhs, all given by their entries, as a vector; None when it is zero."""
+    acc = dict(lhs)
+    for v in rhs:
+        for k, x in v.items():
+            acc[k] = acc.get(k, 0) - x
+    return from_support(acc.items(), width) if any(acc.values()) else None
+
+
 def validate_action(act: ActionData, actor: LieAlgebra, acted: LieAlgebra) -> ActionViolation | None:
     """Check both action axioms on basis elements; violations are values."""
     if act.actor_dim != actor.dim or act.acted_dim != acted.dim:
         raise LinalgError("action table does not match the algebras")
     for i in range(actor.dim):
         for j in range(i + 1, actor.dim):
+            bracket = actor.bracket_entries(i, j)
             for k in range(acted.dim):
-                lhs = act.apply(actor.bracket_basis(i, j), acted.basis_vector(k))
-                rhs = vadd(
-                    act.apply(actor.basis_vector(i), act.act_basis(j, k)),
-                    vscale(Fraction(-1), act.apply(actor.basis_vector(j), act.act_basis(i, k))),
+                # [x_i, x_j] . y_k against x_i . (x_j . y_k) - x_j . (x_i . y_k)
+                residual = _residual(
+                    acted.dim,
+                    act.act_sparse(bracket, ((k, 1),)),
+                    act.act_sparse(((i, 1),), act.act_entries(j, k)),
+                    act.act_sparse(((j, -1),), act.act_entries(i, k)),
                 )
-                if lhs != rhs:
-                    return ActionViolation(1, (i, j, k), tuple(a - b for a, b in zip(lhs, rhs)))
+                if residual is not None:
+                    return ActionViolation(1, (i, j, k), residual)
     for i in range(actor.dim):
         for k in range(acted.dim):
             for l in range(k + 1, acted.dim):
-                lhs = act.apply(actor.basis_vector(i), acted.bracket_basis(k, l))
-                rhs = vadd(
-                    acted.bracket_vectors(act.act_basis(i, k), acted.basis_vector(l)),
-                    acted.bracket_vectors(acted.basis_vector(k), act.act_basis(i, l)),
+                # x_i . [y_k, y_l] against [x_i . y_k, y_l] + [y_k, x_i . y_l]
+                residual = _residual(
+                    acted.dim,
+                    act.act_sparse(((i, 1),), acted.bracket_entries(k, l)),
+                    acted.bracket_sparse(act.act_entries(i, k), ((l, 1),)),
+                    acted.bracket_sparse(((k, 1),), act.act_entries(i, l)),
                 )
-                if lhs != rhs:
-                    return ActionViolation(2, (i, k, l), tuple(a - b for a, b in zip(lhs, rhs)))
+                if residual is not None:
+                    return ActionViolation(2, (i, k, l), residual)
     return None
 
 
@@ -272,25 +293,30 @@ def validate_compatible(pair: Pair) -> CompatibilityViolation | None:
     equals the algebra bracket [l', n acting on l].
     """
     n_alg = pair.ideal_algebra
+    on_ideal, on_algebra = pair.act_on_ideal, pair.act_on_algebra
     p, q = pair.left_dim, pair.right_dim
     for a in range(q):
         for i in range(p):
-            moved = pair.act_on_algebra.act_basis(a, i)  # n_a acting on l_i, in L
+            moved = on_algebra.act_entries(a, i)  # n_a acting on l_i, in L
             for b in range(q):
-                lhs = pair.act_on_ideal.apply(moved, n_alg.basis_vector(b))
-                rhs = n_alg.bracket_vectors(n_alg.basis_vector(b), pair.act_on_ideal.act_basis(i, a))
-                if lhs != rhs:
-                    return CompatibilityViolation(1, (a, i, b), tuple(x - y for x, y in zip(lhs, rhs)))
+                residual = _residual(
+                    q,
+                    on_ideal.act_sparse(moved, ((b, 1),)),
+                    n_alg.bracket_sparse(((b, 1),), on_ideal.act_entries(i, a)),
+                )
+                if residual is not None:
+                    return CompatibilityViolation(1, (a, i, b), residual)
     for i in range(p):
         for a in range(q):
-            moved = pair.act_on_ideal.act_basis(i, a)  # l_i acting on n_a, in N coords
+            moved = on_ideal.act_entries(i, a)  # l_i acting on n_a, in N coords
             for j in range(p):
-                lhs = pair.act_on_algebra.apply(moved, pair.algebra.basis_vector(j))
-                rhs = pair.algebra.bracket_vectors(
-                    pair.algebra.basis_vector(j), pair.act_on_algebra.act_basis(a, i)
+                residual = _residual(
+                    p,
+                    on_algebra.act_sparse(moved, ((j, 1),)),
+                    pair.algebra.bracket_sparse(((j, 1),), on_algebra.act_entries(a, i)),
                 )
-                if lhs != rhs:
-                    return CompatibilityViolation(2, (i, a, j), tuple(x - y for x, y in zip(lhs, rhs)))
+                if residual is not None:
+                    return CompatibilityViolation(2, (i, a, j), residual)
     return None
 
 
@@ -313,9 +339,10 @@ def quotient_pair(pair: Pair) -> QuotientPair:
     """Quotient both members by [N, L] and install the inner actions."""
     k = relative_commutator(pair)
     quotient, proj = quotient_algebra(pair.algebra, k)
-    image_vectors = [proj.apply(v) for v in pair.ideal.space.basis]
-    new_pair = make_pair(quotient, image_vectors)
-    columns = [new_pair.ambient_to_ideal(proj.apply(pair.ideal_basis_vector(a))) for a in range(pair.right_dim)]
+    images = [proj.map.apply_entries(v) for v in pair.ideal.space.basis]
+    new_pair = make_pair(quotient, images)
+    # the images span the new ideal, so each has coordinates in its basis
+    columns = [new_pair.ideal.space.coordinate_entries(w) for w in images]
     proj_ideal = AlgebraHom(
         pair.ideal_algebra,
         new_pair.ideal_algebra,
@@ -348,6 +375,6 @@ def complement_condition(pair: Pair) -> bool:
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:
     """(L1 + L2, N1 + N2) with inner actions, via block embedding."""
     algebra = direct_sum(a.algebra, b.algebra)
-    left = [tuple(v) + zero_vector(b.left_dim) for v in a.ideal.space.basis]
-    right = [zero_vector(a.left_dim) + tuple(v) for v in b.ideal.space.basis]
+    left = [dict(support(v)) for v in a.ideal.space.basis]
+    right = [{a.left_dim + k: c for k, c in support(v)} for v in b.ideal.space.basis]
     return make_pair(algebra, left + right)

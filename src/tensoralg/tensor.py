@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .liealg import (
     AlgebraSubspace,
@@ -62,12 +62,10 @@ from .linalg import (
     Subspace,
     Support,
     Vector,
-    as_vector,
+    _entries,
     from_support,
-    is_zero,
     kernel,
     quotient_with_section,
-    support,
 )
 from .pairs import Pair
 
@@ -99,12 +97,9 @@ class SymbolSpace:
 
     def expand_entries(self, x: Sequence, n: Sequence) -> dict[int, Exact]:
         """Bilinear expansion of x (x) n into symbol coordinates, as {symbol: coefficient}."""
-        x = as_vector(x)
-        n = as_vector(n)
-        if len(x) != self.left_dim or len(n) != self.right_dim:
-            raise LinalgError("expansion argument of wrong length")
+        xs, ns = _entries(x, self.left_dim), _entries(n, self.right_dim)
         acc: dict[int, Exact] = {}
-        _add_expansion(acc, support(x), support(n), self.right_dim)
+        _add_expansion(acc, xs.items(), ns.items(), self.right_dim)
         return acc
 
     def expand(self, x: Sequence, n: Sequence) -> Vector:
@@ -171,13 +166,10 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     ideal.  The bracket is minus the expansion of the collapsed pair.
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
-    u = as_vector(u)
-    v = as_vector(v)
-    if len(u) != sym.dim or len(v) != sym.dim:
-        raise LinalgError("bracket argument of wrong length")
+    us, vs = _entries(u, sym.dim), _entries(v, sym.dim)
     left, right = _collapse_tables(pair, sym)
     acc: dict[int, Exact] = {}
-    _add_expansion(acc, _collapse(support(u), left), _collapse(support(v), right), sym.right_dim, -1)
+    _add_expansion(acc, _collapse(us.items(), left), _collapse(vs.items(), right), sym.right_dim, -1)
     return from_support(acc.items(), sym.dim)
 
 
@@ -247,11 +239,16 @@ class NonabelianTensor:
         """Class of x (x) n; x in algebra coordinates, n in ideal coordinates."""
         return self.projection.apply(self.symbols.expand_entries(x, n))
 
+    def class_entries(self, products: Iterable[tuple[Support, Support]]) -> dict[int, Exact]:
+        """The nonzero entries of the class of the sum of x (x) n over the given supports of x in L and n in N."""
+        acc: dict[int, Exact] = {}
+        for x, n in products:
+            _add_expansion(acc, x, n, self.symbols.right_dim)
+        return self.projection.apply_entries(acc)
+
     def generator(self, i: int, a: int) -> Vector:
         """Class of the basis symbol l_i (x) n_a."""
-        x = self.pair.algebra.basis_vector(i)
-        n = self.pair.ideal_algebra.basis_vector(a)
-        return self.tensor_of(x, n)
+        return self.tensor_of({i: 1}, {a: 1})
 
 
 def symbol_expand(tensor: NonabelianTensor, x: Sequence, n: Sequence) -> Vector:
@@ -297,7 +294,7 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
                     residual = Fraction(v.get(k, 0) + w.get(k, 0))
                     raise StructureError(StructureViolation("antisymmetry", (i, j, k), residual))
                 if i < j and v:
-                    brackets[(i, j)] = from_support(v.items(), t_dim)
+                    brackets[(i, j)] = v
         algebra = LieAlgebra.make(t_dim, tuple(f"t{k}" for k in range(t_dim)), brackets)
     except StructureError as exc:
         raise TensorConstructionError(f"induced bracket is not a Lie bracket: {exc.violation}") from exc
@@ -313,7 +310,7 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     pair = tensor.pair
     proj = tensor.projection
     q = pair.right_dim
-    ambient = [support(pair.ideal_basis_vector(a)) for a in range(q)]
+    ambient = [pair.inclusion.column_entries(a) for a in range(q)]
 
     def add_square(acc: dict[int, Exact], a: int, b: int) -> None:
         # acc += proj(n_a (x) n_b), read off the projection's columns
@@ -378,17 +375,13 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """Evaluation of the presentation symbols through the action of L on N."""
     box, ext_algebra, eps, ext_section = _exterior_data(tensor)
     pair = tensor.pair
-    sym = tensor.symbols
-    _, right = _collapse_tables(pair, sym)
-    q = pair.right_dim
-    columns = [
-        pair.ideal_vector_to_ambient(from_support(_collapse(tensor.section.column_entries(k), right), q))
-        for k in range(tensor.dim)
-    ]
-    kappa = LinearMap.from_columns(pair.left_dim, columns)
+    _, right = _collapse_tables(pair, tensor.symbols)
+    # the right collapse lands in N; the inclusion carries it into L
+    collapsed = [dict(_collapse(tensor.section.column_entries(k), right)) for k in range(tensor.dim)]
+    kappa = pair.inclusion.compose(LinearMap.from_columns(pair.right_dim, collapsed))
     t_alg = tensor.algebra
     ambient = pair.algebra
-    images = [support(c) for c in columns]
+    images = [kappa.column_entries(k) for k in range(tensor.dim)]
     for i in range(t_alg.dim):
         for j in range(i + 1, t_alg.dim):
             # kappa([t_i, t_j]) against [kappa(t_i), kappa(t_j)], both as nonzero entries
@@ -397,11 +390,9 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
                 raise TensorConstructionError(
                     f"evaluation map does not respect the bracket of basis pair ({i}, {j})"
                 )
-    for b in box.basis:
-        if not is_zero(kappa.apply(b)):
-            raise TensorConstructionError("evaluation map does not kill the diagonal")
-    kp_columns = [kappa.apply(dict(ext_section.column_entries(k))) for k in range(ext_algebra.dim)]
-    kappa_prime = LinearMap.from_columns(pair.left_dim, kp_columns)
+    if any(kappa.apply_entries(row) for row in box.echelon().rows.values()):
+        raise TensorConstructionError("evaluation map does not kill the diagonal")
+    kappa_prime = kappa.compose(ext_section)
     return DerivedMaps(
         kappa=kappa,
         j2=kernel(kappa),

@@ -14,17 +14,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
-from .liealg import AlgebraSubspace, LieAlgebra, center, derived_algebra, direct_sum
-from .linalg import (
-    LinearMap,
-    Subspace,
-    combine,
-    is_zero,
-    kernel,
-    quotient_with_section,
-    vadd,
-    vscale,
-)
+from .liealg import AlgebraSubspace, LieAlgebra, center, derived_algebra
+from .linalg import LinearMap, Subspace, kernel, quotient_with_section, support
 from .pairs import (
     Pair,
     QuotientPair,
@@ -129,39 +120,41 @@ class _Derivation:
     def mixed(self) -> Subspace:
         """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
         pair, tensor = self.pair, self.tensor
-        comm = relative_commutator_in_ideal(pair)
+        comm = [support(m) for m in relative_commutator_in_ideal(pair).basis]
         gens = []
         for i in range(pair.left_dim):
-            e = pair.algebra.basis_vector(i)
-            for m in comm.basis:
-                gens.append(tensor.tensor_of(e, m))
-        for m in comm.basis:
-            amb = pair.ideal_vector_to_ambient(m)
+            for m in comm:
+                gens.append(tensor.class_entries([(((i, 1),), m)]))
+        for m in comm:
+            amb = pair.inclusion.apply_entries(dict(m)).items()
             for a in range(pair.right_dim):
-                gens.append(tensor.tensor_of(amb, pair.ideal_algebra.basis_vector(a)))
+                gens.append(tensor.class_entries([(amb, ((a, 1),))]))
         return Subspace.from_vectors(tensor.dim, gens)
 
     @cached_property
     def induced(self) -> tuple[QuotientPair, NonabelianTensor, LinearMap]:
         """The map of tensor products induced by quotienting the pair by [N, L].
 
-        Built symbol by symbol; the relations of the source must die in the
-        target for the map to make sense, and that is checked on a basis.
+        Built symbol by symbol, as a map from the source's symbols; the
+        relations of the source must die in the target for the map to make
+        sense, and that is checked on a basis.  The induced map is the symbol
+        map after the source's section.
         """
         pair, tensor = self.pair, self.tensor
         qp = quotient_pair(pair)
         tq = construct_tensor(qp.pair)
-        sym_images = []
-        for i in range(pair.left_dim):
-            li = qp.proj_algebra.apply(pair.algebra.basis_vector(i))
-            for a in range(pair.right_dim):
-                na = qp.proj_ideal.apply(pair.ideal_algebra.basis_vector(a))
-                sym_images.append(tq.tensor_of(li, na))
-        for r in tensor.relations.basis:
-            if not is_zero(combine(r, sym_images, tq.dim)):
-                raise TensorConstructionError("projection does not kill the relations")
-        columns = [combine(tensor.section.column(k), sym_images, tq.dim) for k in range(tensor.dim)]
-        return qp, tq, LinearMap.from_columns(tq.dim, columns)
+        proj_l, proj_n = qp.proj_algebra.map, qp.proj_ideal.map
+        symbol_map = LinearMap.from_columns(
+            tq.dim,
+            [
+                tq.class_entries([(proj_l.column_entries(i), proj_n.column_entries(a))])
+                for i in range(pair.left_dim)
+                for a in range(pair.right_dim)
+            ],
+        )
+        if any(symbol_map.apply_entries(row) for row in tensor.relations.echelon().rows.values()):
+            raise TensorConstructionError("projection does not kill the relations")
+        return qp, tq, symbol_map.compose(tensor.section)
 
     @cached_property
     def quotient_diagonal(self) -> Subspace:
@@ -280,7 +273,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     _, tq, pi = d.induced
     box = d.maps.square
     boxq = d.quotient_diagonal
-    image = Subspace.from_vectors(tq.dim, [pi.apply(b) for b in box.basis])
+    image = Subspace.from_vectors(tq.dim, [pi.apply_entries(row) for row in box.echelon().rows.values()])
     rel = relative_abelianization_dim(pair)
     psi_rank = psi_map(pair, t).image().dim
     ok = image == boxq and image.dim == box.dim
@@ -314,17 +307,18 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     d = _derive(pair)
     pair, t, maps = d.pair, d.tensor, d.maps
     box = maps.square
-    candidates = list(d.mixed.basis)
+    candidates = list(d.mixed.echelon().rows.values())
     _, outside = quotient_with_section(pair.left_dim, pair.ideal.space)
-    ideal_units = [pair.ideal_algebra.basis_vector(a) for a in range(pair.right_dim)]
-    ideal_ambient = [pair.ideal_basis_vector(a) for a in range(pair.right_dim)]
+    q = pair.right_dim
     for y in outside:
-        for unit in ideal_units:
-            candidates.append(t.tensor_of(y, unit))
-    for i in range(pair.right_dim):
-        for j in range(i + 1, pair.right_dim):
-            u = t.tensor_of(ideal_ambient[i], ideal_units[j])
-            candidates.append(vadd(u, vscale(-1, t.tensor_of(ideal_ambient[j], ideal_units[i]))))
+        ys = support(y)
+        for a in range(q):
+            candidates.append(t.class_entries([(ys, ((a, 1),))]))
+    ideal_ambient = [pair.inclusion.column_entries(a) for a in range(q)]
+    for i in range(q):
+        for j in range(i + 1, q):
+            # n_i (x) n_j - n_j (x) n_i
+            candidates.append(t.class_entries([(ideal_ambient[i], ((j, 1),)), (ideal_ambient[j], ((i, -1),))]))
     # Each candidate is reduced once against the growing basis, which starts at
     # the diagonal, and kept when it adds to it; so the complement meets the
     # diagonal in zero by construction.
@@ -351,7 +345,8 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """The evaluation kernel is the diagonal plus a copy of the multiplier."""
     maps = _derive(pair).maps
     box = maps.square
-    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps.apply(b) for b in maps.j2.basis])
+    j2_rows = maps.j2.echelon().rows.values()
+    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps.apply_entries(row) for row in j2_rows])
     ok = (
         maps.j2.dim == box.dim + maps.multiplier.dim
         and maps.j2.contains_subspace(box)
@@ -419,13 +414,14 @@ def verify_kunneth(
     range they are reported with hypothesis flags.
     """
     pair_id = f"{pair_id_a}+{pair_id_b}"
-    alg_s = direct_sum(pair_a.algebra, pair_b.algebra)
+    pair_s = direct_sum_pair(pair_a, pair_b)
+    alg_s = pair_s.algebra
     h, k, hk = (_abelianization_dim(alg) for alg in (pair_a.algebra, pair_b.algebra, alg_s))
     # Each distinct pair is derived once: a full summand is its algebra's
     # square, and the sum of two full pairs is the square of the sum.
     held: list[_Derivation] = []
     squares = [_shared_derivation(held, pair_full(alg)).maps for alg in (pair_a.algebra, pair_b.algebra, alg_s)]
-    sums = [_shared_derivation(held, p).maps for p in (pair_a, pair_b, direct_sum_pair(pair_a, pair_b))]
+    sums = [_shared_derivation(held, p).maps for p in (pair_a, pair_b, pair_s)]
     (d_a, clean_a, comp_a), (d_b, clean_b, comp_b) = (
         (relative_abelianization_dim(p), pair_is_clean(p), complement_condition(p)) for p in (pair_a, pair_b)
     )

@@ -6,7 +6,7 @@ Unlike `oracles.py`, this builds its objects through the package under test.
 from fractions import Fraction
 
 from tensoralg.liealg import LieAlgebra, center, derived_algebra
-from tensoralg.linalg import Matrix, Subspace, rref
+from tensoralg.linalg import LinearMap, Matrix, Subspace, rref
 from tensoralg.pairs import make_pair
 
 def sl2():
@@ -65,7 +65,7 @@ def _inverse(columns):
 def rebased(pair, columns):
     """The same pair in the algebra basis whose k-th vector is columns[k] in the old basis."""
     a = pair.algebra
-    to_new = _inverse(columns).apply
+    to_new = LinearMap.from_matrix(_inverse(columns)).apply
     brackets = {
         (i, j): to_new(a.bracket_vectors(columns[i], columns[j]))
         for i in range(a.dim)

@@ -84,6 +84,34 @@ def second_cohomology_dim(dim, brackets):
     return c2 - rank(d2) - rank(d1)
 
 
+# Dense vector arithmetic for the references below and in the test modules:
+# plain tuples of Fractions, the form the package returns at its public edge.
+
+
+def vadd(u, v):
+    """u + v for two vectors of the same length."""
+    assert len(u) == len(v), "vector length mismatch"
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vscale(c, v):
+    """c * v."""
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def combine(coeffs, vectors, width):
+    """The sum of c * v over paired coefficients and vectors, of length width; zero terms are skipped."""
+    out = [Fraction(0)] * width
+    for c, v in zip(coeffs, vectors):
+        if c != 0:
+            assert len(v) == width, "vector length mismatch"
+            for k, a in enumerate(v):
+                if a != 0:
+                    out[k] += c * a
+    return tuple(out)
+
+
 def abelian_tensor_dims(n):
     """(tensor, diagonal, exterior, j2, multiplier) for the abelian pair of rank n."""
     return (n * n, n * (n + 1) // 2, n * (n - 1) // 2, n * n, n * (n - 1) // 2)
@@ -272,3 +300,104 @@ def dense_span_intersect(ambient_dim, a, b):
                 v[m] += c * x
         vectors.append(tuple(v))
     return dense_span(ambient_dim, vectors)
+
+
+def dense_grid(rows, columns):
+    """The rows x len(columns) grid of Fractions whose j-th column is columns[j]."""
+    return tuple(tuple(Fraction(col[r]) for col in columns) for r in range(rows))
+
+
+def dense_matmul(a, b, inner, cols):
+    """The product of grids a (rows x inner) and b (inner x cols), as a grid."""
+    return tuple(
+        tuple(sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)) for row in a
+    )
+
+
+# Dense references for the action checks of tensoralg.pairs: the loops it ran
+# before its actions were read as supports.  brackets map (i, j) with i < j to
+# coefficient tuples, as in second_cohomology_dim, and table[i][j] is the
+# action of actor basis i on acted basis j.  A violation is (number, indices,
+# residual), the residual a tuple of Fractions.
+
+
+def _dense_act(table, actor_dim, acted_dim, x, n):
+    """x . n for the bilinear action table, as a dense tuple."""
+    out = [Fraction(0)] * acted_dim
+    for i in range(actor_dim):
+        for j in range(acted_dim):
+            c = Fraction(x[i]) * Fraction(n[j])
+            if c != 0:
+                for k, a in enumerate(table[i][j]):
+                    out[k] += c * Fraction(a)
+    return tuple(out)
+
+
+def _violation(number, indices, lhs, rhs):
+    if lhs == rhs:
+        return None
+    return number, indices, tuple(a - b for a, b in zip(lhs, rhs))
+
+
+def dense_action_violation(actor_dim, actor_brackets, acted_dim, acted_brackets, table):
+    """The first broken action axiom, in the order the package checks them, or None.
+
+    Axiom 1, for i < j:  [x_i, x_j] . y_k = x_i . (x_j . y_k) - x_j . (x_i . y_k).
+    Axiom 2, for k < l:  x_i . [y_k, y_l] = [x_i . y_k, y_l] + [y_k, x_i . y_l].
+    """
+
+    def act(x, n):
+        return _dense_act(table, actor_dim, acted_dim, x, n)
+
+    def x(i):
+        return _unit(actor_dim, i)
+
+    def y(k):
+        return _unit(acted_dim, k)
+
+    for i in range(actor_dim):
+        for j in range(i + 1, actor_dim):
+            for k in range(acted_dim):
+                lhs = act(dense_bracket(actor_dim, actor_brackets, x(i), x(j)), y(k))
+                rhs = vadd(act(x(i), table[j][k]), vscale(-1, act(x(j), table[i][k])))
+                found = _violation(1, (i, j, k), lhs, rhs)
+                if found:
+                    return found
+    for i in range(actor_dim):
+        for k in range(acted_dim):
+            for l in range(k + 1, acted_dim):
+                lhs = act(x(i), dense_bracket(acted_dim, acted_brackets, y(k), y(l)))
+                rhs = vadd(
+                    dense_bracket(acted_dim, acted_brackets, table[i][k], y(l)),
+                    dense_bracket(acted_dim, acted_brackets, y(k), table[i][l]),
+                )
+                found = _violation(2, (i, k, l), lhs, rhs)
+                if found:
+                    return found
+    return None
+
+
+def dense_compatibility_violation(p, algebra_brackets, q, ideal_brackets, on_ideal, on_algebra):
+    """The first broken compatibility equation of a pair's two action tables, or None.
+
+    on_ideal[i][a] is l_i . n_a in ideal coordinates, on_algebra[a][i] is
+    n_a . l_i in algebra coordinates.  Equation 1: (n_a . l_i) . n_b =
+    [n_b, l_i . n_a] in N; equation 2: (l_i . n_a) . l_j = [l_j, n_a . l_i] in L.
+    """
+    for a in range(q):
+        for i in range(p):
+            for b in range(q):
+                lhs = _dense_act(on_ideal, p, q, on_algebra[a][i], _unit(q, b))
+                rhs = dense_bracket(q, ideal_brackets, _unit(q, b), on_ideal[i][a])
+                found = _violation(1, (a, i, b), lhs, rhs)
+                if found:
+                    return found
+    for i in range(p):
+        for a in range(q):
+            for j in range(p):
+                lhs = _dense_act(on_algebra, q, p, on_ideal[i][a], _unit(p, j))
+                rhs = dense_bracket(p, algebra_brackets, _unit(p, j), on_algebra[a][i])
+                found = _violation(2, (i, a, j), lhs, rhs)
+                if found:
+                    return found
+    return None

@@ -161,7 +161,7 @@ def test_algebra_hom_rejects_non_homomorphism():
     h = heisenberg1()
     ab = LieAlgebra.abelian(3)
     with pytest.raises(Exception):
-        AlgebraHom(h, ab, LinearMap(Matrix.identity(3)))
+        AlgebraHom(h, ab, LinearMap.from_matrix(Matrix.identity(3)))
 
 
 def test_quotient_projection_is_a_hom():

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import dense_kernel, dense_quotient_with_section, dense_rref, dense_span, dense_span_intersect
+from oracles import (
+    combine,
+    dense_grid,
+    dense_kernel,
+    dense_matmul,
+    dense_quotient_with_section,
+    dense_rref,
+    dense_span,
+    dense_span_intersect,
+)
 
 from tensoralg.linalg import (
     LinalgError,
@@ -15,7 +24,6 @@ from tensoralg.linalg import (
     Matrix,
     Subspace,
     as_vector,
-    combine,
     format_scalar,
     kernel,
     parse_scalar,
@@ -23,8 +31,6 @@ from tensoralg.linalg import (
     rref,
     span_intersect,
     span_sum,
-    vadd,
-    vscale,
     zero_vector,
 )
 
@@ -69,13 +75,13 @@ def test_rref_fractional_entries():
 
 
 def test_kernel_of_rank_one_map():
-    ker = kernel(LinearMap(Matrix.from_rows([[1, 2]])))
+    ker = kernel(LinearMap.from_matrix(Matrix.from_rows([[1, 2]])))
     assert ker == Subspace.from_vectors(2, [[-2, 1]])
     assert ker.dim == 1
 
 
 def test_kernel_of_injective_map_is_zero():
-    ker = kernel(LinearMap(Matrix.identity(3)))
+    ker = kernel(LinearMap.from_matrix(Matrix.identity(3)))
     assert ker.dim == 0
 
 
@@ -129,9 +135,9 @@ def test_quotient_with_section_full_subspace():
 
 
 def test_linear_map_image_and_compose():
-    f = LinearMap(Matrix.from_rows([[1, 0], [1, 0]]))
+    f = LinearMap.from_matrix(Matrix.from_rows([[1, 0], [1, 0]]))
     assert f.image() == Subspace.from_vectors(2, [[1, 1]])
-    g = LinearMap(Matrix.from_rows([[2, 0], [0, 2]]))
+    g = LinearMap.from_matrix(Matrix.from_rows([[2, 0], [0, 2]]))
     assert g.compose(f).apply([1, 0]) == (2, 2)
 
 
@@ -139,7 +145,7 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(LinalgError):
         span_sum(Subspace.zero(2), Subspace.zero(3))
     with pytest.raises(LinalgError):
-        LinearMap(Matrix.identity(2)).apply([1, 2, 3])
+        LinearMap.from_matrix(Matrix.identity(2)).apply([1, 2, 3])
     with pytest.raises(LinalgError):
         Subspace.from_vectors(2, [[1, 2, 3]])
 
@@ -169,7 +175,7 @@ def test_rref_is_idempotent(m):
 @settings(max_examples=40, deadline=None)
 @given(_matrices())
 def test_rank_nullity(m):
-    f = LinearMap(m)
+    f = LinearMap.from_matrix(m)
     assert f.image().dim + kernel(f).dim == f.domain_dim
 
 
@@ -202,12 +208,13 @@ def test_quotient_projection_properties(m):
 
 @settings(max_examples=30, deadline=None)
 @given(_matrices(), st.lists(small_fractions, min_size=1, max_size=4))
-def test_matrix_apply_is_linear(m, coeffs):
+def test_linear_map_apply_is_linear(m, coeffs):
     v = as_vector((coeffs * m.cols)[: m.cols])
     w = as_vector(([Fraction(1, 2)] * m.cols))
-    f = LinearMap(m)
-    assert f.apply(vadd(v, w)) == vadd(f.apply(v), f.apply(w))
-    assert f.apply(vscale(Fraction(3, 2), v)) == vscale(Fraction(3, 2), f.apply(v))
+    c = Fraction(3, 2)
+    f = LinearMap.from_matrix(m)
+    assert f.apply(tuple(a + b for a, b in zip(v, w))) == tuple(a + b for a, b in zip(f.apply(v), f.apply(w)))
+    assert f.apply(tuple(c * a for a in v)) == tuple(c * a for a in f.apply(v))
 
 
 def _sparse_vectors(n: int):
@@ -218,45 +225,20 @@ def _sparse_vectors(n: int):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices(max_dim=6).flatmap(lambda m: st.tuples(st.just(m), _sparse_vectors(m.cols))))
-def test_matrix_apply_matches_dense_row_sum(case):
+def test_linear_map_apply_matches_dense_row_sum(case):
     m, v = case
     dense = tuple(sum((row[j] * v[j] for j in range(m.cols)), Fraction(0)) for row in m.entries)
-    out = m.apply(v)
+    f = LinearMap.from_matrix(m)
+    out = f.apply(v)
     assert out == dense
     assert all(isinstance(a, Fraction) for a in out)
-
-
-_mostly_zero = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 6).flatmap(
-        lambda w: st.tuples(
-            st.just(w),
-            st.lists(st.tuples(_mostly_zero, st.lists(_mostly_zero, min_size=w, max_size=w)), max_size=6),
-        )
-    )
-)
-def test_combine_matches_vadd_vscale_fold(case):
-    width, terms = case
-    fold = zero_vector(width)
-    for c, v in terms:
-        fold = vadd(fold, vscale(c, as_vector(v)))
-    out = combine([c for c, _ in terms], [as_vector(v) for _, v in terms], width)
-    assert out == fold
-    assert all(isinstance(a, Fraction) for a in out)
-
-
-def test_combine_rejects_vector_of_wrong_length():
-    with pytest.raises(LinalgError):
-        combine([1, 2], [as_vector([1, 0]), as_vector([1, 0, 0])], 2)
+    assert f.apply_entries({k: a for k, a in enumerate(v) if a}) == {k: a for k, a in enumerate(dense) if a}
 
 
 @settings(max_examples=40, deadline=None)
 @given(_matrices(max_dim=5))
 def test_linear_map_column_is_image_of_unit_vector(m):
-    f = LinearMap(m)
+    f = LinearMap.from_matrix(m)
     for k in range(f.domain_dim):
         unit = tuple(Fraction(1 if j == k else 0) for j in range(f.domain_dim))
         assert f.column(k) == f.apply(unit)
@@ -314,11 +296,11 @@ def test_sparse_elimination_matches_dense_reference(case):
     assert space.pivots() == pivots
     assert Subspace.from_vectors(cols, [{k: a for k, a in enumerate(r) if a} for r in rows]) == space
     _assert_integer_rows_match(space)
-    f = LinearMap(m)
+    f = LinearMap.from_matrix(m)
     ker = kernel(f)
     assert ker.basis == dense_kernel(rows, cols)
     _assert_integer_rows_match(ker)
-    assert f.compose(LinearMap(Matrix.identity(cols))) == f
+    assert f.compose(LinearMap.from_matrix(Matrix.identity(cols))) == f
     assert f.compose(LinearMap.from_columns(cols, ker.basis)).matrix.entries == ((Fraction(0),) * ker.dim,) * len(rows)
     proj, section = quotient_with_section(cols, space)
     assert (proj.matrix.entries, section) == dense_quotient_with_section(cols, space.basis)
@@ -337,3 +319,52 @@ def test_sparse_elimination_matches_dense_reference(case):
             coordinates.append(coords)
     public = space.basis + ker.basis + meet.basis + section + tuple(coordinates)
     assert all(isinstance(a, Fraction) for v in public for a in v)
+
+
+# LinearMap keeps only its column supports; its Fraction grid is built when
+# read, and must be the grid of the dense references.
+
+
+@st.composite
+def _grid(draw, rows: int, cols: int):
+    mostly_zero = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+    return [tuple(draw(st.lists(mostly_zero, min_size=rows, max_size=rows))) for _ in range(cols)]
+
+
+_chain = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(st.just(d), _grid(d[0], d[1]), _grid(d[1], d[2]))
+)
+
+
+@seed(1870)
+@settings(max_examples=80, deadline=None)
+@given(_chain)
+def test_map_matrices_match_the_dense_grids(case):
+    (n, m, k), outer_columns, inner_columns = case
+    f = LinearMap.from_columns(n, outer_columns)
+    g = LinearMap.from_columns(m, [{r: a for r, a in enumerate(c) if a} for c in inner_columns])
+    outer, inner = dense_grid(n, outer_columns), dense_grid(m, inner_columns)
+    assert (f.matrix.rows, f.matrix.cols, f.matrix.entries) == (n, m, outer)
+    assert (g.matrix.rows, g.matrix.cols, g.matrix.entries) == (m, k, inner)
+    assert f.compose(g).matrix.entries == dense_matmul(outer, inner, m, k)
+    for h in (f, g, f.compose(g)):
+        assert all(type(a) is Fraction for row in h.matrix.entries for a in row)
+        # a map read from its own grid is the same map
+        again = LinearMap.from_matrix(h.matrix)
+        assert again == h and hash(again) == hash(h)
+    space = Subspace.from_vectors(n, outer_columns)
+    proj, section = quotient_with_section(n, space)
+    assert (proj.matrix.entries, section) == dense_quotient_with_section(n, space.basis)
+    assert all(type(a) is Fraction for row in proj.matrix.entries for a in row)
+
+
+def test_map_from_a_matrix_equals_the_map_from_its_columns():
+    m = Matrix.from_rows([[1, "1/2", 0], [0, 0, -3]])
+    f = LinearMap.from_matrix(m)
+    g = LinearMap.from_columns(2, [{0: 1}, ["1/2", 0], (0, -3)])
+    assert f == g and hash(f) == hash(g)
+    assert f.matrix == m and (f.domain_dim, f.codomain_dim) == (3, 2)
+    assert f != LinearMap.from_columns(2, [{0: 1}, ["1/2", 0], (0, 3)])
+    # zero rows and columns survive the round trip through the column supports
+    empty = LinearMap.from_matrix(Matrix.from_rows([], cols=2))
+    assert (empty.codomain_dim, empty.domain_dim, empty.matrix) == (0, 2, Matrix(0, 2, ()))

@@ -1,13 +1,18 @@
 """Tests for ideal pairs, action axioms, and compatibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from algebra_examples import IDEAL_ALGEBRAS, ideals
+from oracles import dense_action_violation, dense_compatibility_violation
 
 from tensoralg.liealg import LieAlgebra, NotAnIdealError
 from tensoralg.pairs import (
     ActionData,
     CompatibilityViolation,
+    Pair,
     PairValidationError,
     complement_condition,
     direct_sum_pair,
@@ -191,3 +196,85 @@ def test_action_apply_is_bilinear():
     n = (Fraction(1), Fraction(1, 2), Fraction(0))
     expected = a.bracket_vectors(x, pair.ideal_vector_to_ambient(n))
     assert pair.ideal_vector_to_ambient(act.apply(x, n)) == expected
+
+
+# Differential tests: the sparse action checks against the dense loops kept
+# in tests/oracles.py, on the broken tables above and on seeded perturbations
+# of inner actions.  Both must report the same first violation.
+
+
+def _dense_action(act, actor, acted):
+    return dense_action_violation(actor.dim, dict(actor.brackets), acted.dim, dict(acted.brackets), act.table)
+
+
+def _dense_compatibility(pair):
+    return dense_compatibility_violation(
+        pair.left_dim, dict(pair.algebra.brackets), pair.right_dim, dict(pair.ideal_algebra.brackets),
+        pair.act_on_ideal.table, pair.act_on_algebra.table,
+    )
+
+
+def _as_tuple(violation, number):
+    if violation is None:
+        return None
+    assert all(type(a) is Fraction for a in violation.residual)
+    return getattr(violation, number), violation.indices, violation.residual
+
+
+def _assert_checks_match_dense(pair):
+    """validate_action on both tables and validate_compatible against the dense loops."""
+    n_alg = pair.ideal_algebra
+    for act, actor, acted in ((pair.act_on_ideal, pair.algebra, n_alg), (pair.act_on_algebra, n_alg, pair.algebra)):
+        assert _as_tuple(validate_action(act, actor, acted), "axiom") == _dense_action(act, actor, acted)
+    assert _as_tuple(validate_compatible(pair), "equation") == _dense_compatibility(pair)
+
+
+def test_broken_tables_give_the_dense_first_violation():
+    cases = [
+        (ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 0)]]), LieAlgebra.abelian(1), heisenberg1()),
+        (ActionData.from_rows(2, 1, [[(1,)], [(1,)]]), nonabelian2(), LieAlgebra.abelian(1)),
+    ]
+    for act, actor, acted in cases:
+        dense = _dense_action(act, actor, acted)
+        assert dense is not None
+        assert _as_tuple(validate_action(act, actor, acted), "axiom") == dense
+    a = heisenberg1()
+    centre = make_pair(a, [(0, 0, 1)])
+    incompatible = Pair(
+        a, centre.ideal,
+        ActionData.from_rows(3, 1, [[(1,)], [(0,)], [(0,)]]),
+        ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 1)]]),
+    )
+    assert _dense_compatibility(incompatible) == (1, (0, 0, 0), (Fraction(1),))
+    _assert_checks_match_dense(incompatible)
+
+
+def _perturbed(pair, rng):
+    """The pair with one to three random entries of its action tables moved by a small rational."""
+    tables = [[list(row) for row in pair.act_on_ideal.table], [list(row) for row in pair.act_on_algebra.table]]
+    for _ in range(rng.randint(1, 3)):
+        table = rng.choice(tables)
+        i, j = rng.randrange(len(table)), rng.randrange(len(table[0]))
+        v = list(table[i][j])
+        v[rng.randrange(len(v))] += Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+        table[i][j] = tuple(v)
+    p, q = pair.left_dim, pair.right_dim
+    return Pair(pair.algebra, pair.ideal, ActionData.from_rows(p, q, tables[0]), ActionData.from_rows(q, p, tables[1]))
+
+
+DIFFERENTIAL_PAIRS = {
+    f"{kind}({name})": (name, kind)
+    for name, algebra in IDEAL_ALGEBRAS.items()
+    for kind in ideals(algebra)
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+def test_perturbed_tables_give_the_dense_first_violation(name):
+    algebra_name, kind = DIFFERENTIAL_PAIRS[name]
+    algebra = IDEAL_ALGEBRAS[algebra_name]
+    pair = make_pair(algebra, ideals(algebra)[kind].basis)
+    _assert_checks_match_dense(pair)  # the inner actions pass both
+    rng = random.Random(f"actions/{name}")
+    for _ in range(6):
+        _assert_checks_match_dense(_perturbed(pair, rng))

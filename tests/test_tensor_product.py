@@ -14,11 +14,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
+from oracles import combine, vadd, vscale
 
 import tensoralg.tensor
 from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
 from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
-from tensoralg.linalg import Subspace, combine, is_zero, kernel, quotient_with_section, vadd, vscale
+from tensoralg.linalg import Subspace, is_zero, kernel, quotient_with_section
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,

@@ -1,5 +1,7 @@
 """Verifier records against hand-worked decompositions of small pairs."""
 
+import sys
+
 import pytest
 
 import tensoralg.liealg
@@ -240,11 +242,7 @@ def test_report_merge_and_sorting():
     assert merged.ok
 
 
-# pair_full(abelian(4)) is left out for time: its tensor alone takes seconds
-SHARED_SELECTORS = [s for s in catalog_selectors() if s != "builtin:pair_full(abelian(4))"]
-
-
-@pytest.mark.parametrize("selector", SHARED_SELECTORS)
+@pytest.mark.parametrize("selector", catalog_selectors())
 def test_verify_pair_matches_each_check_run_alone(selector):
     pair = resolve_selector(selector)
     alone = []
@@ -261,7 +259,7 @@ def test_verify_pair_matches_each_check_run_alone(selector):
     assert verify_pair(pair, selector).records == tuple(alone)
 
 
-@pytest.mark.parametrize("selector", SHARED_SELECTORS)
+@pytest.mark.parametrize("selector", catalog_selectors())
 def test_verify_pair_derives_each_pair_once(selector, monkeypatch):
     pair = resolve_selector(selector)
     calls = {"construct_tensor": 0, "quotient_pair": 0, "diagonal": 0}
@@ -371,3 +369,20 @@ def test_verify_kunneth_derives_each_pair_once(monkeypatch):
         calls.update(construct_tensor=0, quotient_algebra=0)
         verify_kunneth(pair_a, pair_b, "left", "right")
         assert calls == {"construct_tensor": constructions, "quotient_algebra": 0}
+
+
+def test_verify_kunneth_builds_the_direct_sum_once(monkeypatch):
+    # The sum algebra is read off the sum of the pairs, not built again.
+    calls = []
+    real = tensoralg.liealg.direct_sum
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tensoralg") and getattr(module, "direct_sum", None) is real:
+            monkeypatch.setattr(module, "direct_sum", counting)
+    pair_a, pair_b = full_pair(nonabelian2()), central_pair()
+    verify_kunneth(pair_a, pair_b, "left", "right")
+    assert calls == [(pair_a.algebra, pair_b.algebra)]

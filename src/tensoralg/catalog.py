@@ -79,7 +79,7 @@ def heisenberg(m: int) -> LieAlgebra:
 
 
 def pair_center(algebra: LieAlgebra) -> Pair:
-    return make_pair(algebra, list(center(algebra).space.basis))
+    return make_pair(algebra, [dict(v) for v in center(algebra).space.entries])
 
 
 def pair_direct_sum(a: Pair, b: Pair) -> Pair:

@@ -106,12 +106,11 @@ def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
     comm = relative_commutator_in_ideal(pair)
     for k, rep in enumerate(gamma.reps):
         r = support(rep)
-        for m in comm.basis:
+        for t, ms in enumerate(comm.entries):
             # (r + m) (x) (r + m) - r (x) r, expanded bilinearly
-            ms = support(m)
             residual = _ideal_class(tensor, [(r, ms), (ms, r), (ms, ms)])
             if not image.contains(residual):
-                return PsiDefect(k, m, from_support(residual.items(), tensor.dim))
+                return PsiDefect(k, comm.basis[t], from_support(residual.items(), tensor.dim))
     return None
 
 

@@ -30,7 +30,7 @@ from .linalg import (
     from_support,
     is_zero,
     kernel,
-    quotient_with_section,
+    quotient_maps,
     support,
     zero_vector,
 )
@@ -261,12 +261,12 @@ class AlgebraSubspace:
     def is_ideal(self) -> tuple[int, Vector] | None:
         """None when [L, S] <= S, otherwise a witness (basis index, subspace vector)."""
         a = self.parent
-        basis = [(v, support(v)) for v in self.space.basis]
+        entries = self.space.entries
         for i in range(a.dim):
-            for v, sv in basis:
+            for k, sv in enumerate(entries):
                 w = a.bracket_sparse(((i, 1),), sv)
                 if w and not self.space.contains(w):
-                    return (i, v)
+                    return (i, self.space.basis[k])
         return None
 
 
@@ -296,10 +296,9 @@ def bracket_subspaces(a: LieAlgebra, s: AlgebraSubspace, t: AlgebraSubspace) -> 
     """The span [S, T]; bilinearity makes basis products a spanning set."""
     if s.parent != a or t.parent != a:
         raise LinalgError("subspace parent mismatch")
-    right = [support(v) for v in t.space.basis]
+    right = t.space.entries
     vectors = []
-    for u in s.space.basis:
-        left = support(u)
+    for left in s.space.entries:
         for sv in right:
             w = a.bracket_sparse(left, sv)
             if w:
@@ -322,11 +321,11 @@ def center(a: LieAlgebra) -> AlgebraSubspace:
     return AlgebraSubspace(a, kernel(LinearMap.from_columns(len(row_of), columns)))
 
 
-def quotient_brackets(
-    a: LieAlgebra, proj: LinearMap, section: Sequence[Vector]
-) -> dict[tuple[int, int], dict[int, Exact]]:
-    """The nonzero brackets of a quotient algebra, proj([section[i], section[j]]) for i < j, as their entries."""
-    sections = [support(r) for r in section]
+def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: LinearMap) -> dict[tuple[int, int], dict[int, Exact]]:
+    """The nonzero brackets of a quotient algebra, proj([s_i, s_j]) for i < j, as their entries.
+
+    s_k is the k-th column of the section, the representative of the k-th quotient basis vector."""
+    sections = section._columns
     brackets = {}
     for i, si in enumerate(sections):
         for j in range(i + 1, len(sections)):
@@ -348,7 +347,7 @@ def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra,
         raise NotAnIdealError(
             f"[{a.name_of(i)}, subspace] leaves the subspace", witness=(i, v)
         )
-    proj, section = quotient_with_section(a.dim, ideal.space)
+    proj, section = quotient_maps(a.dim, ideal.space)
     qdim = proj.codomain_dim
     names = tuple(f"q{k}" for k in range(qdim))
     quotient = LieAlgebra.make(qdim, names, quotient_brackets(a, proj, section))
@@ -380,7 +379,7 @@ def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
     if s.parent != a:
         raise LinalgError("subspace parent mismatch")
     space = s.space
-    basis = [support(v) for v in space.basis]
+    basis = space.entries
     q = len(basis)
     brackets = {}
     for i in range(q):

@@ -15,16 +15,22 @@ their results sparsely.
 Row reduction has one internal representation: sparse primitive integer rows
 ``{column: int}``, with gcd 1 and a positive leading entry, held in
 Gauss-Jordan form by :class:`Echelon` (fraction-free elimination, as in
-Bareiss, Math. Comp. 22, 1968).  A subspace is stored through the reduced
-row-echelon basis of its span, so two subspaces are equal as sets exactly
-when the stored bases compare equal.  Its ``Fraction`` basis is built once
-from the integer rows; the reduced echelon form is unique, so it is identical
-to the result of naive exact Gaussian elimination.
+Bareiss, Math. Comp. 22, 1968).  A :class:`Subspace` stores these rows and
+nothing else.  They are the reduced row-echelon basis of the span up to a
+positive scale per row, so two subspaces are equal as sets exactly when their
+rows compare equal.  The engine reads the basis sparsely, through
+``Subspace.entries``; the ``Fraction`` basis is built from the rows on first
+read of ``basis``.  The reduced echelon form is unique, so it is identical to
+the result of naive exact Gaussian elimination.  Build a subspace with
+:meth:`Subspace.from_vectors` or, from a reduced echelon basis given by hand,
+:meth:`Subspace.from_basis`, which checks that form.
 
 A :class:`LinearMap` is stored as the supports of its columns and nothing
 else, so applying it touches only nonzero entries; its ``Fraction`` grid is
 built on first read of ``matrix``.  Build one with
 :meth:`LinearMap.from_columns` or, from a grid, :meth:`LinearMap.from_matrix`.
+:func:`quotient_maps` gives the projection onto a quotient and its section as
+maps.
 
 All values are immutable after construction.
 """
@@ -230,18 +236,8 @@ class Echelon:
         return True
 
     def subspace(self) -> "Subspace":
-        """The span, with its Fraction basis built from the rows."""
-        rows = {p: self.rows[p] for p in sorted(self.rows)}
-        basis = []
-        for p, row in rows.items():
-            a = row[p]
-            out = [_ZERO] * self.width
-            for k, y in row.items():
-                out[k] = Fraction(y) if a == 1 else Fraction(y, a)
-            basis.append(tuple(out))
-        space = Subspace(self.width, tuple(basis))
-        vars(space)["_rows"] = rows  # the cached_property, already known
-        return space
+        """The span, holding the rows in pivot order."""
+        return Subspace(self.width, {p: self.rows[p] for p in sorted(self.rows)})
 
 
 @dataclass(frozen=True)
@@ -295,17 +291,42 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient_dim held by its canonical RREF basis."""
+    """A subspace of F^ambient_dim held by the Gauss-Jordan rows of its span.
+
+    ``_rows`` maps each pivot column, in increasing order, to its primitive
+    integer row (see :class:`Echelon`).  Dividing each row by its pivot entry
+    gives the canonical RREF basis, so equal rows mean equal subspaces.
+    Build one with :meth:`from_vectors`, :meth:`zero`, :meth:`full` or
+    :meth:`from_basis`.
+    """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    _rows: dict[int, IntRow]
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.entries))
+
+    @cached_property
+    def entries(self) -> tuple[Entries, ...]:
+        """The RREF basis sparsely: each vector's nonzero (index, value) entries, in index order."""
+        return tuple(
+            tuple((k, _ratio(y, row[p])) for k, y in sorted(row.items())) for p, row in self._rows.items()
+        )
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis as Fraction vectors, built from the rows on first read."""
+        return tuple(from_support(v, self.ambient_dim) for v in self.entries)
+
+    @classmethod
+    def from_basis(cls, ambient_dim: int, basis: Sequence[Iterable]) -> "Subspace":
+        """The subspace with this reduced row-echelon basis; LinalgError when it is not in that form."""
+        if ambient_dim < 0:
             raise LinalgError("negative ambient dimension")
+        vectors = tuple(as_vector(v) for v in basis)
         pivots: list[int] = []
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+        for row in vectors:
+            if len(row) != ambient_dim:
                 raise LinalgError("basis vector of wrong length")
             pivot = next((j for j, a in enumerate(row) if a), None)
             if pivot is None:
@@ -314,18 +335,12 @@ class Subspace:
                 raise LinalgError("basis is not in reduced echelon form")
             pivots.append(pivot)
         # a row is zero before its pivot, so only the later pivots can meet it
-        for k, row in enumerate(self.basis):
+        for k, row in enumerate(vectors):
             if any(row[p] for p in pivots[k + 1:]):
                 raise LinalgError("basis is not in reduced echelon form")
-
-    @cached_property
-    def _rows(self) -> dict[int, IntRow]:
-        """The basis as primitive integer rows, by pivot column in increasing order."""
-        out = {}
-        for v in self.basis:
-            row = _primitive(dict(support(v)))
-            out[min(row)] = row
-        return out
+        space = cls(ambient_dim, {p: _primitive(dict(support(v))) for p, v in zip(pivots, vectors)})
+        vars(space)["basis"] = vectors  # the cached_property, already known
+        return space
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Iterable]) -> "Subspace":
@@ -336,15 +351,15 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return cls(ambient_dim, {j: {j: 1} for j in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._rows)
@@ -380,7 +395,7 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
 def span_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("ambient dimension mismatch in span intersection")
-    if not a.basis or not b.basis:
+    if not a._rows or not b._rows:
         return Subspace.zero(a.ambient_dim)
     a_rows = list(a._rows.values())
     k = len(a_rows)
@@ -438,9 +453,13 @@ class LinearMap:
 
     def apply_entries(self, v: Sequence) -> dict[int, Exact]:
         """The nonzero entries of the image of v."""
+        return self._image(_entries(v, self.domain_dim).items())
+
+    def _image(self, entries: Support) -> dict[int, Exact]:
+        """The nonzero entries of the image of the vector with these (index, value) entries, taken as read."""
         cols = self._columns
         acc: dict[int, Exact] = {}
-        for j, a in _entries(v, self.domain_dim).items():
+        for j, a in entries:
             for r, m in cols[j]:
                 acc[r] = acc.get(r, 0) + a * m
         return {r: x for r, x in acc.items() if x}
@@ -462,7 +481,9 @@ class LinearMap:
         """self after inner."""
         if self.domain_dim != inner.codomain_dim:
             raise LinalgError("matrix shape mismatch in product")
-        return LinearMap.from_columns(self.codomain_dim, [self.apply_entries(dict(c)) for c in inner._columns])
+        # a product of two Fractions may be integral, so each entry is put in its internal form
+        columns = (sorted((r, _exact(x)) for r, x in self._image(c).items()) for c in inner._columns)
+        return LinearMap(self.codomain_dim, tuple(map(tuple, columns)))
 
     def image(self) -> Subspace:
         return Subspace.from_vectors(self.codomain_dim, [dict(c) for c in self._columns])
@@ -490,13 +511,13 @@ def kernel(f: LinearMap) -> Subspace:
     return Subspace.from_vectors(f.domain_dim, vectors)
 
 
-def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tuple[Vector, ...]]:
-    """Projection onto F^ambient/r plus canonical coset representatives.
+def quotient_maps(ambient_dim: int, r: Subspace) -> tuple[LinearMap, LinearMap]:
+    """Projection onto F^ambient/r and its section, as maps.
 
     Quotient coordinates are read off at the non-pivot columns of r's basis,
     and the section sends each quotient basis vector to the corresponding
-    standard basis vector of the ambient space, so proj(section(k)) is the
-    k-th standard basis vector of the quotient.
+    standard basis vector of the ambient space, so the projection after the
+    section is the identity of the quotient.
     """
     if r.ambient_dim != ambient_dim:
         raise LinalgError("subspace does not match ambient dimension")
@@ -507,11 +528,15 @@ def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tup
     for j in range(ambient_dim):
         row = rows.get(j)
         if row is None:
-            columns.append({slot[j]: 1})
+            columns.append(((slot[j], 1),))
         else:
             # e_j reduces to -(basis row at pivot j - e_j), supported on free columns.
             a = row[j]
-            columns.append({slot[k]: _ratio(-y, a) for k, y in row.items() if k != j})
-    proj = LinearMap.from_columns(len(free), columns)
-    section = tuple(from_support(((j, Fraction(1)),), ambient_dim) for j in free)
-    return proj, section
+            columns.append(tuple((slot[k], _ratio(-y, a)) for k, y in sorted(row.items()) if k != j))
+    return LinearMap(len(free), tuple(columns)), LinearMap(ambient_dim, tuple(((j, 1),) for j in free))
+
+
+def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tuple[Vector, ...]]:
+    """The projection of :func:`quotient_maps` and its section as coset representatives, one vector each."""
+    proj, section = quotient_maps(ambient_dim, r)
+    return proj, tuple(section.column(k) for k in range(section.domain_dim))

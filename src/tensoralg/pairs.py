@@ -33,6 +33,7 @@ from .linalg import (
     Support,
     Vector,
     _entries,
+    _exact,
     as_vector,
     from_support,
     span_intersect,
@@ -68,32 +69,40 @@ class CompatibilityViolation:
 
 @dataclass(frozen=True)
 class ActionData:
-    """Bilinear action table: table[i][j] = action of actor basis i on acted basis j."""
+    """Bilinear action table, held by the supports of its values.
+
+    ``_supports[i][j]`` lists the nonzero (k, c) entries of the action of
+    actor basis i on acted basis j, in index order, values in their internal
+    form.  ``table`` is the same table as Fraction vectors, built on first
+    read.  Build one from dense rows with :meth:`from_rows`.
+    """
 
     actor_dim: int
     acted_dim: int
-    table: tuple[tuple[Vector, ...], ...]
-
-    def __post_init__(self):
-        if len(self.table) != self.actor_dim:
-            raise LinalgError("action table row count mismatch")
-        for row in self.table:
-            if len(row) != self.acted_dim:
-                raise LinalgError("action table column count mismatch")
-            for v in row:
-                if len(v) != self.acted_dim:
-                    raise LinalgError("action value of wrong length")
+    _supports: tuple[tuple[Entries, ...], ...]
 
     @classmethod
     def from_rows(cls, actor_dim: int, acted_dim: int, rows: Sequence[Sequence[Iterable]]) -> "ActionData":
-        return cls(actor_dim, acted_dim, tuple(tuple(as_vector(v) for v in row) for row in rows))
+        table = tuple(tuple(as_vector(v) for v in row) for row in rows)
+        if len(table) != actor_dim:
+            raise LinalgError("action table row count mismatch")
+        for row in table:
+            if len(row) != acted_dim:
+                raise LinalgError("action table column count mismatch")
+            for v in row:
+                if len(v) != acted_dim:
+                    raise LinalgError("action value of wrong length")
+        act = cls(actor_dim, acted_dim, tuple(tuple(tuple(support(v)) for v in row) for row in table))
+        vars(act)["table"] = table  # the cached_property, already known
+        return act
+
+    @cached_property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """table[i][j] = action of actor basis i on acted basis j, as a Fraction vector."""
+        return tuple(tuple(from_support(e, self.acted_dim) for e in row) for row in self._supports)
 
     def act_basis(self, i: int, j: int) -> Vector:
         return self.table[i][j]
-
-    @cached_property
-    def _supports(self) -> tuple[tuple[Entries, ...], ...]:
-        return tuple(tuple(tuple(support(v)) for v in row) for row in self.table)
 
     def act_entries(self, i: int, j: int) -> Entries:
         """The nonzero (k, c) entries of act_basis(i, j)."""
@@ -121,8 +130,8 @@ class Pair:
     """A Lie algebra L, an ideal N in RREF coordinates, and the two actions.
 
     The pair is immutable, so what is derived from it alone is built once per
-    object and shared: the ideal's own algebra, its inclusion into L, and
-    [N, L] in both coordinate systems.
+    object and shared: the ideal's own algebra, its inclusion into L, the
+    collapse tables of its symbols, and [N, L] in both coordinate systems.
     """
 
     algebra: LieAlgebra
@@ -160,13 +169,22 @@ class Pair:
     @cached_property
     def relative_commutator_in_ideal(self) -> Subspace:
         """[N, L] in the ideal's own coordinates."""
-        comm = self.relative_commutator
-        return Subspace.from_vectors(self.right_dim, [self.ambient_to_ideal(v) for v in comm.basis()])
+        comm = self.relative_commutator.space
+        return Subspace.from_vectors(self.right_dim, [self._ideal_entries(dict(v)) for v in comm.entries])
 
     @cached_property
     def inclusion(self) -> LinearMap:
         """N into L: ideal coordinates to ambient coordinates."""
-        return LinearMap.from_columns(self.left_dim, self.ideal.space.basis)
+        return LinearMap(self.left_dim, self.ideal.space.entries)
+
+    @cached_property
+    def collapse_tables(self) -> tuple[tuple[Entries, ...], tuple[Entries, ...]]:
+        """Per symbol l_i (x) n_a, at index i * q + a: the entries of n_a . l_i in L and of l_i . n_a in N."""
+        p, q = self.left_dim, self.right_dim
+        on_algebra, on_ideal = self.act_on_algebra, self.act_on_ideal
+        left = tuple(on_algebra.act_entries(a, i) for i in range(p) for a in range(q))
+        right = tuple(on_ideal.act_entries(i, a) for i in range(p) for a in range(q))
+        return left, right
 
     def ideal_basis_vector(self, a: int) -> Vector:
         return self.ideal.space.basis[a]
@@ -175,9 +193,13 @@ class Pair:
         return self.inclusion.apply(n)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
+        return from_support(self._ideal_entries(v).items(), self.right_dim)
+
+    def _ideal_entries(self, v: Sequence) -> dict[int, Exact]:
+        """The nonzero ideal coordinates of an ambient vector v of the ideal."""
         if not self.ideal.space.contains(v):
             raise LinalgError("vector is not in the ideal")
-        return self.ideal.space.coordinates(v)
+        return self.ideal.space.coordinate_entries(v)
 
 
 def _leaves_span(i: int, v: Vector) -> NotAnIdealError:
@@ -197,22 +219,21 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
 
     Each [l_i, n_a] is computed once, in the order is_ideal tests it: l_i acts
     on n_a by it, in ideal coordinates (its entries at the ideal's pivots),
-    and n_a acts on l_i by its negative.
+    and n_a acts on l_i by its negative.  Both tables are kept as supports.
     """
     ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     space = ideal.space
     p, q = algebra.dim, ideal.dim
-    ideal_supports = [support(n) for n in space.basis]
-    on_ideal = [[None] * q for _ in range(p)]
-    on_algebra = [[None] * p for _ in range(q)]
+    on_ideal = [[()] * q for _ in range(p)]
+    on_algebra = [[()] * p for _ in range(q)]
     for i in range(p):
-        for a, n in enumerate(space.basis):
-            w = algebra.bracket_sparse(((i, 1),), ideal_supports[a])
+        for a, n in enumerate(space.entries):
+            w = algebra.bracket_sparse(((i, 1),), n)
             if not space.contains(w):
-                raise _leaves_span(i, n)
-            on_ideal[i][a] = space.coordinates(w)
-            on_algebra[a][i] = from_support(((k, -x) for k, x in w.items()), p)
-    # the action values are Fraction vectors already, so they skip from_rows' coercion
+                raise _leaves_span(i, space.basis[a])
+            # coordinate_entries lists the coordinates in pivot order
+            on_ideal[i][a] = tuple(space.coordinate_entries(w).items())
+            on_algebra[a][i] = tuple((k, -_exact(w[k])) for k in sorted(w))
     act_on_ideal = ActionData(p, q, tuple(map(tuple, on_ideal)))
     act_on_algebra = ActionData(q, p, tuple(map(tuple, on_algebra)))
     return Pair(algebra, ideal, act_on_ideal, act_on_algebra)
@@ -339,7 +360,7 @@ def quotient_pair(pair: Pair) -> QuotientPair:
     """Quotient both members by [N, L] and install the inner actions."""
     k = relative_commutator(pair)
     quotient, proj = quotient_algebra(pair.algebra, k)
-    images = [proj.map.apply_entries(v) for v in pair.ideal.space.basis]
+    images = [proj.map.apply_entries(dict(v)) for v in pair.ideal.space.entries]
     new_pair = make_pair(quotient, images)
     # the images span the new ideal, so each has coordinates in its basis
     columns = [new_pair.ideal.space.coordinate_entries(w) for w in images]
@@ -375,6 +396,6 @@ def complement_condition(pair: Pair) -> bool:
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:
     """(L1 + L2, N1 + N2) with inner actions, via block embedding."""
     algebra = direct_sum(a.algebra, b.algebra)
-    left = [dict(support(v)) for v in a.ideal.space.basis]
-    right = [{a.left_dim + k: c for k, c in support(v)} for v in b.ideal.space.basis]
+    left = [dict(v) for v in a.ideal.space.entries]
+    right = [{a.left_dim + k: c for k, c in v} for v in b.ideal.space.entries]
     return make_pair(algebra, left + right)

@@ -65,7 +65,7 @@ from .linalg import (
     _entries,
     from_support,
     kernel,
-    quotient_with_section,
+    quotient_maps,
 )
 from .pairs import Pair
 
@@ -105,17 +105,6 @@ class SymbolSpace:
     def expand(self, x: Sequence, n: Sequence) -> Vector:
         """Bilinear expansion of x (x) n into symbol coordinates."""
         return from_support(self.expand_entries(x, n).items(), self.dim)
-
-
-def _collapse_tables(pair: Pair, sym: SymbolSpace) -> tuple[tuple[Support, ...], tuple[Support, ...]]:
-    """Per-symbol (n_a . l_i) in L and (l_i . n_a) in N coordinates, as support lists."""
-    left = []
-    right = []
-    for i in range(sym.left_dim):
-        for a in range(sym.right_dim):
-            left.append(pair.act_on_algebra.act_entries(a, i))
-            right.append(pair.act_on_ideal.act_entries(i, a))
-    return tuple(left), tuple(right)
 
 
 def _collapse(coeffs: Support, table: Sequence[Support]) -> list[tuple[int, Exact]]:
@@ -167,7 +156,7 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     us, vs = _entries(u, sym.dim), _entries(v, sym.dim)
-    left, right = _collapse_tables(pair, sym)
+    left, right = pair.collapse_tables
     acc: dict[int, Exact] = {}
     _add_expansion(acc, _collapse(us.items(), left), _collapse(vs.items(), right), sym.right_dim, -1)
     return from_support(acc.items(), sym.dim)
@@ -177,7 +166,7 @@ def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     p, q = sym.left_dim, sym.right_dim
-    left, right = _collapse_tables(pair, sym)
+    left, right = pair.collapse_tables
     out: dict = {}
     # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
     for i in range(p):
@@ -213,7 +202,7 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     if seed.ambient_dim != sym.dim:
         raise LinalgError("seed lives in the wrong symbol space")
-    left, right = _collapse_tables(pair, sym)
+    left, right = pair.collapse_tables
     for name, table in (("left collapse n . l", left), ("right collapse l . n", right)):
         if any(_collapse(row.items(), table) for row in seed.echelon().rows.values()):
             raise TensorConstructionError(f"{name} does not kill the relations")
@@ -265,11 +254,10 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
-    proj, reps = quotient_with_section(sym.dim, relations)
-    section = LinearMap.from_columns(sym.dim, reps)
+    proj, section = quotient_maps(sym.dim, relations)
     t_dim = proj.codomain_dim
     q = sym.right_dim
-    left, right = _collapse_tables(pair, sym)
+    left, right = pair.collapse_tables
     lc = [_collapse(section.column_entries(t), left) for t in range(t_dim)]
     rc = [_collapse(section.column_entries(t), right) for t in range(t_dim)]
     proj_cols = [proj.column_entries(k) for k in range(sym.dim)]
@@ -339,10 +327,9 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, Line
     witness = AlgebraSubspace(t_alg, box).is_ideal()
     if witness is not None:
         raise NotAnIdealError("diagonal subspace is not an ideal", witness=witness)
-    proj, reps = quotient_with_section(t_alg.dim, box)
+    proj, section = quotient_maps(t_alg.dim, box)
     e_dim = t_alg.dim - box.dim
-    algebra = LieAlgebra.make(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, reps))
-    section = LinearMap.from_columns(t_alg.dim, reps)
+    algebra = LieAlgebra.make(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, section))
     return box, algebra, proj, section
 
 
@@ -375,7 +362,7 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """Evaluation of the presentation symbols through the action of L on N."""
     box, ext_algebra, eps, ext_section = _exterior_data(tensor)
     pair = tensor.pair
-    _, right = _collapse_tables(pair, tensor.symbols)
+    _, right = pair.collapse_tables
     # the right collapse lands in N; the inclusion carries it into L
     collapsed = [dict(_collapse(tensor.section.column_entries(k), right)) for k in range(tensor.dim)]
     kappa = pair.inclusion.compose(LinearMap.from_columns(pair.right_dim, collapsed))

@@ -120,7 +120,7 @@ class _Derivation:
     def mixed(self) -> Subspace:
         """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
         pair, tensor = self.pair, self.tensor
-        comm = [support(m) for m in relative_commutator_in_ideal(pair).basis]
+        comm = relative_commutator_in_ideal(pair).entries
         gens = []
         for i in range(pair.left_dim):
             for m in comm:
@@ -180,9 +180,9 @@ def _shared_derivation(held: list[_Derivation], pair: Pair) -> _Derivation:
 
 
 def _containment_witness(container: Subspace, sub: Subspace) -> str | None:
-    for v in sub.basis:
-        if not container.contains(v):
-            return _fmt_vector(v)
+    for k, v in enumerate(sub.entries):
+        if not container.contains(dict(v)):
+            return _fmt_vector(sub.basis[k])
     return None
 
 

@@ -398,3 +398,22 @@ def test_output_matches_golden_bytes(golden, argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["tensor", "verify"])
+@pytest.mark.parametrize(
+    "stem, document",
+    [
+        ("dim0", {"algebra": {"name": "zero", "dim": 0, "basis": [], "brackets": {}}, "ideal": "all"}),
+        ("zero_ideal", {"algebra": HEISENBERG1_PAIR["algebra"], "ideal": []}),
+    ],
+    ids=["dimension-0-algebra", "zero-ideal"],
+)
+def test_machine_output_on_empty_spaces_matches_golden_bytes(stem, document, command, tmp_path, monkeypatch, capsys):
+    # Every subspace, quotient and action table here is empty; the pair id is
+    # the document path as given, so the document is named relative to its folder.
+    (tmp_path / f"{stem}.json").write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--machine", f"{stem}.json")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (DATA / f"{command}_{stem}.json").read_bytes()

@@ -27,10 +27,12 @@ from tensoralg.linalg import (
     format_scalar,
     kernel,
     parse_scalar,
+    quotient_maps,
     quotient_with_section,
     rref,
     span_intersect,
     span_sum,
+    support,
     zero_vector,
 )
 
@@ -107,8 +109,27 @@ def test_subspace_canonical_equality():
 
 
 def test_subspace_rejects_non_canonical_basis():
-    with pytest.raises(LinalgError):
-        Subspace(2, ((Fraction(2), Fraction(0)),))
+    # A hand-built basis goes through Subspace.from_basis, which checks it.
+    for basis, message in [
+        (((Fraction(2), Fraction(0)),), "reduced echelon form"),  # pivot entry not 1
+        (((0, 1), (1, 0)), "reduced echelon form"),  # pivots out of order
+        (((1, 1), (0, 1)), "reduced echelon form"),  # pivot column not cleared
+        (((0, 0),), "zero vector"),
+        (((1, 0, 0),), "wrong length"),
+    ]:
+        with pytest.raises(LinalgError, match=message):
+            Subspace.from_basis(2, basis)
+
+
+def test_subspace_from_a_canonical_basis_is_its_span():
+    basis = ((1, 0, "1/2"), (0, 1, -3))
+    space = Subspace.from_basis(3, basis)
+    assert space == Subspace.from_vectors(3, [(2, 0, 1), (2, 2, -5)])
+    assert space.basis == ((1, 0, Fraction(1, 2)), (0, 1, -3))
+    assert all(type(a) is Fraction for v in space.basis for a in v)
+    assert space.entries == (((0, 1), (2, Fraction(1, 2))), ((1, 1), (2, -3)))
+    assert Subspace.from_basis(2, ()) == Subspace.zero(2)
+    assert Subspace.from_basis(2, ((1, 0), (0, 1))) == Subspace.full(2)
 
 
 def test_quotient_with_section_line_in_plane():
@@ -321,6 +342,36 @@ def test_sparse_elimination_matches_dense_reference(case):
     assert all(isinstance(a, Fraction) for v in public for a in v)
 
 
+# A Subspace keeps only its Gauss-Jordan rows; its sparse view, its Fraction
+# basis and the quotient maps are read off them and must match the dense
+# references, and a span rebuilt from its basis by hand must be the same set.
+
+
+@seed(1989)
+@settings(max_examples=50, deadline=None)
+@given(_shapes)
+def test_sparse_views_match_the_dense_basis(case):
+    cols, rows, other = case
+    space = Subspace.from_vectors(cols, rows)
+    assert "basis" not in vars(space)
+    dense = dense_span(cols, rows)
+    assert space.entries == tuple(tuple(support(v)) for v in dense)
+    assert all(type(a) is int or a.denominator != 1 for v in space.entries for _, a in v)
+    assert space.basis == dense
+    proj, section = quotient_maps(cols, space)
+    _, dense_section = quotient_with_section(cols, space)
+    assert tuple(tuple(support(v)) for v in dense_section) == section._columns
+    assert (proj.matrix.entries, dense_section) == dense_quotient_with_section(cols, dense)
+    by_hand = Subspace.from_basis(cols, dense)
+    assert by_hand == space and hash(by_hand) == hash(space)
+    assert by_hand.entries == space.entries and by_hand.pivots() == space.pivots()
+    b = Subspace.from_vectors(cols, other)
+    assert (b == space) == (b.basis == space.basis)
+    assert (b == space) == (Subspace.from_basis(cols, b.basis) == by_hand)
+    if b == space:
+        assert hash(b) == hash(by_hand)
+
+
 # LinearMap keeps only its column supports; its Fraction grid is built when
 # read, and must be the grid of the dense references.
 
@@ -368,3 +419,13 @@ def test_map_from_a_matrix_equals_the_map_from_its_columns():
     # zero rows and columns survive the round trip through the column supports
     empty = LinearMap.from_matrix(Matrix.from_rows([], cols=2))
     assert (empty.codomain_dim, empty.domain_dim, empty.matrix) == (0, 2, Matrix(0, 2, ()))
+
+
+def test_compose_keeps_integral_entries_as_ints():
+    # 3/2 * 2/3 is an integral Fraction; the composite stores it as the int 1
+    f = LinearMap.from_columns(2, [[Fraction(3, 2), Fraction(1, 2)]])
+    g = LinearMap.from_columns(1, [[Fraction(2, 3)]])
+    h = f.compose(g)
+    assert h._columns == (((0, 1), (1, Fraction(1, 3))),)
+    assert type(h._columns[0][0][1]) is int
+    assert h == LinearMap.from_matrix(Matrix.from_rows([[1], ["1/3"]]))

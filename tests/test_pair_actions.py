@@ -8,7 +8,11 @@ import pytest
 from algebra_examples import IDEAL_ALGEBRAS, ideals
 from oracles import dense_action_violation, dense_compatibility_violation
 
+import tensoralg.liealg
+import tensoralg.linalg
+import tensoralg.pairs
 from tensoralg.liealg import LieAlgebra, NotAnIdealError
+from tensoralg.linalg import support
 from tensoralg.pairs import (
     ActionData,
     CompatibilityViolation,
@@ -278,3 +282,32 @@ def test_perturbed_tables_give_the_dense_first_violation(name):
     rng = random.Random(f"actions/{name}")
     for _ in range(6):
         _assert_checks_match_dense(_perturbed(pair, rng))
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+def test_make_pair_keeps_the_action_tables_as_supports(name, monkeypatch):
+    algebra_name, kind = DIFFERENTIAL_PAIRS[name]
+    algebra = IDEAL_ALGEBRAS[algebra_name]
+    vectors = ideals(algebra)[kind].basis
+
+    def no_dense_round_trip(*args):
+        raise AssertionError("make_pair read a dense vector back into a support")
+
+    with monkeypatch.context() as patch:
+        for module in (tensoralg.pairs, tensoralg.liealg, tensoralg.linalg):
+            for helper in ("support", "from_support"):
+                if hasattr(module, helper):
+                    patch.setattr(module, helper, no_dense_round_trip)
+        pair = make_pair(algebra, vectors)
+    p, q = pair.left_dim, pair.right_dim
+    for act in (pair.act_on_ideal, pair.act_on_algebra):
+        assert "table" not in vars(act)
+        # read afterwards, the dense table is the one the supports stand for
+        assert act._supports == tuple(tuple(tuple(support(v)) for v in row) for row in act.table)
+        again = ActionData.from_rows(act.actor_dim, act.acted_dim, act.table)
+        assert again == act and hash(again) == hash(act)
+    for i in range(p):
+        for a in range(q):
+            w = algebra.bracket_vectors(algebra.basis_vector(i), pair.ideal_basis_vector(a))
+            assert pair.ideal_vector_to_ambient(pair.act_on_ideal.act_basis(i, a)) == w
+            assert pair.act_on_algebra.act_basis(a, i) == tuple(-x for x in w)

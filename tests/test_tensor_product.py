@@ -19,7 +19,7 @@ from oracles import combine, vadd, vscale
 import tensoralg.tensor
 from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
 from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
-from tensoralg.linalg import Subspace, is_zero, kernel, quotient_with_section
+from tensoralg.linalg import Subspace, is_zero, kernel, quotient_with_section, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
@@ -493,3 +493,34 @@ def test_derived_dimensions_invariant_under_rational_change_of_basis(name, entri
     columns = [tuple(entries[3 * k : 3 * k + 3]) for k in range(3)]
     assume(Subspace.from_vectors(3, columns).dim == 3)
     assert _derived_dims(rebased(pair_full(algebra), columns)) == dims
+
+
+# The construction reads subspaces and action tables sparsely: no dense basis
+# or dense action table is built unless a caller reads it, and the collapse
+# tables of a pair are built once, however many stages read them.
+
+SPARSE_PAIRS = ["sl2+heisenberg(1)", "center(heisenberg(1))", "derived(gl2)", "full(r3(1/2))", "full(sl2+Q2)"]
+
+
+@pytest.mark.parametrize("name", SPARSE_PAIRS)
+def test_construction_builds_no_dense_view_and_one_set_of_collapse_tables(name, monkeypatch):
+    pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"sparse/{name}"))
+    read = []
+    real = ActionData.act_entries
+    monkeypatch.setattr(ActionData, "act_entries", lambda self, i, j: read.append((i, j)) or real(self, i, j))
+    t = construct_tensor(pair)
+    maps = kappa_maps(t)
+    assert closure(pair, relation_seed(pair)) == t.relations
+    beta_bracket(pair, {0: 1}, {0: 1})
+    p, q = pair.left_dim, pair.right_dim
+    assert len(read) == 2 * p * q
+    for space in (pair.ideal.space, t.relations, maps.square, maps.j2, maps.multiplier):
+        assert "basis" not in vars(space)
+    for act in (pair.act_on_ideal, pair.act_on_algebra):
+        assert "table" not in vars(act)
+    # the dense views, once read, are the ones the sparse data stand for
+    dense = _dense_collapse_tables(pair)
+    assert pair.collapse_tables == tuple(tuple(tuple(support(v)) for v in table) for table in dense)
+    for space in (t.relations, maps.square, maps.j2, maps.multiplier):
+        assert space.entries == tuple(tuple(support(v)) for v in space.basis)
+        assert space == Subspace.from_basis(space.ambient_dim, space.basis)

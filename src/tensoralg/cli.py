@@ -113,7 +113,7 @@ def _fmt_combo(v, names) -> str:
 def _symbol_names(pair: Pair, tensor) -> list[str]:
     names = []
     for k in range(tensor.dim):
-        at = next(i for i, c in enumerate(tensor.section.column(k)) if c != 0)
+        at = tensor.section.column_entries(k)[0][0]  # the first nonzero row
         i, a = tensor.symbols.split(at)
         names.append(f"{pair.algebra.name_of(i)}(x){pair.ideal_algebra.name_of(a)}")
     return names

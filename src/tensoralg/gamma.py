@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_with_section, support
+from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_maps
 from .pairs import Pair, relative_commutator_in_ideal
 from .tensor import NonabelianTensor
 
@@ -35,16 +35,16 @@ class GammaSpace:
     """Symmetric square coordinates for the relative abelianization."""
 
     source_dim: int
-    reps: tuple[Vector, ...]  # coset representatives, in ideal coordinates
+    section: LinearMap  # column k represents quotient basis vector k, in ideal coordinates
     pairs: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_pair(cls, pair: Pair) -> "GammaSpace":
         comm = relative_commutator_in_ideal(pair)
-        _, reps = quotient_with_section(pair.right_dim, comm)
-        d = len(reps)
+        _, section = quotient_maps(pair.right_dim, comm)
+        d = section.domain_dim
         index_pairs = tuple((a, b) for a in range(d) for b in range(a, d))
-        return cls(d, tuple(reps), index_pairs)
+        return cls(d, section, index_pairs)
 
     @property
     def dim(self) -> int:
@@ -91,7 +91,7 @@ def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace | None = Non
         raise ValueError("tensor was built from a different pair")
     if gamma is None:
         gamma = GammaSpace.from_pair(pair)
-    reps = [support(r) for r in gamma.reps]
+    reps = [gamma.section.column_entries(k) for k in range(gamma.source_dim)]
     columns = [
         _ideal_class(tensor, [(reps[a], reps[b])] if a == b else [(reps[a], reps[b]), (reps[b], reps[a])])
         for a, b in gamma.pairs
@@ -104,8 +104,8 @@ def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
     gamma = GammaSpace.from_pair(pair)
     image = psi_map(pair, tensor, gamma).image()
     comm = relative_commutator_in_ideal(pair)
-    for k, rep in enumerate(gamma.reps):
-        r = support(rep)
+    for k in range(gamma.source_dim):
+        r = gamma.section.column_entries(k)
         for t, ms in enumerate(comm.entries):
             # (r + m) (x) (r + m) - r (x) r, expanded bilinearly
             residual = _ideal_class(tensor, [(r, ms), (ms, r), (ms, ms)])

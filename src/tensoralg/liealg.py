@@ -1,13 +1,13 @@
 """Finite-dimensional Lie algebras over the rationals, given by structure constants.
 
-A ``LieAlgebra`` stores only the brackets of basis pairs (i, j) with i < j;
-antisymmetry is implied by the storage, so validated instances cannot even
-represent an antisymmetric violation.  Every computation reads the bracket
-table as supports: ``ad[i][j]`` lists the nonzero (k, c) entries of
-[e_i, e_j], for both orders of each nonzero pair, built once on first use.
-Raw structure-constant tables (full p x p x p grids, as they arrive from
-documents or by hand) are checked by :func:`validate_structure`, which
-returns violations as values rather than raising.
+A ``LieAlgebra`` stores only the supports of the brackets of basis pairs
+(i, j) with i < j; antisymmetry is implied by the storage.  ``ad[i][j]``
+lists the nonzero (k, c) entries of [e_i, e_j], for both orders of each
+nonzero pair, built once on first use.  A table is checked once, where it
+enters: by :meth:`LieAlgebra.make`.  Direct sums, quotients by ideals and
+subalgebras of a checked algebra are Lie algebras by theorem, so they are
+built unchecked.  Raw structure-constant tables (full p x p x p grids) are
+checked by :func:`validate_structure`, which returns violations as values.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ from .linalg import (
     Support,
     Vector,
     _entries,
+    _exact,
     as_vector,
     from_support,
-    is_zero,
     kernel,
     quotient_maps,
     support,
-    zero_vector,
 )
 
 # ad[i] maps each j with [e_i, e_j] != 0 to the entries of [e_i, e_j].
 SupportTable = tuple[dict[int, Entries], ...]
+# The nonzero brackets of pairs i < j with their entries, both in index order.
+BracketTable = tuple[tuple[tuple[int, int], Entries], ...]
 
 
 class StructureError(ValueError):
@@ -128,13 +129,15 @@ def validate_structure(dim: int, table: Sequence[Sequence[Sequence]]) -> Structu
 class LieAlgebra:
     """A Lie algebra with brackets stored for basis pairs i < j only.
 
-    The algebra is immutable, so what is derived from it alone is built once
-    per object and shared: the sparse bracket table and [L, L].
+    ``_brackets`` lists each nonzero [e_i, e_j] with its (k, c) entries,
+    sorted by (i, j) and by k, values in internal form: a canonical table,
+    taken as trusted here and checked by :meth:`make`.  What is derived from
+    the algebra alone is built once and shared: ``_ad``, ``brackets``, [L, L].
     """
 
     dim: int
     basis_names: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], Vector], ...]
+    _brackets: BracketTable
 
     def __post_init__(self):
         if self.dim < 0:
@@ -143,32 +146,22 @@ class LieAlgebra:
             raise LinalgError("basis name count does not match dimension")
         if len(set(self.basis_names)) != self.dim:
             raise LinalgError("duplicate basis names")
-        seen = set()
-        for (i, j), v in self.brackets:
-            if not (0 <= i < j < self.dim):
-                raise LinalgError("bracket index pair must satisfy 0 <= i < j < dim")
-            if (i, j) in seen:
-                raise LinalgError("duplicate bracket entry")
-            seen.add((i, j))
-            if len(v) != self.dim:
-                raise LinalgError("bracket vector of wrong length")
-            if is_zero(v):
-                raise LinalgError("zero bracket entries must be omitted")
 
     @classmethod
     def make(cls, dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Sequence]) -> "LieAlgebra":
         """Build from an i < j bracket mapping and verify the Jacobi identity.
 
         Each bracket is read once, densely or as a mapping from index to
-        scalar; zero brackets are dropped.  The sparse table is kept as read.
+        scalar; zero brackets are dropped.
         """
         supports = []
         for (i, j) in sorted(brackets):
+            if not (0 <= i < j < dim):
+                raise LinalgError("bracket index pair must satisfy 0 <= i < j < dim")
             entries = _entries(brackets[(i, j)], dim)
             if entries:
                 supports.append(((i, j), tuple(sorted(entries.items()))))
-        algebra = cls(dim, tuple(basis_names), tuple((ij, from_support(e, dim)) for ij, e in supports))
-        vars(algebra)["_ad"] = _support_table(dim, supports)  # the cached_property, already known
+        algebra = cls(dim, tuple(basis_names), tuple(supports))
         violation = algebra.jacobi_violation()
         if violation is not None:
             raise StructureError(violation)
@@ -180,8 +173,13 @@ class LieAlgebra:
         return cls(dim, names, ())
 
     @cached_property
+    def brackets(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
+        """The nonzero brackets [e_i, e_j], i < j, as Fraction vectors, built on first read."""
+        return tuple((ij, from_support(entries, self.dim)) for ij, entries in self._brackets)
+
+    @cached_property
     def _ad(self) -> SupportTable:
-        return _support_table(self.dim, ((ij, tuple(support(v))) for ij, v in self.brackets))
+        return _support_table(self.dim, self._brackets)
 
     @cached_property
     def derived_algebra(self) -> "AlgebraSubspace":
@@ -226,7 +224,7 @@ class LieAlgebra:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
 
     def is_abelian(self) -> bool:
-        return not self.brackets
+        return not self._brackets
 
     def name_of(self, i: int) -> str:
         return self.basis_names[i]
@@ -321,20 +319,25 @@ def center(a: LieAlgebra) -> AlgebraSubspace:
     return AlgebraSubspace(a, kernel(LinearMap.from_columns(len(row_of), columns)))
 
 
-def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: LinearMap) -> dict[tuple[int, int], dict[int, Exact]]:
-    """The nonzero brackets of a quotient algebra, proj([s_i, s_j]) for i < j, as their entries.
+def _sorted_entries(v: Mapping[int, Exact]) -> Entries:
+    """The nonzero entries of a vector the engine built, in index order and internal form."""
+    return tuple(sorted((k, _exact(c)) for k, c in v.items()))
+
+
+def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: LinearMap) -> BracketTable:
+    """The bracket table of a quotient algebra: the nonzero proj([s_i, s_j]) for i < j, as supports.
 
     s_k is the k-th column of the section, the representative of the k-th quotient basis vector."""
     sections = section._columns
-    brackets = {}
+    brackets = []
     for i, si in enumerate(sections):
         for j in range(i + 1, len(sections)):
             w = a.bracket_sparse(si, sections[j])
             if w:
                 v = proj.apply_entries(w)
                 if v:
-                    brackets[(i, j)] = v
-    return brackets
+                    brackets.append(((i, j), _sorted_entries(v)))
+    return tuple(brackets)
 
 
 def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra, AlgebraHom]:
@@ -350,19 +353,16 @@ def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra,
     proj, section = quotient_maps(a.dim, ideal.space)
     qdim = proj.codomain_dim
     names = tuple(f"q{k}" for k in range(qdim))
-    quotient = LieAlgebra.make(qdim, names, quotient_brackets(a, proj, section))
+    quotient = LieAlgebra(qdim, names, quotient_brackets(a, proj, section))
     return quotient, AlgebraHom(a, quotient, proj)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block direct sum; names are suffixed by summand to stay unique."""
     names = tuple(f"{n}.1" for n in a.basis_names) + tuple(f"{n}.2" for n in b.basis_names)
-    brackets = {}
-    for (i, j), v in a.brackets:
-        brackets[(i, j)] = v + zero_vector(b.dim)
-    for (i, j), v in b.brackets:
-        brackets[(a.dim + i, a.dim + j)] = zero_vector(a.dim) + v
-    return LieAlgebra(a.dim + b.dim, names, tuple(sorted(brackets.items())))
+    n = a.dim
+    shifted = tuple(((n + i, n + j), tuple((n + k, c) for k, c in e)) for (i, j), e in b._brackets)
+    return LieAlgebra(n + b.dim, names, a._brackets + shifted)
 
 
 def derived_algebra(a: LieAlgebra) -> AlgebraSubspace:
@@ -381,13 +381,13 @@ def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
     space = s.space
     basis = space.entries
     q = len(basis)
-    brackets = {}
+    brackets = []
     for i in range(q):
         for j in range(i + 1, q):
             w = a.bracket_sparse(basis[i], basis[j])
             if not space.contains(w):
                 raise NotAnIdealError("subspace is not closed under the bracket", witness=(i, j))
             if w:
-                brackets[(i, j)] = space.coordinate_entries(w)
+                brackets.append(((i, j), _sorted_entries(space.coordinate_entries(w))))
     names = tuple(f"n{k}" for k in range(q))
-    return LieAlgebra.make(q, names, brackets)
+    return LieAlgebra(q, names, tuple(brackets))

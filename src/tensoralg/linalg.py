@@ -534,9 +534,3 @@ def quotient_maps(ambient_dim: int, r: Subspace) -> tuple[LinearMap, LinearMap]:
             a = row[j]
             columns.append(tuple((slot[k], _ratio(-y, a)) for k, y in sorted(row.items()) if k != j))
     return LinearMap(len(free), tuple(columns)), LinearMap(ambient_dim, tuple(((j, 1),) for j in free))
-
-
-def quotient_with_section(ambient_dim: int, r: Subspace) -> tuple[LinearMap, tuple[Vector, ...]]:
-    """The projection of :func:`quotient_maps` and its section as coset representatives, one vector each."""
-    proj, section = quotient_maps(ambient_dim, r)
-    return proj, tuple(section.column(k) for k in range(section.domain_dim))

@@ -329,7 +329,8 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, Line
         raise NotAnIdealError("diagonal subspace is not an ideal", witness=witness)
     proj, section = quotient_maps(t_alg.dim, box)
     e_dim = t_alg.dim - box.dim
-    algebra = LieAlgebra.make(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, section))
+    # a quotient by an ideal is a Lie algebra, so its table is not checked again
+    algebra = LieAlgebra(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, section))
     return box, algebra, proj, section
 
 

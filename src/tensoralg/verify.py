@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
 from .liealg import AlgebraSubspace, LieAlgebra, center, derived_algebra
-from .linalg import LinearMap, Subspace, kernel, quotient_with_section, support
+from .linalg import LinearMap, Subspace, kernel, quotient_maps
 from .pairs import (
     Pair,
     QuotientPair,
@@ -308,10 +308,10 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     pair, t, maps = d.pair, d.tensor, d.maps
     box = maps.square
     candidates = list(d.mixed.echelon().rows.values())
-    _, outside = quotient_with_section(pair.left_dim, pair.ideal.space)
+    _, outside = quotient_maps(pair.left_dim, pair.ideal.space)
     q = pair.right_dim
-    for y in outside:
-        ys = support(y)
+    for k in range(outside.domain_dim):
+        ys = outside.column_entries(k)
         for a in range(q):
             candidates.append(t.class_entries([(ys, ((a, 1),))]))
     ideal_ambient = [pair.inclusion.column_entries(a) for a in range(q)]

@@ -22,7 +22,7 @@ from tensoralg.liealg import (
     restrict_to_subalgebra,
     validate_structure,
 )
-from tensoralg.linalg import LinearMap, Matrix, Subspace
+from tensoralg.linalg import LinalgError, LinearMap, Matrix, Subspace, support
 
 
 def nonabelian2() -> LieAlgebra:
@@ -82,6 +82,48 @@ def test_make_rejects_jacobi_violation():
             ("x", "y", "z"),
             {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]},
         )
+
+
+# make is the one constructor that checks a bracket table; the positional
+# constructor takes trusted supports and checks only the dimension and names.
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 3)])
+def test_make_rejects_index_pairs_outside_the_upper_triangle(key):
+    with pytest.raises(LinalgError, match=r"bracket index pair must satisfy 0 <= i < j < dim"):
+        LieAlgebra.make(3, ("x", "y", "z"), {key: {2: 1}})
+
+
+@pytest.mark.parametrize("vector", [(0, 1), (0, 0, 1, 0), {3: 1}, {-1: 1}], ids=["short", "long", "index 3", "index -1"])
+def test_make_rejects_malformed_bracket_vectors(vector):
+    with pytest.raises(LinalgError):
+        LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): vector})
+
+
+def test_make_drops_zero_brackets():
+    a = LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 0), (0, 2): {1: 0}, (1, 2): ["0", "0/1", "0"]})
+    assert a.is_abelian()
+    assert a == LieAlgebra.abelian(3, ("x", "y", "z"))
+    assert a.brackets == ()
+
+
+def test_make_stores_a_canonical_table():
+    # keys and entries come in any order, scalars in any exact form
+    a = LieAlgebra.make(3, ("x", "y", "z"), {(1, 2): {2: Fraction(4, 2), 0: "1/2"}, (0, 1): (0, 0, 1)})
+    b = LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 2): (Fraction(1, 2), 0, 2)})
+    assert a._brackets == b._brackets == (((0, 1), ((2, 1),)), ((1, 2), ((0, Fraction(1, 2)), (2, 2))))
+    assert a == b and hash(a) == hash(b)
+    assert [type(c) for _, entries in a._brackets for _, c in entries] == [int, Fraction, int]
+    assert a.brackets == (((0, 1), (0, 0, 1)), ((1, 2), (Fraction(1, 2), 0, 2)))
+
+
+@pytest.mark.parametrize(
+    "dim,names,message",
+    [(2, ("x", "x"), "duplicate basis names"), (3, ("x", "y"), "name count"), (-1, (), "negative dimension")],
+)
+def test_positional_constructor_checks_dimension_and_names(dim, names, message):
+    with pytest.raises(LinalgError, match=message):
+        LieAlgebra(dim, names, ())
 
 
 def test_bracket_vectors_bilinear_expansion():
@@ -209,7 +251,9 @@ def _both_orders(brackets):
 @example(case=(4, {(0, 2): (0, 0, 0, 1), (1, 3): (1, 0, 0, 0)}, [[0, 1, 0, 0]]))
 def test_sparse_core_matches_dense_reference(case):
     dim, brackets, vectors = case
-    a = LieAlgebra(dim, tuple(f"x{k}" for k in range(dim)), tuple(sorted(brackets.items())))
+    # built positionally: the table is taken as trusted supports, unchecked
+    supports = tuple((ij, tuple(support(v))) for ij, v in sorted(brackets.items()))
+    a = LieAlgebra(dim, tuple(f"x{k}" for k in range(dim)), supports)
     expected = dense_jacobi_violation(dim, brackets)
     for found in (a.jacobi_violation(), validate_structure(dim, _full_table(_both_orders(brackets), dim))):
         if expected is None:

@@ -28,7 +28,6 @@ from tensoralg.linalg import (
     kernel,
     parse_scalar,
     quotient_maps,
-    quotient_with_section,
     rref,
     span_intersect,
     span_sum,
@@ -132,26 +131,32 @@ def test_subspace_from_a_canonical_basis_is_its_span():
     assert Subspace.from_basis(2, ((1, 0), (0, 1))) == Subspace.full(2)
 
 
-def test_quotient_with_section_line_in_plane():
+def _representatives(section):
+    """The section's columns, the coset representatives, as Fraction vectors."""
+    return tuple(section.column(k) for k in range(section.domain_dim))
+
+
+def test_quotient_maps_line_in_plane():
     r = Subspace.from_vectors(2, [[1, 1]])
-    proj, section = quotient_with_section(2, r)
+    proj, section = quotient_maps(2, r)
     assert proj.codomain_dim == 1
     assert proj.apply([1, 1]) == (0,)
-    assert proj.apply(section[0]) == (1,)
+    assert proj.apply(section.column(0)) == (1,)
     # The section lands at the free coordinate, here the second one.
-    assert section == ((0, 1),)
+    assert _representatives(section) == ((0, 1),)
+    assert section.column_entries(0) == ((1, 1),)
 
 
-def test_quotient_with_section_zero_subspace():
-    proj, section = quotient_with_section(2, Subspace.zero(2))
+def test_quotient_maps_zero_subspace():
+    proj, section = quotient_maps(2, Subspace.zero(2))
     assert proj.apply([5, 7]) == (5, 7)
-    assert len(section) == 2
+    assert section.domain_dim == 2
 
 
-def test_quotient_with_section_full_subspace():
-    proj, section = quotient_with_section(2, Subspace.full(2))
+def test_quotient_maps_full_subspace():
+    proj, section = quotient_maps(2, Subspace.full(2))
     assert proj.codomain_dim == 0
-    assert section == ()
+    assert _representatives(section) == ()
     assert proj.apply([1, 2]) == ()
 
 
@@ -218,11 +223,11 @@ def test_sum_intersect_dimension_formula(m1, m2):
 def test_quotient_projection_properties(m):
     ambient = m.cols
     r = Subspace.from_vectors(ambient, m.entries)
-    proj, section = quotient_with_section(ambient, r)
+    proj, section = quotient_maps(ambient, r)
     assert proj.codomain_dim == ambient - r.dim
     for row in r.basis:
         assert proj.apply(row) == zero_vector(proj.codomain_dim)
-    for t, s in enumerate(section):
+    for t, s in enumerate(_representatives(section)):
         image = proj.apply(s)
         assert image == tuple(Fraction(1 if k == t else 0) for k in range(proj.codomain_dim))
 
@@ -323,8 +328,9 @@ def test_sparse_elimination_matches_dense_reference(case):
     _assert_integer_rows_match(ker)
     assert f.compose(LinearMap.from_matrix(Matrix.identity(cols))) == f
     assert f.compose(LinearMap.from_columns(cols, ker.basis)).matrix.entries == ((Fraction(0),) * ker.dim,) * len(rows)
-    proj, section = quotient_with_section(cols, space)
-    assert (proj.matrix.entries, section) == dense_quotient_with_section(cols, space.basis)
+    proj, section = quotient_maps(cols, space)
+    representatives = _representatives(section)
+    assert (proj.matrix.entries, representatives) == dense_quotient_with_section(cols, space.basis)
     b = Subspace.from_vectors(cols, other)
     meet = span_intersect(space, b)
     assert meet.basis == dense_span_intersect(cols, space.basis, b.basis)
@@ -338,7 +344,7 @@ def test_sparse_elimination_matches_dense_reference(case):
             assert combine(coords, space.basis, cols) == v
             assert space.coordinates({k: a for k, a in enumerate(v) if a}) == coords
             coordinates.append(coords)
-    public = space.basis + ker.basis + meet.basis + section + tuple(coordinates)
+    public = space.basis + ker.basis + meet.basis + representatives + tuple(coordinates)
     assert all(isinstance(a, Fraction) for v in public for a in v)
 
 
@@ -359,7 +365,7 @@ def test_sparse_views_match_the_dense_basis(case):
     assert all(type(a) is int or a.denominator != 1 for v in space.entries for _, a in v)
     assert space.basis == dense
     proj, section = quotient_maps(cols, space)
-    _, dense_section = quotient_with_section(cols, space)
+    dense_section = _representatives(section)
     assert tuple(tuple(support(v)) for v in dense_section) == section._columns
     assert (proj.matrix.entries, dense_section) == dense_quotient_with_section(cols, dense)
     by_hand = Subspace.from_basis(cols, dense)
@@ -404,8 +410,8 @@ def test_map_matrices_match_the_dense_grids(case):
         again = LinearMap.from_matrix(h.matrix)
         assert again == h and hash(again) == hash(h)
     space = Subspace.from_vectors(n, outer_columns)
-    proj, section = quotient_with_section(n, space)
-    assert (proj.matrix.entries, section) == dense_quotient_with_section(n, space.basis)
+    proj, section = quotient_maps(n, space)
+    assert (proj.matrix.entries, _representatives(section)) == dense_quotient_with_section(n, space.basis)
     assert all(type(a) is Fraction for row in proj.matrix.entries for a in row)
 
 

@@ -32,7 +32,8 @@ def test_gamma_space_of_solvable_pair():
     gamma = GammaSpace.from_pair(pair)
     # N/[N,L] is one dimensional, represented by x
     assert gamma.source_dim == 1
-    assert gamma.reps == ((Fraction(1), Fraction(0)),)
+    assert gamma.section.column_entries(0) == ((0, 1),)
+    assert gamma.section.column(0) == (Fraction(1), Fraction(0))
     assert gamma.dim == 1
 
 

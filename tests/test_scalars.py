@@ -15,9 +15,9 @@ import pytest
 
 import tensoralg.tensor
 from tensoralg.catalog import catalog_pairs, load_path
-from tensoralg.liealg import LieAlgebra, StructureError, validate_structure
+from tensoralg.liealg import LieAlgebra, StructureError, abelianization, direct_sum, quotient_algebra, validate_structure
 from tensoralg.linalg import LinearMap, Subspace
-from tensoralg.pairs import ActionData, Pair, make_pair, validate_action, validate_compatible
+from tensoralg.pairs import ActionData, Pair, make_pair, quotient_pair, validate_action, validate_compatible
 from tensoralg.tensor import TensorConstructionError, construct_tensor, kappa_maps
 
 # r3(1/2): [x, y] = y, [x, z] = z/2, with its full and derived ideals
@@ -34,11 +34,32 @@ def _documents(tmp_path):
     return out
 
 
+def _half_central():
+    """[a, b] = u + v with u, v, c central, and the ideal spanned by u + c/2 and v + c/2.
+
+    In L/N both u and v project to -c/2, so [a, b] projects to a sum of two
+    Fractions that is integral."""
+    algebra = LieAlgebra.make(5, ("a", "b", "u", "v", "c"), {(0, 1): {2: 1, 3: 1}})
+    return "half-central", make_pair(algebra, [{2: 1, 4: "1/2"}, {3: 1, 4: "1/2"}])
+
+
+def _algebras(pair: Pair, t, maps):
+    """The algebras of a pair, its tensor and exterior products, its quotient pair, L/N, its abelianization and a sum.
+
+    Only the pair's algebra and the tensor product pass through ``LieAlgebra.make``."""
+    quotient = quotient_pair(pair).pair
+    return (
+        pair.algebra, pair.ideal_algebra, t.algebra, maps.exterior, quotient.algebra, quotient.ideal_algebra,
+        quotient_algebra(pair.algebra, pair.ideal)[0], abelianization(pair.algebra)[0],
+        direct_sum(pair.ideal_algebra, pair.algebra),
+    )
+
+
 def _public_vectors(pair: Pair):
     """Every public vector of a pair, its tensor product and the derived maps."""
     t = construct_tensor(pair)
     maps = kappa_maps(t)
-    algebras = (pair.algebra, pair.ideal_algebra, t.algebra, maps.exterior)
+    algebras = _algebras(pair, t, maps)
     linear = (t.projection, t.section, maps.kappa, maps.eps, maps.kappa_prime)
     for a in algebras:
         yield from (v for _, v in a.brackets)
@@ -67,7 +88,7 @@ def _internal_values(pair: Pair):
     """Every value of the sparse tables the hot loops read."""
     t = construct_tensor(pair)
     maps = kappa_maps(t)
-    for a in (pair.algebra, pair.ideal_algebra, t.algebra, maps.exterior):
+    for a in _algebras(pair, t, maps):
         for row in a._ad:
             for entries in row.values():
                 yield from (c for _, c in entries)
@@ -84,7 +105,7 @@ def _internal_values(pair: Pair):
 
 
 def _pairs(tmp_path):
-    return [*catalog_pairs(), *_documents(tmp_path)]
+    return [*catalog_pairs(), *_documents(tmp_path), _half_central()]
 
 
 def test_public_entries_are_fractions(tmp_path):

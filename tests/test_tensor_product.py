@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
-from oracles import combine, vadd, vscale
+from oracles import combine, dense_jacobi_violation, vadd, vscale
 
 import tensoralg.tensor
-from tensoralg.catalog import abelian, heisenberg, pair_center, pair_full, resolve_selector
-from tensoralg.liealg import LieAlgebra, StructureError, direct_sum, validate_structure
-from tensoralg.linalg import Subspace, is_zero, kernel, quotient_with_section, support
-from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, relative_commutator
+from tensoralg.catalog import abelian, catalog_selectors, heisenberg, pair_center, pair_full, resolve_selector
+from tensoralg.liealg import LieAlgebra, StructureError, abelianization, direct_sum, validate_structure
+from tensoralg.linalg import Subspace, is_zero, kernel, quotient_maps, support
+from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair, relative_commutator
 from tensoralg.tensor import (
     SymbolSpace,
     TensorConstructionError,
@@ -206,7 +206,8 @@ def _dense_bracket_table(pair):
     """The induced bracket as the full T x T table of projected symbol brackets."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
-    proj, reps = quotient_with_section(sym.dim, relations)
+    proj, section = quotient_maps(sym.dim, relations)
+    reps = [section.column(k) for k in range(section.domain_dim)]
     return [[proj.apply(beta_bracket(pair, u, v)) for v in reps] for u in reps]
 
 
@@ -466,6 +467,30 @@ def test_sparse_relations_match_dense_reference(name):
     # module docstring): the dense closure adds nothing, and closure checks
     # the seed and returns it.
     assert _dense_closure(pair, seed) == seed == closure(pair, seed)
+
+
+# A quotient by an ideal and a subalgebra of a Lie algebra are Lie algebras, so
+# the library builds them from a checked algebra without a Jacobi sweep.  Here
+# both the sparse sweep and the dense reference sweep must find nothing on them.
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_unchecked_algebras_satisfy_jacobi(name):
+    if name in DIFFERENTIAL_PAIRS:
+        pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"jacobi/{name}"))
+    else:
+        pair = resolve_selector(name)
+    quotient = quotient_pair(pair).pair
+    algebras = {
+        "ideal": pair.ideal_algebra,
+        "exterior": exterior(construct_tensor(pair))[0],
+        "quotient": quotient.algebra,
+        "quotient ideal": quotient.ideal_algebra,
+        "abelianization": abelianization(pair.algebra)[0],
+    }
+    for label, algebra in algebras.items():
+        assert algebra.jacobi_violation() is None, label
+        assert dense_jacobi_violation(algebra.dim, dict(algebra.brackets)) is None, label
 
 
 def _derived_dims(pair):

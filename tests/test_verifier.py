@@ -8,7 +8,7 @@ import tensoralg.liealg
 import tensoralg.verify
 from tensoralg.catalog import catalog_selectors, resolve_selector
 from tensoralg.liealg import AlgebraSubspace, LieAlgebra
-from tensoralg.linalg import Subspace
+from tensoralg.linalg import LinearMap, Subspace
 from tensoralg.pairs import make_pair
 from tensoralg.verify import (
     CheckRecord,
@@ -328,8 +328,8 @@ def test_splitting_fails_on_a_short_span(monkeypatch):
     # Without the complement representatives (x) ideal symbols the kept
     # candidates stop short of the tensor.  The complement never meets the
     # diagonal, so only the span, the size and the ideal test can fail.
-    real = tensoralg.verify.quotient_with_section
-    monkeypatch.setattr(tensoralg.verify, "quotient_with_section", lambda n, space: (real(n, space)[0], []))
+    real = tensoralg.verify.quotient_maps
+    monkeypatch.setattr(tensoralg.verify, "quotient_maps", lambda n, space: (real(n, space)[0], LinearMap(n, ())))
     pair = resolve_selector("builtin:pair_direct_sum(pair_center(heisenberg(1)),pair_full(abelian(1)))")
     record = verify_splitting(pair, "z+a1")
     assert record.failed_assertion
@@ -369,6 +369,23 @@ def test_verify_kunneth_derives_each_pair_once(monkeypatch):
         calls.update(construct_tensor=0, quotient_algebra=0)
         verify_kunneth(pair_a, pair_b, "left", "right")
         assert calls == {"construct_tensor": constructions, "quotient_algebra": 0}
+
+
+@pytest.mark.parametrize("selector", catalog_selectors())
+def test_verify_pair_sweeps_jacobi_once_per_tensor(selector, monkeypatch):
+    pair = resolve_selector(selector)
+    sweeps, built = [], [pair.algebra]
+    real_sweep = tensoralg.liealg._jacobi_violation
+    real_init = LieAlgebra.__post_init__
+    monkeypatch.setattr(tensoralg.liealg, "_jacobi_violation", lambda dim, ad: sweeps.append(dim) or real_sweep(dim, ad))
+    monkeypatch.setattr(LieAlgebra, "__post_init__", lambda self: built.append(self) or real_init(self))
+    verify_pair(pair, selector)
+    # Only the induced brackets of the pair's tensor and of its quotient
+    # pair's tensor are swept; the quotients, subalgebras and exterior
+    # products are Lie algebras by theorem.
+    assert len(sweeps) == 2
+    # nothing reads the Fraction view of a bracket table
+    assert [a for a in built if "brackets" in vars(a)] == []
 
 
 def test_verify_kunneth_builds_the_direct_sum_once(monkeypatch):

@@ -82,10 +82,6 @@ def pair_center(algebra: LieAlgebra) -> Pair:
     return make_pair(algebra, [dict(v) for v in center(algebra).space.entries])
 
 
-def pair_direct_sum(a: Pair, b: Pair) -> Pair:
-    return direct_sum_pair(a, b)
-
-
 _TOKEN = re.compile(r"\s*([a-z_][a-z0-9_]*|\d+|[(),])")
 # The catalog nests three calls deep; the bound keeps parsing and evaluation
 # far from the interpreter's recursion limit.
@@ -180,7 +176,7 @@ def _eval_node(node):
     if name == "pair_direct_sum":
         arity(2, [Pair, Pair])
         a, b = values
-        return _Plan(Pair, a.dim + b.dim, lambda: pair_direct_sum(a.build(), b.build()))
+        return _Plan(Pair, a.dim + b.dim, lambda: direct_sum_pair(a.build(), b.build()))
     raise SelectorError(f"unknown builtin {name!r}")
 
 

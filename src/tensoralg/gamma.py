@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_maps
-from .pairs import Pair, relative_commutator_in_ideal
+from .linalg import Exact, LinearMap, Support, Vector, _entries, from_support, quotient_maps
+from .pairs import Pair
 from .tensor import NonabelianTensor
 
 
@@ -40,7 +40,7 @@ class GammaSpace:
 
     @classmethod
     def from_pair(cls, pair: Pair) -> "GammaSpace":
-        comm = relative_commutator_in_ideal(pair)
+        comm = pair.relative_commutator_in_ideal
         _, section = quotient_maps(pair.right_dim, comm)
         d = section.domain_dim
         index_pairs = tuple((a, b) for a in range(d) for b in range(a, d))
@@ -59,7 +59,7 @@ class GammaSpace:
 def _ideal_class(tensor: NonabelianTensor, products: Sequence[tuple[Support, Support]]) -> dict[int, Exact]:
     """The entries of the class of the sum of x (x) y over pairs of ideal vectors, given as supports."""
     inclusion = tensor.pair.inclusion
-    return tensor.class_entries((inclusion.apply_entries(dict(x)).items(), y) for x, y in products)
+    return tensor.class_entries((inclusion._image(x).items(), y) for x, y in products)
 
 
 def sigma(tensor: NonabelianTensor, x: Sequence, y: Sequence) -> Vector:
@@ -103,7 +103,7 @@ def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
     """None when the squaring map is independent of representative choice."""
     gamma = GammaSpace.from_pair(pair)
     image = psi_map(pair, tensor, gamma).image()
-    comm = relative_commutator_in_ideal(pair)
+    comm = pair.relative_commutator_in_ideal
     for k in range(gamma.source_dim):
         r = gamma.section.column_entries(k)
         for t, ms in enumerate(comm.entries):
@@ -112,8 +112,3 @@ def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
             if not image.contains(residual):
                 return PsiDefect(k, comm.basis[t], from_support(residual.items(), tensor.dim))
     return None
-
-
-def psi_image(pair: Pair, tensor: NonabelianTensor) -> Subspace:
-    """Image of the squaring map, in tensor coordinates."""
-    return psi_map(pair, tensor).image()

@@ -282,7 +282,7 @@ class AlgebraHom:
         images = [self.map.column_entries(i) for i in range(self.source.dim)]
         for i in range(self.source.dim):
             for j in range(i + 1, self.source.dim):
-                lhs = self.map.apply_entries(dict(self.source.bracket_entries(i, j)))
+                lhs = self.map._image(self.source.bracket_entries(i, j))
                 if lhs != self.target.bracket_sparse(images[i], images[j]):
                     raise LinalgError(f"map does not respect the bracket of basis pair ({i}, {j})")
 
@@ -334,7 +334,7 @@ def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: LinearMap) -> Bra
         for j in range(i + 1, len(sections)):
             w = a.bracket_sparse(si, sections[j])
             if w:
-                v = proj.apply_entries(w)
+                v = proj._image(w.items())
                 if v:
                     brackets.append(((i, j), _sorted_entries(v)))
     return tuple(brackets)
@@ -365,13 +365,8 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(n + b.dim, names, a._brackets + shifted)
 
 
-def derived_algebra(a: LieAlgebra) -> AlgebraSubspace:
-    """[L, L] as a subspace of L, built once per algebra."""
-    return a.derived_algebra
-
-
 def abelianization(a: LieAlgebra) -> tuple[LieAlgebra, AlgebraHom]:
-    return quotient_algebra(a, derived_algebra(a))
+    return quotient_algebra(a, a.derived_algebra)
 
 
 def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:

@@ -419,7 +419,9 @@ class LinearMap:
 
     Column k lists the nonzero (row, value) entries of the image of the k-th
     domain basis vector, in row order, values in their internal form.  Build
-    one with :meth:`from_columns` or :meth:`from_matrix`.
+    one with :meth:`from_columns` or :meth:`from_matrix`.  The engine applies
+    a map to the vectors it built itself through ``_image``, which takes their
+    entries as given; :meth:`apply` and :meth:`apply_entries` check their input.
     """
 
     codomain_dim: int

@@ -19,7 +19,6 @@ from .liealg import (
     LieAlgebra,
     NotAnIdealError,
     bracket_subspaces,
-    derived_algebra,
     direct_sum,
     quotient_algebra,
     restrict_to_subalgebra,
@@ -131,7 +130,7 @@ class Pair:
 
     The pair is immutable, so what is derived from it alone is built once per
     object and shared: the ideal's own algebra, its inclusion into L, the
-    collapse tables of its symbols, and [N, L] in both coordinate systems.
+    collapse maps of its symbols, and [N, L] in both coordinate systems.
     """
 
     algebra: LieAlgebra
@@ -178,12 +177,12 @@ class Pair:
         return LinearMap(self.left_dim, self.ideal.space.entries)
 
     @cached_property
-    def collapse_tables(self) -> tuple[tuple[Entries, ...], tuple[Entries, ...]]:
-        """Per symbol l_i (x) n_a, at index i * q + a: the entries of n_a . l_i in L and of l_i . n_a in N."""
+    def collapse_maps(self) -> tuple[LinearMap, LinearMap]:
+        """The collapses of the symbols into L and into N: column i * q + a is n_a . l_i, and l_i . n_a."""
         p, q = self.left_dim, self.right_dim
         on_algebra, on_ideal = self.act_on_algebra, self.act_on_ideal
-        left = tuple(on_algebra.act_entries(a, i) for i in range(p) for a in range(q))
-        right = tuple(on_ideal.act_entries(i, a) for i in range(p) for a in range(q))
+        left = LinearMap(p, tuple(on_algebra.act_entries(a, i) for i in range(p) for a in range(q)))
+        right = LinearMap(q, tuple(on_ideal.act_entries(i, a) for i in range(p) for a in range(q)))
         return left, right
 
     def ideal_basis_vector(self, a: int) -> Vector:
@@ -351,16 +350,11 @@ class QuotientPair:
     commutator: AlgebraSubspace  # [N, L] inside L
 
 
-def relative_commutator(pair: Pair) -> AlgebraSubspace:
-    """[N, L] as a subspace of L, built once per pair."""
-    return pair.relative_commutator
-
-
 def quotient_pair(pair: Pair) -> QuotientPair:
     """Quotient both members by [N, L] and install the inner actions."""
-    k = relative_commutator(pair)
+    k = pair.relative_commutator
     quotient, proj = quotient_algebra(pair.algebra, k)
-    images = [proj.map.apply_entries(dict(v)) for v in pair.ideal.space.entries]
+    images = [proj.map._image(v) for v in pair.ideal.space.entries]
     new_pair = make_pair(quotient, images)
     # the images span the new ideal, so each has coordinates in its basis
     columns = [new_pair.ideal.space.coordinate_entries(w) for w in images]
@@ -372,25 +366,20 @@ def quotient_pair(pair: Pair) -> QuotientPair:
     return QuotientPair(new_pair, proj, proj_ideal, k)
 
 
-def relative_commutator_in_ideal(pair: Pair) -> Subspace:
-    """[N, L] expressed in the ideal's own coordinates, built once per pair."""
-    return pair.relative_commutator_in_ideal
-
-
 def relative_abelianization_dim(pair: Pair) -> int:
     """dim N/[N,L]."""
-    return pair.right_dim - relative_commutator(pair).dim
+    return pair.right_dim - pair.relative_commutator.dim
 
 
 def pair_is_clean(pair: Pair) -> bool:
     """True when the intersection of N with [L,L] is exactly [N,L]."""
-    meet = span_intersect(pair.ideal.space, derived_algebra(pair.algebra).space)
-    return meet == relative_commutator(pair).space
+    meet = span_intersect(pair.ideal.space, pair.algebra.derived_algebra.space)
+    return meet == pair.relative_commutator.space
 
 
 def complement_condition(pair: Pair) -> bool:
     """True when [N,L] = [L,L]; a vector-space complement of N always exists."""
-    return relative_commutator(pair).space == derived_algebra(pair.algebra).space
+    return pair.relative_commutator.space == pair.algebra.derived_algebra.space
 
 
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:

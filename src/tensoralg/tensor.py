@@ -8,7 +8,7 @@ defining relations expand brackets in either slot through the actions:
     (R2)  l (x) [n, n']   =  (n'. l) (x) n  -  (n . l) (x) n'
 
 Let R0 be their span, and lam(l (x) n) = n . l in L, rho(l (x) n) = l . n in N
-the two collapses.  The bracket on symbols is beta(u, v) = -lam(u) (x) rho(v),
+the two collapses (Pair.collapse_maps).  The bracket on symbols is beta(u, v) = -lam(u) (x) rho(v),
 that is [l (x) n, l' (x) n'] = -(n . l) (x) (l'. n').  The quotient V / R0 is
 the tensor product, and R0 needs no closing.  The proof uses the action
 axioms and the compatibility equations (n . l) . n' = [n', l . n] and
@@ -48,6 +48,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .liealg import (
+    AlgebraHom,
     AlgebraSubspace,
     LieAlgebra,
     NotAnIdealError,
@@ -107,15 +108,6 @@ class SymbolSpace:
         return from_support(self.expand_entries(x, n).items(), self.dim)
 
 
-def _collapse(coeffs: Support, table: Sequence[Support]) -> list[tuple[int, Exact]]:
-    """The nonzero entries of sum c * table[k] over the (k, c) in coeffs."""
-    acc: dict[int, Exact] = {}
-    for k, c in coeffs:
-        for m, x in table[k]:
-            acc[m] = acc.get(m, 0) + c * x
-    return [(m, x) for m, x in acc.items() if x != 0]
-
-
 def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int, c=1) -> None:
     """acc += c * (x (x) n) in symbol coordinates, for sparse x over L and n over N."""
     for i, xi in x:
@@ -156,9 +148,9 @@ def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     us, vs = _entries(u, sym.dim), _entries(v, sym.dim)
-    left, right = pair.collapse_tables
+    left, right = pair.collapse_maps
     acc: dict[int, Exact] = {}
-    _add_expansion(acc, _collapse(us.items(), left), _collapse(vs.items(), right), sym.right_dim, -1)
+    _add_expansion(acc, left._image(us.items()).items(), right._image(vs.items()).items(), sym.right_dim, -1)
     return from_support(acc.items(), sym.dim)
 
 
@@ -166,7 +158,7 @@ def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     p, q = sym.left_dim, sym.right_dim
-    left, right = pair.collapse_tables
+    left, right = (f._columns for f in pair.collapse_maps)
     out: dict = {}
     # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
     for i in range(p):
@@ -202,9 +194,9 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     if seed.ambient_dim != sym.dim:
         raise LinalgError("seed lives in the wrong symbol space")
-    left, right = pair.collapse_tables
-    for name, table in (("left collapse n . l", left), ("right collapse l . n", right)):
-        if any(_collapse(row.items(), table) for row in seed.echelon().rows.values()):
+    left, right = pair.collapse_maps
+    for name, f in (("left collapse n . l", left), ("right collapse l . n", right)):
+        if any(f._image(row.items()) for row in seed.echelon().rows.values()):
             raise TensorConstructionError(f"{name} does not kill the relations")
     return seed
 
@@ -233,23 +225,18 @@ class NonabelianTensor:
         acc: dict[int, Exact] = {}
         for x, n in products:
             _add_expansion(acc, x, n, self.symbols.right_dim)
-        return self.projection.apply_entries(acc)
+        return self.projection._image(acc.items())
 
     def generator(self, i: int, a: int) -> Vector:
         """Class of the basis symbol l_i (x) n_a."""
         return self.tensor_of({i: 1}, {a: 1})
 
 
-def symbol_expand(tensor: NonabelianTensor, x: Sequence, n: Sequence) -> Vector:
-    """Class of x (x) n in tensor coordinates; x over the algebra, n over the ideal."""
-    return tensor.tensor_of(x, n)
-
-
 def construct_tensor(pair: Pair) -> NonabelianTensor:
     """Build the tensor product of a pair and verify the induced structure.
 
     The bracket of two section representatives is read off the collapse
-    tables: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
+    maps: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
     over the nonzero entries of the collapsed slots and projection columns.
     """
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
@@ -257,10 +244,10 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     proj, section = quotient_maps(sym.dim, relations)
     t_dim = proj.codomain_dim
     q = sym.right_dim
-    left, right = pair.collapse_tables
-    lc = [_collapse(section.column_entries(t), left) for t in range(t_dim)]
-    rc = [_collapse(section.column_entries(t), right) for t in range(t_dim)]
-    proj_cols = [proj.column_entries(k) for k in range(sym.dim)]
+    left, right = pair.collapse_maps
+    lc = left.compose(section)._columns
+    rc = right.compose(section)._columns
+    proj_cols = proj._columns
 
     def bracket(i: int, j: int) -> dict[int, Exact]:
         out: dict[int, Exact] = {}
@@ -300,23 +287,12 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     q = pair.right_dim
     ambient = [pair.inclusion.column_entries(a) for a in range(q)]
 
-    def add_square(acc: dict[int, Exact], a: int, b: int) -> None:
-        # acc += proj(n_a (x) n_b), read off the projection's columns
-        for i, x in ambient[a]:
-            for t, v in proj.column_entries(i * q + b):
-                acc[t] = acc.get(t, 0) + x * v
+    def symbols(a: int, b: int) -> list[tuple[int, Exact]]:
+        # the symbol entries of n_a (x) n_b
+        return [(i * q + b, x) for i, x in ambient[a]]
 
-    gens = []
-    for a in range(q):
-        acc: dict[int, Exact] = {}
-        add_square(acc, a, a)
-        gens.append(acc)
-    for a in range(q):
-        for b in range(a + 1, q):
-            acc = {}
-            add_square(acc, a, b)
-            add_square(acc, b, a)
-            gens.append(acc)
+    gens = [proj._image(symbols(a, a)) for a in range(q)]
+    gens += [proj._image(symbols(a, b) + symbols(b, a)) for a in range(q) for b in range(a + 1, q)]
     return Subspace.from_vectors(tensor.dim, gens)
 
 
@@ -363,22 +339,14 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """Evaluation of the presentation symbols through the action of L on N."""
     box, ext_algebra, eps, ext_section = _exterior_data(tensor)
     pair = tensor.pair
-    _, right = pair.collapse_tables
+    _, right = pair.collapse_maps
     # the right collapse lands in N; the inclusion carries it into L
-    collapsed = [dict(_collapse(tensor.section.column_entries(k), right)) for k in range(tensor.dim)]
-    kappa = pair.inclusion.compose(LinearMap.from_columns(pair.right_dim, collapsed))
-    t_alg = tensor.algebra
-    ambient = pair.algebra
-    images = [kappa.column_entries(k) for k in range(tensor.dim)]
-    for i in range(t_alg.dim):
-        for j in range(i + 1, t_alg.dim):
-            # kappa([t_i, t_j]) against [kappa(t_i), kappa(t_j)], both as nonzero entries
-            lhs = dict(_collapse(t_alg.bracket_entries(i, j), images))
-            if lhs != ambient.bracket_sparse(images[i], images[j]):
-                raise TensorConstructionError(
-                    f"evaluation map does not respect the bracket of basis pair ({i}, {j})"
-                )
-    if any(kappa.apply_entries(row) for row in box.echelon().rows.values()):
+    kappa = pair.inclusion.compose(right.compose(tensor.section))
+    try:
+        AlgebraHom(tensor.algebra, pair.algebra, kappa)
+    except LinalgError as exc:
+        raise TensorConstructionError(f"evaluation {exc}") from exc
+    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
         raise TensorConstructionError("evaluation map does not kill the diagonal")
     kappa_prime = kappa.compose(ext_section)
     return DerivedMaps(

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .gamma import gamma_dim, psi_map, psi_welldefined
-from .liealg import AlgebraSubspace, LieAlgebra, center, derived_algebra
+from .liealg import AlgebraSubspace, LieAlgebra, center
 from .linalg import LinearMap, Subspace, kernel, quotient_maps
 from .pairs import (
     Pair,
@@ -25,8 +25,6 @@ from .pairs import (
     pair_is_clean,
     quotient_pair,
     relative_abelianization_dim,
-    relative_commutator,
-    relative_commutator_in_ideal,
 )
 from .tensor import (
     NonabelianTensor,
@@ -120,13 +118,13 @@ class _Derivation:
     def mixed(self) -> Subspace:
         """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
         pair, tensor = self.pair, self.tensor
-        comm = relative_commutator_in_ideal(pair).entries
+        comm = pair.relative_commutator_in_ideal.entries
         gens = []
         for i in range(pair.left_dim):
             for m in comm:
                 gens.append(tensor.class_entries([(((i, 1),), m)]))
         for m in comm:
-            amb = pair.inclusion.apply_entries(dict(m)).items()
+            amb = pair.inclusion._image(m).items()
             for a in range(pair.right_dim):
                 gens.append(tensor.class_entries([(amb, ((a, 1),))]))
         return Subspace.from_vectors(tensor.dim, gens)
@@ -152,7 +150,7 @@ class _Derivation:
                 for a in range(pair.right_dim)
             ],
         )
-        if any(symbol_map.apply_entries(row) for row in tensor.relations.echelon().rows.values()):
+        if any(symbol_map._image(row.items()) for row in tensor.relations.echelon().rows.values()):
             raise TensorConstructionError("projection does not kill the relations")
         return qp, tq, symbol_map.compose(tensor.section)
 
@@ -215,7 +213,7 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
     t, maps = d.tensor, d.maps
     box = maps.square
     t_center = center(t.algebra).space
-    comm = relative_commutator(d.pair).space
+    comm = d.pair.relative_commutator.space
     dims = {
         "tensor": t.dim,
         "diagonal": box.dim,
@@ -273,7 +271,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     _, tq, pi = d.induced
     box = d.maps.square
     boxq = d.quotient_diagonal
-    image = Subspace.from_vectors(tq.dim, [pi.apply_entries(row) for row in box.echelon().rows.values()])
+    image = Subspace.from_vectors(tq.dim, [pi._image(row.items()) for row in box.echelon().rows.values()])
     rel = relative_abelianization_dim(pair)
     psi_rank = psi_map(pair, t).image().dim
     ok = image == boxq and image.dim == box.dim
@@ -346,7 +344,7 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     maps = _derive(pair).maps
     box = maps.square
     j2_rows = maps.j2.echelon().rows.values()
-    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps.apply_entries(row) for row in j2_rows])
+    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps._image(row.items()) for row in j2_rows])
     ok = (
         maps.j2.dim == box.dim + maps.multiplier.dim
         and maps.j2.contains_subspace(box)
@@ -395,7 +393,7 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
 
 def _abelianization_dim(algebra: LieAlgebra) -> int:
     """dim L/[L, L], read without building the quotient algebra."""
-    return algebra.dim - derived_algebra(algebra).dim
+    return algebra.dim - algebra.derived_algebra.dim
 
 
 def verify_kunneth(

@@ -5,7 +5,7 @@ Unlike `oracles.py`, this builds its objects through the package under test.
 
 from fractions import Fraction
 
-from tensoralg.liealg import LieAlgebra, center, derived_algebra
+from tensoralg.liealg import LieAlgebra, center
 from tensoralg.linalg import LinearMap, Matrix, Subspace, rref
 from tensoralg.pairs import make_pair
 
@@ -45,7 +45,7 @@ def ideals(algebra):
     out = {}
     for kind, space in (
         ("full", Subspace.full(algebra.dim)),
-        ("derived", derived_algebra(algebra).space),
+        ("derived", algebra.derived_algebra.space),
         ("centre", center(algebra).space),
     ):
         if space.dim and space not in out.values():

@@ -27,8 +27,6 @@ from tensoralg import (
     nonabelian2,
     pair_center,
     pair_full,
-    relative_commutator,
-    symbol_expand,
     validate_structure,
     verify_diagonal_descent,
     verify_diagram,
@@ -113,7 +111,7 @@ def test_heisenberg_square_dimensions_are_internally_consistent():
     dims = (t.dim, maps.square.dim, maps.exterior.dim, maps.j2.dim, maps.multiplier.dim)
     assert dims == (6, 3, 3, 5, 2)
     # the evaluation kernel is forced: corank of the evaluation map
-    assert maps.kappa.image() == relative_commutator(pair).space
+    assert maps.kappa.image() == pair.relative_commutator.space
     assert maps.j2.dim == t.dim - maps.kappa.image().dim
     # and it splits as diagonal plus multiplier
     assert maps.j2.dim == maps.square.dim + maps.multiplier.dim
@@ -250,8 +248,8 @@ def test_derived_dimensions_invariant_under_basis_permutation():
         x2 = random_rational_vector(rng, shuffled.left_dim)
         n = random_rational_vector(rng, shuffled.right_dim)
         c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
-        assert symbol_expand(t, vadd(x1, x2), n) == vadd(
-            symbol_expand(t, x1, n), symbol_expand(t, x2, n)
+        assert t.tensor_of(vadd(x1, x2), n) == vadd(
+            t.tensor_of(x1, n), t.tensor_of(x2, n)
         )
-        assert symbol_expand(t, vscale(c, x1), n) == vscale(c, symbol_expand(t, x1, n))
+        assert t.tensor_of(vscale(c, x1), n) == vscale(c, t.tensor_of(x1, n))
     print("acceptance: basis permutation invariance: pass")

@@ -25,7 +25,6 @@ from tensoralg.pairs import (
     pair_is_clean,
     quotient_pair,
     relative_abelianization_dim,
-    relative_commutator,
     validate_action,
     validate_compatible,
 )
@@ -132,11 +131,11 @@ def test_make_pair_with_actions_accepts_inner_tables():
 def test_relative_commutator_and_abelianization():
     a = heisenberg1()
     full = make_pair(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert relative_commutator(full).basis() == ((Fraction(0), Fraction(0), Fraction(1)),)
+    assert full.relative_commutator.basis() == ((Fraction(0), Fraction(0), Fraction(1)),)
     assert relative_abelianization_dim(full) == 2
 
     center = make_pair(a, [(0, 0, 1)])
-    assert relative_commutator(center).dim == 0
+    assert center.relative_commutator.dim == 0
     assert relative_abelianization_dim(center) == 1
 
 
@@ -189,7 +188,7 @@ def test_direct_sum_pair_blocks():
     assert total.left_dim == 3
     assert total.right_dim == 3
     assert relative_abelianization_dim(total) == 2
-    assert relative_commutator(total).basis() == ((Fraction(0), Fraction(1), Fraction(0)),)
+    assert total.relative_commutator.basis() == ((Fraction(0), Fraction(1), Fraction(0)),)
 
 
 def test_action_apply_is_bilinear():

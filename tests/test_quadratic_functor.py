@@ -7,7 +7,7 @@ import pytest
 from tensoralg.liealg import LieAlgebra
 from tensoralg.pairs import make_pair
 from tensoralg.tensor import construct_tensor, diagonal
-from tensoralg.gamma import GammaSpace, gamma_dim, psi_image, psi_map, psi_welldefined, sigma
+from tensoralg.gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined, sigma
 
 
 def nonabelian2():
@@ -61,7 +61,7 @@ def test_squaring_map_not_injective_for_central_pair():
     psi = psi_map(pair, t)
     assert psi.domain_dim == 1
     assert psi.image().dim == 0
-    assert psi_image(pair, t) == diagonal(t)  # both trivial
+    assert psi_map(pair, t).image() == diagonal(t)  # both trivial
     assert psi_welldefined(pair, t) is None
 
 
@@ -76,8 +76,8 @@ def test_squaring_map_rejects_foreign_tensor():
 def test_squaring_map_matches_diagonal_on_solvable_pair():
     pair = full_pair(nonabelian2())
     t = construct_tensor(pair)
-    assert psi_image(pair, t) == diagonal(t)
-    assert psi_image(pair, t).dim == gamma_dim(1)
+    assert psi_map(pair, t).image() == diagonal(t)
+    assert psi_map(pair, t).image().dim == gamma_dim(1)
 
 
 def test_sigma_values_in_heisenberg_square():
@@ -101,6 +101,6 @@ def test_sigma_is_symmetric():
 def test_abelian_square_diagonal_law(n):
     pair = full_pair(LieAlgebra.abelian(n))
     t = construct_tensor(pair)
-    assert psi_image(pair, t).dim == gamma_dim(n)
-    assert psi_image(pair, t) == diagonal(t)
+    assert psi_map(pair, t).image().dim == gamma_dim(n)
+    assert psi_map(pair, t).image() == diagonal(t)
     assert psi_welldefined(pair, t) is None

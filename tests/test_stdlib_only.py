@@ -1,8 +1,11 @@
-"""The library imports nothing but the standard library and its own modules.
+"""The library imports nothing but the standard library and its own modules,
+and nothing it does not use.
 
 Every import in `src/tensoralg` must be relative (a module of the package) or
 name a top-level module listed in `sys.stdlib_module_names`; the source is
 parsed, not imported, so an import inside a function or a branch counts too.
+Every name a top-level import binds must be read somewhere in its module,
+except in `__init__.py`, which imports to re-export.
 """
 
 from __future__ import annotations
@@ -42,3 +45,29 @@ def test_imports_are_relative_or_stdlib(path):
 def test_an_outside_import_is_found():
     source = "import json\nfrom . import linalg\nimport numpy.linalg\ndef f():\n    from hypothesis import given\n"
     assert _outside_imports(source, "example.py") == [(3, "numpy.linalg"), (5, "hypothesis")]
+
+
+def _unused_imports(source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, name) for every name a top-level import binds that the module never reads."""
+    tree = ast.parse(source, filename=filename)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend((node.lineno, (alias.asname or alias.name).partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((node.lineno, alias.asname or alias.name) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8"), str(path)) == []
+
+
+def test_an_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json\n"
+        "from .linalg import Vector, kernel as k\nx: Vector = json.loads('1')\n"
+    )
+    assert _unused_imports(source, "example.py") == [(2, "os"), (4, "k")]

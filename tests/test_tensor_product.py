@@ -6,6 +6,7 @@ proof is in the tensor module docstring); the dense reference closure below
 checks that on every pair it is given.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -20,7 +21,7 @@ import tensoralg.tensor
 from tensoralg.catalog import abelian, catalog_selectors, heisenberg, pair_center, pair_full, resolve_selector
 from tensoralg.liealg import LieAlgebra, StructureError, abelianization, direct_sum, validate_structure
 from tensoralg.linalg import Subspace, is_zero, kernel, quotient_maps, support
-from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair, relative_commutator
+from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
     SymbolSpace,
     TensorConstructionError,
@@ -31,7 +32,6 @@ from tensoralg.tensor import (
     exterior,
     kappa_maps,
     relation_seed,
-    symbol_expand,
 )
 
 
@@ -85,10 +85,10 @@ def test_tensor_square_of_solvable_algebra():
     assert t.generator(1, 1) == (Fraction(0), Fraction(0))
 
 
-def test_symbol_expand_is_bilinear_on_classes():
+def test_tensor_of_is_bilinear_on_classes():
     pair = full_pair(nonabelian2())
     t = construct_tensor(pair)
-    mixed = symbol_expand(t, (1, 1), (1, 0))
+    mixed = t.tensor_of((1, 1), (1, 0))
     split = tuple(a + b for a, b in zip(t.generator(0, 0), t.generator(1, 0)))
     assert mixed == split
 
@@ -189,7 +189,7 @@ def test_evaluation_image_matches_relative_commutator():
     a = heisenberg1()
     pair = full_pair(a)
     maps = kappa_maps(construct_tensor(pair))
-    assert maps.kappa.image() == relative_commutator(pair).space
+    assert maps.kappa.image() == pair.relative_commutator.space
 
 
 def test_evaluation_image_agrees_between_tensor_and_exterior():
@@ -311,6 +311,24 @@ def test_relations_the_bracket_does_not_kill_are_refused(pair, message):
     with pytest.raises(TensorConstructionError) as caught:
         construct_tensor(pair)
     assert str(caught.value) == message
+
+
+def test_evaluation_that_breaks_the_bracket_is_refused():
+    # sl2 (x) sl2 is sl2 again, and an abelian bracket in its place is not
+    # respected by kappa.  On heisenberg(1) the image of kappa is central, so
+    # the check could not fail there.
+    t = dataclasses.replace(construct_tensor(pair_full(sl2())), algebra=LieAlgebra.abelian(3))
+    with pytest.raises(TensorConstructionError) as caught:
+        kappa_maps(t)
+    assert str(caught.value) == "evaluation map does not respect the bracket of basis pair (0, 1)"
+
+
+def test_evaluation_that_keeps_the_diagonal_is_refused(monkeypatch):
+    # taken for the diagonal, the whole of sl2 (x) sl2 = sl2 is not killed by kappa
+    monkeypatch.setattr(tensoralg.tensor, "diagonal", lambda t: Subspace.full(t.dim))
+    with pytest.raises(TensorConstructionError) as caught:
+        kappa_maps(construct_tensor(pair_full(sl2())))
+    assert str(caught.value) == "evaluation map does not kill the diagonal"
 
 
 # ---------------------------------------------------------------- dense reference
@@ -522,7 +540,7 @@ def test_derived_dimensions_invariant_under_rational_change_of_basis(name, entri
 
 # The construction reads subspaces and action tables sparsely: no dense basis
 # or dense action table is built unless a caller reads it, and the collapse
-# tables of a pair are built once, however many stages read them.
+# maps of a pair are built once, however many stages read them.
 
 SPARSE_PAIRS = ["sl2+heisenberg(1)", "center(heisenberg(1))", "derived(gl2)", "full(r3(1/2))", "full(sl2+Q2)"]
 
@@ -545,7 +563,9 @@ def test_construction_builds_no_dense_view_and_one_set_of_collapse_tables(name, 
         assert "table" not in vars(act)
     # the dense views, once read, are the ones the sparse data stand for
     dense = _dense_collapse_tables(pair)
-    assert pair.collapse_tables == tuple(tuple(tuple(support(v)) for v in table) for table in dense)
+    assert [f.codomain_dim for f in pair.collapse_maps] == [p, q]
+    for f, table in zip(pair.collapse_maps, dense):
+        assert f._columns == tuple(tuple(support(v)) for v in table)
     for space in (t.relations, maps.square, maps.j2, maps.multiplier):
         assert space.entries == tuple(tuple(support(v)) for v in space.basis)
         assert space == Subspace.from_basis(space.ambient_dim, space.basis)

@@ -1,15 +1,17 @@
 """Verifier records against hand-worked decompositions of small pairs."""
 
+import dataclasses
 import sys
 
 import pytest
 
 import tensoralg.liealg
 import tensoralg.verify
-from tensoralg.catalog import catalog_selectors, resolve_selector
+from tensoralg.catalog import catalog_pairs, catalog_selectors, resolve_selector
 from tensoralg.liealg import AlgebraSubspace, LieAlgebra
 from tensoralg.linalg import LinearMap, Subspace
-from tensoralg.pairs import make_pair
+from tensoralg.pairs import Pair, make_pair
+from tensoralg.tensor import TensorConstructionError, construct_tensor, kappa_maps
 from tensoralg.verify import (
     CheckRecord,
     VerificationReport,
@@ -298,27 +300,27 @@ def _zero_commutator(pair):
 
 
 @pytest.mark.parametrize(
-    "name, zero, witnesses",
+    "owner, name, zero, witnesses",
     [
-        ("kernel", _zero_kernel, {
+        (tensoralg.verify, "kernel", _zero_kernel, {
             "exterior-kernel-is-diagonal": "kernel dim 0 vs diagonal dim 3",
             "projection-kernel-is-mixed-commutator-span": "kernel dim 0 vs mixed span dim 2",
         }),
-        ("center", _zero_center, {
+        (tensoralg.verify, "center", _zero_center, {
             "diagonal-is-central": "(1, 0, 0, 0, 0, 0)",
             "evaluation-kernel-is-central": "(1, 0, 0, 0, 0, 0)",
             "multiplier-is-central-in-exterior": "(0, 1, 0)",
         }),
-        ("relative_commutator", _zero_commutator, {
+        (Pair, "relative_commutator", property(_zero_commutator), {
             "evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
             "exterior-evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
         }),
     ],
     ids=["kernel", "center", "relative_commutator"],
 )
-def test_broken_subspace_gives_the_pinned_witness(name, zero, witnesses, monkeypatch):
+def test_broken_subspace_gives_the_pinned_witness(owner, name, zero, witnesses, monkeypatch):
     # every equality and containment record names what it compared when it fails
-    monkeypatch.setattr(tensoralg.verify, name, zero)
+    monkeypatch.setattr(owner, name, zero)
     report = verify_pair(full_pair(heisenberg1()), "h1")
     failed = {r.check: r.witness for r in report.records if r.failed_assertion}
     assert failed == witnesses
@@ -335,6 +337,36 @@ def test_splitting_fails_on_a_short_span(monkeypatch):
     assert record.failed_assertion
     assert record.dims == {"tensor": 6, "diagonal": 2, "complement": 0, "exterior": 4}
     assert record.witness == "diagonal 2 + complement 0 spans 2 of 6"
+
+
+def test_projection_that_keeps_the_relations_is_refused(monkeypatch):
+    # with every symbol taken for a relation, the induced projection must
+    # kill all of them, and on heisenberg(1) its quotient pair does not
+    pair = full_pair(heisenberg1())
+    real = tensoralg.verify.construct_tensor
+
+    def all_relations(p):
+        t = real(p)
+        return dataclasses.replace(t, relations=Subspace.full(p.left_dim * p.right_dim)) if p is pair else t
+
+    monkeypatch.setattr(tensoralg.verify, "construct_tensor", all_relations)
+    with pytest.raises(TensorConstructionError) as caught:
+        verify_pair(pair, "h1")
+    assert str(caught.value) == "projection does not kill the relations"
+
+
+def test_the_engine_applies_maps_without_the_checked_edge(monkeypatch):
+    # Vectors the engine built itself are applied through LinearMap._image,
+    # which takes their entries as given; apply_entries checks input from
+    # outside and is never reached from construction or verification.
+    def refuse(self, v):
+        raise AssertionError("apply_entries called on an engine-built vector")
+
+    monkeypatch.setattr(LinearMap, "apply_entries", refuse)
+    for selector, pair in catalog_pairs():
+        kappa_maps(construct_tensor(pair))
+        assert verify_pair(pair, selector).records
+    assert verify_kunneth(full_pair(nonabelian2()), full_pair(heisenberg1()))
 
 
 def test_verify_kunneth_derives_each_pair_once(monkeypatch):

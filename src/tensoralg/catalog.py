@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
-from .pairs import Pair, PairValidationError, direct_sum_pair, make_pair, pair_full
+from .pairs import Pair, direct_sum_pair, make_pair, pair_full
 from .verify import VerificationReport
 
 
@@ -421,8 +421,6 @@ def _build_pair(doc: AlgebraDocument, ideal: tuple[Vector, ...] | None) -> Pair:
         return make_pair(algebra, vectors)
     except NotAnIdealError as e:
         raise DocumentError("ideal is not an ideal", witness=e.witness) from None
-    except PairValidationError as e:
-        raise DocumentError("pair actions are inconsistent", witness=e.witness) from None
 
 
 def _read_json(path: str, what: str) -> tuple[object, str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Exact, LinearMap, Support, Vector, _entries, from_support, quotient_maps
+from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_maps
 from .pairs import Pair
 from .tensor import NonabelianTensor
 
@@ -85,12 +85,10 @@ class PsiDefect:
     residual: Vector           # in tensor coordinates
 
 
-def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace | None = None) -> LinearMap:
-    """The squaring map from the symmetric square into tensor coordinates."""
+def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace) -> LinearMap:
+    """The squaring map from the symmetric square of the pair's gamma space into tensor coordinates."""
     if tensor.pair != pair:
         raise ValueError("tensor was built from a different pair")
-    if gamma is None:
-        gamma = GammaSpace.from_pair(pair)
     reps = [gamma.section.column_entries(k) for k in range(gamma.source_dim)]
     columns = [
         _ideal_class(tensor, [(reps[a], reps[b])] if a == b else [(reps[a], reps[b]), (reps[b], reps[a])])
@@ -99,10 +97,8 @@ def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace | None = Non
     return LinearMap.from_columns(tensor.dim, columns)
 
 
-def psi_welldefined(pair: Pair, tensor: NonabelianTensor) -> PsiDefect | None:
-    """None when the squaring map is independent of representative choice."""
-    gamma = GammaSpace.from_pair(pair)
-    image = psi_map(pair, tensor, gamma).image()
+def psi_welldefined(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace, image: Subspace) -> PsiDefect | None:
+    """None when the squaring map on gamma, whose image is given, is independent of representative choice."""
     comm = pair.relative_commutator_in_ideal
     for k in range(gamma.source_dim):
         r = gamma.section.column_entries(k)

@@ -3,10 +3,12 @@
 A ``LieAlgebra`` stores only the supports of the brackets of basis pairs
 (i, j) with i < j; antisymmetry is implied by the storage.  ``ad[i][j]``
 lists the nonzero (k, c) entries of [e_i, e_j], for both orders of each
-nonzero pair, built once on first use.  A table is checked once, where it
-enters: by :meth:`LieAlgebra.make`.  Direct sums, quotients by ideals and
-subalgebras of a checked algebra are Lie algebras by theorem, so they are
-built unchecked.  Raw structure-constant tables (full p x p x p grids) are
+nonzero pair, built once on first use.  Each type is checked once, where
+outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
+:meth:`AlgebraHom.make`.  The positional constructors are trusted by
+contract; the library uses them for direct sums, quotients, subalgebras,
+tensor products and quotient projections, which are what they claim by
+theorem.  Raw structure-constant tables (full p x p x p grids) are
 checked by :func:`validate_structure`, which returns violations as values.
 """
 
@@ -270,7 +272,8 @@ class AlgebraSubspace:
 
 @dataclass(frozen=True)
 class AlgebraHom:
-    """A linear map between Lie algebras that respects brackets."""
+    """A linear map between Lie algebras that respects brackets: trusted by
+    contract, checked by :meth:`make`; the constructor checks the shape."""
 
     source: LieAlgebra
     target: LieAlgebra
@@ -279,12 +282,16 @@ class AlgebraHom:
     def __post_init__(self):
         if self.map.domain_dim != self.source.dim or self.map.codomain_dim != self.target.dim:
             raise LinalgError("homomorphism matrix has wrong shape")
-        images = [self.map.column_entries(i) for i in range(self.source.dim)]
-        for i in range(self.source.dim):
-            for j in range(i + 1, self.source.dim):
-                lhs = self.map._image(self.source.bracket_entries(i, j))
-                if lhs != self.target.bracket_sparse(images[i], images[j]):
+
+    @classmethod
+    def make(cls, source: LieAlgebra, target: LieAlgebra, map: LinearMap) -> "AlgebraHom":
+        """Build and verify that f[e_i, e_j] = [f e_i, f e_j] for every basis pair i < j."""
+        images = [map.column_entries(i) for i in range(source.dim)]
+        for i in range(source.dim):
+            for j in range(i + 1, source.dim):
+                if map._image(source.bracket_entries(i, j)) != target.bracket_sparse(images[i], images[j]):
                     raise LinalgError(f"map does not respect the bracket of basis pair ({i}, {j})")
+        return cls(source, target, map)
 
     def apply(self, v: Sequence) -> Vector:
         return self.map.apply(v)

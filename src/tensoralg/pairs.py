@@ -2,9 +2,9 @@
 
 The ideal keeps its canonical RREF basis, which doubles as its coordinate
 system everywhere downstream.  ``make_pair`` installs the inner actions
-(actions by the bracket of L); arbitrary action tables can be supplied for
-pairs built from explicit data, and are validated against the two action
-axioms and the two compatibility equations.
+(actions by the bracket of L), compatible by theorem; arbitrary action tables
+go through ``make_pair_with_actions``, which checks the two action axioms and
+the two compatibility equations.  ``Pair(...)`` is trusted by contract.
 """
 
 from __future__ import annotations
@@ -128,9 +128,11 @@ class ActionData:
 class Pair:
     """A Lie algebra L, an ideal N in RREF coordinates, and the two actions.
 
-    The pair is immutable, so what is derived from it alone is built once per
-    object and shared: the ideal's own algebra, its inclusion into L, the
-    collapse maps of its symbols, and [N, L] in both coordinate systems.
+    The constructor checks shapes only, not that N is an ideal or that the
+    actions are compatible.  The pair is immutable, so what is derived from it
+    alone is built once per object and shared: the ideal's own algebra, its
+    inclusion into L, the collapse maps of its symbols, and [N, L] in both
+    coordinate systems.
     """
 
     algebra: LieAlgebra

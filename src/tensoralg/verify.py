@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .gamma import gamma_dim, psi_map, psi_welldefined
+from .gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined
 from .liealg import AlgebraSubspace, LieAlgebra, center
 from .linalg import LinearMap, Subspace, kernel, quotient_maps
 from .pairs import (
@@ -273,7 +273,9 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     boxq = d.quotient_diagonal
     image = Subspace.from_vectors(tq.dim, [pi._image(row.items()) for row in box.echelon().rows.values()])
     rel = relative_abelianization_dim(pair)
-    psi_rank = psi_map(pair, t).image().dim
+    gamma = GammaSpace.from_pair(pair)
+    psi_image = psi_map(pair, t, gamma).image()
+    psi_rank = psi_image.dim
     ok = image == boxq and image.dim == box.dim
     return _record(
         pair_id, "diagonal-descends-isomorphically", "diagonal-descent", ok, True,
@@ -287,7 +289,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
         flags={
             "clean-intersection": pair_is_clean(pair),
             "psi-injective": psi_rank == gamma_dim(rel),
-            "psi-welldefined": psi_welldefined(pair, t) is None,
+            "psi-welldefined": psi_welldefined(pair, t, gamma, psi_image) is None,
             "diagonal-law": box.dim == gamma_dim(rel),
         },
         witness=f"image dim {image.dim} vs quotient diagonal dim {boxq.dim}",

@@ -14,7 +14,9 @@ import tensoralg.cli
 import tensoralg.tensor
 import tensoralg.verify
 from tensoralg.cli import main
+from tensoralg.liealg import AlgebraSubspace
 from tensoralg.linalg import Subspace
+from tensoralg.pairs import ActionData, Pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,42 +235,41 @@ HEISENBERG1_PAIR = {
     "algebra": {"name": "h1", "dim": 3, "basis": ["x", "y", "z"], "brackets": {"x,y": {"z": "1"}}},
     "ideal": "all",
 }
-SL2_PAIR = {
-    "algebra": {
-        "name": "sl2", "dim": 3, "basis": ["e", "f", "h"],
-        "brackets": {"e,f": {"h": "1"}, "e,h": {"e": "-2"}, "f,h": {"f": "2"}},
-    },
-    "ideal": "all",
-}
 
 
-def _zero_relations(pair, seed):
-    return Subspace.zero(seed.ambient_dim)
+def _all_symbols_as_relations(pair):
+    return Subspace.full(pair.left_dim * pair.right_dim)
+
+
+def _plane_as_ideal(algebra, vectors):
+    # A positional Pair is trusted: here it takes the span of x and y for an
+    # ideal, with zero actions, though [x, y] = z leaves that span.
+    plane = AlgebraSubspace.from_vectors(algebra, vectors[:2])
+    p, q = algebra.dim, plane.dim
+    return Pair(algebra, plane, ActionData(p, q, (((),) * q,) * p), ActionData(q, p, (((),) * p,) * q))
 
 
 def _relations_in_wrong_space(pair, seed):
     return Subspace.zero(seed.ambient_dim + 1)
 
 
-def _line_as_diagonal(tensor):
-    return Subspace.from_vectors(tensor.dim, [tensor.algebra.basis_vector(0)])
-
-
 @pytest.mark.parametrize("command", ["tensor", "verify"])
 @pytest.mark.parametrize(
     "document, patch, message",
     [
-        (HEISENBERG1_PAIR, ("closure", _zero_relations),
-         "induced bracket is not a Lie bracket: antisymmetry violation at (1, 1, 8), residual 2"),
-        (SL2_PAIR, ("diagonal", _line_as_diagonal), "diagonal subspace is not an ideal"),
-        (HEISENBERG1_PAIR, ("closure", _relations_in_wrong_space), "subspace does not match ambient dimension"),
+        (HEISENBERG1_PAIR, (tensoralg.tensor, "relation_seed", _all_symbols_as_relations),
+         "left collapse n . l does not kill the relations"),
+        (HEISENBERG1_PAIR, (tensoralg.catalog, "make_pair", _plane_as_ideal),
+         "subspace is not closed under the bracket"),
+        (HEISENBERG1_PAIR, (tensoralg.tensor, "closure", _relations_in_wrong_space),
+         "subspace does not match ambient dimension"),
     ],
     ids=["TensorConstructionError", "NotAnIdealError", "LinalgError"],
 )
 def test_construction_errors_exit_1_with_one_line(document, patch, message, command, tmp_path, monkeypatch, capsys):
     doc = tmp_path / "pair.json"
     doc.write_text(json.dumps(document))
-    monkeypatch.setattr(tensoralg.tensor, *patch)
+    monkeypatch.setattr(*patch)
     code, out, err = run(capsys, command, str(doc))
     assert code == 1
     assert out == ""

@@ -202,13 +202,20 @@ def test_restrict_to_subalgebra_center_line():
 def test_algebra_hom_rejects_non_homomorphism():
     h = heisenberg1()
     ab = LieAlgebra.abelian(3)
-    with pytest.raises(Exception):
-        AlgebraHom(h, ab, LinearMap.from_matrix(Matrix.identity(3)))
+    identity = LinearMap.from_matrix(Matrix.identity(3))
+    with pytest.raises(LinalgError) as caught:
+        AlgebraHom.make(h, ab, identity)
+    assert str(caught.value) == "map does not respect the bracket of basis pair (0, 1)"
+    # the positional constructor is trusted by contract and checks the shape only
+    assert AlgebraHom(h, ab, identity).map is identity
+    with pytest.raises(LinalgError):
+        AlgebraHom(h, LieAlgebra.abelian(2), identity)
 
 
 def test_quotient_projection_is_a_hom():
     q, proj = quotient_algebra(nonabelian2(), AlgebraSubspace.from_vectors(nonabelian2(), [[0, 1]]))
     assert isinstance(proj, AlgebraHom)
+    assert AlgebraHom.make(proj.source, proj.target, proj.map) == proj
     assert q.dim == 1 and q.is_abelian()
 
 

@@ -22,6 +22,12 @@ def full_pair(algebra):
     return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
 
 
+def squaring(pair, t):
+    """The pair's gamma space and its squaring map into t."""
+    gamma = GammaSpace.from_pair(pair)
+    return gamma, psi_map(pair, t, gamma)
+
+
 @pytest.mark.parametrize("d,expected", [(0, 0), (1, 1), (2, 3), (3, 6), (5, 15)])
 def test_gamma_dim(d, expected):
     assert gamma_dim(d) == expected
@@ -48,21 +54,21 @@ def test_gamma_space_indexing():
 def test_squaring_map_iso_onto_diagonal_for_heisenberg_square():
     pair = full_pair(heisenberg1())
     t = construct_tensor(pair)
-    psi = psi_map(pair, t)
+    gamma, psi = squaring(pair, t)
     assert psi.domain_dim == 3
     assert psi.image() == diagonal(t)
     assert psi.image().dim == 3  # injective here
-    assert psi_welldefined(pair, t) is None
+    assert psi_welldefined(pair, t, gamma, psi.image()) is None
 
 
 def test_squaring_map_not_injective_for_central_pair():
     pair = make_pair(heisenberg1(), [(0, 0, 1)])
     t = construct_tensor(pair)
-    psi = psi_map(pair, t)
+    gamma, psi = squaring(pair, t)
     assert psi.domain_dim == 1
     assert psi.image().dim == 0
-    assert psi_map(pair, t).image() == diagonal(t)  # both trivial
-    assert psi_welldefined(pair, t) is None
+    assert psi.image() == diagonal(t)  # both trivial
+    assert psi_welldefined(pair, t, gamma, psi.image()) is None
 
 
 def test_squaring_map_rejects_foreign_tensor():
@@ -70,14 +76,15 @@ def test_squaring_map_rejects_foreign_tensor():
     other = make_pair(heisenberg1(), [(0, 0, 1)])
     t = construct_tensor(other)
     with pytest.raises(ValueError):
-        psi_map(pair, t)
+        psi_map(pair, t, GammaSpace.from_pair(pair))
 
 
 def test_squaring_map_matches_diagonal_on_solvable_pair():
     pair = full_pair(nonabelian2())
     t = construct_tensor(pair)
-    assert psi_map(pair, t).image() == diagonal(t)
-    assert psi_map(pair, t).image().dim == gamma_dim(1)
+    _, psi = squaring(pair, t)
+    assert psi.image() == diagonal(t)
+    assert psi.image().dim == gamma_dim(1)
 
 
 def test_sigma_values_in_heisenberg_square():
@@ -101,6 +108,7 @@ def test_sigma_is_symmetric():
 def test_abelian_square_diagonal_law(n):
     pair = full_pair(LieAlgebra.abelian(n))
     t = construct_tensor(pair)
-    assert psi_map(pair, t).image().dim == gamma_dim(n)
-    assert psi_map(pair, t).image() == diagonal(t)
-    assert psi_welldefined(pair, t) is None
+    gamma, psi = squaring(pair, t)
+    assert psi.image().dim == gamma_dim(n)
+    assert psi.image() == diagonal(t)
+    assert psi_welldefined(pair, t, gamma, psi.image()) is None

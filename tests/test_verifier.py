@@ -8,6 +8,7 @@ import pytest
 import tensoralg.liealg
 import tensoralg.verify
 from tensoralg.catalog import catalog_pairs, catalog_selectors, resolve_selector
+from tensoralg.gamma import GammaSpace
 from tensoralg.liealg import AlgebraSubspace, LieAlgebra
 from tensoralg.linalg import LinearMap, Subspace
 from tensoralg.pairs import Pair, make_pair
@@ -404,7 +405,7 @@ def test_verify_kunneth_derives_each_pair_once(monkeypatch):
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())
-def test_verify_pair_sweeps_jacobi_once_per_tensor(selector, monkeypatch):
+def test_verify_pair_runs_no_jacobi_sweep(selector, monkeypatch):
     pair = resolve_selector(selector)
     sweeps, built = [], [pair.algebra]
     real_sweep = tensoralg.liealg._jacobi_violation
@@ -412,12 +413,25 @@ def test_verify_pair_sweeps_jacobi_once_per_tensor(selector, monkeypatch):
     monkeypatch.setattr(tensoralg.liealg, "_jacobi_violation", lambda dim, ad: sweeps.append(dim) or real_sweep(dim, ad))
     monkeypatch.setattr(LieAlgebra, "__post_init__", lambda self: built.append(self) or real_init(self))
     verify_pair(pair, selector)
-    # Only the induced brackets of the pair's tensor and of its quotient
-    # pair's tensor are swept; the quotients, subalgebras and exterior
-    # products are Lie algebras by theorem.
-    assert len(sweeps) == 2
+    # The tensor products, quotients, subalgebras and exterior products of a
+    # checked pair are Lie algebras by theorem, so none of them is swept.
+    assert sweeps == []
     # nothing reads the Fraction view of a bracket table
     assert [a for a in built if "brackets" in vars(a)] == []
+
+
+@pytest.mark.parametrize("selector", catalog_selectors())
+def test_verify_pair_builds_one_squaring_map(selector, monkeypatch):
+    pair = resolve_selector(selector)
+    spaces, maps = [], []
+    real_space = GammaSpace.from_pair.__func__
+    real_map = tensoralg.verify.psi_map
+    monkeypatch.setattr(GammaSpace, "from_pair", classmethod(lambda cls, p: spaces.append(p) or real_space(cls, p)))
+    monkeypatch.setattr(tensoralg.verify, "psi_map", lambda *args: maps.append(args) or real_map(*args))
+    verify_pair(pair, selector)
+    # the descent record's rank and its well-definedness flag read one copy
+    assert spaces == [pair]
+    assert len(maps) == 1
 
 
 def test_verify_kunneth_builds_the_direct_sum_once(monkeypatch):

@@ -21,11 +21,11 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
-from .pairs import Pair, direct_sum_pair, make_pair, pair_full
+from .pairs import Pair, _inner_pair, direct_sum_pair, make_pair, pair_full
 from .verify import VerificationReport
 
 
@@ -79,7 +79,8 @@ def heisenberg(m: int) -> LieAlgebra:
 
 
 def pair_center(algebra: LieAlgebra) -> Pair:
-    return make_pair(algebra, [dict(v) for v in center(algebra).space.entries])
+    """(L, Z(L)) with the inner actions; the centre is an ideal by theorem, as [L, Z(L)] = 0."""
+    return _inner_pair(algebra, center(algebra))
 
 
 _TOKEN = re.compile(r"\s*([a-z_][a-z0-9_]*|\d+|[(),])")
@@ -406,19 +407,18 @@ def algebra_from_document(doc: AlgebraDocument) -> LieAlgebra:
 
 
 def _build_pair(doc: AlgebraDocument, ideal: tuple[Vector, ...] | None) -> Pair:
+    """The pair a document names: "all" by theorem, an explicit ideal through the checked make_pair."""
     algebra = algebra_from_document(doc)
     if ideal is None:
-        vectors: Sequence[Vector] = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    else:
-        for v in ideal:
-            if len(v) != algebra.dim:
-                raise DocumentError(
-                    "ideal vector length does not match the algebra dimension",
-                    witness=f"{len(v)} vs {algebra.dim}",
-                )
-        vectors = ideal
+        return pair_full(algebra)
+    for v in ideal:
+        if len(v) != algebra.dim:
+            raise DocumentError(
+                "ideal vector length does not match the algebra dimension",
+                witness=f"{len(v)} vs {algebra.dim}",
+            )
     try:
-        return make_pair(algebra, vectors)
+        return make_pair(algebra, ideal)
     except NotAnIdealError as e:
         raise DocumentError("ideal is not an ideal", witness=e.witness) from None
 

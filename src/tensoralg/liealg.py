@@ -6,9 +6,9 @@ lists the nonzero (k, c) entries of [e_i, e_j], for both orders of each
 nonzero pair, built once on first use.  Each type is checked once, where
 outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
 :meth:`AlgebraHom.make`.  The positional constructors are trusted by
-contract; the library uses them for direct sums, quotients, subalgebras,
-tensor products and quotient projections, which are what they claim by
-theorem.  Raw structure-constant tables (full p x p x p grids) are
+contract; the library uses them for direct sums, quotients, subalgebras
+(with L's own table for the full ideal), tensor products and quotient
+projections, which are what they claim by theorem.  Raw structure-constant tables (full p x p x p grids) are
 checked by :func:`validate_structure`, which returns violations as values.
 """
 

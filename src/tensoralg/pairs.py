@@ -1,10 +1,21 @@
 """Pairs (L, N) with N an ideal of L and a choice of mutual actions.
 
 The ideal keeps its canonical RREF basis, which doubles as its coordinate
-system everywhere downstream.  ``make_pair`` installs the inner actions
-(actions by the bracket of L), compatible by theorem; arbitrary action tables
-go through ``make_pair_with_actions``, which checks the two action axioms and
-the two compatibility equations.  ``Pair(...)`` is trusted by contract.
+system everywhere downstream.  ``Pair(...)`` is trusted by contract, and the
+pair layer has two checked edges, for ideals and actions supplied from
+outside: ``make_pair`` checks that the span is an ideal and installs the
+inner actions (actions by the bracket of L), compatible by theorem;
+``make_pair_with_actions`` checks the same of the span and the two action
+axioms and the two compatibility equations of arbitrary action tables.
+
+The pairs the library derives from a pair or algebra it already holds are
+built by theorem, through the private ``_inner_pair`` or positionally, with
+no ideal check:
+
+- ``pair_full``: L is an ideal of itself, and both actions are ad;
+- ``direct_sum_pair``: the blocks bracket to zero, so N1 + N2 is an ideal;
+- ``quotient_pair``: the image of an ideal under an onto homomorphism;
+- ``catalog.pair_center``: [L, Z(L)] = 0.
 """
 
 from __future__ import annotations
@@ -203,26 +214,24 @@ class Pair:
         return self.ideal.space.coordinate_entries(v)
 
 
-def _leaves_span(i: int, v: Vector) -> NotAnIdealError:
-    return NotAnIdealError(f"bracket of basis element {i} leaves the span", witness=(i, v))
-
-
 def _ideal_span(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> AlgebraSubspace:
+    """The span of the vectors; NotAnIdealError with the first (i, basis vector) whose bracket leaves it."""
     ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     witness = ideal.is_ideal()
     if witness is not None:
-        raise _leaves_span(*witness)
+        raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
     return ideal
 
 
-def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
-    """Pair with the inner actions; raises when the span is not an ideal.
+def _inner_pair(algebra: LieAlgebra, ideal: AlgebraSubspace) -> Pair:
+    """Pair with the inner actions on a subspace trusted to be an ideal.
 
-    Each [l_i, n_a] is computed once, in the order is_ideal tests it: l_i acts
-    on n_a by it, in ideal coordinates (its entries at the ideal's pivots),
+    Each [l_i, n_a] is computed once: l_i acts on n_a by it, in ideal
+    coordinates (its entries at the ideal's pivots, as it lies in the ideal),
     and n_a acts on l_i by its negative.  Both tables are kept as supports.
+    The inner actions satisfy both action axioms and both compatibility
+    equations by the Jacobi identity of L.
     """
-    ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
     space = ideal.space
     p, q = algebra.dim, ideal.dim
     on_ideal = [[()] * q for _ in range(p)]
@@ -230,8 +239,6 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
     for i in range(p):
         for a, n in enumerate(space.entries):
             w = algebra.bracket_sparse(((i, 1),), n)
-            if not space.contains(w):
-                raise _leaves_span(i, space.basis[a])
             # coordinate_entries lists the coordinates in pivot order
             on_ideal[i][a] = tuple(space.coordinate_entries(w).items())
             on_algebra[a][i] = tuple((k, -_exact(w[k])) for k in sorted(w))
@@ -240,9 +247,29 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
     return Pair(algebra, ideal, act_on_ideal, act_on_algebra)
 
 
+def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
+    """Pair with the inner actions; raises NotAnIdealError when the span is not an ideal.
+
+    The first [l_i, n_a] outside the span, in the order i, then a, is the witness.
+    """
+    return _inner_pair(algebra, _ideal_span(algebra, ideal_vectors))
+
+
 def pair_full(algebra: LieAlgebra) -> Pair:
-    """The pair (L, L) with the inner actions."""
-    return make_pair(algebra, [{i: 1} for i in range(algebra.dim)])
+    """The pair (L, L) with the inner actions, built by theorem.
+
+    L is an ideal of itself and its unit vectors are its RREF basis, so the
+    ideal coordinates are the algebra's.  l_i acts on n_a by [l_i, l_a], and
+    n_a on l_i by its negative [l_a, l_i], so both actions are the one table
+    ad[i][a] = [l_i, l_a] read off the bracket table; the ideal's own algebra
+    is L's table under the ideal's basis names.
+    """
+    p = algebra.dim
+    ad = ActionData(p, p, tuple(tuple(algebra.bracket_entries(i, a) for a in range(p)) for i in range(p)))
+    pair = Pair(algebra, AlgebraSubspace.full(algebra), ad, ad)
+    # the cached_property, already known
+    vars(pair)["ideal_algebra"] = LieAlgebra(p, tuple(f"n{k}" for k in range(p)), algebra._brackets)
+    return pair
 
 
 def make_pair_with_actions(
@@ -251,7 +278,13 @@ def make_pair_with_actions(
     act_on_ideal: ActionData,
     act_on_algebra: ActionData,
 ) -> Pair:
-    """Pair with supplied actions; both axioms and compatibility are enforced."""
+    """Pair with supplied actions; both axioms and compatibility are enforced.
+
+    Not checked: (iota n) . n = 0 for every n in N, with iota the inclusion
+    of N into L.  The inner actions satisfy it, as [n, n] = 0, but compatible
+    actions need not, and without it the evaluation map does not kill the
+    diagonal: tensor.exterior and tensor.kappa_maps then refuse the tensor.
+    """
     pair = Pair(algebra, _ideal_span(algebra, ideal_vectors), act_on_ideal, act_on_algebra)
     bad = validate_action(act_on_ideal, algebra, pair.ideal_algebra)
     if bad is not None:
@@ -353,11 +386,15 @@ class QuotientPair:
 
 
 def quotient_pair(pair: Pair) -> QuotientPair:
-    """Quotient both members by [N, L] and install the inner actions."""
+    """Quotient both members by [N, L] and install the inner actions.
+
+    The projection is onto, so the image of the ideal N is an ideal of the
+    quotient: [proj l, proj n] = proj [l, n] lies in proj N.
+    """
     k = pair.relative_commutator
     quotient, proj = quotient_algebra(pair.algebra, k)
     images = [proj.map._image(v) for v in pair.ideal.space.entries]
-    new_pair = make_pair(quotient, images)
+    new_pair = _inner_pair(quotient, AlgebraSubspace.from_vectors(quotient, images))
     # the images span the new ideal, so each has coordinates in its basis
     columns = [new_pair.ideal.space.coordinate_entries(w) for w in images]
     proj_ideal = AlgebraHom(
@@ -385,8 +422,12 @@ def complement_condition(pair: Pair) -> bool:
 
 
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:
-    """(L1 + L2, N1 + N2) with inner actions, via block embedding."""
+    """(L1 + L2, N1 + N2) with inner actions, via block embedding.
+
+    The two blocks bracket to zero, so [l1 + l2, n1 + n2] = [l1, n1] + [l2, n2]
+    lies in N1 + N2: the sum of the summands' ideals is an ideal.
+    """
     algebra = direct_sum(a.algebra, b.algebra)
     left = [dict(v) for v in a.ideal.space.entries]
     right = [{a.left_dim + k: c for k, c in v} for v in b.ideal.space.entries]
-    return make_pair(algebra, left + right)
+    return _inner_pair(algebra, AlgebraSubspace.from_vectors(algebra, left + right))

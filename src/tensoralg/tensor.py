@@ -33,11 +33,17 @@ is taken modulo R0.
 
 So the quotient is a Lie algebra, and none of (a) to (c) is checked again
 but (a) on the relation basis, in closure(), which a positional Pair whose
-actions break an axiom or a compatibility equation can fail.
+actions break an axiom or a compatibility equation can fail.  The pairs the
+library derives without a check (pairs.pair_full, pairs.direct_sum_pair,
+pairs.quotient_pair, catalog.pair_center) carry the inner actions on an
+ideal, which satisfy the axioms and compatibility by the Jacobi identity of
+L, so they always pass it.
 
 Derived data: the diagonal ideal generated by n (x) n, the exterior product
 (quotient by the diagonal), the evaluation map sending l (x) n to l . n, and
-the kernels and images that go with them.
+the kernels and images that go with them.  The exterior product and the
+evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
+does not give; _exterior_data checks it for both.
 """
 
 from __future__ import annotations
@@ -279,22 +285,35 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     return Subspace.from_vectors(tensor.dim, gens)
 
 
-def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LieAlgebra, LinearMap, LinearMap]:
-    """Diagonal, exterior algebra, projection, and section for a tensor product."""
+def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LieAlgebra, LinearMap, LinearMap]:
+    """Diagonal, evaluation map, exterior algebra, projection, and section for a tensor product.
+
+    The evaluation map kappa sends the class of l (x) n to the ambient l . n.
+    It must kill the diagonal, that is (iota n) . n = 0 for every n in N,
+    otherwise TensorConstructionError.  The inner actions always pass
+    ([n, n] = 0); supplied compatible actions need not.
+    """
     box = diagonal(tensor)
+    pair = tensor.pair
+    _, right = pair.collapse_maps
+    # rho lands in N and the inclusion carries it into L; by compatibility
+    # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
+    kappa = pair.inclusion.compose(right.compose(tensor.section))
+    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
+        raise TensorConstructionError("evaluation map does not kill the diagonal")
     t_alg = tensor.algebra
     proj, section = quotient_maps(t_alg.dim, box)
     e_dim = t_alg.dim - box.dim
-    # rho kills the diagonal (for the inner actions rho(n (x) n) = [n, n] = 0,
-    # and kappa_maps checks it), so beta(V, diagonal) = 0 and, by (b), the
-    # diagonal is central: the quotient by it is a Lie algebra
+    # kappa kills the diagonal and the inclusion is injective, so rho kills
+    # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
+    # quotient by it is a Lie algebra
     algebra = LieAlgebra(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, section))
-    return box, algebra, proj, section
+    return box, kappa, algebra, proj, section
 
 
 def exterior(tensor: NonabelianTensor) -> tuple[LieAlgebra, LinearMap]:
     """The exterior product and the projection onto it from tensor coordinates."""
-    _, algebra, proj, _ = _exterior_data(tensor)
+    _, _, algebra, proj, _ = _exterior_data(tensor)
     return algebra, proj
 
 
@@ -319,14 +338,7 @@ class DerivedMaps:
 
 def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """Evaluation of the presentation symbols through the action of L on N."""
-    box, ext_algebra, eps, ext_section = _exterior_data(tensor)
-    pair = tensor.pair
-    _, right = pair.collapse_maps
-    # rho lands in N and the inclusion carries it into L; by compatibility
-    # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
-    kappa = pair.inclusion.compose(right.compose(tensor.section))
-    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
-        raise TensorConstructionError("evaluation map does not kill the diagonal")
+    box, kappa, ext_algebra, eps, ext_section = _exterior_data(tensor)
     kappa_prime = kappa.compose(ext_section)
     return DerivedMaps(
         kappa=kappa,

@@ -241,10 +241,10 @@ def _all_symbols_as_relations(pair):
     return Subspace.full(pair.left_dim * pair.right_dim)
 
 
-def _plane_as_ideal(algebra, vectors):
+def _plane_as_ideal(algebra):
     # A positional Pair is trusted: here it takes the span of x and y for an
     # ideal, with zero actions, though [x, y] = z leaves that span.
-    plane = AlgebraSubspace.from_vectors(algebra, vectors[:2])
+    plane = AlgebraSubspace.from_vectors(algebra, [{0: 1}, {1: 1}])
     p, q = algebra.dim, plane.dim
     return Pair(algebra, plane, ActionData(p, q, (((),) * q,) * p), ActionData(q, p, (((),) * p,) * q))
 
@@ -259,7 +259,7 @@ def _relations_in_wrong_space(pair, seed):
     [
         (HEISENBERG1_PAIR, (tensoralg.tensor, "relation_seed", _all_symbols_as_relations),
          "left collapse n . l does not kill the relations"),
-        (HEISENBERG1_PAIR, (tensoralg.catalog, "make_pair", _plane_as_ideal),
+        (HEISENBERG1_PAIR, (tensoralg.catalog, "pair_full", _plane_as_ideal),
          "subspace is not closed under the bracket"),
         (HEISENBERG1_PAIR, (tensoralg.tensor, "closure", _relations_in_wrong_space),
          "subspace does not match ambient dimension"),
@@ -274,6 +274,17 @@ def test_construction_errors_exit_1_with_one_line(document, patch, message, comm
     assert code == 1
     assert out == ""
     assert err == f"tensoralg: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["tensor", "verify"])
+def test_document_ideal_that_is_not_an_ideal_exits_1_with_one_line(command, tmp_path, capsys):
+    # [y, x] = -z leaves the line spanned by x: the checked make_pair refuses it
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({**HEISENBERG1_PAIR, "ideal": [["1", "0", "0"]]}))
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == "tensoralg: ideal is not an ideal (witness: (1, (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))))\n"
 
 
 def test_referenced_algebra_document_is_read_once_per_load(tmp_path, monkeypatch, capsys):

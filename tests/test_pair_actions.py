@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_examples import IDEAL_ALGEBRAS, ideals
+from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased
 from oracles import dense_action_violation, dense_compatibility_violation
 
 import tensoralg.liealg
 import tensoralg.linalg
 import tensoralg.pairs
-from tensoralg.liealg import LieAlgebra, NotAnIdealError
+from tensoralg.catalog import pair_center
+from tensoralg.liealg import AlgebraSubspace, LieAlgebra, NotAnIdealError, center, direct_sum, restrict_to_subalgebra
 from tensoralg.linalg import support
 from tensoralg.pairs import (
     ActionData,
@@ -22,6 +23,7 @@ from tensoralg.pairs import (
     direct_sum_pair,
     make_pair,
     make_pair_with_actions,
+    pair_full,
     pair_is_clean,
     quotient_pair,
     relative_abelianization_dim,
@@ -310,3 +312,41 @@ def test_make_pair_keeps_the_action_tables_as_supports(name, monkeypatch):
             w = algebra.bracket_vectors(algebra.basis_vector(i), pair.ideal_basis_vector(a))
             assert pair.ideal_vector_to_ambient(pair.act_on_ideal.act_basis(i, a)) == w
             assert pair.act_on_algebra.act_basis(a, i) == tuple(-x for x in w)
+
+
+# Differential test of the pairs built by theorem: each must equal the pair
+# the checked make_pair builds on the same ideal vectors, in seeded permuted
+# bases, so that no fixed basis order hides a wrong sign or coordinate.
+
+
+def _permuted(name, rng):
+    """The pair DIFFERENTIAL_PAIRS names, written in a randomly permuted algebra basis."""
+    algebra_name, kind = DIFFERENTIAL_PAIRS[name]
+    algebra = IDEAL_ALGEBRAS[algebra_name]
+    perm = list(range(algebra.dim))
+    rng.shuffle(perm)
+    return rebased(make_pair(algebra, ideals(algebra)[kind].basis), [algebra.basis_vector(k) for k in perm])
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+def test_pairs_by_theorem_equal_the_checked_pairs(name):
+    rng = random.Random(f"theorem-pairs/{name}")
+    pair = _permuted(name, rng)
+    algebra = pair.algebra
+
+    full = pair_full(algebra)
+    assert full == make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
+    assert "ideal_algebra" in vars(full)  # seeded, not rebuilt
+    assert full.ideal_algebra == restrict_to_subalgebra(algebra, AlgebraSubspace.full(algebra))
+
+    assert pair_center(algebra) == make_pair(algebra, center(algebra).space.basis)
+
+    q = quotient_pair(pair)
+    images = [q.proj_algebra.apply(v) for v in pair.ideal.space.basis]
+    assert q.pair == make_pair(q.pair.algebra, images)
+
+    other = _permuted(rng.choice(list(DIFFERENTIAL_PAIRS)), rng)
+    for a, b in ((pair, other), (other, pair)):
+        vectors = [v + (0,) * b.left_dim for v in a.ideal.space.basis]
+        vectors += [(0,) * a.left_dim + v for v in b.ideal.space.basis]
+        assert direct_sum_pair(a, b) == make_pair(direct_sum(a.algebra, b.algebra), vectors)

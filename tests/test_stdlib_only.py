@@ -5,7 +5,8 @@ Every import in `src/tensoralg` must be relative (a module of the package) or
 name a top-level module listed in `sys.stdlib_module_names`; the source is
 parsed, not imported, so an import inside a function or a branch counts too.
 Every name a top-level import binds must be read somewhere in its module,
-except in `__init__.py`, which imports to re-export.
+except in `__init__.py`, which imports to re-export.  The functions that
+construct a trusted type positionally are a pinned list.
 """
 
 from __future__ import annotations
@@ -71,3 +72,68 @@ def test_an_unused_import_is_found():
         "from .linalg import Vector, kernel as k\nx: Vector = json.loads('1')\n"
     )
     assert _unused_imports(source, "example.py") == [(2, "os"), (4, "k")]
+
+
+# The positional constructors of these types are trusted by contract; each
+# type has one checked edge (LieAlgebra.make, make_pair and
+# make_pair_with_actions, AlgebraHom.make).  Every function that calls one
+# positionally must build what is a Lie algebra, a pair or a homomorphism by
+# theorem, so the list is pinned here and a new site is a reviewed change.
+TRUSTED_TYPES = {"LieAlgebra", "Pair", "AlgebraHom"}
+POSITIONAL_SITES = {
+    "liealg.LieAlgebra.make",  # checked right after
+    "liealg.LieAlgebra.abelian",
+    "liealg.AlgebraHom.make",  # checked right before
+    "liealg.quotient_algebra",
+    "liealg.direct_sum",
+    "liealg.restrict_to_subalgebra",
+    "pairs._inner_pair",
+    "pairs.pair_full",
+    "pairs.make_pair_with_actions",  # checked right after
+    "pairs.quotient_pair",
+    "tensor.construct_tensor",
+    "tensor._exterior_data",
+}
+
+
+def _positional_constructions(source: str, module: str) -> set[str]:
+    """module.qualname of every function that calls a trusted type by name, or
+    as cls inside that type's own class body."""
+    found = set()
+
+    def visit(node, scope: tuple[str, ...], own: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), child.name if child.name in TRUSTED_TYPES else None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), own)
+            else:
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                    if name in TRUSTED_TYPES or (name == "cls" and own is not None):
+                        found.add(".".join((module,) + scope))
+                visit(child, scope, own)
+
+    visit(ast.parse(source, filename=f"{module}.py"), (), None)
+    return found
+
+
+def test_positional_constructions_are_the_reviewed_sites():
+    found = set()
+    for path in SOURCES:
+        found |= _positional_constructions(path.read_text(encoding="utf-8"), path.stem)
+    assert found == POSITIONAL_SITES
+
+
+def test_a_positional_construction_is_found():
+    source = (
+        "class LieAlgebra:\n    @classmethod\n    def zero(cls):\n        return cls(0, (), ())\n"
+        "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n"
+        "def checked(a):\n    return LieAlgebra.make(1, ('x',), {})\n"
+        "def planted(a, n, x, y):\n    def inner():\n        return liealg.AlgebraHom(a, a, x)\n"
+        "    return Pair(a, n, x, y), inner\n"
+    )
+    assert _positional_constructions(source, "example") == {
+        "example.LieAlgebra.zero", "example.planted", "example.planted.inner",
+    }

@@ -283,6 +283,20 @@ def test_evaluation_that_keeps_the_diagonal_is_refused(monkeypatch):
     assert str(caught.value) == "evaluation map does not kill the diagonal"
 
 
+@pytest.mark.parametrize("derive", [exterior, kappa_maps], ids=["exterior", "kappa_maps"])
+def test_compatible_actions_whose_evaluation_keeps_the_diagonal_are_refused(derive):
+    # L = N = abelian(2), with e2 . e1 = e2 . e2 = -e2 (L on N) and e1 . e2 = -e1
+    # (N on L): both axioms and both compatibility equations hold, but
+    # (iota e2) . e2 = -e2 is not 0, so kappa does not kill the diagonal and
+    # the exterior product is not defined by it
+    on_ideal = ActionData.from_rows(2, 2, [[(0, 0), (0, 0)], [(0, -1), (0, -1)]])
+    on_algebra = ActionData.from_rows(2, 2, [[(0, 0), (-1, 0)], [(0, 0), (0, 0)]])
+    pair = make_pair_with_actions(LieAlgebra.abelian(2), [(1, 0), (0, 1)], on_ideal, on_algebra)
+    with pytest.raises(TensorConstructionError) as caught:
+        derive(construct_tensor(pair))
+    assert str(caught.value) == "evaluation map does not kill the diagonal"
+
+
 # ---------------------------------------------------------------- dense reference
 #
 # The relation seed and the closure as they were first written: every

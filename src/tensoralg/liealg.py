@@ -5,11 +5,15 @@ A ``LieAlgebra`` stores only the supports of the brackets of basis pairs
 lists the nonzero (k, c) entries of [e_i, e_j], for both orders of each
 nonzero pair, built once on first use.  Each type is checked once, where
 outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
-:meth:`AlgebraHom.make`.  The positional constructors are trusted by
-contract; the library uses them for direct sums, quotients, subalgebras
-(with L's own table for the full ideal), tensor products and quotient
-projections, which are what they claim by theorem.  Raw structure-constant tables (full p x p x p grids) are
-checked by :func:`validate_structure`, which returns violations as values.
+:meth:`AlgebraHom.make`, an ideal by :func:`quotient_algebra` (and by
+``pairs.make_pair``).  The positional constructors are trusted by contract;
+the library uses them for direct sums, quotients, subalgebras, tensor
+products and quotient projections, which are what they claim by theorem.
+:func:`induced_brackets` gives every derived table (bracket representatives,
+read back through a map): quotients through the private ``_quotient``, a
+pair's ideal algebra through ``linalg.subspace_maps``.  Raw structure-constant
+tables are checked by :func:`validate_structure`, which returns violations
+as values.
 """
 
 from __future__ import annotations
@@ -331,36 +335,45 @@ def _sorted_entries(v: Mapping[int, Exact]) -> Entries:
     return tuple(sorted((k, _exact(c)) for k, c in v.items()))
 
 
-def quotient_brackets(a: LieAlgebra, proj: LinearMap, section: LinearMap) -> BracketTable:
-    """The bracket table of a quotient algebra: the nonzero proj([s_i, s_j]) for i < j, as supports.
+def induced_brackets(a: LieAlgebra, read: LinearMap, representatives: LinearMap) -> BracketTable:
+    """The nonzero read([r_i, r_j]) for i < j, r_k the k-th column of representatives, as supports.
 
-    s_k is the k-th column of the section, the representative of the k-th quotient basis vector."""
-    sections = section._columns
+    Through a quotient's projection and section it is the quotient's table,
+    through a subalgebra's coordinate map and inclusion the subalgebra's."""
+    columns = representatives._columns
     brackets = []
-    for i, si in enumerate(sections):
-        for j in range(i + 1, len(sections)):
-            w = a.bracket_sparse(si, sections[j])
+    for i, ri in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            w = a.bracket_sparse(ri, columns[j])
             if w:
-                v = proj._image(w.items())
+                v = read._image(w.items())
                 if v:
                     brackets.append(((i, j), _sorted_entries(v)))
     return tuple(brackets)
 
 
-def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra, AlgebraHom]:
-    """The quotient algebra and its projection, through the canonical section."""
-    if ideal.parent != a:
-        raise LinalgError("ideal parent mismatch")
+def _quotient(a: LieAlgebra, ideal: Subspace, prefix: str = "q") -> tuple[LieAlgebra, LinearMap, LinearMap]:
+    """The quotient by a subspace trusted to be an ideal, with its projection and section.
+
+    The basis is named prefix0, prefix1, ...; a quotient by an ideal is a Lie algebra, so nothing is checked."""
+    proj, section = quotient_maps(a.dim, ideal)
+    names = tuple(f"{prefix}{k}" for k in range(proj.codomain_dim))
+    return LieAlgebra(proj.codomain_dim, names, induced_brackets(a, proj, section)), proj, section
+
+
+def _require_ideal(ideal: AlgebraSubspace) -> AlgebraSubspace:
+    """The subspace, checked: NotAnIdealError with the first (i, basis vector) whose bracket leaves it."""
     witness = ideal.is_ideal()
     if witness is not None:
-        i, v = witness
-        raise NotAnIdealError(
-            f"[{a.name_of(i)}, subspace] leaves the subspace", witness=(i, v)
-        )
-    proj, section = quotient_maps(a.dim, ideal.space)
-    qdim = proj.codomain_dim
-    names = tuple(f"q{k}" for k in range(qdim))
-    quotient = LieAlgebra(qdim, names, quotient_brackets(a, proj, section))
+        raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
+    return ideal
+
+
+def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra, AlgebraHom]:
+    """The quotient algebra and its projection, through the canonical section; the ideal is checked."""
+    if ideal.parent != a:
+        raise LinalgError("ideal parent mismatch")
+    quotient, proj, _ = _quotient(a, _require_ideal(ideal).space)
     return quotient, AlgebraHom(a, quotient, proj)
 
 
@@ -373,23 +386,6 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 def abelianization(a: LieAlgebra) -> tuple[LieAlgebra, AlgebraHom]:
-    return quotient_algebra(a, a.derived_algebra)
-
-
-def restrict_to_subalgebra(a: LieAlgebra, s: AlgebraSubspace) -> LieAlgebra:
-    """The Lie algebra structure induced on a bracket-closed subspace, in its own coordinates."""
-    if s.parent != a:
-        raise LinalgError("subspace parent mismatch")
-    space = s.space
-    basis = space.entries
-    q = len(basis)
-    brackets = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            w = a.bracket_sparse(basis[i], basis[j])
-            if not space.contains(w):
-                raise NotAnIdealError("subspace is not closed under the bracket", witness=(i, j))
-            if w:
-                brackets.append(((i, j), _sorted_entries(space.coordinate_entries(w))))
-    names = tuple(f"n{k}" for k in range(q))
-    return LieAlgebra(q, names, tuple(brackets))
+    """L/[L, L] and its projection; [L, L] is an ideal by theorem, so it is not checked."""
+    quotient, proj, _ = _quotient(a, a.derived_algebra.space)
+    return quotient, AlgebraHom(a, quotient, proj)

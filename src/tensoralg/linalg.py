@@ -30,7 +30,7 @@ else, so applying it touches only nonzero entries; its ``Fraction`` grid is
 built on first read of ``matrix``.  Build one with
 :meth:`LinearMap.from_columns` or, from a grid, :meth:`LinearMap.from_matrix`.
 :func:`quotient_maps` gives the projection onto a quotient and its section as
-maps.
+maps, and :func:`subspace_maps` the coordinates on a subspace and its inclusion.
 
 All values are immutable after construction.
 """
@@ -371,16 +371,9 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))
 
-    def coordinate_entries(self, v: Sequence) -> dict[int, Exact]:
-        """The nonzero coordinates in the RREF basis of a vector v of this subspace: its entries at the pivots.
-
-        Each basis vector is 1 at its own pivot and 0 at the others; v must lie in the span."""
-        entries = _entries(v, self.ambient_dim)
-        return {t: entries[p] for t, p in enumerate(self._rows) if p in entries}
-
     def coordinates(self, v: Sequence) -> Vector:
-        """The coordinates of :meth:`coordinate_entries` as a vector of length dim."""
-        return from_support(self.coordinate_entries(v).items(), self.dim)
+        """The coordinates in the RREF basis of a vector v of this subspace, through :func:`subspace_maps`."""
+        return subspace_maps(self)[0].apply(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other._rows.values())
@@ -511,6 +504,17 @@ def kernel(f: LinearMap) -> Subspace:
                     v[p] = _ratio(-y, row[p])
             vectors.append(v)
     return Subspace.from_vectors(f.domain_dim, vectors)
+
+
+def subspace_maps(space: Subspace) -> tuple[LinearMap, LinearMap]:
+    """Coordinates on a subspace and its inclusion, as maps.
+
+    Each RREF basis vector is 1 at its own pivot and 0 at the others, so the
+    coordinate map reads a vector's entries at the pivots: a left inverse of
+    the inclusion, exact on the subspace, with no membership test."""
+    slot = {p: t for t, p in enumerate(space._rows)}
+    coordinates = tuple(((slot[j], 1),) if j in slot else () for j in range(space.ambient_dim))
+    return LinearMap(space.dim, coordinates), LinearMap(space.ambient_dim, space.entries)
 
 
 def quotient_maps(ambient_dim: int, r: Subspace) -> tuple[LinearMap, LinearMap]:

@@ -1,7 +1,9 @@
 """Pairs (L, N) with N an ideal of L and a choice of mutual actions.
 
 The ideal keeps its canonical RREF basis, which doubles as its coordinate
-system everywhere downstream.  ``Pair(...)`` is trusted by contract, and the
+system everywhere downstream; ``Pair.ideal_maps`` reads it at the pivots, a
+left inverse of the inclusion with no membership test (the public
+``ambient_to_ideal`` checks).  ``Pair(...)`` is trusted by contract, and the
 pair layer has two checked edges, for ideals and actions supplied from
 outside: ``make_pair`` checks that the span is an ideal and installs the
 inner actions (actions by the bracket of L), compatible by theorem;
@@ -14,7 +16,8 @@ no ideal check:
 
 - ``pair_full``: L is an ideal of itself, and both actions are ad;
 - ``direct_sum_pair``: the blocks bracket to zero, so N1 + N2 is an ideal;
-- ``quotient_pair``: the image of an ideal under an onto homomorphism;
+- ``quotient_pair``: [N, L] is an ideal of L, and the image of an ideal
+  under an onto homomorphism is an ideal;
 - ``catalog.pair_center``: [L, Z(L)] = 0.
 """
 
@@ -28,11 +31,12 @@ from .liealg import (
     AlgebraHom,
     AlgebraSubspace,
     LieAlgebra,
-    NotAnIdealError,
+    _quotient,
+    _require_ideal,
+    _sorted_entries,
     bracket_subspaces,
     direct_sum,
-    quotient_algebra,
-    restrict_to_subalgebra,
+    induced_brackets,
 )
 from .linalg import (
     Entries,
@@ -47,6 +51,7 @@ from .linalg import (
     as_vector,
     from_support,
     span_intersect,
+    subspace_maps,
     support,
 )
 
@@ -141,9 +146,9 @@ class Pair:
 
     The constructor checks shapes only, not that N is an ideal or that the
     actions are compatible.  The pair is immutable, so what is derived from it
-    alone is built once per object and shared: the ideal's own algebra, its
-    inclusion into L, the collapse maps of its symbols, and [N, L] in both
-    coordinate systems.
+    alone is built once per object and shared: the ideal's coordinate map and
+    inclusion, its own algebra, the collapse maps of its symbols, and [N, L]
+    in both coordinate systems.
     """
 
     algebra: LieAlgebra
@@ -169,9 +174,21 @@ class Pair:
         return self.ideal.dim
 
     @cached_property
+    def ideal_maps(self) -> tuple[LinearMap, LinearMap]:
+        """(coordinates, inclusion): L to N by the entries at the ideal's pivots, a left inverse of N into L."""
+        return subspace_maps(self.ideal.space)
+
+    @property
+    def inclusion(self) -> LinearMap:
+        """N into L: ideal coordinates to ambient coordinates."""
+        return self.ideal_maps[1]
+
+    @cached_property
     def ideal_algebra(self) -> LieAlgebra:
-        """N with its inherited bracket, in ideal coordinates."""
-        return restrict_to_subalgebra(self.algebra, self.ideal)
+        """N with its inherited bracket, in ideal coordinates: each [n_a, n_b] read back through the coordinate map."""
+        coordinates, inclusion = self.ideal_maps
+        names = tuple(f"n{k}" for k in range(self.right_dim))
+        return LieAlgebra(self.right_dim, names, induced_brackets(self.algebra, coordinates, inclusion))
 
     @cached_property
     def relative_commutator(self) -> AlgebraSubspace:
@@ -181,13 +198,8 @@ class Pair:
     @cached_property
     def relative_commutator_in_ideal(self) -> Subspace:
         """[N, L] in the ideal's own coordinates."""
-        comm = self.relative_commutator.space
-        return Subspace.from_vectors(self.right_dim, [self._ideal_entries(dict(v)) for v in comm.entries])
-
-    @cached_property
-    def inclusion(self) -> LinearMap:
-        """N into L: ideal coordinates to ambient coordinates."""
-        return LinearMap(self.left_dim, self.ideal.space.entries)
+        coordinates, comm = self.ideal_maps[0], self.relative_commutator.space
+        return Subspace.from_vectors(self.right_dim, [coordinates._image(v) for v in comm.entries])
 
     @cached_property
     def collapse_maps(self) -> tuple[LinearMap, LinearMap]:
@@ -205,46 +217,35 @@ class Pair:
         return self.inclusion.apply(n)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
-        return from_support(self._ideal_entries(v).items(), self.right_dim)
-
-    def _ideal_entries(self, v: Sequence) -> dict[int, Exact]:
-        """The nonzero ideal coordinates of an ambient vector v of the ideal."""
+        """The ideal coordinates of an ambient vector, checked to lie in the ideal."""
         if not self.ideal.space.contains(v):
             raise LinalgError("vector is not in the ideal")
-        return self.ideal.space.coordinate_entries(v)
-
-
-def _ideal_span(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> AlgebraSubspace:
-    """The span of the vectors; NotAnIdealError with the first (i, basis vector) whose bracket leaves it."""
-    ideal = AlgebraSubspace.from_vectors(algebra, ideal_vectors)
-    witness = ideal.is_ideal()
-    if witness is not None:
-        raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
-    return ideal
+        return self.ideal_maps[0].apply(v)
 
 
 def _inner_pair(algebra: LieAlgebra, ideal: AlgebraSubspace) -> Pair:
     """Pair with the inner actions on a subspace trusted to be an ideal.
 
     Each [l_i, n_a] is computed once: l_i acts on n_a by it, in ideal
-    coordinates (its entries at the ideal's pivots, as it lies in the ideal),
-    and n_a acts on l_i by its negative.  Both tables are kept as supports.
-    The inner actions satisfy both action axioms and both compatibility
-    equations by the Jacobi identity of L.
+    coordinates (read through the ideal's coordinate map, as it lies in the
+    ideal), and n_a acts on l_i by its negative.  Both tables are kept as
+    supports.  The inner actions satisfy both action axioms and both
+    compatibility equations by the Jacobi identity of L.
     """
-    space = ideal.space
+    maps = subspace_maps(ideal.space)
     p, q = algebra.dim, ideal.dim
     on_ideal = [[()] * q for _ in range(p)]
     on_algebra = [[()] * p for _ in range(q)]
     for i in range(p):
-        for a, n in enumerate(space.entries):
+        for a, n in enumerate(ideal.space.entries):
             w = algebra.bracket_sparse(((i, 1),), n)
-            # coordinate_entries lists the coordinates in pivot order
-            on_ideal[i][a] = tuple(space.coordinate_entries(w).items())
+            on_ideal[i][a] = _sorted_entries(maps[0]._image(w.items()))
             on_algebra[a][i] = tuple((k, -_exact(w[k])) for k in sorted(w))
     act_on_ideal = ActionData(p, q, tuple(map(tuple, on_ideal)))
     act_on_algebra = ActionData(q, p, tuple(map(tuple, on_algebra)))
-    return Pair(algebra, ideal, act_on_ideal, act_on_algebra)
+    pair = Pair(algebra, ideal, act_on_ideal, act_on_algebra)
+    vars(pair)["ideal_maps"] = maps  # the cached_property, already known
+    return pair
 
 
 def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
@@ -252,7 +253,7 @@ def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
 
     The first [l_i, n_a] outside the span, in the order i, then a, is the witness.
     """
-    return _inner_pair(algebra, _ideal_span(algebra, ideal_vectors))
+    return _inner_pair(algebra, _require_ideal(AlgebraSubspace.from_vectors(algebra, ideal_vectors)))
 
 
 def pair_full(algebra: LieAlgebra) -> Pair:
@@ -285,7 +286,8 @@ def make_pair_with_actions(
     actions need not, and without it the evaluation map does not kill the
     diagonal: tensor.exterior and tensor.kappa_maps then refuse the tensor.
     """
-    pair = Pair(algebra, _ideal_span(algebra, ideal_vectors), act_on_ideal, act_on_algebra)
+    ideal = _require_ideal(AlgebraSubspace.from_vectors(algebra, ideal_vectors))
+    pair = Pair(algebra, ideal, act_on_ideal, act_on_algebra)
     bad = validate_action(act_on_ideal, algebra, pair.ideal_algebra)
     if bad is not None:
         raise PairValidationError("action of the algebra on the ideal breaks an axiom", bad)
@@ -388,21 +390,20 @@ class QuotientPair:
 def quotient_pair(pair: Pair) -> QuotientPair:
     """Quotient both members by [N, L] and install the inner actions.
 
-    The projection is onto, so the image of the ideal N is an ideal of the
-    quotient: [proj l, proj n] = proj [l, n] lies in proj N.
+    [N, L] is an ideal of L, as [[n, l], l'] = [[n, l'], l] + [n, [l, l']] by
+    Jacobi, so the quotient is built unchecked.  The projection is onto, so
+    the image of the ideal N is an ideal of the quotient: [proj l, proj n] =
+    proj [l, n] lies in proj N.
     """
     k = pair.relative_commutator
-    quotient, proj = quotient_algebra(pair.algebra, k)
-    images = [proj.map._image(v) for v in pair.ideal.space.entries]
+    quotient, proj, _ = _quotient(pair.algebra, k.space)
+    images = [proj._image(v) for v in pair.ideal.space.entries]
     new_pair = _inner_pair(quotient, AlgebraSubspace.from_vectors(quotient, images))
-    # the images span the new ideal, so each has coordinates in its basis
-    columns = [new_pair.ideal.space.coordinate_entries(w) for w in images]
-    proj_ideal = AlgebraHom(
-        pair.ideal_algebra,
-        new_pair.ideal_algebra,
-        LinearMap.from_columns(new_pair.right_dim, columns),
-    )
-    return QuotientPair(new_pair, proj, proj_ideal, k)
+    # the images lie in the new ideal, so the coordinate map reads them exactly
+    coordinates = new_pair.ideal_maps[0]
+    columns = [_sorted_entries(coordinates._image(w.items())) for w in images]
+    proj_ideal = AlgebraHom(pair.ideal_algebra, new_pair.ideal_algebra, LinearMap(new_pair.right_dim, tuple(columns)))
+    return QuotientPair(new_pair, AlgebraHom(pair.algebra, quotient, proj), proj_ideal, k)
 
 
 def relative_abelianization_dim(pair: Pair) -> int:

@@ -43,7 +43,7 @@ Derived data: the diagonal ideal generated by n (x) n, the exterior product
 (quotient by the diagonal), the evaluation map sending l (x) n to l . n, and
 the kernels and images that go with them.  The exterior product and the
 evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
-does not give; _exterior_data checks it for both.
+does not give; _exterior_data checks it, and the diagonal is then central.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .liealg import LieAlgebra, _sorted_entries, quotient_brackets
+from .liealg import LieAlgebra, _quotient, _sorted_entries
 from .linalg import (
     Exact,
     LinalgError,
@@ -301,13 +301,10 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LieAl
     kappa = pair.inclusion.compose(right.compose(tensor.section))
     if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
         raise TensorConstructionError("evaluation map does not kill the diagonal")
-    t_alg = tensor.algebra
-    proj, section = quotient_maps(t_alg.dim, box)
-    e_dim = t_alg.dim - box.dim
     # kappa kills the diagonal and the inclusion is injective, so rho kills
     # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
     # quotient by it is a Lie algebra
-    algebra = LieAlgebra(e_dim, tuple(f"e{k}" for k in range(e_dim)), quotient_brackets(t_alg, proj, section))
+    algebra, proj, section = _quotient(tensor.algebra, box, "e")
     return box, kappa, algebra, proj, section
 
 

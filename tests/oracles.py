@@ -174,6 +174,33 @@ def dense_is_ideal(dim, brackets, basis):
     return None
 
 
+def dense_solve(columns, target):
+    """The coefficients c with sum c_k columns[k] = target, by dense_rref on the augmented grid; None when there are none.
+
+    The columns must be independent, as a basis is."""
+    k = len(columns)
+    rows = [[col[r] for col in columns] + [target[r]] for r in range(len(target))]
+    reduced, pivots = dense_rref(rows, k + 1)
+    assert pivots[:k] == tuple(range(k)), "columns are not independent"
+    if k in pivots:
+        return None
+    return tuple(reduced[i][k] for i in range(k))
+
+
+def dense_subalgebra_brackets(dim, brackets, basis):
+    """The nonzero brackets of the subalgebra spanned by basis, in its coordinates: {(a, b): coefficients} for a < b.
+
+    Each [b_a, b_b] is solved for in the basis; AssertionError when one leaves the span."""
+    out = {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            coeffs = dense_solve(basis, dense_bracket(dim, brackets, basis[a], basis[b]))
+            assert coeffs is not None, f"bracket of basis vectors {a} and {b} leaves the span"
+            if any(coeffs):
+                out[(a, b)] = coeffs
+    return out
+
+
 # Dense references for the linear algebra kernel.  These are the loops
 # tensoralg.linalg ran before its sparse integer elimination: rows are scaled
 # to integers, reduced column by column over the whole grid, and divided by

@@ -14,9 +14,8 @@ import tensoralg.cli
 import tensoralg.tensor
 import tensoralg.verify
 from tensoralg.cli import main
-from tensoralg.liealg import AlgebraSubspace
 from tensoralg.linalg import Subspace
-from tensoralg.pairs import ActionData, Pair
+from tensoralg.pairs import make_pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -241,12 +240,9 @@ def _all_symbols_as_relations(pair):
     return Subspace.full(pair.left_dim * pair.right_dim)
 
 
-def _plane_as_ideal(algebra):
-    # A positional Pair is trusted: here it takes the span of x and y for an
-    # ideal, with zero actions, though [x, y] = z leaves that span.
-    plane = AlgebraSubspace.from_vectors(algebra, [{0: 1}, {1: 1}])
-    p, q = algebra.dim, plane.dim
-    return Pair(algebra, plane, ActionData(p, q, (((),) * q,) * p), ActionData(q, p, (((),) * p,) * q))
+def _line_as_ideal(algebra):
+    # the checked make_pair refuses the line spanned by x, as [y, x] = -z leaves it
+    return make_pair(algebra, [[1, 0, 0]])
 
 
 def _relations_in_wrong_space(pair, seed):
@@ -259,8 +255,8 @@ def _relations_in_wrong_space(pair, seed):
     [
         (HEISENBERG1_PAIR, (tensoralg.tensor, "relation_seed", _all_symbols_as_relations),
          "left collapse n . l does not kill the relations"),
-        (HEISENBERG1_PAIR, (tensoralg.catalog, "pair_full", _plane_as_ideal),
-         "subspace is not closed under the bracket"),
+        (HEISENBERG1_PAIR, (tensoralg.catalog, "pair_full", _line_as_ideal),
+         "bracket of basis element 1 leaves the span"),
         (HEISENBERG1_PAIR, (tensoralg.tensor, "closure", _relations_in_wrong_space),
          "subspace does not match ambient dimension"),
     ],

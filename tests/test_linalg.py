@@ -14,6 +14,7 @@ from oracles import (
     dense_matmul,
     dense_quotient_with_section,
     dense_rref,
+    dense_solve,
     dense_span,
     dense_span_intersect,
 )
@@ -31,6 +32,7 @@ from tensoralg.linalg import (
     rref,
     span_intersect,
     span_sum,
+    subspace_maps,
     support,
     zero_vector,
 )
@@ -342,8 +344,12 @@ def test_sparse_elimination_matches_dense_reference(case):
         if inside:
             coords = space.coordinates(v)
             assert combine(coords, space.basis, cols) == v
+            assert dense_solve(space.basis, v) == coords
             assert space.coordinates({k: a for k, a in enumerate(v) if a}) == coords
             coordinates.append(coords)
+    read, inclusion = subspace_maps(space)
+    assert inclusion.matrix.entries == dense_grid(cols, space.basis)
+    assert read.compose(inclusion) == LinearMap.from_matrix(Matrix.identity(space.dim))
     public = space.basis + ker.basis + meet.basis + representatives + tuple(coordinates)
     assert all(isinstance(a, Fraction) for v in public for a in v)
 

@@ -6,14 +6,22 @@ from fractions import Fraction
 import pytest
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased
-from oracles import dense_action_violation, dense_compatibility_violation
+from oracles import dense_action_violation, dense_compatibility_violation, dense_subalgebra_brackets
 
 import tensoralg.liealg
 import tensoralg.linalg
 import tensoralg.pairs
-from tensoralg.catalog import pair_center
-from tensoralg.liealg import AlgebraSubspace, LieAlgebra, NotAnIdealError, center, direct_sum, restrict_to_subalgebra
-from tensoralg.linalg import support
+from tensoralg.catalog import catalog_selectors, pair_center, resolve_selector
+from tensoralg.liealg import (
+    AlgebraHom,
+    LieAlgebra,
+    NotAnIdealError,
+    abelianization,
+    center,
+    direct_sum,
+    quotient_algebra,
+)
+from tensoralg.linalg import LinearMap, support
 from tensoralg.pairs import (
     ActionData,
     CompatibilityViolation,
@@ -337,7 +345,6 @@ def test_pairs_by_theorem_equal_the_checked_pairs(name):
     full = pair_full(algebra)
     assert full == make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
     assert "ideal_algebra" in vars(full)  # seeded, not rebuilt
-    assert full.ideal_algebra == restrict_to_subalgebra(algebra, AlgebraSubspace.full(algebra))
 
     assert pair_center(algebra) == make_pair(algebra, center(algebra).space.basis)
 
@@ -350,3 +357,61 @@ def test_pairs_by_theorem_equal_the_checked_pairs(name):
         vectors = [v + (0,) * b.left_dim for v in a.ideal.space.basis]
         vectors += [(0,) * a.left_dim + v for v in b.ideal.space.basis]
         assert direct_sum_pair(a, b) == make_pair(direct_sum(a.algebra, b.algebra), vectors)
+
+
+# Differential test of the ideal's algebra.  It is read through the coordinate
+# map, which tests no membership, so its table must equal the dense oracle's,
+# which solves for each bracket's coordinates by its own elimination.
+
+
+def _ideal_table_mismatches(pair):
+    """The (a, b), a < b, at which the ideal algebra's bracket differs from the dense subalgebra table."""
+    algebra, n_alg = pair.algebra, pair.ideal_algebra
+    p, q = algebra.dim, n_alg.dim
+    dense = {(i, j): algebra.bracket_basis(i, j) for i in range(p) for j in range(i + 1, p)}
+    expected = dense_subalgebra_brackets(p, dense, pair.ideal.space.basis)
+    got = {(a, b): n_alg.bracket_basis(a, b) for a in range(q) for b in range(a + 1, q) if n_alg.bracket_entries(a, b)}
+    return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+
+
+def _internal(tables):
+    """True when every value in the given supports is an int where it is integral."""
+    return all(type(c) is int or c.denominator != 1 for entries in tables for _, c in entries)
+
+
+def _ideal_case(name):
+    if name in DIFFERENTIAL_PAIRS:
+        return _permuted(name, random.Random(f"ideal-algebra/{name}"))
+    return resolve_selector(name)
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_ideal_algebra_matches_the_dense_subalgebra(name):
+    pair = _ideal_case(name)
+    algebra = pair.algebra
+    q = quotient_pair(pair)
+    for p in (pair, pair_full(algebra), q.pair):
+        assert _ideal_table_mismatches(p) == []
+        assert p.ideal_algebra.basis_names == tuple(f"n{k}" for k in range(p.right_dim))
+        assert _internal([e for _, e in p.ideal_algebra._brackets])
+        assert _internal(e for row in p.act_on_ideal._supports for e in row)
+    assert _internal(q.proj_ideal.map._columns)
+    assert AlgebraHom.make(q.proj_ideal.source, q.proj_ideal.target, q.proj_ideal.map) == q.proj_ideal
+    # the quotients built by theorem equal what the checked quotient_algebra builds
+    assert (q.pair.algebra, q.proj_algebra) == quotient_algebra(algebra, pair.relative_commutator)
+    assert abelianization(algebra) == quotient_algebra(algebra, algebra.derived_algebra)
+
+
+def test_a_wrong_coordinate_map_is_caught(monkeypatch):
+    # planted: the coordinate map reads the last pivot with the wrong sign
+    real = tensoralg.pairs.subspace_maps
+
+    def flipped(space):
+        coordinates, inclusion = real(space)
+        last = space.dim - 1
+        columns = tuple(tuple((t, -c if t == last else c) for t, c in col) for col in coordinates._columns)
+        return LinearMap(coordinates.codomain_dim, columns), inclusion
+
+    monkeypatch.setattr(tensoralg.pairs, "subspace_maps", flipped)
+    caught = [name for name in DIFFERENTIAL_PAIRS if _ideal_table_mismatches(_ideal_case(name))]
+    assert caught

@@ -86,13 +86,14 @@ POSITIONAL_SITES = {
     "liealg.AlgebraHom.make",  # checked right before
     "liealg.quotient_algebra",
     "liealg.direct_sum",
-    "liealg.restrict_to_subalgebra",
+    "liealg.abelianization",
+    "liealg._quotient",
+    "pairs.Pair.ideal_algebra",
     "pairs._inner_pair",
     "pairs.pair_full",
     "pairs.make_pair_with_actions",  # checked right after
     "pairs.quotient_pair",
     "tensor.construct_tensor",
-    "tensor._exterior_data",
 }
 
 

@@ -465,14 +465,16 @@ def test_unchecked_algebras_satisfy_jacobi(name):
     else:
         pair = resolve_selector(name)
     quotient = quotient_pair(pair).pair
+    # each with the prefix of its basis names
     algebras = {
-        "ideal": pair.ideal_algebra,
-        "exterior": exterior(construct_tensor(pair))[0],
-        "quotient": quotient.algebra,
-        "quotient ideal": quotient.ideal_algebra,
-        "abelianization": abelianization(pair.algebra)[0],
+        "ideal": ("n", pair.ideal_algebra),
+        "exterior": ("e", exterior(construct_tensor(pair))[0]),
+        "quotient": ("q", quotient.algebra),
+        "quotient ideal": ("n", quotient.ideal_algebra),
+        "abelianization": ("q", abelianization(pair.algebra)[0]),
     }
-    for label, algebra in algebras.items():
+    for label, (prefix, algebra) in algebras.items():
+        assert algebra.basis_names == tuple(f"{prefix}{k}" for k in range(algebra.dim)), label
         assert algebra.jacobi_violation() is None, label
         assert dense_jacobi_violation(algebra.dim, dict(algebra.brackets)) is None, label
 

@@ -421,6 +421,21 @@ def test_verify_pair_runs_no_jacobi_sweep(selector, monkeypatch):
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())
+def test_verify_pair_checks_one_ideal(selector, monkeypatch):
+    pair, other = resolve_selector(selector), full_pair(heisenberg1())
+    checked = []
+    real = AlgebraSubspace.is_ideal
+    monkeypatch.setattr(AlgebraSubspace, "is_ideal", lambda self: checked.append(self.parent) or real(self))
+    verify_pair(pair, selector)
+    # [N, L], [L, L] and the ideals of the pairs derived from a checked pair are
+    # ideals by theorem; the one check is verify_splitting's, on its complement
+    assert checked == [construct_tensor(pair).algebra]
+    checked.clear()
+    verify_kunneth(pair, other, selector, "h1")
+    assert checked == []
+
+
+@pytest.mark.parametrize("selector", catalog_selectors())
 def test_verify_pair_builds_one_squaring_map(selector, monkeypatch):
     pair = resolve_selector(selector)
     spaces, maps = [], []

@@ -7,8 +7,12 @@ raises TensorConstructionError, NotAnIdealError or LinalgError (one line
 `tensoralg: <message>`, no traceback), 2 for usage errors, for algebras and
 pairs over the dimension cap (TENSORALG_MAX_DIM, default 8; read from the
 selector, or from the "dim" in the header of the document or of the algebra
-document it references, before anything is built or the body is checked) and
-for an output path that cannot be written.
+document it references, before anything is built or the body is checked; a
+negative cap is a usage error too) and for an output path that cannot be
+written.
+
+Each target is read once: the plan that sizes it for the cap also builds it,
+from the selector or the decoded documents it already holds.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ from .catalog import (
     DocumentError,
     SelectorError,
     _document_plan,
+    _Plan,
     _selector_plan,
     catalog_selectors,
-    load_path,
     resolve_selector,
     serialize_report,
 )
-from .liealg import LieAlgebra, NotAnIdealError, StructureError
+from .liealg import NotAnIdealError, StructureError
 from .linalg import LinalgError
 from .pairs import Pair
 from .tensor import TensorConstructionError
@@ -49,35 +53,27 @@ def _check_cap(dim: int, what: str) -> None:
         cap = int(raw)
     except ValueError:
         raise SelectorError(f"TENSORALG_MAX_DIM is not an integer: {raw!r}") from None
+    if cap < 0:
+        raise SelectorError(f"TENSORALG_MAX_DIM is negative: {raw!r}")
     if dim > cap:
         raise _UsageError(
             f"{what} dimension {dim} exceeds the cap {cap}; raise TENSORALG_MAX_DIM to allow it"
         )
 
 
-def _checked_dim(target: str, need_pair: bool) -> int:
-    """Read what a target names without building it; refuse a pair or an algebra over the cap."""
+def _checked_dim(target: str, need_pair: bool) -> _Plan:
+    """Read what a target names without building it; refuse a pair or an algebra over the cap.
+
+    The plan it returns builds the target from what was read here."""
     plan = _selector_plan(target) if target.startswith("builtin:") else _document_plan(target)
     if need_pair and plan.kind is not Pair:
         raise SelectorError(f"{target} names an algebra; this command needs a pair")
     _check_cap(plan.dim, "pair" if plan.kind is Pair else "algebra")
-    return plan.dim
-
-
-def _load(target: str) -> LieAlgebra | Pair:
-    """Build a target that `_checked_dim` has passed.
-
-    It goes through the public loaders, which read the target again, so that
-    a CLI run records the same loader spans under `bench/tracer.py` as a
-    library call."""
-    if target.startswith("builtin:"):
-        return resolve_selector(target)
-    return load_path(target)
+    return plan
 
 
 def _load_pair(target: str) -> Pair:
-    _checked_dim(target, need_pair=True)
-    return _load(target)
+    return _checked_dim(target, need_pair=True).build()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,8 +116,7 @@ def _symbol_names(pair: Pair, tensor) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
-    _checked_dim(args.target, need_pair=False)
-    obj = _load(args.target)
+    obj = _checked_dim(args.target, need_pair=False).build()
     if isinstance(obj, Pair):
         if args.machine:
             payload = {"kind": "pair", "algebra-dim": obj.left_dim, "ideal-dim": obj.right_dim}
@@ -151,7 +146,7 @@ def _cmd_tensor(args) -> int:
         payload = {
             "tensor": {"dim": t.dim, "basis": names},
             "diagonal": {"dim": maps.square.dim, "basis": [[str(c) for c in b] for b in maps.square.basis]},
-            "exterior": {"dim": maps.exterior.dim},
+            "exterior": {"dim": maps.eps.codomain_dim},
             "j2": {"dim": maps.j2.dim, "basis": [[str(c) for c in b] for b in maps.j2.basis]},
             "multiplier": {"dim": maps.multiplier.dim, "basis": [[str(c) for c in b] for b in maps.multiplier.basis]},
             "kappa-image": {"dim": image.dim, "basis": [[str(c) for c in b] for b in image.basis]},
@@ -167,7 +162,7 @@ def _cmd_tensor(args) -> int:
         lines.append(f"  t{k} = [{name}]")
     lines.append(f"diagonal: dim {maps.square.dim}")
     lines.extend(f"  {_fmt_vector(b)}" for b in maps.square.basis)
-    lines.append(f"exterior product: dim {maps.exterior.dim}")
+    lines.append(f"exterior product: dim {maps.eps.codomain_dim}")
     lines.append(f"j2: dim {maps.j2.dim}")
     lines.extend(f"  {_fmt_vector(b)}" for b in maps.j2.basis)
     lines.append(f"multiplier: dim {maps.multiplier.dim}")
@@ -190,8 +185,6 @@ def _theorem_list(raw: str | None) -> Sequence[str] | None:
     if raw is None:
         return None
     names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise SelectorError("--theorems must name at least one check")
     try:
         _selected_checks(names)
     except ValueError as e:
@@ -211,10 +204,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kunneth(args) -> int:
-    dims = [_checked_dim(target, need_pair=True) for target in (args.left, args.right)]
-    _check_cap(sum(dims), "direct sum")
-    pair_a = _load(args.left)
-    pair_b = _load(args.right)
+    plans = [_checked_dim(target, need_pair=True) for target in (args.left, args.right)]
+    _check_cap(sum(plan.dim for plan in plans), "direct sum")
+    pair_a, pair_b = (plan.build() for plan in plans)
     records = verify_kunneth(pair_a, pair_b, args.left, args.right)
     return _finish_report(VerificationReport(tuple(records)), args)
 

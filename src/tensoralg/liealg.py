@@ -10,8 +10,9 @@ outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
 the library uses them for direct sums, quotients, subalgebras, tensor
 products and quotient projections, which are what they claim by theorem.
 :func:`induced_brackets` gives every derived table (bracket representatives,
-read back through a map): quotients through the private ``_quotient``, a
-pair's ideal algebra through ``linalg.subspace_maps``.  Raw structure-constant
+read back through a map): quotients through the private ``_quotient``
+(``_quotient_table`` when the quotient maps are already built), a pair's
+ideal algebra through ``linalg.subspace_maps``.  Raw structure-constant
 tables are checked by :func:`validate_structure`, which returns violations
 as values.
 """
@@ -352,13 +353,18 @@ def induced_brackets(a: LieAlgebra, read: LinearMap, representatives: LinearMap)
     return tuple(brackets)
 
 
-def _quotient(a: LieAlgebra, ideal: Subspace, prefix: str = "q") -> tuple[LieAlgebra, LinearMap, LinearMap]:
-    """The quotient by a subspace trusted to be an ideal, with its projection and section.
+def _quotient_table(a: LieAlgebra, proj: LinearMap, section: LinearMap, prefix: str = "q") -> LieAlgebra:
+    """The quotient by an ideal trusted as such, from the projection and section quotient_maps gives for it.
 
     The basis is named prefix0, prefix1, ...; a quotient by an ideal is a Lie algebra, so nothing is checked."""
-    proj, section = quotient_maps(a.dim, ideal)
     names = tuple(f"{prefix}{k}" for k in range(proj.codomain_dim))
-    return LieAlgebra(proj.codomain_dim, names, induced_brackets(a, proj, section)), proj, section
+    return LieAlgebra(proj.codomain_dim, names, induced_brackets(a, proj, section))
+
+
+def _quotient(a: LieAlgebra, ideal: Subspace, prefix: str = "q") -> tuple[LieAlgebra, LinearMap, LinearMap]:
+    """The quotient by a subspace trusted to be an ideal, with its projection and section."""
+    proj, section = quotient_maps(a.dim, ideal)
+    return _quotient_table(a, proj, section, prefix), proj, section
 
 
 def _require_ideal(ideal: AlgebraSubspace) -> AlgebraSubspace:

@@ -473,12 +473,21 @@ class LinearMap:
         return from_support(self.column_entries(k), self.codomain_dim)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self after inner."""
+        """self after inner.
+
+        An inner column that is a unit vector e_j, as in a section or a
+        coordinate map, picks self's j-th column as stored."""
         if self.domain_dim != inner.codomain_dim:
             raise LinalgError("matrix shape mismatch in product")
-        # a product of two Fractions may be integral, so each entry is put in its internal form
-        columns = (sorted((r, _exact(x)) for r, x in self._image(c).items()) for c in inner._columns)
-        return LinearMap(self.codomain_dim, tuple(map(tuple, columns)))
+        own = self._columns
+        columns = []
+        for c in inner._columns:
+            if len(c) == 1 and c[0][1] == 1:
+                columns.append(own[c[0][0]])
+            else:
+                # a product of two Fractions may be integral, so each entry is put in its internal form
+                columns.append(tuple(sorted((r, _exact(x)) for r, x in self._image(c).items())))
+        return LinearMap(self.codomain_dim, tuple(columns))
 
     def image(self) -> Subspace:
         return Subspace.from_vectors(self.codomain_dim, [dict(c) for c in self._columns])

@@ -44,14 +44,21 @@ Derived data: the diagonal ideal generated by n (x) n, the exterior product
 the kernels and images that go with them.  The exterior product and the
 evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
 does not give; _exterior_data checks it, and the diagonal is then central.
+
+construct_tensor builds the relations, the projection and the section, and
+kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
+tables, NonabelianTensor.algebra and DerivedMaps.exterior, are built on first
+read, so a caller that reads only dimensions and subspaces, as verify_kunneth
+does, builds neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .liealg import LieAlgebra, _quotient, _sorted_entries
+from .liealg import LieAlgebra, _quotient_table, _sorted_entries
 from .linalg import (
     Exact,
     LinalgError,
@@ -199,18 +206,51 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class NonabelianTensor:
-    """The tensor product: quotient coordinates, projection, and section."""
+    """The tensor product: quotient coordinates, projection, and section.
+
+    Its bracket table, ``algebra``, is built on first read."""
 
     pair: Pair
     symbols: SymbolSpace
     relations: Subspace
-    algebra: LieAlgebra
     projection: LinearMap  # symbol coordinates -> tensor coordinates
     section: LinearMap     # tensor coordinates -> symbol coordinates
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return self.projection.codomain_dim
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """The tensor product as a Lie algebra on t0, t1, ..., built on first read.
+
+        The bracket of two section representatives is read off the collapse
+        maps: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
+        over the nonzero entries of the collapsed slots and projection columns,
+        for i < j only; by (b) and (c) of the module docstring it is a Lie bracket.
+        """
+        t_dim, q = self.dim, self.symbols.right_dim
+        left, right = self.pair.collapse_maps
+        lc = left.compose(self.section)._columns
+        rc = right.compose(self.section)._columns
+        proj_cols = self.projection._columns
+
+        def bracket(i: int, j: int) -> dict[int, Exact]:
+            out: dict[int, Exact] = {}
+            for a, x in lc[i]:
+                for b, y in rc[j]:
+                    c = -x * y
+                    for t, v in proj_cols[a * q + b]:
+                        out[t] = out.get(t, 0) + c * v
+            return {t: v for t, v in out.items() if v}
+
+        brackets = []
+        for i in range(t_dim):
+            for j in range(i + 1, t_dim):
+                v = _sorted_entries(bracket(i, j))
+                if v:
+                    brackets.append(((i, j), v))
+        return LieAlgebra(t_dim, tuple(f"t{k}" for k in range(t_dim)), tuple(brackets))
 
     def tensor_of(self, x: Sequence, n: Sequence) -> Vector:
         """Class of x (x) n; x in algebra coordinates, n in ideal coordinates."""
@@ -229,40 +269,12 @@ class NonabelianTensor:
 
 
 def construct_tensor(pair: Pair) -> NonabelianTensor:
-    """Build the tensor product of a pair, with its induced bracket.
-
-    The bracket of two section representatives is read off the collapse
-    maps: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
-    over the nonzero entries of the collapsed slots and projection columns,
-    for i < j only; by (b) and (c) of the module docstring it is a Lie bracket.
-    """
+    """Build the tensor product of a pair: its relations, projection and
+    section.  Its bracket table is built when ``algebra`` is first read."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
     proj, section = quotient_maps(sym.dim, relations)
-    t_dim = proj.codomain_dim
-    q = sym.right_dim
-    left, right = pair.collapse_maps
-    lc = left.compose(section)._columns
-    rc = right.compose(section)._columns
-    proj_cols = proj._columns
-
-    def bracket(i: int, j: int) -> dict[int, Exact]:
-        out: dict[int, Exact] = {}
-        for a, x in lc[i]:
-            for b, y in rc[j]:
-                c = -x * y
-                for t, v in proj_cols[a * q + b]:
-                    out[t] = out.get(t, 0) + c * v
-        return {t: v for t, v in out.items() if v}
-
-    brackets = []
-    for i in range(t_dim):
-        for j in range(i + 1, t_dim):
-            v = _sorted_entries(bracket(i, j))
-            if v:
-                brackets.append(((i, j), v))
-    algebra = LieAlgebra(t_dim, tuple(f"t{k}" for k in range(t_dim)), tuple(brackets))
-    return NonabelianTensor(pair, sym, relations, algebra, proj, section)
+    return NonabelianTensor(pair, sym, relations, proj, section)
 
 
 def diagonal(tensor: NonabelianTensor) -> Subspace:
@@ -285,13 +297,14 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     return Subspace.from_vectors(tensor.dim, gens)
 
 
-def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LieAlgebra, LinearMap, LinearMap]:
-    """Diagonal, evaluation map, exterior algebra, projection, and section for a tensor product.
+def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LinearMap, LinearMap]:
+    """Diagonal, evaluation map, and the projection onto the exterior product and its section.
 
     The evaluation map kappa sends the class of l (x) n to the ambient l . n.
     It must kill the diagonal, that is (iota n) . n = 0 for every n in N,
     otherwise TensorConstructionError.  The inner actions always pass
-    ([n, n] = 0); supplied compatible actions need not.
+    ([n, n] = 0); supplied compatible actions need not.  The tensor's
+    bracket table is not read.
     """
     box = diagonal(tensor)
     pair = tensor.pair
@@ -303,15 +316,20 @@ def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LieAl
         raise TensorConstructionError("evaluation map does not kill the diagonal")
     # kappa kills the diagonal and the inclusion is injective, so rho kills
     # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
-    # quotient by it is a Lie algebra
-    algebra, proj, section = _quotient(tensor.algebra, box, "e")
-    return box, kappa, algebra, proj, section
+    # quotient by it is a Lie algebra (see _exterior_algebra)
+    proj, section = quotient_maps(tensor.dim, box)
+    return box, kappa, proj, section
+
+
+def _exterior_algebra(tensor: NonabelianTensor, proj: LinearMap, section: LinearMap) -> LieAlgebra:
+    """The exterior product on e0, e1, ..., from the maps _exterior_data gives."""
+    return _quotient_table(tensor.algebra, proj, section, "e")
 
 
 def exterior(tensor: NonabelianTensor) -> tuple[LieAlgebra, LinearMap]:
     """The exterior product and the projection onto it from tensor coordinates."""
-    _, _, algebra, proj, _ = _exterior_data(tensor)
-    return algebra, proj
+    _, _, proj, section = _exterior_data(tensor)
+    return _exterior_algebra(tensor, proj, section), proj
 
 
 @dataclass(frozen=True)
@@ -321,28 +339,36 @@ class DerivedMaps:
     Evaluation sends the class of l (x) n to the bracket [l, n] in the
     ambient algebra; its image is the commutator [L, N] and its kernel is
     central.  The same map factors through the exterior product, where the
-    kernel is the multiplier.
+    kernel is the multiplier.  The exterior product's bracket table,
+    ``exterior``, is built on first read, from the tensor's.
     """
 
+    tensor: NonabelianTensor
     kappa: LinearMap        # tensor coordinates -> ambient algebra coordinates
     j2: Subspace            # kernel of kappa, in tensor coordinates
     square: Subspace        # the diagonal, in tensor coordinates
     eps: LinearMap          # tensor coordinates -> exterior coordinates
-    exterior: LieAlgebra
+    eps_section: LinearMap  # exterior coordinates -> tensor coordinates
     kappa_prime: LinearMap  # exterior coordinates -> ambient algebra coordinates
     multiplier: Subspace    # kernel of kappa_prime, in exterior coordinates
+
+    @cached_property
+    def exterior(self) -> LieAlgebra:
+        """The exterior product as a Lie algebra, built on first read."""
+        return _exterior_algebra(self.tensor, self.eps, self.eps_section)
 
 
 def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """Evaluation of the presentation symbols through the action of L on N."""
-    box, kappa, ext_algebra, eps, ext_section = _exterior_data(tensor)
-    kappa_prime = kappa.compose(ext_section)
+    box, kappa, eps, eps_section = _exterior_data(tensor)
+    kappa_prime = kappa.compose(eps_section)
     return DerivedMaps(
+        tensor=tensor,
         kappa=kappa,
         j2=kernel(kappa),
         square=box,
         eps=eps,
-        exterior=ext_algebra,
+        eps_section=eps_section,
         kappa_prime=kappa_prime,
         multiplier=kernel(kappa_prime),
     )

@@ -327,7 +327,8 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     complement = Subspace.from_vectors(t.dim, kept)
     spanned = len(grown.rows)
     escape = AlgebraSubspace(t.algebra, complement).is_ideal()
-    ok = spanned == t.dim and escape is None and complement.dim == maps.exterior.dim
+    ext_dim = maps.eps.codomain_dim
+    ok = spanned == t.dim and escape is None and complement.dim == ext_dim
     if escape is not None:
         k, c = escape
         witness = _fmt_vector(t.algebra.bracket_vectors(t.algebra.basis_vector(k), c))
@@ -335,7 +336,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
         witness = f"diagonal {box.dim} + complement {complement.dim} spans {spanned} of {t.dim}"
     return _record(
         pair_id, "tensor-splits-as-diagonal-plus-complement", "diagonal-complement-splitting", ok, True,
-        {"tensor": t.dim, "diagonal": box.dim, "complement": complement.dim, "exterior": maps.exterior.dim},
+        {"tensor": t.dim, "diagonal": box.dim, "complement": complement.dim, "exterior": ext_dim},
         flags={"complement-hypothesis": complement_condition(pair)},
         witness=witness,
     )
@@ -346,7 +347,7 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     maps = _derive(pair).maps
     box = maps.square
     j2_rows = maps.j2.echelon().rows.values()
-    eps_j2 = Subspace.from_vectors(maps.exterior.dim, [maps.eps._image(row.items()) for row in j2_rows])
+    eps_j2 = Subspace.from_vectors(maps.eps.codomain_dim, [maps.eps._image(row.items()) for row in j2_rows])
     ok = (
         maps.j2.dim == box.dim + maps.multiplier.dim
         and maps.j2.contains_subspace(box)
@@ -494,12 +495,18 @@ def check_names() -> tuple[str, ...]:
 
 
 def _selected_checks(checks: Sequence[str] | None) -> tuple[Callable, ...]:
-    """The named check functions in the given order, or all of them; ValueError names an unknown one."""
+    """The named check functions in the given order, or all of them.
+
+    ValueError names an unknown or a repeated check, or says that none is named."""
     table = dict(_PAIR_CHECKS)
     names = check_names() if checks is None else tuple(checks)
-    for name in names:
+    if not names:
+        raise ValueError(f"no check named; choose from {', '.join(check_names())}")
+    for k, name in enumerate(names):
         if name not in table:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(check_names())}")
+        if name in names[:k]:
+            raise ValueError(f"check {name!r} is named twice")
     return tuple(table[name] for name in names)
 
 

@@ -283,13 +283,19 @@ def test_document_ideal_that_is_not_an_ideal_exits_1_with_one_line(command, tmp_
     assert err == "tensoralg: ideal is not an ideal (witness: (1, (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))))\n"
 
 
-def test_referenced_algebra_document_is_read_once_per_load(tmp_path, monkeypatch, capsys):
-    """`_checked_dim` reads the reference for its header and `_load` reads it
-    once more; building the plan reuses the decoded reference."""
+@pytest.mark.parametrize("command", ["tensor", "verify", "kunneth"])
+def test_referenced_algebra_document_is_read_once_per_load(command, tmp_path, monkeypatch, capsys):
+    """Each document and each algebra it references is opened once: the plan
+    that sized the target builds it from what was read."""
     (tmp_path / "h1.json").write_text(
         '{"name": "h1", "dim": 3, "basis": ["x", "y", "z"], "brackets": {"x,y": {"z": "1"}}}'
     )
     (tmp_path / "centre.json").write_text('{"algebra": "h1.json", "ideal": [["0", "0", "1"]]}')
+    (tmp_path / "a1.json").write_text('{"name": "a1", "dim": 1, "basis": ["a"], "brackets": {}}')
+    (tmp_path / "line.json").write_text('{"algebra": "a1.json", "ideal": "all"}')
+    targets = [str(tmp_path / "centre.json")]
+    if command == "kunneth":
+        targets.append(str(tmp_path / "line.json"))
     opened = Counter()
     real_open = builtins.open
 
@@ -298,10 +304,12 @@ def test_referenced_algebra_document_is_read_once_per_load(tmp_path, monkeypatch
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
-    code, out, err = run(capsys, "tensor", str(tmp_path / "centre.json"))
+    code, out, err = run(capsys, command, *targets)
     assert (code, err) == (0, "")
-    assert opened["centre.json"] == 2
-    assert opened["h1.json"] == 2
+    expected = {"centre.json": 1, "h1.json": 1}
+    if command == "kunneth":
+        expected.update({"line.json": 1, "a1.json": 1})
+    assert opened == expected
 
 
 def test_unknown_theorem_is_refused_before_the_pair_is_built(monkeypatch, capsys):
@@ -319,6 +327,26 @@ def test_invalid_cap_value(monkeypatch, capsys):
     code, out, err = run(capsys, "tensor", "builtin:pair_full(abelian(1))")
     assert code == 2
     assert "TENSORALG_MAX_DIM" in err
+
+
+def test_negative_cap_value(monkeypatch, capsys):
+    # refused as a setting, not read as a cap that even a dimension 0 exceeds
+    monkeypatch.setenv("TENSORALG_MAX_DIM", "-1")
+    code, out, err = run(capsys, "validate", "builtin:abelian(0)")
+    assert (code, out) == (2, "")
+    assert err == "tensoralg: TENSORALG_MAX_DIM is negative: '-1'\n"
+
+
+@pytest.mark.parametrize("theorems", ["diagram,diagram", "kernel,diagram,kernel", ","])
+def test_repeated_or_empty_theorem_list_is_refused(theorems, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a refused check list must be refused before the pair is built")
+
+    monkeypatch.setattr(tensoralg.catalog, "pair_full", refuse)
+    code, out, err = run(capsys, "verify", "--theorems", theorems, "builtin:pair_full(abelian(1))")
+    assert (code, out) == (2, "")
+    message = "no check named" if theorems == "," else "is named twice"
+    assert err.startswith("tensoralg: ") and message in err and err.count("\n") == 1
 
 
 def test_missing_command_is_usage_error(capsys):

@@ -441,3 +441,47 @@ def test_compose_keeps_integral_entries_as_ints():
     assert h._columns == (((0, 1), (1, Fraction(1, 3))),)
     assert type(h._columns[0][0][1]) is int
     assert h == LinearMap.from_matrix(Matrix.from_rows([[1], ["1/3"]]))
+
+
+# Composing after a section or a coordinate map picks the outer map's column
+# for each inner unit column; other inner columns are summed as before.
+
+
+def _assert_dense_product(outer: LinearMap, inner: LinearMap) -> None:
+    h = outer.compose(inner)
+    dense = dense_matmul(outer.matrix.entries, inner.matrix.entries, inner.codomain_dim, inner.domain_dim)
+    assert h.matrix.entries == dense
+    assert all(type(a) is int or a.denominator != 1 for c in h._columns for _, a in c)
+    for k, c in enumerate(inner._columns):
+        if len(c) == 1 and c[0][1] == 1:
+            assert h._columns[k] is outer._columns[c[0][0]]
+
+
+@seed(2015)
+@settings(max_examples=40, deadline=None)
+@given(_shapes, st.data())
+def test_compose_after_sections_and_coordinate_maps_matches_the_dense_product(case, data):
+    cols, rows, _ = case
+    space = Subspace.from_vectors(cols, rows)
+    proj, section = quotient_maps(cols, space)
+    read, inclusion = subspace_maps(space)
+    n = data.draw(st.integers(0, 4))
+    outer = LinearMap.from_columns(n, data.draw(_grid(n, cols)))
+    for inner in (section, inclusion):
+        _assert_dense_product(outer, inner)
+    _assert_dense_product(LinearMap.from_columns(n, data.draw(_grid(n, proj.codomain_dim))), proj)
+    _assert_dense_product(LinearMap.from_columns(n, data.draw(_grid(n, space.dim))), read)
+    _assert_dense_product(read, inclusion)
+    if cols:
+        # a unit column, a column 2 e_j that must be summed, an empty column and a Fraction column
+        j = data.draw(st.integers(0, cols - 1))
+        mixed = LinearMap.from_columns(cols, [{j: 1}, {j: 2}, {}, {j: Fraction(1, 2), cols - 1: 1}])
+        _assert_dense_product(outer, mixed)
+
+
+def test_compose_does_not_pick_a_scaled_unit_column():
+    outer = LinearMap.from_columns(2, [[1, Fraction(1, 3)], [0, 5]])
+    inner = LinearMap.from_columns(2, [{0: 2}, {1: 1}, {}, {0: Fraction(3, 2)}])
+    assert outer.compose(inner)._columns == (
+        ((0, 2), (1, Fraction(2, 3))), ((1, 5),), (), ((0, Fraction(3, 2)), (1, Fraction(1, 2))),
+    )

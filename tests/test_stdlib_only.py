@@ -87,13 +87,13 @@ POSITIONAL_SITES = {
     "liealg.quotient_algebra",
     "liealg.direct_sum",
     "liealg.abelianization",
-    "liealg._quotient",
+    "liealg._quotient_table",
     "pairs.Pair.ideal_algebra",
     "pairs._inner_pair",
     "pairs.pair_full",
     "pairs.make_pair_with_actions",  # checked right after
     "pairs.quotient_pair",
-    "tensor.construct_tensor",
+    "tensor.NonabelianTensor.algebra",
 }
 
 

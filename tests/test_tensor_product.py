@@ -6,7 +6,6 @@ proof is in the tensor module docstring); the dense reference closure below
 checks that on every pair it is given.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -267,8 +266,10 @@ def test_evaluation_that_breaks_the_bracket_is_refused():
     # sl2 (x) sl2 is sl2 again, and an abelian bracket in its place is not
     # respected by kappa.  On heisenberg(1) the image of kappa is central, so
     # the check could not fail there.  kappa_maps takes kappa for a
-    # homomorphism by theorem; AlgebraHom.make is the check.
-    t = dataclasses.replace(construct_tensor(pair_full(sl2())), algebra=LieAlgebra.abelian(3))
+    # homomorphism by theorem; AlgebraHom.make is the check.  The table is
+    # built on first read, so the abelian one is seeded in its cache.
+    t = construct_tensor(pair_full(sl2()))
+    vars(t)["algebra"] = LieAlgebra.abelian(3)
     kappa = kappa_maps(t).kappa
     with pytest.raises(LinalgError) as caught:
         AlgebraHom.make(t.algebra, t.pair.algebra, kappa)

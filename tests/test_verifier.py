@@ -233,6 +233,15 @@ def test_verify_pair_subset_and_unknown_name():
     assert len(report.records) == 1
     with pytest.raises(ValueError):
         verify_pair(full_pair(nonabelian2()), "r2", checks=["spectral"])
+    # an empty report would read ok, and a repeated name would repeat its records
+    for checks, message in (
+        ([], "no check named; choose from diagram, "),
+        (["diagram", "diagram"], "check 'diagram' is named twice"),
+        (["kernel", "abelian", "kernel"], "check 'kernel' is named twice"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            verify_pair(full_pair(nonabelian2()), "r2", checks=checks)
+        assert str(caught.value).startswith(message)
     assert check_names() == ("diagram", "kernel", "descent", "splitting", "decomposition", "abelian")
 
 
@@ -464,3 +473,27 @@ def test_verify_kunneth_builds_the_direct_sum_once(monkeypatch):
     pair_a, pair_b = full_pair(nonabelian2()), central_pair()
     verify_kunneth(pair_a, pair_b, "left", "right")
     assert calls == [(pair_a.algebra, pair_b.algebra)]
+
+
+# The summands of the benchmark's kunneth-sums workload, in every order but the
+# centre with itself.
+KUNNETH_SUMMANDS = ("builtin:pair_full(nonabelian2)", "builtin:pair_full(abelian(1))", "builtin:pair_center(heisenberg(1))")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(a, b) for a in KUNNETH_SUMMANDS for b in KUNNETH_SUMMANDS if not a == b == KUNNETH_SUMMANDS[2]],
+)
+def test_verify_kunneth_builds_no_bracket_table(left, right, monkeypatch):
+    # The records read dimensions of the diagonal, of j2 and of the multiplier,
+    # none of which needs the bracket of the tensor or of the exterior product.
+    tensors, maps = [], []
+    real_construct, real_maps = tensoralg.verify.construct_tensor, tensoralg.verify.kappa_maps
+    monkeypatch.setattr(tensoralg.verify, "construct_tensor", lambda p: tensors.append(real_construct(p)) or tensors[-1])
+    monkeypatch.setattr(tensoralg.verify, "kappa_maps", lambda t: maps.append(real_maps(t)) or maps[-1])
+    records = verify_kunneth(resolve_selector(left), resolve_selector(right), left, right)
+    assert not [r for r in records if r.failed_assertion]
+    assert tensors and len(maps) == len(tensors)
+    # a table built on first read is cached under its name
+    assert [t for t in tensors if "algebra" in vars(t)] == []
+    assert [m for m in maps if "exterior" in vars(m)] == []

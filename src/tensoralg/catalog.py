@@ -21,6 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
@@ -308,17 +309,14 @@ def _algebra_document(obj: dict, text: str) -> AlgebraDocument:
     entries = {}
     for key, value in raw.items():
         parts = [p.strip() for p in key.split(",")]
-        line, col = _locate(text, key)
         if len(parts) != 2:
-            raise DocumentError("bracket key must name two basis elements", line, col, witness=key)
+            raise DocumentError("bracket key must name two basis elements", *_locate(text, key), witness=key)
         for p in parts:
             if p not in index:
-                raise DocumentError("bracket key uses an unknown basis name", line, col, witness=p)
+                raise DocumentError("bracket key uses an unknown basis name", *_locate(text, key), witness=p)
         i, j = index[parts[0]], index[parts[1]]
         if i >= j:
-            raise DocumentError(
-                "bracket key is not an ordered basis pair", line, col, witness=key
-            )
+            raise DocumentError("bracket key is not an ordered basis pair", *_locate(text, key), witness=key)
         if not isinstance(value, dict):
             raise DocumentError(f"bracket value for {key} must be an object", witness=repr(value))
         vec = [Fraction(0)] * dim
@@ -374,6 +372,59 @@ def parse(text: str) -> AlgebraDocument | PairDocument:
     return _document(_loads(text), text)
 
 
+def _json_text(obj) -> str:
+    """The text json.dumps(obj, indent=2) gives, with a closing newline.
+
+    Every JSON output of the package is rendered here.  obj is built from
+    str, int, bool, None, lists, and dicts with str keys, in insertion order;
+    strings are ASCII-escaped.  Any other type raises TypeError."""
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_parts(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of one value; newline is the line break and indent of the line it starts on."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in obj.items():
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(value, inner, parts)
+            sep = comma
+        parts.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _json_parts(value, inner, parts)
+            sep = comma
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
 def _algebra_payload(doc: AlgebraDocument) -> dict:
     return {
         "name": doc.name,
@@ -396,7 +447,7 @@ def serialize(doc: AlgebraDocument | PairDocument) -> str:
         algebra = doc.algebra if isinstance(doc.algebra, str) else _algebra_payload(doc.algebra)
         ideal = "all" if doc.ideal is None else [[str(c) for c in v] for v in doc.ideal]
         payload = {"algebra": algebra, "ideal": ideal}
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def algebra_from_document(doc: AlgebraDocument) -> LieAlgebra:
@@ -523,8 +574,7 @@ def serialize_report(report: VerificationReport, machine: bool = False) -> str:
     records = report.sorted_records()
     summary = _summary(records)
     if machine:
-        payload = {"records": [_record_payload(r) for r in records], "summary": summary}
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text({"records": [_record_payload(r) for r in records], "summary": summary})
     lines = []
     for r in records:
         dims = ",".join(f"{k}={v}" for k, v in sorted(r.dims.items()))

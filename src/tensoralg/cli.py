@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Sequence
@@ -28,6 +27,7 @@ from .catalog import (
     DocumentError,
     SelectorError,
     _document_plan,
+    _json_text,
     _Plan,
     _selector_plan,
     catalog_selectors,
@@ -120,13 +120,13 @@ def _cmd_validate(args) -> int:
     if isinstance(obj, Pair):
         if args.machine:
             payload = {"kind": "pair", "algebra-dim": obj.left_dim, "ideal-dim": obj.right_dim}
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(_json_text(payload), args.out)
         else:
             _emit(f"pair ok: algebra dim {obj.left_dim}, ideal dim {obj.right_dim}\n", args.out)
     else:
         if args.machine:
             payload = {"kind": "algebra", "dim": obj.dim, "brackets": len(obj.brackets)}
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(_json_text(payload), args.out)
         else:
             _emit(
                 f"algebra ok: dim {obj.dim}, {len(obj.brackets)} bracket entr"
@@ -155,7 +155,7 @@ def _cmd_tensor(args) -> int:
                 for (i, j), v in t.algebra.brackets
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
         return 0
     lines = [f"tensor product: dim {t.dim}"]
     for k, name in enumerate(names):
@@ -218,7 +218,7 @@ def _cmd_catalog(args) -> int:
         rows.append((selector, pair.left_dim, pair.right_dim))
     if args.machine:
         payload = [{"selector": s, "algebra-dim": l, "ideal-dim": r} for s, l, r in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         lines = [f"{s}\talgebra dim {l}\tideal dim {r}" for s, l, r in rows]
         _emit("\n".join(lines) + "\n", args.out)

@@ -6,7 +6,8 @@ name a top-level module listed in `sys.stdlib_module_names`; the source is
 parsed, not imported, so an import inside a function or a branch counts too.
 Every name a top-level import binds must be read somewhere in its module,
 except in `__init__.py`, which imports to re-export.  The functions that
-construct a trusted type positionally are a pinned list.
+construct a trusted type positionally are a pinned list.  No module calls
+json.dump or json.dumps: `catalog._json_text` renders every JSON output.
 """
 
 from __future__ import annotations
@@ -72,6 +73,42 @@ def test_an_unused_import_is_found():
         "from .linalg import Vector, kernel as k\nx: Vector = json.loads('1')\n"
     )
     assert _unused_imports(source, "example.py") == [(2, "os"), (4, "k")]
+
+
+def _json_dump_calls(source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, name) for every call of json.dump or json.dumps, through the module or a name imported from it."""
+    tree = ast.parse(source, filename=filename)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in ("dump", "dumps")
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps") and isinstance(f.value, ast.Name) and f.value.id == "json":
+            found.append((node.lineno, f"json.{f.attr}"))
+        elif isinstance(f, ast.Name) and f.id in imported:
+            found.append((node.lineno, f.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_json_dumps_call(path):
+    assert _json_dump_calls(path.read_text(encoding="utf-8"), str(path)) == []
+
+
+def test_a_json_dumps_call_is_found():
+    source = (
+        "import json\nfrom json import dumps as d, loads\nimport sys\n"
+        "def render(obj):\n    return json.dumps(obj, indent=2) + '\\n'\n"
+        "text = d({})\njson.dump({}, sys.stdout)\nobj = json.loads(loads('1'))\nwriter.dumps(obj)\n"
+    )
+    assert _json_dump_calls(source, "example.py") == [(5, "json.dumps"), (6, "d"), (7, "json.dump")]
 
 
 # The positional constructors of these types are trusted by contract; each

@@ -7,7 +7,9 @@ import pytest
 
 import tensoralg.liealg
 import tensoralg.verify
-from tensoralg.catalog import catalog_pairs, catalog_selectors, resolve_selector
+from algebra_examples import IDEAL_ALGEBRAS
+from tensoralg.catalog import AlgebraDocument, PairDocument, catalog_pairs, catalog_selectors, resolve_selector, serialize
+from tensoralg.cli import main
 from tensoralg.gamma import GammaSpace
 from tensoralg.liealg import AlgebraSubspace, LieAlgebra
 from tensoralg.linalg import LinearMap, Subspace
@@ -497,3 +499,35 @@ def test_verify_kunneth_builds_no_bracket_table(left, right, monkeypatch):
     # a table built on first read is cached under its name
     assert [t for t in tensors if "algebra" in vars(t)] == []
     assert [m for m in maps if "exterior" in vars(m)] == []
+
+
+# ROADMAP item 4: on (L, [L, L]) for these filiform algebras the asserted
+# diagonal descent fails with diagonal 1 and quotient diagonal 0.  The tests
+# are strict, so the change that mends the record makes them pass and must
+# drop the marks.
+DESCENT_FAILURES = ("n4", "n5")
+_ITEM_4 = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 4")
+
+
+def _derived_pair(name):
+    algebra = IDEAL_ALGEBRAS[name]
+    return make_pair(algebra, algebra.derived_algebra.space.basis)
+
+
+@_ITEM_4
+@pytest.mark.parametrize("name", DESCENT_FAILURES)
+def test_derived_pair_passes_every_asserted_check(name):
+    assert verify_pair(_derived_pair(name), pair_id=name).ok
+
+
+@_ITEM_4
+@pytest.mark.parametrize("name", DESCENT_FAILURES)
+def test_derived_pair_document_verifies_with_exit_0(name, tmp_path):
+    pair = _derived_pair(name)
+    algebra = pair.algebra
+    doc = PairDocument(
+        AlgebraDocument(name, algebra.dim, algebra.basis_names, algebra.brackets), tuple(pair.ideal.space.basis)
+    )
+    path = tmp_path / "pair.json"
+    path.write_text(serialize(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0

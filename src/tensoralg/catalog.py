@@ -21,6 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -75,8 +76,7 @@ def heisenberg(m: int) -> LieAlgebra:
     """2m+1 dimensional: [x_i, y_i] = z, everything else zero."""
     dim = _heisenberg_dim(m)
     names = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m)) + ("z",)
-    z = tuple(Fraction(1 if k == dim - 1 else 0) for k in range(dim))
-    return LieAlgebra.make(dim, names, {(i, m + i): z for i in range(m)})
+    return LieAlgebra.make(dim, names, {(i, m + i): {dim - 1: 1} for i in range(m)})
 
 
 def pair_center(algebra: LieAlgebra) -> Pair:
@@ -239,13 +239,31 @@ class PairDocument:
     ideal: tuple[Vector, ...] | None  # None means the whole algebra
 
 
-def _locate(text: str, fragment: str) -> tuple[int | None, int | None]:
-    idx = text.find(f'"{fragment}"')
-    if idx < 0:
-        return None, None
-    line = text.count("\n", 0, idx) + 1
-    col = idx - text.rfind("\n", 0, idx)
-    return line, col
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _locate(text: str, path: tuple[str, ...], key: str) -> tuple[int | None, int | None]:
+    """Line and column of the opening quote of key, in the object that path names from the root.
+
+    Keys are decoded before they are compared, so a key written with escapes
+    is found; text is a valid document whose path leads through objects."""
+    skip = json.JSONDecoder().raw_decode
+    at = _SPACE.match(text).end()
+    for depth, want in enumerate(path + (key,)):
+        at = _SPACE.match(text, at + 1).end()  # past the object's "{"
+        while text[at] == '"':
+            start = at
+            name, at = scanstring(text, at + 1)
+            at = _SPACE.match(text, _SPACE.match(text, at).end() + 1).end()  # past the ":"
+            if name == want:
+                break
+            at = _SPACE.match(text, skip(text, at)[1]).end()
+            if text[at] == ",":
+                at = _SPACE.match(text, at + 1).end()
+        else:
+            return None, None
+    line = text.count("\n", 0, start) + 1
+    return line, start - text.rfind("\n", 0, start)
 
 
 def _no_duplicates(pairs):
@@ -266,7 +284,7 @@ def _loads(text: str):
         raise DocumentError(str(e)) from None
 
 
-def _scalar(value, text: str, context: str) -> Fraction:
+def _scalar(value, context: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError(f"{context}: scalar must be an integer or a rational string",
                             witness=repr(value))
@@ -287,7 +305,8 @@ def _expect_keys(obj: dict, allowed: set, kind: str):
             raise DocumentError(f"missing key in {kind} document", witness=key)
 
 
-def _algebra_document(obj: dict, text: str) -> AlgebraDocument:
+def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDocument:
+    """The algebra document held by obj, the object at path in text."""
     _expect_keys(obj, {"name", "dim", "basis", "brackets"}, "algebra")
     name = obj["name"]
     dim = obj["dim"]
@@ -306,24 +325,25 @@ def _algebra_document(obj: dict, text: str) -> AlgebraDocument:
     raw = obj["brackets"]
     if not isinstance(raw, dict):
         raise DocumentError("brackets must be an object")
+    at = path + ("brackets",)
     entries = {}
     for key, value in raw.items():
         parts = [p.strip() for p in key.split(",")]
         if len(parts) != 2:
-            raise DocumentError("bracket key must name two basis elements", *_locate(text, key), witness=key)
+            raise DocumentError("bracket key must name two basis elements", *_locate(text, at, key), witness=key)
         for p in parts:
             if p not in index:
-                raise DocumentError("bracket key uses an unknown basis name", *_locate(text, key), witness=p)
+                raise DocumentError("bracket key uses an unknown basis name", *_locate(text, at, key), witness=p)
         i, j = index[parts[0]], index[parts[1]]
         if i >= j:
-            raise DocumentError("bracket key is not an ordered basis pair", *_locate(text, key), witness=key)
+            raise DocumentError("bracket key is not an ordered basis pair", *_locate(text, at, key), witness=key)
         if not isinstance(value, dict):
             raise DocumentError(f"bracket value for {key} must be an object", witness=repr(value))
         vec = [Fraction(0)] * dim
         for b, c in value.items():
             if b not in index:
                 raise DocumentError("bracket value uses an unknown basis name", witness=b)
-            vec[index[b]] = _scalar(c, text, f"bracket {key}")
+            vec[index[b]] = _scalar(c, f"bracket {key}")
         if any(c != 0 for c in vec):
             entries[(i, j)] = tuple(vec)
     return AlgebraDocument(name, dim, tuple(basis), tuple(sorted(entries.items())))
@@ -335,7 +355,7 @@ def _pair_document(obj: dict, text: str) -> PairDocument:
     if isinstance(raw_algebra, str):
         algebra: AlgebraDocument | str = raw_algebra
     elif isinstance(raw_algebra, dict):
-        algebra = _algebra_document(raw_algebra, text)
+        algebra = _algebra_document(raw_algebra, text, ("algebra",))
     else:
         raise DocumentError("algebra must be an object or a file reference")
     raw_ideal = obj["ideal"]
@@ -347,7 +367,7 @@ def _pair_document(obj: dict, text: str) -> PairDocument:
     for row in raw_ideal:
         if not isinstance(row, list):
             raise DocumentError("ideal vector must be a list", witness=repr(row))
-        vectors.append(tuple(_scalar(c, text, "ideal vector") for c in row))
+        vectors.append(tuple(_scalar(c, "ideal vector") for c in row))
     widths = {len(v) for v in vectors}
     if len(widths) > 1:
         raise DocumentError("ideal vectors have mixed lengths")
@@ -364,7 +384,7 @@ def _document(obj, text: str) -> AlgebraDocument | PairDocument:
         raise DocumentError("document must be an object")
     if "ideal" in obj:
         return _pair_document(obj, text)
-    return _algebra_document(obj, text)
+    return _algebra_document(obj, text, ())
 
 
 def parse(text: str) -> AlgebraDocument | PairDocument:

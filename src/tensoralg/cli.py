@@ -125,14 +125,11 @@ def _cmd_validate(args) -> int:
             _emit(f"pair ok: algebra dim {obj.left_dim}, ideal dim {obj.right_dim}\n", args.out)
     else:
         if args.machine:
-            payload = {"kind": "algebra", "dim": obj.dim, "brackets": len(obj.brackets)}
+            payload = {"kind": "algebra", "dim": obj.dim, "brackets": len(obj._brackets)}
             _emit(_json_text(payload), args.out)
         else:
-            _emit(
-                f"algebra ok: dim {obj.dim}, {len(obj.brackets)} bracket entr"
-                f"{'y' if len(obj.brackets) == 1 else 'ies'}\n",
-                args.out,
-            )
+            count = len(obj._brackets)
+            _emit(f"algebra ok: dim {obj.dim}, {count} bracket entr{'y' if count == 1 else 'ies'}\n", args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Exact, LinearMap, Subspace, Support, Vector, _entries, from_support, quotient_maps
+from .linalg import Exact, LinearMap, Subspace, Support, Vector, from_support, quotient_maps
 from .pairs import Pair
 from .tensor import NonabelianTensor
 
@@ -50,26 +50,11 @@ class GammaSpace:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def index(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        return self.pairs.index((a, b))
-
 
 def _ideal_class(tensor: NonabelianTensor, products: Sequence[tuple[Support, Support]]) -> dict[int, Exact]:
     """The entries of the class of the sum of x (x) y over pairs of ideal vectors, given as supports."""
     inclusion = tensor.pair.inclusion
     return tensor.class_entries((inclusion._image(x).items(), y) for x, y in products)
-
-
-def sigma(tensor: NonabelianTensor, x: Sequence, y: Sequence) -> Vector:
-    """Class of x (x) y + y (x) x for two ideal vectors, in tensor coordinates.
-
-    Both arguments are given in ideal coordinates.
-    """
-    q = tensor.pair.right_dim
-    xs, ys = _entries(x, q).items(), _entries(y, q).items()
-    return from_support(_ideal_class(tensor, [(xs, ys), (ys, xs)]).items(), tensor.dim)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ read back through a map): quotients through the private ``_quotient``
 (``_quotient_table`` when the quotient maps are already built), a pair's
 ideal algebra through ``linalg.subspace_maps``.  Raw structure-constant
 tables are checked by :func:`validate_structure`, which returns violations
-as values.
+as values.  It reads a dense table that nothing in the package builds; it
+stays as the dense reference that the benchmark harness traces by name,
+until the benchmark is refreshed (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -198,9 +200,6 @@ class LieAlgebra:
         """The nonzero (k, c) entries of [e_i, e_j]."""
         return self._ad[i].get(j, ())
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return from_support(self.bracket_entries(i, j), self.dim)
-
     def bracket_sparse(self, xs: Support, ys: Support) -> dict[int, Exact]:
         """[x, y] as {k: coefficient} over its nonzero coefficients, for x and y given by supports."""
         y = dict(ys)
@@ -218,11 +217,6 @@ class LieAlgebra:
                     for k, x in entries:
                         acc[k] = acc.get(k, 0) + c * x
         return {k: x for k, x in acc.items() if x != 0}
-
-    def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] by bilinear expansion over the nonzero basis brackets."""
-        xs, ys = _entries(x, self.dim), _entries(y, self.dim)
-        return from_support(self.bracket_sparse(xs.items(), ys.items()).items(), self.dim)
 
     def jacobi_violation(self) -> StructureViolation | None:
         return _jacobi_violation(self.dim, self._ad)
@@ -260,9 +254,6 @@ class AlgebraSubspace:
     def dim(self) -> int:
         return self.space.dim
 
-    def basis(self) -> tuple[Vector, ...]:
-        return self.space.basis
-
     def is_ideal(self) -> tuple[int, Vector] | None:
         """None when [L, S] <= S, otherwise a witness (basis index, subspace vector)."""
         a = self.parent
@@ -297,9 +288,6 @@ class AlgebraHom:
                 if map._image(source.bracket_entries(i, j)) != target.bracket_sparse(images[i], images[j]):
                     raise LinalgError(f"map does not respect the bracket of basis pair ({i}, {j})")
         return cls(source, target, map)
-
-    def apply(self, v: Sequence) -> Vector:
-        return self.map.apply(v)
 
 
 def bracket_subspaces(a: LieAlgebra, s: AlgebraSubspace, t: AlgebraSubspace) -> AlgebraSubspace:

@@ -5,12 +5,11 @@ pairs of its nonzero entries, or a mapping from index to value.  A scalar in
 such a table is an ``int`` when it is integral and a ``Fraction`` only when it
 has a denominator (``_exact`` normalises), so the sparse loops of every layer
 do integer arithmetic wherever the input is integral.  Dense tuples of
-``Fraction`` and the ``Matrix`` grid appear only at the public edge: the
-values the library returns (through :func:`from_support`) and the input it
-reads.  :func:`_entries` is the one point where input is read: every entry
-point that takes a vector takes it densely, as a sequence of scalars, or
-sparsely, as a mapping from index to scalar, and ``*_entries`` methods return
-their results sparsely.
+``Fraction`` appear only at the public edge: the values the library returns
+(through :func:`from_support`) and the input it reads.  :func:`_entries` is
+the one point where input is read: every entry point that takes a vector
+takes it densely, as a sequence of scalars, or sparsely, as a mapping from
+index to scalar, and ``*_entries`` methods return their results sparsely.
 
 Row reduction has one internal representation: sparse primitive integer rows
 ``{column: int}``, with gcd 1 and a positive leading entry, held in
@@ -26,9 +25,8 @@ the result of naive exact Gaussian elimination.  Build a subspace with
 :meth:`Subspace.from_basis`, which checks that form.
 
 A :class:`LinearMap` is stored as the supports of its columns and nothing
-else, so applying it touches only nonzero entries; its ``Fraction`` grid is
-built on first read of ``matrix``.  Build one with
-:meth:`LinearMap.from_columns` or, from a grid, :meth:`LinearMap.from_matrix`.
+else, so applying it touches only nonzero entries.  Build one with
+:meth:`LinearMap.from_columns`, from dense or sparse columns.
 :func:`quotient_maps` gives the projection onto a quotient and its section as
 maps, and :func:`subspace_maps` the coordinates on a subspace and its inclusion.
 
@@ -75,11 +73,6 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(int(s))
 
 
-def format_scalar(value: Fraction) -> str:
-    """Inverse of :func:`parse_scalar`; lowest terms with positive denominator."""
-    return str(value)
-
-
 def _exact(a: Exact) -> Exact:
     """The internal form of a rational scalar: an int when it is integral, else the Fraction."""
     if type(a) is int or a.denominator != 1:
@@ -104,14 +97,6 @@ def _coerce(entry) -> Fraction:
 
 def as_vector(entries: Iterable) -> Vector:
     return tuple(_coerce(e) for e in entries)
-
-
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def support(v: Vector) -> list[tuple[int, Exact]]:
@@ -241,55 +226,6 @@ class Echelon:
 
 
 @dataclass(frozen=True)
-class Matrix:
-    """Dense ``rows x cols`` grid of rationals, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise LinalgError("negative matrix dimension")
-        if len(self.entries) != self.rows:
-            raise LinalgError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise LinalgError("ragged matrix row")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Iterable], cols: int | None = None) -> "Matrix":
-        data = tuple(as_vector(r) for r in rows)
-        if data:
-            width = len(data[0])
-        elif cols is not None:
-            width = cols
-        else:
-            raise LinalgError("empty matrix needs an explicit column count")
-        return cls(len(data), width, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot columns.
-
-    The shape is preserved; rows beyond the rank come out as zero rows.
-    """
-    basis = Echelon(m.cols)
-    for row in m.entries:
-        basis.insert(row)
-    space = basis.subspace()
-    out = space.basis + (zero_vector(m.cols),) * (m.rows - space.dim)
-    return Matrix(m.rows, m.cols, out), space.pivots()
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of F^ambient_dim held by the Gauss-Jordan rows of its span.
 
@@ -371,18 +307,8 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))
 
-    def coordinates(self, v: Sequence) -> Vector:
-        """The coordinates in the RREF basis of a vector v of this subspace, through :func:`subspace_maps`."""
-        return subspace_maps(self)[0].apply(v)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other._rows.values())
-
-
-def span_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise LinalgError("ambient dimension mismatch in span sum")
-    return Subspace.from_vectors(a.ambient_dim, [*a._rows.values(), *b._rows.values()])
 
 
 def span_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -412,9 +338,9 @@ class LinearMap:
 
     Column k lists the nonzero (row, value) entries of the image of the k-th
     domain basis vector, in row order, values in their internal form.  Build
-    one with :meth:`from_columns` or :meth:`from_matrix`.  The engine applies
-    a map to the vectors it built itself through ``_image``, which takes their
-    entries as given; :meth:`apply` and :meth:`apply_entries` check their input.
+    one with :meth:`from_columns`.  The engine applies a map to the vectors it
+    built itself through ``_image``, which takes their entries as given;
+    :meth:`apply` and :meth:`apply_entries` check their input.
     """
 
     codomain_dim: int
@@ -424,15 +350,6 @@ class LinearMap:
     def domain_dim(self) -> int:
         return len(self._columns)
 
-    @cached_property
-    def matrix(self) -> Matrix:
-        """The codomain_dim x domain_dim grid of Fractions."""
-        grid = [[_ZERO] * self.domain_dim for _ in range(self.codomain_dim)]
-        for j, col in enumerate(self._columns):
-            for r, a in col:
-                grid[r][j] = _coerce(a)
-        return Matrix(self.codomain_dim, self.domain_dim, tuple(map(tuple, grid)))
-
     @classmethod
     def from_columns(cls, codomain_dim: int, columns: Sequence[Sequence]) -> "LinearMap":
         cols = []
@@ -440,11 +357,6 @@ class LinearMap:
             entries = _entries(c, codomain_dim)
             cols.append(tuple((r, entries[r]) for r in sorted(entries)))
         return cls(codomain_dim, tuple(cols))
-
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "LinearMap":
-        """The map whose matrix is m."""
-        return cls.from_columns(m.rows, [m.column(j) for j in range(m.cols)])
 
     def apply_entries(self, v: Sequence) -> dict[int, Exact]:
         """The nonzero entries of the image of v."""
@@ -467,10 +379,6 @@ class LinearMap:
         if not 0 <= k < self.domain_dim:
             raise LinalgError(f"column {k} out of range for domain dimension {self.domain_dim}")
         return self._columns[k]
-
-    def column(self, k: int) -> Vector:
-        """The image of the k-th domain basis vector."""
-        return from_support(self.column_entries(k), self.codomain_dim)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner.

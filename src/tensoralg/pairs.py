@@ -46,7 +46,6 @@ from .linalg import (
     Subspace,
     Support,
     Vector,
-    _entries,
     _exact,
     as_vector,
     from_support,
@@ -116,11 +115,8 @@ class ActionData:
         """table[i][j] = action of actor basis i on acted basis j, as a Fraction vector."""
         return tuple(tuple(from_support(e, self.acted_dim) for e in row) for row in self._supports)
 
-    def act_basis(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
     def act_entries(self, i: int, j: int) -> Entries:
-        """The nonzero (k, c) entries of act_basis(i, j)."""
+        """The nonzero (k, c) entries of the action of actor basis i on acted basis j."""
         return self._supports[i][j]
 
     def act_sparse(self, xs: Support, ns: Support) -> dict[int, Exact]:
@@ -134,10 +130,6 @@ class ActionData:
                 for k, v in row[j]:
                     acc[k] = acc.get(k, 0) + c * v
         return {k: v for k, v in acc.items() if v}
-
-    def apply(self, x: Sequence, n: Sequence) -> Vector:
-        xs, ns = _entries(x, self.actor_dim), _entries(n, self.acted_dim)
-        return from_support(self.act_sparse(xs.items(), ns.items()).items(), self.acted_dim)
 
 
 @dataclass(frozen=True)
@@ -209,12 +201,6 @@ class Pair:
         left = LinearMap(p, tuple(on_algebra.act_entries(a, i) for i in range(p) for a in range(q)))
         right = LinearMap(q, tuple(on_ideal.act_entries(i, a) for i in range(p) for a in range(q)))
         return left, right
-
-    def ideal_basis_vector(self, a: int) -> Vector:
-        return self.ideal.space.basis[a]
-
-    def ideal_vector_to_ambient(self, n: Sequence) -> Vector:
-        return self.inclusion.apply(n)
 
     def ambient_to_ideal(self, v: Sequence) -> Vector:
         """The ideal coordinates of an ambient vector, checked to lie in the ideal."""

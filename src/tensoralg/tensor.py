@@ -67,7 +67,6 @@ from .linalg import (
     Support,
     Vector,
     _entries,
-    from_support,
     kernel,
     quotient_maps,
 )
@@ -89,11 +88,6 @@ class SymbolSpace:
     def dim(self) -> int:
         return self.left_dim * self.right_dim
 
-    def index(self, i: int, a: int) -> int:
-        if not (0 <= i < self.left_dim and 0 <= a < self.right_dim):
-            raise LinalgError("symbol index out of range")
-        return i * self.right_dim + a
-
     def split(self, k: int) -> tuple[int, int]:
         if not 0 <= k < self.dim:
             raise LinalgError("symbol index out of range")
@@ -105,10 +99,6 @@ class SymbolSpace:
         acc: dict[int, Exact] = {}
         _add_expansion(acc, xs.items(), ns.items(), self.right_dim)
         return acc
-
-    def expand(self, x: Sequence, n: Sequence) -> Vector:
-        """Bilinear expansion of x (x) n into symbol coordinates."""
-        return from_support(self.expand_entries(x, n).items(), self.dim)
 
 
 def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int, c=1) -> None:
@@ -140,21 +130,6 @@ def _keep_nonzero(gens: dict, acc: dict[int, Exact]) -> None:
 def _span(gens: dict, width: int) -> Subspace:
     """The span of the recorded generators, in the order they were first seen."""
     return Subspace.from_vectors(width, [dict(g) for g in gens])
-
-
-def beta_bracket(pair: Pair, u: Sequence, v: Sequence) -> Vector:
-    """Bracket of two symbol vectors, as a symbol vector.
-
-    Both slots collapse first: u to an element of L through the ideal action
-    on the algebra, v to an element of N through the algebra action on the
-    ideal.  The bracket is minus the expansion of the collapsed pair.
-    """
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
-    us, vs = _entries(u, sym.dim), _entries(v, sym.dim)
-    left, right = pair.collapse_maps
-    acc: dict[int, Exact] = {}
-    _add_expansion(acc, left._image(us.items()).items(), right._image(vs.items()).items(), sym.right_dim, -1)
-    return from_support(acc.items(), sym.dim)
 
 
 def relation_seed(pair: Pair) -> Subspace:
@@ -262,10 +237,6 @@ class NonabelianTensor:
         for x, n in products:
             _add_expansion(acc, x, n, self.symbols.right_dim)
         return self.projection._image(acc.items())
-
-    def generator(self, i: int, a: int) -> Vector:
-        """Class of the basis symbol l_i (x) n_a."""
-        return self.tensor_of({i: 1}, {a: 1})
 
 
 def construct_tensor(pair: Pair) -> NonabelianTensor:

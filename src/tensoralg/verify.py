@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined
 from .liealg import AlgebraSubspace, LieAlgebra, center
-from .linalg import LinearMap, Subspace, kernel, quotient_maps
+from .linalg import LinearMap, Subspace, from_support, kernel, quotient_maps, support
 from .pairs import (
     Pair,
     QuotientPair,
@@ -77,10 +77,6 @@ class VerificationReport:
 
     def sorted_records(self) -> tuple[CheckRecord, ...]:
         return tuple(sorted(self.records, key=lambda r: (r.pair_id, r.check)))
-
-    @classmethod
-    def merge(cls, reports: Sequence["VerificationReport"]) -> "VerificationReport":
-        return cls(tuple(r for report in reports for r in report.records))
 
 
 def _record(pair_id, check, anchor, ok, asserted, dims, flags=None, witness=None):
@@ -331,7 +327,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     ok = spanned == t.dim and escape is None and complement.dim == ext_dim
     if escape is not None:
         k, c = escape
-        witness = _fmt_vector(t.algebra.bracket_vectors(t.algebra.basis_vector(k), c))
+        witness = _fmt_vector(from_support(t.algebra.bracket_sparse(((k, 1),), support(c)).items(), t.dim))
     else:
         witness = f"diagonal {box.dim} + complement {complement.dim} spans {spanned} of {t.dim}"
     return _record(

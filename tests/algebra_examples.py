@@ -5,9 +5,12 @@ Unlike `oracles.py`, this builds its objects through the package under test.
 
 from fractions import Fraction
 
+from oracles import dense_bracket, dense_rref
+
 from tensoralg.liealg import LieAlgebra, center
-from tensoralg.linalg import LinearMap, Matrix, Subspace, rref
+from tensoralg.linalg import LinearMap, Subspace
 from tensoralg.pairs import make_pair
+
 
 def sl2():
     # [e, f] = h, [h, e] = 2e, [h, f] = -2f
@@ -54,20 +57,21 @@ def ideals(algebra):
 
 
 def _inverse(columns):
-    """The inverse of the square matrix with the given columns, as a Matrix."""
+    """The inverse of the square matrix with the given columns, as a map."""
     n = len(columns)
     rows = [tuple(columns[k][r] for k in range(n)) + tuple(int(r == c) for c in range(n)) for r in range(n)]
-    reduced, pivots = rref(Matrix.from_rows(rows))
+    reduced, pivots = dense_rref(rows, 2 * n)
     assert pivots == tuple(range(n)), "change of basis is not invertible"
-    return Matrix.from_rows([row[n:] for row in reduced.entries])
+    return LinearMap.from_columns(n, [[row[n + k] for row in reduced] for k in range(n)])
 
 
 def rebased(pair, columns):
     """The same pair in the algebra basis whose k-th vector is columns[k] in the old basis."""
     a = pair.algebra
-    to_new = LinearMap.from_matrix(_inverse(columns)).apply
+    to_new = _inverse(columns).apply
+    table = dict(a.brackets)
     brackets = {
-        (i, j): to_new(a.bracket_vectors(columns[i], columns[j]))
+        (i, j): to_new(dense_bracket(a.dim, table, columns[i], columns[j]))
         for i in range(a.dim)
         for j in range(i + 1, a.dim)
     }

@@ -205,8 +205,8 @@ def dense_subalgebra_brackets(dim, brackets, basis):
 # tensoralg.linalg ran before its sparse integer elimination: rows are scaled
 # to integers, reduced column by column over the whole grid, and divided by
 # their pivots at the end.  They take and return plain tuples of Fractions
-# where the package uses Matrix, Subspace and LinearMap; a subspace is the
-# tuple of its RREF basis vectors.
+# where the package uses Subspace and LinearMap; a subspace is the tuple of
+# its RREF basis vectors, a map the grid of its matrix.
 
 
 def _int_row(row):
@@ -348,10 +348,12 @@ def dense_matmul(a, b, inner, cols):
 # residual), the residual a tuple of Fractions.
 
 
-def _dense_act(table, actor_dim, acted_dim, x, n):
+def dense_act(table, actor_dim, acted_dim, x, n):
     """x . n for the bilinear action table, as a dense tuple."""
     out = [Fraction(0)] * acted_dim
     for i in range(actor_dim):
+        if x[i] == 0:
+            continue
         for j in range(acted_dim):
             c = Fraction(x[i]) * Fraction(n[j])
             if c != 0:
@@ -374,7 +376,7 @@ def dense_action_violation(actor_dim, actor_brackets, acted_dim, acted_brackets,
     """
 
     def act(x, n):
-        return _dense_act(table, actor_dim, acted_dim, x, n)
+        return dense_act(table, actor_dim, acted_dim, x, n)
 
     def x(i):
         return _unit(actor_dim, i)
@@ -414,7 +416,7 @@ def dense_compatibility_violation(p, algebra_brackets, q, ideal_brackets, on_ide
     for a in range(q):
         for i in range(p):
             for b in range(q):
-                lhs = _dense_act(on_ideal, p, q, on_algebra[a][i], _unit(q, b))
+                lhs = dense_act(on_ideal, p, q, on_algebra[a][i], _unit(q, b))
                 rhs = dense_bracket(q, ideal_brackets, _unit(q, b), on_ideal[i][a])
                 found = _violation(1, (a, i, b), lhs, rhs)
                 if found:
@@ -422,7 +424,7 @@ def dense_compatibility_violation(p, algebra_brackets, q, ideal_brackets, on_ide
     for i in range(p):
         for a in range(q):
             for j in range(p):
-                lhs = _dense_act(on_algebra, q, p, on_ideal[i][a], _unit(p, j))
+                lhs = dense_act(on_algebra, q, p, on_ideal[i][a], _unit(p, j))
                 rhs = dense_bracket(p, algebra_brackets, _unit(p, j), on_algebra[a][i])
                 found = _violation(2, (i, a, j), lhs, rhs)
                 if found:

@@ -35,6 +35,7 @@ from tensoralg import (
     verify_splitting,
 )
 from tensoralg.cli import main
+from tensoralg.linalg import from_support
 
 
 def derived_dims(pair):
@@ -63,7 +64,7 @@ def permuted_pair(pair, perm):
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            v = a.bracket_basis(perm[i], perm[j])
+            v = from_support(a.bracket_entries(perm[i], perm[j]), dim)
             w = tuple(v[perm[k]] for k in range(dim))
             if any(c != 0 for c in w):
                 brackets[(i, j)] = w
@@ -75,7 +76,7 @@ def permuted_pair(pair, perm):
 def full_structure_table(algebra):
     return [
         [
-            algebra.bracket_vectors(algebra.basis_vector(i), algebra.basis_vector(j))
+            from_support(algebra.bracket_entries(i, j), algebra.dim)
             for j in range(algebra.dim)
         ]
         for i in range(algebra.dim)

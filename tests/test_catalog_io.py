@@ -34,10 +34,10 @@ def test_heisenberg_family():
     h2 = heisenberg(2)
     assert h2.dim == 5
     assert h2.basis_names == ("x1", "x2", "y1", "y2", "z")
-    z = h2.basis_vector(4)
-    assert h2.bracket_basis(0, 2) == z  # [x1, y1]
-    assert h2.bracket_basis(1, 3) == z  # [x2, y2]
-    assert h2.bracket_basis(0, 3) == (0, 0, 0, 0, 0)  # [x1, y2]
+    assert h2.bracket_entries(0, 2) == ((4, 1),)  # [x1, y1] = z
+    assert h2.bracket_entries(1, 3) == ((4, 1),)  # [x2, y2] = z
+    assert h2.bracket_entries(0, 3) == ()  # [x1, y2]
+    assert h2.brackets == (((0, 2), h2.basis_vector(4)), ((1, 3), h2.basis_vector(4)))
 
 
 def test_catalog_selectors_resolve():
@@ -88,7 +88,7 @@ def test_algebra_document_round_trip():
     assert parse(serialize(doc)) == doc
     algebra = algebra_from_document(doc)
     assert algebra.dim == 3
-    assert algebra.bracket_basis(0, 1) == (0, 0, 1)
+    assert algebra.bracket_entries(0, 1) == ((2, 1),)
 
 
 def test_pair_document_round_trip_inline_and_all():
@@ -122,6 +122,34 @@ def test_unordered_bracket_key_is_a_syntax_error_with_position():
     assert err.value.witness == "x,x"
     with pytest.raises(DocumentError):
         parse('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"y,x": {"y": "1"}}}')
+
+
+# A refused bracket key is located inside the brackets object, by its decoded
+# text: the same text elsewhere in the document and escapes in the key itself
+# do not move the position, which is the key's opening quote.
+@pytest.mark.parametrize(
+    "text,line,col,witness",
+    [
+        # the name holds the key's text, on an earlier line
+        ('{"name": "x,x",\n "dim": 2,\n "basis": ["x", "y"],\n "brackets": {\n   "x,x": {"y": "1"}}}', 5, 4, "x,x"),
+        # the key written with a JSON escape, and as it reads
+        ('{"name": "a", "dim": 2, "basis": ["x", "y"],\n "brackets": {"x,y": {"y": "1"},\n  "\\u03b1,y": {}}}',
+         3, 3, "α"),
+        ('{"name": "a", "dim": 2, "basis": ["x", "y"],\n "brackets": {"x,y": {"y": "1"},\n  "α,y": {}}}', 3, 3, "α"),
+        # an earlier key whose value spans two lines
+        ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets":\n {"x,y": {"y": "1",\n  "x": "-1/2"}, "y,x": {}}}',
+         3, 17, "y,x"),
+        # an inline algebra of a pair document, whose name holds the key's text
+        ('{"ideal": "all", "algebra": {"name": "y,x", "dim": 2, "basis": ["x", "y"],\n "brackets": {"y,x": {}}}}',
+         2, 15, "y,x"),
+    ],
+    ids=["name-holds-key", "escaped-key", "non-ascii-key", "multi-line-earlier-value", "inline-algebra"],
+)
+def test_refused_bracket_key_is_located_in_the_brackets_object(text, line, col, witness):
+    with pytest.raises(DocumentError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.witness) == (line, col, witness)
+    assert str(err.value).startswith(f"line {line} col {col}: bracket key")
 
 
 def test_json_syntax_error_carries_position():
@@ -231,4 +259,4 @@ def test_all_catalog_selectors_list_is_stable():
 
 def test_nonabelian2_shape():
     alg = nonabelian2()
-    assert alg.bracket_basis(0, 1) == (0, 1)
+    assert alg.bracket_entries(0, 1) == ((1, 1),)

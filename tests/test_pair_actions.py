@@ -21,7 +21,7 @@ from tensoralg.liealg import (
     direct_sum,
     quotient_algebra,
 )
-from tensoralg.linalg import LinearMap, support
+from tensoralg.linalg import LinearMap, from_support, support
 from tensoralg.pairs import (
     ActionData,
     CompatibilityViolation,
@@ -53,21 +53,17 @@ def test_make_pair_full_ideal_uses_bracket_actions():
     pair = make_pair(a, [(1, 0), (0, 1)])
     assert pair.left_dim == 2 and pair.right_dim == 2
     # [x, y] = y, read in ideal coordinates
-    assert pair.act_on_ideal.act_basis(0, 1) == (Fraction(0), Fraction(1))
-    assert pair.act_on_ideal.act_basis(1, 0) == (Fraction(0), Fraction(-1))
-    assert pair.act_on_algebra.act_basis(1, 0) == (Fraction(0), Fraction(-1))
+    assert pair.act_on_ideal.act_entries(0, 1) == ((1, 1),)
+    assert pair.act_on_ideal.act_entries(1, 0) == ((1, -1),)
+    assert pair.act_on_algebra.act_entries(1, 0) == ((1, -1),)
 
 
 def test_make_pair_center_of_heisenberg_acts_trivially():
     a = heisenberg1()
     pair = make_pair(a, [(0, 0, 1)])
     assert pair.right_dim == 1
-    assert all(
-        pair.act_on_ideal.act_basis(i, 0) == (Fraction(0),) for i in range(3)
-    )
-    assert all(
-        pair.act_on_algebra.act_basis(0, i) == (Fraction(0),) * 3 for i in range(3)
-    )
+    assert all(pair.act_on_ideal.act_entries(i, 0) == () for i in range(3))
+    assert all(pair.act_on_algebra.act_entries(0, i) == () for i in range(3))
     assert pair.ideal_algebra.is_abelian()
 
 
@@ -141,7 +137,7 @@ def test_make_pair_with_actions_accepts_inner_tables():
 def test_relative_commutator_and_abelianization():
     a = heisenberg1()
     full = make_pair(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert full.relative_commutator.basis() == ((Fraction(0), Fraction(0), Fraction(1)),)
+    assert full.relative_commutator.space.basis == ((Fraction(0), Fraction(0), Fraction(1)),)
     assert relative_abelianization_dim(full) == 2
 
     center = make_pair(a, [(0, 0, 1)])
@@ -156,15 +152,14 @@ def test_quotient_pair_of_nonabelian2_is_a_line():
     assert q.pair.algebra.dim == 1
     assert q.pair.algebra.is_abelian()
     assert q.pair.right_dim == 1
-    assert q.commutator.basis() == ((Fraction(0), Fraction(1)),)
+    assert q.commutator.space.basis == ((Fraction(0), Fraction(1)),)
     # the ideal projection agrees with the algebra projection on ideal vectors
-    for a_idx in range(pair.right_dim):
-        ambient = pair.ideal_basis_vector(a_idx)
+    for ambient in pair.ideal.space.basis:
         coords = pair.ambient_to_ideal(ambient)
-        lhs = q.pair.ideal_vector_to_ambient(q.proj_ideal.apply(coords))
-        assert lhs == q.proj_algebra.apply(ambient)
-    assert q.proj_ideal.apply((1, 0)) == (Fraction(1),)
-    assert q.proj_ideal.apply((0, 1)) == (Fraction(0),)
+        lhs = q.pair.inclusion.apply(q.proj_ideal.map.apply(coords))
+        assert lhs == q.proj_algebra.map.apply(ambient)
+    assert q.proj_ideal.map.apply((1, 0)) == (Fraction(1),)
+    assert q.proj_ideal.map.apply((0, 1)) == (Fraction(0),)
 
 
 def test_quotient_pair_with_trivial_commutator_keeps_dimensions():
@@ -198,17 +193,18 @@ def test_direct_sum_pair_blocks():
     assert total.left_dim == 3
     assert total.right_dim == 3
     assert relative_abelianization_dim(total) == 2
-    assert total.relative_commutator.basis() == ((Fraction(0), Fraction(1), Fraction(0)),)
+    assert total.relative_commutator.space.basis == ((Fraction(0), Fraction(1), Fraction(0)),)
 
 
-def test_action_apply_is_bilinear():
+def test_act_sparse_is_bilinear():
     a = heisenberg1()
     pair = make_pair(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     act = pair.act_on_ideal
     x = (Fraction(2), Fraction(-1), Fraction(3))
     n = (Fraction(1), Fraction(1, 2), Fraction(0))
-    expected = a.bracket_vectors(x, pair.ideal_vector_to_ambient(n))
-    assert pair.ideal_vector_to_ambient(act.apply(x, n)) == expected
+    expected = a.bracket_sparse(support(x), pair.inclusion.apply_entries(n).items())
+    assert expected == {2: Fraction(2)}
+    assert pair.inclusion.apply_entries(act.act_sparse(support(x), support(n))) == expected
 
 
 # Differential tests: the sparse action checks against the dense loops kept
@@ -317,9 +313,9 @@ def test_make_pair_keeps_the_action_tables_as_supports(name, monkeypatch):
         assert again == act and hash(again) == hash(act)
     for i in range(p):
         for a in range(q):
-            w = algebra.bracket_vectors(algebra.basis_vector(i), pair.ideal_basis_vector(a))
-            assert pair.ideal_vector_to_ambient(pair.act_on_ideal.act_basis(i, a)) == w
-            assert pair.act_on_algebra.act_basis(a, i) == tuple(-x for x in w)
+            w = algebra.bracket_sparse(((i, 1),), pair.ideal.space.entries[a])
+            assert pair.inclusion.apply_entries(dict(pair.act_on_ideal.act_entries(i, a))) == w
+            assert dict(pair.act_on_algebra.act_entries(a, i)) == {k: -x for k, x in w.items()}
 
 
 # Differential test of the pairs built by theorem: each must equal the pair
@@ -349,7 +345,7 @@ def test_pairs_by_theorem_equal_the_checked_pairs(name):
     assert pair_center(algebra) == make_pair(algebra, center(algebra).space.basis)
 
     q = quotient_pair(pair)
-    images = [q.proj_algebra.apply(v) for v in pair.ideal.space.basis]
+    images = [q.proj_algebra.map.apply(v) for v in pair.ideal.space.basis]
     assert q.pair == make_pair(q.pair.algebra, images)
 
     other = _permuted(rng.choice(list(DIFFERENTIAL_PAIRS)), rng)
@@ -368,9 +364,12 @@ def _ideal_table_mismatches(pair):
     """The (a, b), a < b, at which the ideal algebra's bracket differs from the dense subalgebra table."""
     algebra, n_alg = pair.algebra, pair.ideal_algebra
     p, q = algebra.dim, n_alg.dim
-    dense = {(i, j): algebra.bracket_basis(i, j) for i in range(p) for j in range(i + 1, p)}
+    dense = {(i, j): from_support(algebra.bracket_entries(i, j), p) for i in range(p) for j in range(i + 1, p)}
     expected = dense_subalgebra_brackets(p, dense, pair.ideal.space.basis)
-    got = {(a, b): n_alg.bracket_basis(a, b) for a in range(q) for b in range(a + 1, q) if n_alg.bracket_entries(a, b)}
+    got = {
+        (a, b): from_support(n_alg.bracket_entries(a, b), q)
+        for a in range(q) for b in range(a + 1, q) if n_alg.bracket_entries(a, b)
+    }
     return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
 
 

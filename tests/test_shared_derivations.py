@@ -60,7 +60,7 @@ def _assert_cache_matches(pair, fresh_commutator, fresh_derived):
     assert comm == fresh_commutator
     in_ideal = pair.relative_commutator_in_ideal
     assert in_ideal.ambient_dim == pair.right_dim
-    ambient = [pair.ideal_vector_to_ambient(m) for m in in_ideal.basis]
+    ambient = [pair.inclusion.apply(m) for m in in_ideal.basis]
     assert Subspace.from_vectors(pair.left_dim, ambient) == fresh_commutator.space
     assert pair.algebra.derived_algebra == fresh_derived
     # each read returns the one cached object

@@ -6,8 +6,9 @@ name a top-level module listed in `sys.stdlib_module_names`; the source is
 parsed, not imported, so an import inside a function or a branch counts too.
 Every name a top-level import binds must be read somewhere in its module,
 except in `__init__.py`, which imports to re-export.  The functions that
-construct a trusted type positionally are a pinned list.  No module calls
-json.dump or json.dumps: `catalog._json_text` renders every JSON output.
+construct a trusted type positionally are a pinned list, and so are the
+names `__init__.py` exports.  No module calls json.dump or json.dumps:
+`catalog._json_text` renders every JSON output.
 """
 
 from __future__ import annotations
@@ -175,3 +176,49 @@ def test_a_positional_construction_is_found():
     assert _positional_constructions(source, "example") == {
         "example.LieAlgebra.zero", "example.planted", "example.planted.inner",
     }
+
+
+# The public surface: what the CLI, the verifier and documented callers use.
+# A name added to or dropped from __all__ is a reviewed change, so the list is
+# pinned here.
+EXPORTED = frozenset({
+    "ActionData", "ActionViolation", "AlgebraDocument", "AlgebraHom", "AlgebraSubspace", "CheckRecord",
+    "CompatibilityViolation", "DerivedMaps", "DocumentError", "GammaSpace", "LieAlgebra", "LinalgError",
+    "LinearMap", "NonabelianTensor", "NotAnIdealError", "Pair", "PairDocument", "PairValidationError",
+    "PsiDefect", "QuotientPair", "SelectorError", "StructureError", "StructureViolation", "Subspace",
+    "SymbolSpace", "TensorConstructionError", "VerificationReport", "abelian", "abelianization",
+    "algebra_from_document", "catalog_pairs", "catalog_selectors", "center", "check_names", "closure",
+    "complement_condition", "construct_tensor", "diagonal", "direct_sum", "direct_sum_pair", "exterior",
+    "gamma_dim", "heisenberg", "kappa_maps", "kernel", "load_path", "make_pair", "make_pair_with_actions",
+    "nonabelian2", "pair_center", "pair_from_document", "pair_full", "pair_is_clean", "parse", "parse_scalar",
+    "psi_map", "psi_welldefined", "quotient_algebra", "quotient_pair", "relation_seed",
+    "relative_abelianization_dim", "resolve_selector", "serialize", "serialize_report", "validate_structure",
+    "verify_abelian_basis", "verify_diagonal_descent", "verify_diagram", "verify_j2_decomposition",
+    "verify_ker_pi", "verify_kunneth", "verify_pair", "verify_splitting",
+})
+
+
+def _export_drift(source: str, filename: str) -> tuple[list[str], list[str]]:
+    """(names __all__ lists that are not pinned, pinned names it leaves out), each sorted.
+
+    A name listed twice counts as not pinned."""
+    tree = ast.parse(source, filename=filename)
+    listed = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    repeated = {name for name in listed if listed.count(name) > 1}
+    return sorted(set(listed) - EXPORTED | repeated), sorted(EXPORTED - set(listed))
+
+
+def test_exported_names_are_the_pinned_list():
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    assert _export_drift(init.read_text(encoding="utf-8"), str(init)) == ([], [])
+
+
+def test_an_unpinned_export_is_found():
+    listed = sorted(EXPORTED - {"kernel"}) + ["planted", "parse"]
+    source = f"from .linalg import kernel\n__all__ = {listed!r}\n"
+    assert _export_drift(source, "example.py") == (["parse", "planted"], ["kernel"])

@@ -14,17 +14,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
-from oracles import combine, dense_jacobi_violation, vadd, vscale
+from oracles import combine, dense_act, dense_jacobi_violation, vadd, vscale
 
 import tensoralg.tensor
 from tensoralg.catalog import abelian, catalog_selectors, heisenberg, pair_center, pair_full, resolve_selector
 from tensoralg.liealg import AlgebraHom, LieAlgebra, abelianization, direct_sum, validate_structure
-from tensoralg.linalg import LinalgError, Subspace, is_zero, kernel, quotient_maps, support
+from tensoralg.linalg import LinalgError, Subspace, from_support, kernel, quotient_maps, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
     SymbolSpace,
     TensorConstructionError,
-    beta_bracket,
     closure,
     construct_tensor,
     diagonal,
@@ -49,10 +48,10 @@ def full_pair(algebra):
 def test_symbol_space_indexing_and_expansion():
     sym = SymbolSpace(2, 3)
     assert sym.dim == 6
-    assert sym.index(1, 2) == 5
+    assert sym.split(5) == (1, 2)
     assert sym.split(4) == (1, 1)
-    v = sym.expand((2, -1), (0, 3, 1))
-    assert v == (0, 6, 2, 0, -3, -1)
+    assert sym.expand_entries((2, -1), (0, 3, 1)) == {1: 6, 2: 2, 4: -3, 5: -1}
+    assert sym.expand_entries({0: 2, 1: -1}, {1: 3, 2: 1}) == {1: 6, 2: 2, 4: -3, 5: -1}
 
 
 def test_relation_seed_of_solvable_pair():
@@ -65,11 +64,13 @@ def test_relation_seed_of_solvable_pair():
 
 
 def test_symbol_bracket_of_solvable_pair():
+    # the dense reference bracket of the differential tests, on hand-computed values
     pair = full_pair(nonabelian2())
+    tables = _dense_collapse_tables(pair)
     # [x (x) y, x (x) y] = -((y . x) (x) (x . y)) = -((-y) (x) y) = y (x) y
-    assert beta_bracket(pair, (0, 1, 0, 0), (0, 1, 0, 0)) == (0, 0, 0, 1)
+    assert _dense_beta(pair, tables, (0, 1, 0, 0), (0, 1, 0, 0)) == (0, 0, 0, 1)
     # [y (x) x, x (x) y] = -((x . y) (x) (x . y)) = -(y (x) y)
-    assert beta_bracket(pair, (0, 0, 1, 0), (0, 1, 0, 0)) == (0, 0, 0, -1)
+    assert _dense_beta(pair, tables, (0, 0, 1, 0), (0, 1, 0, 0)) == (0, 0, 0, -1)
 
 
 def test_tensor_square_of_solvable_algebra():
@@ -79,16 +80,17 @@ def test_tensor_square_of_solvable_algebra():
     assert t.relations.dim == 2
     assert t.algebra.is_abelian()
     # x (x) y and y (x) x are opposite classes
-    assert t.generator(0, 1) == tuple(-c for c in t.generator(1, 0))
+    assert t.tensor_of({0: 1}, {1: 1}) == tuple(-c for c in t.tensor_of({1: 1}, {0: 1}))
     # y (x) y dies
-    assert t.generator(1, 1) == (Fraction(0), Fraction(0))
+    assert t.tensor_of({1: 1}, {1: 1}) == (Fraction(0), Fraction(0))
+    assert t.class_entries([(((1, 1),), ((1, 1),))]) == {}
 
 
 def test_tensor_of_is_bilinear_on_classes():
     pair = full_pair(nonabelian2())
     t = construct_tensor(pair)
     mixed = t.tensor_of((1, 1), (1, 0))
-    split = tuple(a + b for a, b in zip(t.generator(0, 0), t.generator(1, 0)))
+    split = tuple(a + b for a, b in zip(t.tensor_of({0: 1}, {0: 1}), t.tensor_of({1: 1}, {0: 1})))
     assert mixed == split
 
 
@@ -106,7 +108,7 @@ def test_derived_objects_of_solvable_pair():
     assert maps.j2.dim == 1
     assert maps.multiplier.dim == 0
     # evaluation of y (x) x is [y, x] = -y
-    assert maps.kappa.apply(t.generator(1, 0)) == (Fraction(0), Fraction(-1))
+    assert maps.kappa.apply(t.tensor_of({1: 1}, {0: 1})) == (Fraction(0), Fraction(-1))
     assert maps.j2 == box
 
 
@@ -176,12 +178,11 @@ def test_tensor_square_of_perfect_algebra_is_the_algebra():
     assert maps.kappa.image().dim == 3
     assert maps.multiplier.dim == 0
     # evaluation is now an isomorphism of Lie algebras: brackets match through kappa
+    cols = [maps.kappa.column_entries(k) for k in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
-            lhs = maps.kappa.apply(t.algebra.bracket_basis(i, j))
-            cols = [maps.kappa.apply(t.algebra.basis_vector(k)) for k in range(3)]
-            rhs = sl2().bracket_vectors(cols[i], cols[j])
-            assert lhs == rhs
+            lhs = maps.kappa.apply_entries(dict(t.algebra.bracket_entries(i, j)))
+            assert lhs == sl2().bracket_sparse(cols[i], cols[j])
 
 
 def test_evaluation_image_matches_relative_commutator():
@@ -201,13 +202,20 @@ def test_evaluation_image_agrees_between_tensor_and_exterior():
         assert kernel(maps.eps) == maps.square
 
 
+def _dense_beta(pair, tables, u, v):
+    """The bracket of two symbol vectors, -lam(u) (x) rho(v), through the pair's dense collapse tables."""
+    left, right = tables
+    return vscale(-1, _outer(combine(u, left, pair.left_dim), combine(v, right, pair.right_dim)))
+
+
 def _dense_bracket_table(pair):
     """The induced bracket as the full T x T table of projected symbol brackets."""
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
     proj, section = quotient_maps(sym.dim, relations)
-    reps = [section.column(k) for k in range(section.domain_dim)]
-    return [[proj.apply(beta_bracket(pair, u, v)) for v in reps] for u in reps]
+    reps = [from_support(section.column_entries(k), sym.dim) for k in range(section.domain_dim)]
+    tables = _dense_collapse_tables(pair)
+    return [[proj.apply(_dense_beta(pair, tables, u, v)) for v in reps] for u in reps]
 
 
 @pytest.mark.parametrize(
@@ -228,7 +236,7 @@ def test_induced_bracket_matches_dense_reference(pair):
     assert len(table) == t.dim
     for i in range(t.dim):
         for j in range(t.dim):
-            assert t.algebra.bracket_basis(i, j) == table[i][j]
+            assert from_support(t.algebra.bracket_entries(i, j), t.dim) == table[i][j]
     assert validate_structure(t.dim, table) is None
 
 
@@ -306,12 +314,24 @@ def test_compatible_actions_whose_evaluation_keeps_the_diagonal_are_refused(deri
 # and does not close the relations; both must give the same subspaces.
 
 
+def _outer(x, n):
+    """x (x) n in symbol coordinates, l_i (x) n_a at i * dim N + a, as a dense tuple."""
+    q = len(n)
+    out = [Fraction(0)] * (len(x) * q)
+    right = [(a, b) for a, b in enumerate(n) if b]
+    for i, c in enumerate(x):
+        if c:
+            for a, b in right:
+                out[i * q + a] = c * b
+    return tuple(out)
+
+
 def _dense_collapse_tables(pair):
     left, right = [], []
     for i in range(pair.left_dim):
         for a in range(pair.right_dim):
-            left.append(pair.act_on_algebra.act_basis(a, i))
-            right.append(pair.act_on_ideal.act_basis(i, a))
+            left.append(pair.act_on_algebra.table[a][i])
+            right.append(pair.act_on_ideal.table[i][a])
     return left, right
 
 
@@ -319,6 +339,7 @@ def _dense_relation_seed(pair):
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     algebra = pair.algebra
     n_alg = pair.ideal_algebra
+    on_ideal, on_algebra = pair.act_on_ideal.table, pair.act_on_algebra.table
     p, q = sym.left_dim, sym.right_dim
     unit_l = [algebra.basis_vector(i) for i in range(p)]
     unit_n = [n_alg.basis_vector(a) for a in range(q)]
@@ -326,18 +347,18 @@ def _dense_relation_seed(pair):
     for i in range(p):
         for j in range(i + 1, p):
             for a in range(q):
-                v = sym.expand(algebra.bracket_basis(i, j), unit_n[a])
-                v = vadd(v, vscale(-1, sym.expand(unit_l[i], pair.act_on_ideal.act_basis(j, a))))
-                v = vadd(v, sym.expand(unit_l[j], pair.act_on_ideal.act_basis(i, a)))
-                if not is_zero(v):
+                v = _outer(from_support(algebra.bracket_entries(i, j), p), unit_n[a])
+                v = vadd(v, vscale(-1, _outer(unit_l[i], on_ideal[j][a])))
+                v = vadd(v, _outer(unit_l[j], on_ideal[i][a]))
+                if any(v):
                     out.append(v)
     for i in range(p):
         for a in range(q):
             for b in range(a + 1, q):
-                v = sym.expand(unit_l[i], n_alg.bracket_basis(a, b))
-                v = vadd(v, vscale(-1, sym.expand(pair.act_on_algebra.act_basis(b, i), unit_n[a])))
-                v = vadd(v, sym.expand(pair.act_on_algebra.act_basis(a, i), unit_n[b]))
-                if not is_zero(v):
+                v = _outer(unit_l[i], from_support(n_alg.bracket_entries(a, b), q))
+                v = vadd(v, vscale(-1, _outer(on_algebra[b][i], unit_n[a])))
+                v = vadd(v, _outer(on_algebra[a][i], unit_n[b]))
+                if any(v):
                     out.append(v)
     return Subspace.from_vectors(sym.dim, out)
 
@@ -345,38 +366,40 @@ def _dense_relation_seed(pair):
 def _dense_closure(pair, seed):
     sym = SymbolSpace(pair.left_dim, pair.right_dim)
     left, right = _dense_collapse_tables(pair)
-    act = pair.act_on_ideal
     p, q = sym.left_dim, sym.right_dim
+
+    act = partial(dense_act, pair.act_on_ideal.table, p, q)
+
     gens = list(seed.basis)
     for u in range(sym.dim):
         for v in range(u, sym.dim):
-            w = vadd(sym.expand(left[u], right[v]), sym.expand(left[v], right[u]))
-            if not is_zero(w):
+            w = vadd(_outer(left[u], right[v]), _outer(left[v], right[u]))
+            if any(w):
                 gens.append(w)
     for u in range(sym.dim):
         for v in range(u + 1, sym.dim):
             for w in range(v + 1, sym.dim):
-                d = sym.expand(left[u], act.apply(left[v], right[w]))
-                d = vadd(d, sym.expand(left[v], act.apply(left[w], right[u])))
-                d = vadd(d, sym.expand(left[w], act.apply(left[u], right[v])))
-                if not is_zero(d):
+                d = _outer(left[u], act(left[v], right[w]))
+                d = vadd(d, _outer(left[v], act(left[w], right[u])))
+                d = vadd(d, _outer(left[w], act(left[u], right[v])))
+                if any(d):
                     gens.append(d)
     relations = Subspace.from_vectors(sym.dim, gens)
-    left_span = Subspace.from_vectors(p, [v for v in left if not is_zero(v)])
-    right_span = Subspace.from_vectors(q, [v for v in right if not is_zero(v)])
+    left_span = Subspace.from_vectors(p, [v for v in left if any(v)])
+    right_span = Subspace.from_vectors(q, [v for v in right if any(v)])
     while True:
         fresh = []
         for r in relations.basis:
             rc = combine(r, right, q)
-            if not is_zero(rc):
+            if any(rc):
                 for a in left_span.basis:
-                    w = sym.expand(a, rc)
+                    w = _outer(a, rc)
                     if not relations.contains(w):
                         fresh.append(w)
             lc = combine(r, left, p)
-            if not is_zero(lc):
+            if any(lc):
                 for b in right_span.basis:
-                    w = sym.expand(lc, b)
+                    w = _outer(lc, b)
                     if not relations.contains(w):
                         fresh.append(w)
         if not fresh:
@@ -503,7 +526,7 @@ def _theorem_defects(pair):
         pairs = [(i, j) for i in range(t.dim) for j in range(t.dim)]
         if any(table[i][j] != vscale(-1, table[j][i]) for i, j in pairs):
             defects.append(f"{label}: dense bracket is not antisymmetric")
-        if any(table[i][j] != t.algebra.bracket_basis(i, j) for i, j in pairs):
+        if any(table[i][j] != from_support(t.algebra.bracket_entries(i, j), t.dim) for i, j in pairs):
             defects.append(f"{label}: stored bracket is not the dense one")
         if dense_jacobi_violation(t.dim, dict(t.algebra.brackets)) is not None:
             defects.append(f"{label}: stored bracket breaks Jacobi")
@@ -585,7 +608,7 @@ def test_construction_builds_no_dense_view_and_one_set_of_collapse_tables(name, 
     t = construct_tensor(pair)
     maps = kappa_maps(t)
     assert closure(pair, relation_seed(pair)) == t.relations
-    beta_bracket(pair, {0: 1}, {0: 1})
+    assert t.algebra.dim == t.dim  # the bracket table reads the collapse maps again
     p, q = pair.left_dim, pair.right_dim
     assert len(read) == 2 * p * q
     for space in (pair.ideal.space, t.relations, maps.square, maps.j2, maps.multiplier):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import sys
+from fractions import Fraction
 
 import pytest
 
 import tensoralg.liealg
 import tensoralg.verify
-from algebra_examples import IDEAL_ALGEBRAS
+from algebra_examples import IDEAL_ALGEBRAS, sl2
+from oracles import dense_bracket
 from tensoralg.catalog import AlgebraDocument, PairDocument, catalog_pairs, catalog_selectors, resolve_selector, serialize
 from tensoralg.cli import main
 from tensoralg.gamma import GammaSpace
@@ -247,10 +249,10 @@ def test_verify_pair_subset_and_unknown_name():
     assert check_names() == ("diagram", "kernel", "descent", "splitting", "decomposition", "abelian")
 
 
-def test_report_merge_and_sorting():
+def test_report_sorting():
     a = verify_pair(full_pair(nonabelian2()), "b-pair", checks=["kernel"])
     b = verify_pair(central_pair(), "a-pair", checks=["kernel"])
-    merged = VerificationReport.merge([a, b])
+    merged = VerificationReport(a.records + b.records)
     assert len(merged.records) == 2
     assert [r.pair_id for r in merged.sorted_records()] == ["a-pair", "b-pair"]
     assert merged.ok
@@ -349,6 +351,21 @@ def test_splitting_fails_on_a_short_span(monkeypatch):
     assert record.failed_assertion
     assert record.dims == {"tensor": 6, "diagonal": 2, "complement": 0, "exterior": 4}
     assert record.witness == "diagonal 2 + complement 0 spans 2 of 6"
+
+
+def test_splitting_witness_is_the_bracket_that_leaves_the_complement(monkeypatch):
+    # A complement that is not an ideal is witnessed by [t_k, c] for the basis
+    # index k and complement vector c that is_ideal reports; sl2 (x) sl2 = sl2
+    # has brackets to show.
+    pair = full_pair(sl2())
+    c = (Fraction(0), Fraction(1, 2), Fraction(-3))
+    monkeypatch.setattr(AlgebraSubspace, "is_ideal", lambda self: (0, c))
+    record = verify_splitting(pair, "sl2")
+    assert record.failed_assertion
+    table = dict(construct_tensor(pair).algebra.brackets)
+    expected = dense_bracket(3, table, (1, 0, 0), c)
+    assert any(expected)
+    assert record.witness == "(" + ", ".join(str(a) for a in expected) + ")"
 
 
 def test_projection_that_keeps_the_relations_is_refused(monkeypatch):

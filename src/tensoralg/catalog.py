@@ -282,6 +282,8 @@ def _loads(text: str):
         raise DocumentError(e.msg, e.lineno, e.colno) from None
     except ValueError as e:
         raise DocumentError(str(e)) from None
+    except RecursionError:
+        raise DocumentError("JSON nests too deeply to decode") from None
 
 
 def _scalar(value, context: str) -> Fraction:
@@ -501,6 +503,9 @@ def _read_json(path: str, what: str) -> tuple[object, str]:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {what}: {e}") from None
+    except UnicodeDecodeError as e:
+        byte = e.object[e.start]
+        raise DocumentError(f"cannot read {what}: not UTF-8 text", witness=f"byte 0x{byte:02x}") from None
     return _loads(text), text
 
 

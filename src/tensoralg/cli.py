@@ -37,8 +37,8 @@ from .catalog import (
 from .liealg import NotAnIdealError, StructureError
 from .linalg import LinalgError
 from .pairs import Pair
-from .tensor import TensorConstructionError
-from .verify import VerificationReport, _Derivation, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
+from .tensor import TensorConstructionError, construct_tensor, kappa_maps
+from .verify import VerificationReport, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
 
 _DEFAULT_CAP = 8
 
@@ -110,7 +110,7 @@ def _symbol_names(pair: Pair, tensor) -> list[str]:
     names = []
     for k in range(tensor.dim):
         at = tensor.section.column_entries(k)[0][0]  # the first nonzero row
-        i, a = tensor.symbols.split(at)
+        i, a = divmod(at, pair.right_dim)
         names.append(f"{pair.algebra.name_of(i)}(x){pair.ideal_algebra.name_of(a)}")
     return names
 
@@ -135,8 +135,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_tensor(args) -> int:
     pair = _load_pair(args.target)
-    derivation = _Derivation(pair)
-    t, maps = derivation.tensor, derivation.maps
+    t = construct_tensor(pair)
+    maps = kappa_maps(t)
     names = _symbol_names(pair, t)
     image = maps.kappa.image()
     if args.machine:

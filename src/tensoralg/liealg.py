@@ -349,10 +349,10 @@ def _quotient_table(a: LieAlgebra, proj: LinearMap, section: LinearMap, prefix: 
     return LieAlgebra(proj.codomain_dim, names, induced_brackets(a, proj, section))
 
 
-def _quotient(a: LieAlgebra, ideal: Subspace, prefix: str = "q") -> tuple[LieAlgebra, LinearMap, LinearMap]:
-    """The quotient by a subspace trusted to be an ideal, with its projection and section."""
+def _quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
+    """The quotient on q0, q1, ... by a subspace trusted to be an ideal, with its projection."""
     proj, section = quotient_maps(a.dim, ideal)
-    return _quotient_table(a, proj, section, prefix), proj, section
+    return _quotient_table(a, proj, section), proj
 
 
 def _require_ideal(ideal: AlgebraSubspace) -> AlgebraSubspace:
@@ -367,7 +367,7 @@ def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra,
     """The quotient algebra and its projection, through the canonical section; the ideal is checked."""
     if ideal.parent != a:
         raise LinalgError("ideal parent mismatch")
-    quotient, proj, _ = _quotient(a, _require_ideal(ideal).space)
+    quotient, proj = _quotient(a, _require_ideal(ideal).space)
     return quotient, AlgebraHom(a, quotient, proj)
 
 
@@ -381,5 +381,5 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 def abelianization(a: LieAlgebra) -> tuple[LieAlgebra, AlgebraHom]:
     """L/[L, L] and its projection; [L, L] is an ideal by theorem, so it is not checked."""
-    quotient, proj, _ = _quotient(a, a.derived_algebra.space)
+    quotient, proj = _quotient(a, a.derived_algebra.space)
     return quotient, AlgebraHom(a, quotient, proj)

@@ -270,7 +270,7 @@ def make_pair_with_actions(
     Not checked: (iota n) . n = 0 for every n in N, with iota the inclusion
     of N into L.  The inner actions satisfy it, as [n, n] = 0, but compatible
     actions need not, and without it the evaluation map does not kill the
-    diagonal: tensor.exterior and tensor.kappa_maps then refuse the tensor.
+    diagonal: tensor.kappa_maps then refuses the tensor.
     """
     ideal = _require_ideal(AlgebraSubspace.from_vectors(algebra, ideal_vectors))
     pair = Pair(algebra, ideal, act_on_ideal, act_on_algebra)
@@ -382,7 +382,7 @@ def quotient_pair(pair: Pair) -> QuotientPair:
     proj [l, n] lies in proj N.
     """
     k = pair.relative_commutator
-    quotient, proj, _ = _quotient(pair.algebra, k.space)
+    quotient, proj = _quotient(pair.algebra, k.space)
     images = [proj._image(v) for v in pair.ideal.space.entries]
     new_pair = _inner_pair(quotient, AlgebraSubspace.from_vectors(quotient, images))
     # the images lie in the new ideal, so the coordinate map reads them exactly

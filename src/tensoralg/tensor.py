@@ -43,7 +43,7 @@ Derived data: the diagonal ideal generated by n (x) n, the exterior product
 (quotient by the diagonal), the evaluation map sending l (x) n to l . n, and
 the kernels and images that go with them.  The exterior product and the
 evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
-does not give; _exterior_data checks it, and the diagonal is then central.
+does not give; kappa_maps checks it, and the diagonal is then central.
 
 construct_tensor builds the relations, the projection and the section, and
 kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
@@ -67,6 +67,7 @@ from .linalg import (
     Support,
     Vector,
     _entries,
+    from_support,
     kernel,
     quotient_maps,
 )
@@ -77,37 +78,12 @@ class TensorConstructionError(RuntimeError):
     """The relations or the evaluation map do not descend to the quotient."""
 
 
-@dataclass(frozen=True)
-class SymbolSpace:
-    """Coordinates for the free span of basis symbols l_i (x) n_a."""
-
-    left_dim: int
-    right_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.left_dim * self.right_dim
-
-    def split(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self.dim:
-            raise LinalgError("symbol index out of range")
-        return divmod(k, self.right_dim)
-
-    def expand_entries(self, x: Sequence, n: Sequence) -> dict[int, Exact]:
-        """Bilinear expansion of x (x) n into symbol coordinates, as {symbol: coefficient}."""
-        xs, ns = _entries(x, self.left_dim), _entries(n, self.right_dim)
-        acc: dict[int, Exact] = {}
-        _add_expansion(acc, xs.items(), ns.items(), self.right_dim)
-        return acc
-
-
-def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int, c=1) -> None:
-    """acc += c * (x (x) n) in symbol coordinates, for sparse x over L and n over N."""
+def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int) -> None:
+    """acc += x (x) n in symbol coordinates, for sparse x over L and n over N."""
     for i, xi in x:
-        cx = c * xi
         for a, na in n:
             k = i * q + a
-            acc[k] = acc.get(k, 0) + cx * na
+            acc[k] = acc.get(k, 0) + xi * na
 
 
 def _add_slot(acc: dict[int, Exact], entries: Support, start: int, step: int, sign: int = 1) -> None:
@@ -134,8 +110,7 @@ def _span(gens: dict, width: int) -> Subspace:
 
 def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates."""
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
-    p, q = sym.left_dim, sym.right_dim
+    p, q = pair.left_dim, pair.right_dim
     left, right = (f._columns for f in pair.collapse_maps)
     out: dict = {}
     # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
@@ -158,7 +133,7 @@ def relation_seed(pair: Pair) -> Subspace:
                 _add_slot(acc, left[i * q + b], a, q, -1)
                 _add_slot(acc, left[i * q + a], b, q)
                 _keep_nonzero(out, acc)
-    return _span(out, sym.dim)
+    return _span(out, p * q)
 
 
 def closure(pair: Pair, seed: Subspace) -> Subspace:
@@ -169,8 +144,7 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     defining relations of a pair with compatible actions always pass and need
     no closing (see the module docstring), so the seed is returned as it is.
     """
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
-    if seed.ambient_dim != sym.dim:
+    if seed.ambient_dim != pair.left_dim * pair.right_dim:
         raise LinalgError("seed lives in the wrong symbol space")
     left, right = pair.collapse_maps
     for name, f in (("left collapse n . l", left), ("right collapse l . n", right)):
@@ -186,7 +160,6 @@ class NonabelianTensor:
     Its bracket table, ``algebra``, is built on first read."""
 
     pair: Pair
-    symbols: SymbolSpace
     relations: Subspace
     projection: LinearMap  # symbol coordinates -> tensor coordinates
     section: LinearMap     # tensor coordinates -> symbol coordinates
@@ -204,7 +177,7 @@ class NonabelianTensor:
         over the nonzero entries of the collapsed slots and projection columns,
         for i < j only; by (b) and (c) of the module docstring it is a Lie bracket.
         """
-        t_dim, q = self.dim, self.symbols.right_dim
+        t_dim, q = self.dim, self.pair.right_dim
         left, right = self.pair.collapse_maps
         lc = left.compose(self.section)._columns
         rc = right.compose(self.section)._columns
@@ -229,23 +202,24 @@ class NonabelianTensor:
 
     def tensor_of(self, x: Sequence, n: Sequence) -> Vector:
         """Class of x (x) n; x in algebra coordinates, n in ideal coordinates."""
-        return self.projection.apply(self.symbols.expand_entries(x, n))
+        xs, ns = _entries(x, self.pair.left_dim), _entries(n, self.pair.right_dim)
+        return from_support(self.class_entries([(xs.items(), ns.items())]).items(), self.dim)
 
     def class_entries(self, products: Iterable[tuple[Support, Support]]) -> dict[int, Exact]:
         """The nonzero entries of the class of the sum of x (x) n over the given supports of x in L and n in N."""
         acc: dict[int, Exact] = {}
+        q = self.pair.right_dim
         for x, n in products:
-            _add_expansion(acc, x, n, self.symbols.right_dim)
+            _add_expansion(acc, x, n, q)
         return self.projection._image(acc.items())
 
 
 def construct_tensor(pair: Pair) -> NonabelianTensor:
     """Build the tensor product of a pair: its relations, projection and
     section.  Its bracket table is built when ``algebra`` is first read."""
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
     relations = closure(pair, relation_seed(pair))
-    proj, section = quotient_maps(sym.dim, relations)
-    return NonabelianTensor(pair, sym, relations, proj, section)
+    proj, section = quotient_maps(pair.left_dim * pair.right_dim, relations)
+    return NonabelianTensor(pair, relations, proj, section)
 
 
 def diagonal(tensor: NonabelianTensor) -> Subspace:
@@ -255,52 +229,15 @@ def diagonal(tensor: NonabelianTensor) -> Subspace:
     the squares n_a (x) n_a together with n_a (x) n_b + n_b (x) n_a.
     """
     pair = tensor.pair
-    proj = tensor.projection
     q = pair.right_dim
     ambient = [pair.inclusion.column_entries(a) for a in range(q)]
-
-    def symbols(a: int, b: int) -> list[tuple[int, Exact]]:
-        # the symbol entries of n_a (x) n_b
-        return [(i * q + b, x) for i, x in ambient[a]]
-
-    gens = [proj._image(symbols(a, a)) for a in range(q)]
-    gens += [proj._image(symbols(a, b) + symbols(b, a)) for a in range(q) for b in range(a + 1, q)]
+    gens = [tensor.class_entries([(ambient[a], ((a, 1),))]) for a in range(q)]
+    gens += [
+        tensor.class_entries([(ambient[a], ((b, 1),)), (ambient[b], ((a, 1),))])
+        for a in range(q)
+        for b in range(a + 1, q)
+    ]
     return Subspace.from_vectors(tensor.dim, gens)
-
-
-def _exterior_data(tensor: NonabelianTensor) -> tuple[Subspace, LinearMap, LinearMap, LinearMap]:
-    """Diagonal, evaluation map, and the projection onto the exterior product and its section.
-
-    The evaluation map kappa sends the class of l (x) n to the ambient l . n.
-    It must kill the diagonal, that is (iota n) . n = 0 for every n in N,
-    otherwise TensorConstructionError.  The inner actions always pass
-    ([n, n] = 0); supplied compatible actions need not.  The tensor's
-    bracket table is not read.
-    """
-    box = diagonal(tensor)
-    pair = tensor.pair
-    _, right = pair.collapse_maps
-    # rho lands in N and the inclusion carries it into L; by compatibility
-    # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
-    kappa = pair.inclusion.compose(right.compose(tensor.section))
-    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
-        raise TensorConstructionError("evaluation map does not kill the diagonal")
-    # kappa kills the diagonal and the inclusion is injective, so rho kills
-    # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
-    # quotient by it is a Lie algebra (see _exterior_algebra)
-    proj, section = quotient_maps(tensor.dim, box)
-    return box, kappa, proj, section
-
-
-def _exterior_algebra(tensor: NonabelianTensor, proj: LinearMap, section: LinearMap) -> LieAlgebra:
-    """The exterior product on e0, e1, ..., from the maps _exterior_data gives."""
-    return _quotient_table(tensor.algebra, proj, section, "e")
-
-
-def exterior(tensor: NonabelianTensor) -> tuple[LieAlgebra, LinearMap]:
-    """The exterior product and the projection onto it from tensor coordinates."""
-    _, _, proj, section = _exterior_data(tensor)
-    return _exterior_algebra(tensor, proj, section), proj
 
 
 @dataclass(frozen=True)
@@ -325,13 +262,31 @@ class DerivedMaps:
 
     @cached_property
     def exterior(self) -> LieAlgebra:
-        """The exterior product as a Lie algebra, built on first read."""
-        return _exterior_algebra(self.tensor, self.eps, self.eps_section)
+        """The exterior product as a Lie algebra on e0, e1, ..., built on first read."""
+        return _quotient_table(self.tensor.algebra, self.eps, self.eps_section, "e")
 
 
 def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
-    """Evaluation of the presentation symbols through the action of L on N."""
-    box, kappa, eps, eps_section = _exterior_data(tensor)
+    """The diagonal, the evaluation maps, the projection onto the exterior product and the kernels.
+
+    The evaluation map kappa sends the class of l (x) n to the ambient l . n.
+    It must kill the diagonal, that is (iota n) . n = 0 for every n in N,
+    otherwise TensorConstructionError.  The inner actions always pass
+    ([n, n] = 0); supplied compatible actions need not.  The tensor's
+    bracket table is not read.
+    """
+    box = diagonal(tensor)
+    pair = tensor.pair
+    _, right = pair.collapse_maps
+    # rho lands in N and the inclusion carries it into L; by compatibility
+    # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
+    kappa = pair.inclusion.compose(right.compose(tensor.section))
+    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
+        raise TensorConstructionError("evaluation map does not kill the diagonal")
+    # kappa kills the diagonal and the inclusion is injective, so rho kills
+    # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
+    # quotient by it, DerivedMaps.exterior, is a Lie algebra
+    eps, eps_section = quotient_maps(tensor.dim, box)
     kappa_prime = kappa.compose(eps_section)
     return DerivedMaps(
         tensor=tensor,

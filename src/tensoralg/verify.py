@@ -362,18 +362,14 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
 def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """Reporter: do diagonal plus outside-corner symbols exhaust the tensor?
 
-    For an abelian algebra the count is taken on the pair itself, otherwise
-    on its quotient by [N, L].  The count is known to overshoot in general,
-    so this record is never asserted; the deficit is reported.
+    The count is taken on the quotient of the pair by [N, L], which for an
+    abelian algebra is the pair itself.  The count is known to overshoot in
+    general, so this record is never asserted; the deficit is reported.
     """
     d = _derive(pair)
-    pair = d.pair
-    if pair.algebra.is_abelian():
-        target, tt, box = pair, d.tensor, d.maps.square
-    else:
-        qp, tt, _ = d.induced
-        target, box = qp.pair, d.quotient_diagonal
-    n, m = target.left_dim, target.right_dim
+    qp, tt, _ = d.induced
+    box = d.quotient_diagonal
+    n, m = qp.pair.left_dim, qp.pair.right_dim
     claimed = box.dim + (n - m) * m
     return _record(
         pair_id, "diagonal-and-cross-symbols-exhaust-tensor", "abelian-pair-basis", claimed == tt.dim, False,
@@ -385,7 +381,7 @@ def verify_abelian_basis(pair: Pair, pair_id: str = "pair") -> CheckRecord:
             "algebra": n,
             "ideal": m,
         },
-        flags={"algebra-abelian": pair.algebra.is_abelian()},
+        flags={"algebra-abelian": d.pair.algebra.is_abelian()},
         witness=f"claimed {claimed} vs tensor {tt.dim}",
     )
 

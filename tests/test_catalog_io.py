@@ -124,6 +124,20 @@ def test_unordered_bracket_key_is_a_syntax_error_with_position():
         parse('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"y,x": {"y": "1"}}}')
 
 
+def test_json_nested_too_deeply_is_a_document_error():
+    with pytest.raises(DocumentError) as err:
+        parse("[" * 100_000 + "]" * 100_000)
+    assert str(err.value) == "JSON nests too deeply to decode"
+
+
+def test_file_that_is_not_utf8_is_a_document_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "\u00ff", "dim": 0, "basis": [], "brackets": {}}'.encode("latin-1"))
+    with pytest.raises(DocumentError) as err:
+        load_path(str(path))
+    assert str(err.value) == "cannot read document: not UTF-8 text (witness: byte 0xff)"
+
+
 # A refused bracket key is located inside the brackets object, by its decoded
 # text: the same text elsewhere in the document and escapes in the key itself
 # do not move the position, which is the key's opening quote.

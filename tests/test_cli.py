@@ -12,7 +12,6 @@ import pytest
 import tensoralg.catalog
 import tensoralg.cli
 import tensoralg.tensor
-import tensoralg.verify
 from tensoralg.cli import main
 from tensoralg.linalg import Subspace
 from tensoralg.pairs import make_pair
@@ -283,6 +282,32 @@ def test_document_ideal_that_is_not_an_ideal_exits_1_with_one_line(command, tmp_
     assert err == "tensoralg: ideal is not an ideal (witness: (1, (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))))\n"
 
 
+# A file that is not UTF-8 text, or JSON nested deeper than the decoder
+# follows, is refused in one line with exit 1, read as the target or as the
+# algebra a pair document references.
+UNREADABLE = {
+    "not-utf8": (b'{"name": "\xff", "dim": 0, "basis": [], "brackets": {}}',
+                 "cannot read {what}: not UTF-8 text (witness: byte 0xff)"),
+    "too-deep": (b"[" * 100_000 + b"]" * 100_000, "JSON nests too deeply to decode"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+@pytest.mark.parametrize("referenced", [False, True], ids=["document", "referenced-algebra"])
+@pytest.mark.parametrize("command", ["validate", "tensor", "verify"])
+def test_unreadable_document_exits_1_with_one_line(fault, referenced, command, tmp_path, capsys):
+    content, message = UNREADABLE[fault]
+    (tmp_path / "algebra.json").write_bytes(content)
+    target, what = tmp_path / "algebra.json", "document"
+    if referenced:
+        (tmp_path / "pair.json").write_text('{"algebra": "algebra.json", "ideal": "all"}')
+        target, what = tmp_path / "pair.json", "referenced algebra"
+    code, out, err = run(capsys, command, str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"tensoralg: {message.format(what=what)}\n"
+
+
 @pytest.mark.parametrize("command", ["tensor", "verify", "kunneth"])
 def test_referenced_algebra_document_is_read_once_per_load(command, tmp_path, monkeypatch, capsys):
     """Each document and each algebra it references is opened once: the plan
@@ -381,13 +406,13 @@ def test_two_calls_build_one_parser(monkeypatch, capsys):
 def test_tensor_command_reads_one_derivation(monkeypatch, capsys):
     built = Counter()
     for name in ("construct_tensor", "kappa_maps"):
-        original = getattr(tensoralg.verify, name)
+        original = getattr(tensoralg.cli, name)
 
         def counting(*args, name=name, original=original):
             built[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(tensoralg.verify, name, counting)
+        monkeypatch.setattr(tensoralg.cli, name, counting)
     code, out, err = run(capsys, "tensor", "builtin:pair_full(heisenberg(1))")
     assert code == 0
     assert out.encode("utf-8") == (DATA / "tensor_pair_full_heisenberg1.txt").read_bytes()

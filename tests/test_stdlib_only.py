@@ -8,7 +8,8 @@ Every name a top-level import binds must be read somewhere in its module,
 except in `__init__.py`, which imports to re-export.  The functions that
 construct a trusted type positionally are a pinned list, and so are the
 names `__init__.py` exports.  No module calls json.dump or json.dumps:
-`catalog._json_text` renders every JSON output.
+`catalog._json_text` renders every JSON output.  No private function has a
+defaulted parameter that every call leaves at its default.
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ EXPORTED = frozenset({
     "CompatibilityViolation", "DerivedMaps", "DocumentError", "GammaSpace", "LieAlgebra", "LinalgError",
     "LinearMap", "NonabelianTensor", "NotAnIdealError", "Pair", "PairDocument", "PairValidationError",
     "PsiDefect", "QuotientPair", "SelectorError", "StructureError", "StructureViolation", "Subspace",
-    "SymbolSpace", "TensorConstructionError", "VerificationReport", "abelian", "abelianization",
+    "TensorConstructionError", "VerificationReport", "abelian", "abelianization",
     "algebra_from_document", "catalog_pairs", "catalog_selectors", "center", "check_names", "closure",
-    "complement_condition", "construct_tensor", "diagonal", "direct_sum", "direct_sum_pair", "exterior",
+    "complement_condition", "construct_tensor", "diagonal", "direct_sum", "direct_sum_pair",
     "gamma_dim", "heisenberg", "kappa_maps", "kernel", "load_path", "make_pair", "make_pair_with_actions",
     "nonabelian2", "pair_center", "pair_from_document", "pair_full", "pair_is_clean", "parse", "parse_scalar",
     "psi_map", "psi_welldefined", "quotient_algebra", "quotient_pair", "relation_seed",
@@ -222,3 +223,78 @@ def test_an_unpinned_export_is_found():
     listed = sorted(EXPORTED - {"kernel"}) + ["planted", "parse"]
     source = f"from .linalg import kernel\n__all__ = {listed!r}\n"
     assert _export_drift(source, "example.py") == (["parse", "planted"], ["kernel"])
+
+
+def _unused_defaults(sources: dict[str, str]) -> list[str]:
+    """module.qualname.parameter for every defaulted parameter of a private
+    (single-underscore) function that no call in the sources passes, by
+    position or by keyword, sorted.
+
+    Calls are matched to functions by the called name alone, across all the
+    sources, so a name two functions share counts the calls of both.  A call
+    that unpacks *args or **kwargs passes every parameter.  A method's
+    positions are counted after self or cls, a static method's from the first."""
+    defaults = []  # (label, name, position or None, keyword)
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+
+    def visit(node, module: str, scope: tuple[str, ...], in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, scope + (child.name,), True)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, a = child.name, child.args
+                if name.startswith("_") and not name.startswith("__"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                    shift = 1 if in_class and not static else 0
+                    label = ".".join((module,) + scope + (name,))
+                    positional = a.posonlyargs + a.args
+                    first = len(positional) - len(a.defaults)
+                    for k, arg in enumerate(positional[first:], first):
+                        defaults.append((f"{label}.{arg.arg}", name, k - shift, arg.arg))
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                        if default is not None:
+                            defaults.append((f"{label}.{arg.arg}", name, None, arg.arg))
+                visit(child, module, scope + (name,), False)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                callee = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if callee is not None:
+                    unpacks = any(isinstance(x, ast.Starred) for x in child.args) or any(
+                        kw.arg is None for kw in child.keywords
+                    )
+                    calls.setdefault(callee, []).append(
+                        (len(child.args), {kw.arg for kw in child.keywords}, unpacks)
+                    )
+            visit(child, module, scope, in_class)
+
+    for module, source in sources.items():
+        visit(ast.parse(source, filename=f"{module}.py"), module, (), False)
+
+    def passed(name: str, position: int | None, keyword: str) -> bool:
+        return any(
+            unpacks or keyword in keywords or (position is not None and count > position)
+            for count, keywords, unpacks in calls.get(name, ())
+        )
+
+    return sorted(label for label, name, position, keyword in defaults if not passed(name, position, keyword))
+
+
+def test_every_private_default_is_passed_somewhere():
+    assert _unused_defaults({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def test_an_unused_private_default_is_found():
+    sources = {
+        "a": (
+            "def _f(x, c=1, *, k=None, used=0):\n    return x\ndef _g(y=2):\n    return y\n"
+            "def _h(a=0, b=0):\n    return a\n"
+            "class C:\n    def _m(self, a, b=0):\n        return a\n"
+            "    @staticmethod\n    def _s(a, b=0):\n        return a\n"
+            "def public(z=3):\n    def _inner(w=4):\n        return w\n    return _inner()\n"
+            "def __dunder__(w=1):\n    return w\n"
+        ),
+        "b": "from .a import _f, _g, _h, C\n_f(1, used=2)\n_g(5)\n_h(*[1, 2])\nC()._m(1)\nC._s(1, 2)\n",
+    }
+    assert _unused_defaults(sources) == ["a.C._m.b", "a._f.c", "a._f.k", "a.public._inner.w"]

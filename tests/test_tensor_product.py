@@ -22,12 +22,10 @@ from tensoralg.liealg import AlgebraHom, LieAlgebra, abelianization, direct_sum,
 from tensoralg.linalg import LinalgError, Subspace, from_support, kernel, quotient_maps, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
-    SymbolSpace,
     TensorConstructionError,
     closure,
     construct_tensor,
     diagonal,
-    exterior,
     kappa_maps,
     relation_seed,
 )
@@ -45,13 +43,17 @@ def full_pair(algebra):
     return make_pair(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
 
 
-def test_symbol_space_indexing_and_expansion():
-    sym = SymbolSpace(2, 3)
-    assert sym.dim == 6
-    assert sym.split(5) == (1, 2)
-    assert sym.split(4) == (1, 1)
-    assert sym.expand_entries((2, -1), (0, 3, 1)) == {1: 6, 2: 2, 4: -3, 5: -1}
-    assert sym.expand_entries({0: 2, 1: -1}, {1: 3, 2: 1}) == {1: 6, 2: 2, 4: -3, 5: -1}
+def test_symbol_indexing_and_expansion_through_tensor_of():
+    # abelian L with a plane for N has no relations: T = p * q = 6, the
+    # projection is the identity, and l_i (x) n_a is coordinate i * q + a
+    t = construct_tensor(make_pair(LieAlgebra.abelian(3), [(1, 0, 0), (0, 1, 0)]))
+    assert (t.relations.dim, t.dim) == (0, 6)
+    assert t.tensor_of({2: 1}, {1: 1}) == (0, 0, 0, 0, 0, 1)
+    assert t.tensor_of({2: 1}, {0: 1}) == (0, 0, 0, 0, 1, 0)
+    assert t.tensor_of((2, -1, 0), (3, 1)) == (6, 2, -3, -1, 0, 0)
+    assert t.tensor_of({0: 2, 1: -1}, {0: 3, 1: 1}) == (6, 2, -3, -1, 0, 0)
+    with pytest.raises(LinalgError):
+        t.tensor_of({3: 1}, {0: 1})
 
 
 def test_relation_seed_of_solvable_pair():
@@ -99,10 +101,9 @@ def test_derived_objects_of_solvable_pair():
     t = construct_tensor(pair)
     box = diagonal(t)
     assert box.dim == 1
-    ext_algebra, eps = exterior(t)
-    assert ext_algebra.dim == 1
-    assert kernel(eps) == box
     maps = kappa_maps(t)
+    assert maps.exterior.dim == 1
+    assert kernel(maps.eps) == box
     assert maps.square == box
     assert maps.kappa.image().dim == 1
     assert maps.j2.dim == 1
@@ -210,10 +211,10 @@ def _dense_beta(pair, tables, u, v):
 
 def _dense_bracket_table(pair):
     """The induced bracket as the full T x T table of projected symbol brackets."""
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
+    width = pair.left_dim * pair.right_dim
     relations = closure(pair, relation_seed(pair))
-    proj, section = quotient_maps(sym.dim, relations)
-    reps = [from_support(section.column_entries(k), sym.dim) for k in range(section.domain_dim)]
+    proj, section = quotient_maps(width, relations)
+    reps = [from_support(section.column_entries(k), width) for k in range(section.domain_dim)]
     tables = _dense_collapse_tables(pair)
     return [[proj.apply(_dense_beta(pair, tables, u, v)) for v in reps] for u in reps]
 
@@ -292,7 +293,7 @@ def test_evaluation_that_keeps_the_diagonal_is_refused(monkeypatch):
     assert str(caught.value) == "evaluation map does not kill the diagonal"
 
 
-@pytest.mark.parametrize("derive", [exterior, kappa_maps], ids=["exterior", "kappa_maps"])
+@pytest.mark.parametrize("derive", [kappa_maps], ids=["kappa_maps"])
 def test_compatible_actions_whose_evaluation_keeps_the_diagonal_are_refused(derive):
     # L = N = abelian(2), with e2 . e1 = e2 . e2 = -e2 (L on N) and e1 . e2 = -e1
     # (N on L): both axioms and both compatibility equations hold, but
@@ -336,11 +337,10 @@ def _dense_collapse_tables(pair):
 
 
 def _dense_relation_seed(pair):
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
     algebra = pair.algebra
     n_alg = pair.ideal_algebra
     on_ideal, on_algebra = pair.act_on_ideal.table, pair.act_on_algebra.table
-    p, q = sym.left_dim, sym.right_dim
+    p, q = pair.left_dim, pair.right_dim
     unit_l = [algebra.basis_vector(i) for i in range(p)]
     unit_n = [n_alg.basis_vector(a) for a in range(q)]
     out = []
@@ -360,31 +360,31 @@ def _dense_relation_seed(pair):
                 v = vadd(v, _outer(on_algebra[a][i], unit_n[b]))
                 if any(v):
                     out.append(v)
-    return Subspace.from_vectors(sym.dim, out)
+    return Subspace.from_vectors(p * q, out)
 
 
 def _dense_closure(pair, seed):
-    sym = SymbolSpace(pair.left_dim, pair.right_dim)
     left, right = _dense_collapse_tables(pair)
-    p, q = sym.left_dim, sym.right_dim
+    p, q = pair.left_dim, pair.right_dim
+    width = p * q
 
     act = partial(dense_act, pair.act_on_ideal.table, p, q)
 
     gens = list(seed.basis)
-    for u in range(sym.dim):
-        for v in range(u, sym.dim):
+    for u in range(width):
+        for v in range(u, width):
             w = vadd(_outer(left[u], right[v]), _outer(left[v], right[u]))
             if any(w):
                 gens.append(w)
-    for u in range(sym.dim):
-        for v in range(u + 1, sym.dim):
-            for w in range(v + 1, sym.dim):
+    for u in range(width):
+        for v in range(u + 1, width):
+            for w in range(v + 1, width):
                 d = _outer(left[u], act(left[v], right[w]))
                 d = vadd(d, _outer(left[v], act(left[w], right[u])))
                 d = vadd(d, _outer(left[w], act(left[u], right[v])))
                 if any(d):
                     gens.append(d)
-    relations = Subspace.from_vectors(sym.dim, gens)
+    relations = Subspace.from_vectors(width, gens)
     left_span = Subspace.from_vectors(p, [v for v in left if any(v)])
     right_span = Subspace.from_vectors(q, [v for v in right if any(v)])
     while True:
@@ -404,7 +404,7 @@ def _dense_closure(pair, seed):
                         fresh.append(w)
         if not fresh:
             return relations
-        relations = Subspace.from_vectors(sym.dim, list(relations.basis) + fresh)
+        relations = Subspace.from_vectors(width, list(relations.basis) + fresh)
 
 
 def _permuted(pair, rng):
@@ -492,7 +492,7 @@ def test_unchecked_algebras_satisfy_jacobi(name):
     # each with the prefix of its basis names
     algebras = {
         "ideal": ("n", pair.ideal_algebra),
-        "exterior": ("e", exterior(construct_tensor(pair))[0]),
+        "exterior": ("e", kappa_maps(construct_tensor(pair)).exterior),
         "quotient": ("q", quotient.algebra),
         "quotient ideal": ("n", quotient.ideal_algebra),
         "abelianization": ("q", abelianization(pair.algebra)[0]),

@@ -323,6 +323,9 @@ def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDoc
         raise DocumentError("basis length does not match dim", witness=f"{len(basis)} vs {dim}")
     if len(set(basis)) != dim:
         raise DocumentError("basis names must be unique")
+    for b in basis:  # a JSON escape can decode to a lone surrogate, which no UTF-8 output can hold
+        if any("\ud800" <= c <= "\udfff" for c in b):
+            raise DocumentError("basis name does not encode as UTF-8", witness=repr(b))
     index = {b: k for k, b in enumerate(basis)}
     raw = obj["brackets"]
     if not isinstance(raw, dict):

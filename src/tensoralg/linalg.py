@@ -115,7 +115,9 @@ def from_support(entries: Support, width: int) -> Vector:
 def _entries(v, width: int) -> dict[int, Exact]:
     """The nonzero entries of v, given as width scalars or as a mapping from index to scalar.
 
-    Values come out in their internal form (other scalars are coerced first)."""
+    Values come out in their internal form (other scalars are coerced first), engine-built
+    ones too: ``LinearMap._image`` and ``tensor.relation_seed`` sums can hold an integral
+    Fraction (1/2 * 2 is ``Fraction(1, 1)``), on which ``_primitive`` raises TypeError."""
     if not isinstance(v, (tuple, list)):  # tested first: the Mapping check is slower
         if isinstance(v, Mapping):
             for k in v:
@@ -311,27 +313,6 @@ class Subspace:
         return all(self.contains(row) for row in other._rows.values())
 
 
-def span_intersect(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise LinalgError("ambient dimension mismatch in span intersection")
-    if not a._rows or not b._rows:
-        return Subspace.zero(a.ambient_dim)
-    a_rows = list(a._rows.values())
-    k = len(a_rows)
-    # Kernel of (x, y) |-> sum x_i a_i - sum y_j b_j recovers the intersection.
-    columns = a_rows + [{c: -y for c, y in row.items()} for row in b._rows.values()]
-    ker = kernel(LinearMap.from_columns(a.ambient_dim, columns))
-    vectors = []
-    for coeffs in ker._rows.values():
-        acc: dict[int, int] = {}
-        for i, x in coeffs.items():
-            if i < k:
-                for c, y in a_rows[i].items():
-                    acc[c] = acc.get(c, 0) + x * y
-        vectors.append(acc)
-    return Subspace.from_vectors(a.ambient_dim, vectors)
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map held by the supports of its columns.
@@ -373,6 +354,19 @@ class LinearMap:
 
     def apply(self, v: Sequence) -> Vector:
         return from_support(self.apply_entries(v).items(), self.codomain_dim)
+
+    def _rows_of(self, space: Subspace):
+        if space.ambient_dim != self.domain_dim:
+            raise LinalgError("subspace does not lie in the domain")
+        return space._rows.values()
+
+    def kills(self, space: Subspace) -> bool:
+        """True when space lies in the kernel; stops at the first basis row with a nonzero image."""
+        return not any(self._image(row.items()) for row in self._rows_of(space))
+
+    def image_of(self, space: Subspace) -> Subspace:
+        """The image of space: the span of the images of its basis rows."""
+        return Subspace.from_vectors(self.codomain_dim, [self._image(row.items()) for row in self._rows_of(space)])
 
     def column_entries(self, k: int) -> Entries:
         """The nonzero (row, value) entries of the image of the k-th domain basis vector."""

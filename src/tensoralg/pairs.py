@@ -49,7 +49,6 @@ from .linalg import (
     _exact,
     as_vector,
     from_support,
-    span_intersect,
     subspace_maps,
     support,
 )
@@ -190,8 +189,7 @@ class Pair:
     @cached_property
     def relative_commutator_in_ideal(self) -> Subspace:
         """[N, L] in the ideal's own coordinates."""
-        coordinates, comm = self.ideal_maps[0], self.relative_commutator.space
-        return Subspace.from_vectors(self.right_dim, [coordinates._image(v) for v in comm.entries])
+        return self.ideal_maps[0].image_of(self.relative_commutator.space)
 
     @cached_property
     def collapse_maps(self) -> tuple[LinearMap, LinearMap]:
@@ -398,14 +396,17 @@ def relative_abelianization_dim(pair: Pair) -> int:
 
 
 def pair_is_clean(pair: Pair) -> bool:
-    """True when the intersection of N with [L,L] is exactly [N,L]."""
-    meet = span_intersect(pair.ideal.space, pair.algebra.derived_algebra.space)
-    return meet == pair.relative_commutator.space
+    """True when the intersection of N with [L,L] is exactly [N,L]: as [N,L] lies in N and
+    in [L,L], that is dim N + dim [L,L] - dim(N + [L,L]) == dim [N,L]."""
+    n, derived = pair.ideal.space, pair.algebra.derived_algebra.space
+    total = Subspace.from_vectors(pair.left_dim, [dict(v) for v in n.entries + derived.entries])
+    return n.dim + derived.dim - total.dim == pair.relative_commutator.dim
 
 
 def complement_condition(pair: Pair) -> bool:
-    """True when [N,L] = [L,L]; a vector-space complement of N always exists."""
-    return pair.relative_commutator.space == pair.algebra.derived_algebra.space
+    """True when [N,L] = [L,L]: as [N,L] lies in [L,L], that is dim [N,L] == dim [L,L].
+    A vector-space complement of N always exists."""
+    return pair.relative_commutator.dim == pair.algebra.derived_algebra.dim
 
 
 def direct_sum_pair(a: Pair, b: Pair) -> Pair:

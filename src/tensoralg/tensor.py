@@ -61,7 +61,6 @@ from typing import Iterable, Sequence
 from .liealg import LieAlgebra, _quotient_table, _sorted_entries
 from .linalg import (
     Exact,
-    LinalgError,
     LinearMap,
     Subspace,
     Support,
@@ -144,11 +143,8 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
     defining relations of a pair with compatible actions always pass and need
     no closing (see the module docstring), so the seed is returned as it is.
     """
-    if seed.ambient_dim != pair.left_dim * pair.right_dim:
-        raise LinalgError("seed lives in the wrong symbol space")
-    left, right = pair.collapse_maps
-    for name, f in (("left collapse n . l", left), ("right collapse l . n", right)):
-        if any(f._image(row.items()) for row in seed.echelon().rows.values()):
+    for name, f in zip(("left collapse n . l", "right collapse l . n"), pair.collapse_maps):
+        if not f.kills(seed):
             raise TensorConstructionError(f"{name} does not kill the relations")
     return seed
 
@@ -281,7 +277,7 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     # rho lands in N and the inclusion carries it into L; by compatibility
     # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
     kappa = pair.inclusion.compose(right.compose(tensor.section))
-    if any(kappa._image(row.items()) for row in box.echelon().rows.values()):
+    if not kappa.kills(box):
         raise TensorConstructionError("evaluation map does not kill the diagonal")
     # kappa kills the diagonal and the inclusion is injective, so rho kills
     # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the

@@ -146,7 +146,7 @@ class _Derivation:
                 for a in range(pair.right_dim)
             ],
         )
-        if any(symbol_map._image(row.items()) for row in tensor.relations.echelon().rows.values()):
+        if not symbol_map.kills(tensor.relations):
             raise TensorConstructionError("projection does not kill the relations")
         return qp, tq, symbol_map.compose(tensor.section)
 
@@ -267,7 +267,7 @@ def verify_diagonal_descent(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     _, tq, pi = d.induced
     box = d.maps.square
     boxq = d.quotient_diagonal
-    image = Subspace.from_vectors(tq.dim, [pi._image(row.items()) for row in box.echelon().rows.values()])
+    image = pi.image_of(box)
     rel = relative_abelianization_dim(pair)
     gamma = GammaSpace.from_pair(pair)
     psi_image = psi_map(pair, t, gamma).image()
@@ -303,7 +303,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     d = _derive(pair)
     pair, t, maps = d.pair, d.tensor, d.maps
     box = maps.square
-    candidates = list(d.mixed.echelon().rows.values())
+    candidates = [dict(v) for v in d.mixed.entries]
     _, outside = quotient_maps(pair.left_dim, pair.ideal.space)
     q = pair.right_dim
     for k in range(outside.domain_dim):
@@ -321,7 +321,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     grown = box.echelon()
     kept = [v for v in candidates if grown.insert(v)]
     complement = Subspace.from_vectors(t.dim, kept)
-    spanned = len(grown.rows)
+    spanned = box.dim + len(kept)
     escape = AlgebraSubspace(t.algebra, complement).is_ideal()
     ext_dim = maps.eps.codomain_dim
     ok = spanned == t.dim and escape is None and complement.dim == ext_dim
@@ -342,8 +342,7 @@ def verify_j2_decomposition(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     """The evaluation kernel is the diagonal plus a copy of the multiplier."""
     maps = _derive(pair).maps
     box = maps.square
-    j2_rows = maps.j2.echelon().rows.values()
-    eps_j2 = Subspace.from_vectors(maps.eps.codomain_dim, [maps.eps._image(row.items()) for row in j2_rows])
+    eps_j2 = maps.eps.image_of(maps.j2)
     ok = (
         maps.j2.dim == box.dim + maps.multiplier.dim
         and maps.j2.contains_subspace(box)

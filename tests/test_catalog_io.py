@@ -178,6 +178,7 @@ def test_json_syntax_error_carries_position():
     [
         ('{"name": "b", "dim": 2, "basis": ["x"], "brackets": {}}', "length"),
         ('{"name": "b", "dim": 2, "basis": ["x", "x"], "brackets": {}}', "unique"),
+        ('{"name": "b", "dim": 2, "basis": ["x", "\\udc00y"], "brackets": {}}', "encode as UTF-8"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,w": {"y": "1"}}}', "unknown"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,y": {"w": "1"}}}', "unknown"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,y": {"y": "1/0"}}}', "rational"),

@@ -308,6 +308,28 @@ def test_unreadable_document_exits_1_with_one_line(fault, referenced, command, t
     assert err == f"tensoralg: {message.format(what=what)}\n"
 
 
+# A JSON escape can spell a lone surrogate, which decodes to a str that no
+# UTF-8 output can hold.  A basis name holding one is refused where the
+# document is read, inline or referenced, before anything is built or written.
+SURROGATE_ALGEBRA = {"name": "h1", "dim": 3, "basis": ["x", "y", "z\ud800"], "brackets": {"x,y": {"z\ud800": "1"}}}
+
+
+@pytest.mark.parametrize("referenced", [False, True], ids=["inline", "referenced-algebra"])
+@pytest.mark.parametrize("argv", [["validate"], ["tensor"], ["tensor", "--out", "{out}"], ["verify"]], ids=" ".join)
+def test_lone_surrogate_basis_name_exits_1_with_one_line(argv, referenced, tmp_path, capsys):
+    algebra = SURROGATE_ALGEBRA
+    if referenced:
+        (tmp_path / "algebra.json").write_text(json.dumps(algebra))
+        algebra = "algebra.json"
+    (tmp_path / "pair.json").write_text(json.dumps({"algebra": algebra, "ideal": "all"}))
+    out_file = tmp_path / "out.txt"
+    code, out, err = run(capsys, argv[0], str(tmp_path / "pair.json"), *(a.format(out=out_file) for a in argv[1:]))
+    assert code == 1
+    assert out == ""
+    assert err == "tensoralg: basis name does not encode as UTF-8 (witness: 'z\\ud800')\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("command", ["tensor", "verify", "kunneth"])
 def test_referenced_algebra_document_is_read_once_per_load(command, tmp_path, monkeypatch, capsys):
     """Each document and each algebra it references is opened once: the plan

@@ -28,7 +28,6 @@ from tensoralg.linalg import (
     kernel,
     parse_scalar,
     quotient_maps,
-    span_intersect,
     subspace_maps,
     support,
 )
@@ -96,16 +95,22 @@ def test_kernel_of_injective_map_is_zero():
     assert ker.dim == 0
 
 
-def test_span_intersect_planes():
-    a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
-    assert span_intersect(a, b) == Subspace.from_vectors(3, [[0, 1, 0]])
+def test_kills_and_image_of():
+    first = _map([[1, 0, 0]], 3)  # F^3 -> F, the first coordinate
+    plane = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+    assert first.kills(plane) and first.kills(Subspace.zero(3))
+    assert first.image_of(plane) == Subspace.zero(1)
+    line = Subspace.from_vectors(3, [[1, 1, 0]])
+    assert not first.kills(line)
+    assert first.image_of(line) == Subspace.full(1)
 
 
-def test_span_intersect_trivial():
-    a = Subspace.from_vectors(2, [[1, 0]])
-    b = Subspace.from_vectors(2, [[0, 1]])
-    assert span_intersect(a, b).dim == 0
+def test_kills_stops_at_the_first_row_it_does_not_kill(monkeypatch):
+    calls = []
+    real = LinearMap._image
+    monkeypatch.setattr(LinearMap, "_image", lambda self, entries: calls.append(1) or real(self, entries))
+    assert not _identity(3).kills(Subspace.full(3))
+    assert len(calls) == 1
 
 
 def test_subspace_canonical_equality():
@@ -178,9 +183,11 @@ def test_linear_map_image_and_compose():
 
 def test_dimension_mismatches_rejected():
     with pytest.raises(LinalgError):
-        span_intersect(Subspace.zero(2), Subspace.zero(3))
-    with pytest.raises(LinalgError):
         _identity(2).apply([1, 2, 3])
+    with pytest.raises(LinalgError):
+        _identity(2).kills(Subspace.zero(3))
+    with pytest.raises(LinalgError):
+        _identity(3).image_of(Subspace.full(2))
     with pytest.raises(LinalgError):
         Subspace.from_vectors(2, [[1, 2, 3]])
 
@@ -228,7 +235,7 @@ def test_sum_intersect_dimension_formula(m1, m2):
     a = Subspace.from_vectors(ambient, rows)
     b = Subspace.from_vectors(ambient, padded)
     total = Subspace.from_vectors(ambient, a.basis + b.basis)
-    assert total.dim + span_intersect(a, b).dim == a.dim + b.dim
+    assert total.dim + len(dense_span_intersect(ambient, a.basis, b.basis)) == a.dim + b.dim
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,8 +352,12 @@ def test_sparse_elimination_matches_dense_reference(case):
     representatives = _representatives(section)
     assert (_grid(proj), representatives) == dense_quotient_with_section(cols, space.basis)
     b = Subspace.from_vectors(cols, other)
-    meet = span_intersect(space, b)
-    assert meet.basis == dense_span_intersect(cols, space.basis, b.basis)
+    meet = dense_span_intersect(cols, space.basis, b.basis)
+    assert Subspace.from_vectors(cols, space.basis + b.basis).dim == space.dim + b.dim - len(meet)
+    images = [tuple(sum((r[j] * v[j] for j in range(cols)), Fraction(0)) for r in rows) for v in b.basis]
+    assert f.image_of(b).basis == dense_span(len(rows), images)
+    assert f.kills(b) == (not any(any(w) for w in images))
+    assert f.kills(ker)
     read, inclusion = subspace_maps(space)
     coordinates = []
     for v in other + rows:
@@ -360,7 +371,7 @@ def test_sparse_elimination_matches_dense_reference(case):
             coordinates.append(coords)
     assert _grid(inclusion) == dense_grid(cols, space.basis)
     assert read.compose(inclusion) == _identity(space.dim)
-    public = space.basis + ker.basis + meet.basis + representatives + tuple(coordinates)
+    public = space.basis + ker.basis + representatives + tuple(coordinates)
     assert all(isinstance(a, Fraction) for v in public for a in v)
 
 

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased
-from oracles import dense_action_violation, dense_compatibility_violation, dense_subalgebra_brackets
+from oracles import (
+    dense_action_violation,
+    dense_bracket,
+    dense_compatibility_violation,
+    dense_span,
+    dense_span_intersect,
+    dense_subalgebra_brackets,
+)
 
 import tensoralg.liealg
 import tensoralg.linalg
@@ -414,3 +421,38 @@ def test_a_wrong_coordinate_map_is_caught(monkeypatch):
     monkeypatch.setattr(tensoralg.pairs, "subspace_maps", flipped)
     caught = [name for name in DIFFERENTIAL_PAIRS if _ideal_table_mismatches(_ideal_case(name))]
     assert caught
+
+
+# pair_is_clean and complement_condition compare dimensions; the dense
+# reference compares the spaces N meet [L, L], [N, L] and [L, L] themselves,
+# each built from the dense bracket table.  The pairs include item 4's
+# (n4, [n4, n4]) as "derived(n4)".
+HYPOTHESIS_PAIRS = [*DIFFERENTIAL_PAIRS, *catalog_selectors()]
+
+
+def _hypothesis_case(name):
+    if name in DIFFERENTIAL_PAIRS:
+        return _permuted(name, random.Random(f"hypotheses/{name}"))
+    return resolve_selector(name)
+
+
+def _dense_hypotheses(pair):
+    """(N meet [L, L] == [N, L], [N, L] == [L, L]) by dense spans."""
+    dim, table = pair.left_dim, dict(pair.algebra.brackets)
+    units = [pair.algebra.basis_vector(i) for i in range(dim)]
+    ideal = pair.ideal.space.basis
+    derived = dense_span(dim, [dense_bracket(dim, table, x, y) for x in units for y in units])
+    comm = dense_span(dim, [dense_bracket(dim, table, n, x) for n in ideal for x in units])
+    return dense_span_intersect(dim, ideal, derived) == comm, comm == derived
+
+
+@pytest.mark.parametrize("name", HYPOTHESIS_PAIRS)
+def test_pair_hypotheses_match_the_dense_intersection(name):
+    pair = _hypothesis_case(name)
+    assert (pair_is_clean(pair), complement_condition(pair)) == _dense_hypotheses(pair)
+
+
+def test_the_hypothesis_sweep_meets_every_outcome():
+    outcomes = {_dense_hypotheses(_hypothesis_case(name)) for name in HYPOTHESIS_PAIRS}
+    # [N, L] = [L, L] contains N meet [L, L], so the complement condition implies cleanliness
+    assert outcomes == {(True, True), (True, False), (False, False)}

@@ -9,7 +9,9 @@ except in `__init__.py`, which imports to re-export.  The functions that
 construct a trusted type positionally are a pinned list, and so are the
 names `__init__.py` exports.  No module calls json.dump or json.dumps:
 `catalog._json_text` renders every JSON output.  No private function has a
-defaulted parameter that every call leaves at its default.
+defaulted parameter that every call leaves at its default.  Outside `linalg`,
+no module reads a subspace's Gauss-Jordan rows, and `.echelon()` is called
+only to grow the splitting basis in `verify.verify_splitting`.
 """
 
 from __future__ import annotations
@@ -111,6 +113,52 @@ def test_a_json_dumps_call_is_found():
         "text = d({})\njson.dump({}, sys.stdout)\nobj = json.loads(loads('1'))\nwriter.dumps(obj)\n"
     )
     assert _json_dump_calls(source, "example.py") == [(5, "json.dumps"), (6, "d"), (7, "json.dump")]
+
+
+# A Subspace's Gauss-Jordan rows are linalg's own format: other modules push
+# a subspace through a map with LinearMap.kills and LinearMap.image_of, and
+# read its basis through `entries`.  The one growing basis outside linalg is
+# the diagonal's in verify_splitting.
+ROW_SITES_ALLOWED = [("verify.verify_splitting", "echelon()")]
+
+
+def _row_sites(source: str, module: str) -> list[tuple[str, int, str]]:
+    """(module.qualname, line, read) for every attribute read of rows or _rows
+    and every .echelon() call, sorted."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = scope + (child.name,) if named else scope
+            where = ".".join((module,) + inner)
+            if isinstance(child, ast.Attribute) and child.attr in ("rows", "_rows"):
+                found.append((where, child.lineno, child.attr))
+            elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "echelon":
+                found.append((where, child.lineno, "echelon()"))
+            visit(child, inner)
+
+    visit(ast.parse(source, filename=f"{module}.py"), ())
+    return sorted(found)
+
+
+def test_only_linalg_reads_gauss_jordan_rows():
+    found = []
+    for path in SOURCES:
+        if path.name != "linalg.py":
+            found += _row_sites(path.read_text(encoding="utf-8"), path.stem)
+    assert [(where, read) for where, _, read in found] == ROW_SITES_ALLOWED
+
+
+def test_a_row_read_is_found():
+    source = (
+        "def grow(space):\n    basis = space.echelon()\n    return basis.rows\n"
+        "class Map:\n    def push(self, space):\n        return [self.f(r) for r in space._rows.values()]\n"
+        "def fine(rows, space):\n    rows = space.entries\n    return ActionData.from_rows(1, 1, rows), echelon()\n"
+    )
+    assert _row_sites(source, "example") == [
+        ("example.Map.push", 6, "_rows"), ("example.grow", 2, "echelon()"), ("example.grow", 3, "rows"),
+    ]
 
 
 # The positional constructors of these types are trusted by contract; each

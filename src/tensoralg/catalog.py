@@ -5,9 +5,11 @@ Documents are JSON with a fixed shape.  An algebra document:
     {"name": "heisenberg1", "dim": 3, "basis": ["x", "y", "z"],
      "brackets": {"x,y": {"z": "1"}}}
 
-Bracket keys name an ordered basis pair; values map basis names to rational
-scalars written as strings (plain integers are also accepted).  A pair
-document wraps an algebra, inline or by file reference, with an ideal:
+Bracket keys name an ordered basis pair, at most once; the parts of a key
+are stripped, so a basis name holds no "," and no surrounding whitespace.
+Values map basis names to rational scalars written as strings (plain integers
+are also accepted).  A pair document wraps an algebra, inline or by file
+reference, with an ideal:
 
     {"algebra": "heisenberg1.json", "ideal": [["0", "0", "1"]]}
 
@@ -326,6 +328,8 @@ def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDoc
     for b in basis:  # a JSON escape can decode to a lone surrogate, which no UTF-8 output can hold
         if any("\ud800" <= c <= "\udfff" for c in b):
             raise DocumentError("basis name does not encode as UTF-8", witness=repr(b))
+        if "," in b or b != b.strip():  # a bracket key splits at "," and strips its parts
+            raise DocumentError("basis name cannot be named in a bracket key", witness=repr(b))
     index = {b: k for k, b in enumerate(basis)}
     raw = obj["brackets"]
     if not isinstance(raw, dict):
@@ -342,6 +346,8 @@ def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDoc
         i, j = index[parts[0]], index[parts[1]]
         if i >= j:
             raise DocumentError("bracket key is not an ordered basis pair", *_locate(text, at, key), witness=key)
+        if (i, j) in entries:
+            raise DocumentError("bracket pair is named twice", *_locate(text, at, key), witness=key)
         if not isinstance(value, dict):
             raise DocumentError(f"bracket value for {key} must be an object", witness=repr(value))
         vec = [Fraction(0)] * dim
@@ -349,9 +355,8 @@ def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDoc
             if b not in index:
                 raise DocumentError("bracket value uses an unknown basis name", witness=b)
             vec[index[b]] = _scalar(c, f"bracket {key}")
-        if any(c != 0 for c in vec):
-            entries[(i, j)] = tuple(vec)
-    return AlgebraDocument(name, dim, tuple(basis), tuple(sorted(entries.items())))
+        entries[(i, j)] = tuple(vec)
+    return AlgebraDocument(name, dim, tuple(basis), tuple(sorted((ij, v) for ij, v in entries.items() if any(v))))
 
 
 def _pair_document(obj: dict, text: str) -> PairDocument:

@@ -9,11 +9,12 @@ outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
 ``pairs.make_pair``).  The positional constructors are trusted by contract;
 the library uses them for direct sums, quotients, subalgebras, tensor
 products and quotient projections, which are what they claim by theorem.
-:func:`induced_brackets` gives every derived table (bracket representatives,
-read back through a map): quotients through the private ``_quotient``
-(``_quotient_table`` when the quotient maps are already built), a pair's
-ideal algebra through ``linalg.subspace_maps``.  Raw structure-constant
-tables are checked by :func:`validate_structure`, which returns violations
+The private ``_induced_algebra`` is the one builder of every derived table
+but direct sums: it brackets representatives and reads the result back
+through a map.  It gives quotients (through ``_quotient``), a pair's ideal
+algebra (through ``linalg.subspace_maps``), the tensor product (through the
+symbol bracket) and the exterior product (through the tensor's).  Raw
+structure-constant tables are checked by :func:`validate_structure`, which returns violations
 as values.  It reads a dense table that nothing in the package builds; it
 stays as the dense reference that the benchmark harness traces by name,
 until the benchmark is refreshed (ROADMAP item 1).
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
     Entries,
@@ -324,35 +325,30 @@ def _sorted_entries(v: Mapping[int, Exact]) -> Entries:
     return tuple(sorted((k, _exact(c)) for k, c in v.items()))
 
 
-def induced_brackets(a: LieAlgebra, read: LinearMap, representatives: LinearMap) -> BracketTable:
-    """The nonzero read([r_i, r_j]) for i < j, r_k the k-th column of representatives, as supports.
+def _induced_algebra(bracket: Callable[[Support, Support], Mapping[int, Exact]], read: LinearMap,
+                     representatives: LinearMap, prefix: str) -> LieAlgebra:
+    """The algebra on prefix0, prefix1, ... with [b_i, b_j] = read(bracket(r_i, r_j)), r_k the k-th column of representatives.
 
-    Through a quotient's projection and section it is the quotient's table,
-    through a subalgebra's coordinate map and inclusion the subalgebra's."""
+    bracket maps two supports to their bracket as a dict, zeros allowed.  A
+    quotient's projection and section give the quotient by an ideal, a
+    subalgebra's coordinate map and inclusion the subalgebra; every caller
+    builds a Lie algebra by theorem, so nothing is checked."""
     columns = representatives._columns
     brackets = []
     for i, ri in enumerate(columns):
         for j in range(i + 1, len(columns)):
-            w = a.bracket_sparse(ri, columns[j])
+            w = bracket(ri, columns[j])
             if w:
                 v = read._image(w.items())
                 if v:
                     brackets.append(((i, j), _sorted_entries(v)))
-    return tuple(brackets)
-
-
-def _quotient_table(a: LieAlgebra, proj: LinearMap, section: LinearMap, prefix: str = "q") -> LieAlgebra:
-    """The quotient by an ideal trusted as such, from the projection and section quotient_maps gives for it.
-
-    The basis is named prefix0, prefix1, ...; a quotient by an ideal is a Lie algebra, so nothing is checked."""
-    names = tuple(f"{prefix}{k}" for k in range(proj.codomain_dim))
-    return LieAlgebra(proj.codomain_dim, names, induced_brackets(a, proj, section))
+    return LieAlgebra(len(columns), tuple(f"{prefix}{k}" for k in range(len(columns))), tuple(brackets))
 
 
 def _quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
     """The quotient on q0, q1, ... by a subspace trusted to be an ideal, with its projection."""
     proj, section = quotient_maps(a.dim, ideal)
-    return _quotient_table(a, proj, section), proj
+    return _induced_algebra(a.bracket_sparse, proj, section, "q"), proj
 
 
 def _require_ideal(ideal: AlgebraSubspace) -> AlgebraSubspace:

@@ -31,12 +31,12 @@ from .liealg import (
     AlgebraHom,
     AlgebraSubspace,
     LieAlgebra,
+    _induced_algebra,
     _quotient,
     _require_ideal,
     _sorted_entries,
     bracket_subspaces,
     direct_sum,
-    induced_brackets,
 )
 from .linalg import (
     Entries,
@@ -178,8 +178,7 @@ class Pair:
     def ideal_algebra(self) -> LieAlgebra:
         """N with its inherited bracket, in ideal coordinates: each [n_a, n_b] read back through the coordinate map."""
         coordinates, inclusion = self.ideal_maps
-        names = tuple(f"n{k}" for k in range(self.right_dim))
-        return LieAlgebra(self.right_dim, names, induced_brackets(self.algebra, coordinates, inclusion))
+        return _induced_algebra(self.algebra.bracket_sparse, coordinates, inclusion, "n")
 
     @cached_property
     def relative_commutator(self) -> AlgebraSubspace:

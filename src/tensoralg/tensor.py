@@ -49,7 +49,10 @@ construct_tensor builds the relations, the projection and the section, and
 kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
 tables, NonabelianTensor.algebra and DerivedMaps.exterior, are built on first
 read, so a caller that reads only dimensions and subspaces, as verify_kunneth
-does, builds neither.
+does, builds neither.  Both come, unchecked, from liealg._induced_algebra:
+the tensor's projects beta of the section's representatives, a Lie bracket by
+(a) to (c); the exterior's projects the tensor's bracket of eps_section's
+representatives through eps, a quotient by the diagonal, a central ideal.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .liealg import LieAlgebra, _quotient_table, _sorted_entries
+from .liealg import LieAlgebra, _induced_algebra
 from .linalg import (
     Exact,
     LinearMap,
@@ -168,33 +171,25 @@ class NonabelianTensor:
     def algebra(self) -> LieAlgebra:
         """The tensor product as a Lie algebra on t0, t1, ..., built on first read.
 
-        The bracket of two section representatives is read off the collapse
-        maps: [t_i, t_j] = -sum lc_i[a] * rc_j[b] * proj(e_{a*q+b}), summed
-        over the nonzero entries of the collapsed slots and projection columns,
-        for i < j only; by (b) and (c) of the module docstring it is a Lie bracket.
+        [t_i, t_j] for i < j is the projection of beta(s_i, s_j) =
+        -lam(s_i) (x) rho(s_j), s_k the section's representatives, through
+        the one builder of derived tables, liealg._induced_algebra; by (a) to
+        (c) of the module docstring it is a Lie bracket.
         """
-        t_dim, q = self.dim, self.pair.right_dim
-        left, right = self.pair.collapse_maps
-        lc = left.compose(self.section)._columns
-        rc = right.compose(self.section)._columns
-        proj_cols = self.projection._columns
+        left, right = (f._columns for f in self.pair.collapse_maps)
+        q = self.pair.right_dim
 
-        def bracket(i: int, j: int) -> dict[int, Exact]:
-            out: dict[int, Exact] = {}
-            for a, x in lc[i]:
-                for b, y in rc[j]:
-                    c = -x * y
-                    for t, v in proj_cols[a * q + b]:
-                        out[t] = out.get(t, 0) + c * v
-            return {t: v for t, v in out.items() if v}
+        def beta(u: Support, v: Support) -> dict[int, Exact]:
+            acc: dict[int, Exact] = {}
+            for s, c in u:
+                for i, x in left[s]:
+                    for t, d in v:
+                        for a, y in right[t]:
+                            k = i * q + a
+                            acc[k] = acc.get(k, 0) - c * d * x * y
+            return acc
 
-        brackets = []
-        for i in range(t_dim):
-            for j in range(i + 1, t_dim):
-                v = _sorted_entries(bracket(i, j))
-                if v:
-                    brackets.append(((i, j), v))
-        return LieAlgebra(t_dim, tuple(f"t{k}" for k in range(t_dim)), tuple(brackets))
+        return _induced_algebra(beta, self.projection, self.section, "t")
 
     def tensor_of(self, x: Sequence, n: Sequence) -> Vector:
         """Class of x (x) n; x in algebra coordinates, n in ideal coordinates."""
@@ -259,7 +254,7 @@ class DerivedMaps:
     @cached_property
     def exterior(self) -> LieAlgebra:
         """The exterior product as a Lie algebra on e0, e1, ..., built on first read."""
-        return _quotient_table(self.tensor.algebra, self.eps, self.eps_section, "e")
+        return _induced_algebra(self.tensor.algebra.bracket_sparse, self.eps, self.eps_section, "e")
 
 
 def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:

@@ -166,6 +166,28 @@ def test_refused_bracket_key_is_located_in_the_brackets_object(text, line, col, 
     assert str(err.value).startswith(f"line {line} col {col}: bracket key")
 
 
+# Key parts are stripped, so two keys that differ only in spacing name the
+# same basis pair; the second is refused wherever it stands, whether its value
+# or the first one's is zero, and it is located and named as written.
+@pytest.mark.parametrize(
+    "first,second,col",
+    [
+        ('"x,y": {"z": "1"}', '"x, y": {"z": "2"}', 34),
+        ('"x, y": {"z": "1"}', '"x,y": {"z": "2"}', 35),
+        ('"x,y": {"z": "1"}', '"x ,y": {}', 34),
+        ('"x ,y": {}', '"x,y": {"z": "1"}', 27),
+    ],
+    ids=["spaced-second", "spaced-first", "zero-second", "zero-first"],
+)
+def test_bracket_pair_named_twice_is_refused(first, second, col):
+    text = '{"name": "h1", "dim": 3, "basis": ["x", "y", "z"],\n "brackets": {' + f"{first}, {second}" + "}}"
+    witness = second.split(":")[0].strip('"')
+    with pytest.raises(DocumentError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.witness) == (2, col, witness)
+    assert str(err.value) == f"line 2 col {col}: bracket pair is named twice (witness: {witness})"
+
+
 def test_json_syntax_error_carries_position():
     with pytest.raises(DocumentError) as err:
         parse('{"name": "b",\n "dim": }')
@@ -179,6 +201,10 @@ def test_json_syntax_error_carries_position():
         ('{"name": "b", "dim": 2, "basis": ["x"], "brackets": {}}', "length"),
         ('{"name": "b", "dim": 2, "basis": ["x", "x"], "brackets": {}}', "unique"),
         ('{"name": "b", "dim": 2, "basis": ["x", "\\udc00y"], "brackets": {}}', "encode as UTF-8"),
+        # a bracket key splits at "," and strips its parts, so no key could name these
+        ('{"name": "b", "dim": 2, "basis": ["a,b", "y"], "brackets": {}}', "bracket key (witness: 'a,b')"),
+        ('{"name": "b", "dim": 2, "basis": [" x", "y"], "brackets": {}}', "bracket key (witness: ' x')"),
+        ('{"name": "b", "dim": 2, "basis": ["x", "y\\t"], "brackets": {}}', "bracket key (witness: 'y\\t')"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,w": {"y": "1"}}}', "unknown"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,y": {"w": "1"}}}', "unknown"),
         ('{"name": "b", "dim": 2, "basis": ["x", "y"], "brackets": {"x,y": {"y": "1/0"}}}', "rational"),

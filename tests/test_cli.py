@@ -330,6 +330,33 @@ def test_lone_surrogate_basis_name_exits_1_with_one_line(argv, referenced, tmp_p
     assert not out_file.exists()
 
 
+# A document that names one bracket pair twice, or holds a basis name that no
+# bracket key can name, is refused where it is read: one line, exit 1.
+REFUSED_ALGEBRAS = {
+    "pair-named-twice": (
+        '{"name": "h1", "dim": 3, "basis": ["x", "y", "z"], "brackets": {"x,y": {"z": "1"}, "x, y": {"z": "2"}}}',
+        "tensoralg: line 1 col 112: bracket pair is named twice (witness: x, y)\n",
+    ),
+    "comma-in-name": (
+        '{"name": "c", "dim": 2, "basis": ["a,b", "y"], "brackets": {}}',
+        "tensoralg: basis name cannot be named in a bracket key (witness: 'a,b')\n",
+    ),
+    "space-in-name": (
+        '{"name": "c", "dim": 2, "basis": [" x", "y"], "brackets": {}}',
+        "tensoralg: basis name cannot be named in a bracket key (witness: ' x')\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSED_ALGEBRAS))
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_unnameable_bracket_document_exits_1_with_one_line(fault, command, tmp_path, capsys):
+    algebra, message = REFUSED_ALGEBRAS[fault]
+    (tmp_path / "pair.json").write_text('{"ideal": "all", "algebra": ' + algebra + "}")
+    code, out, err = run(capsys, command, str(tmp_path / "pair.json"))
+    assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize("command", ["tensor", "verify", "kunneth"])
 def test_referenced_algebra_document_is_read_once_per_load(command, tmp_path, monkeypatch, capsys):
     """Each document and each algebra it references is opened once: the plan

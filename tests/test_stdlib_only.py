@@ -174,13 +174,11 @@ POSITIONAL_SITES = {
     "liealg.quotient_algebra",
     "liealg.direct_sum",
     "liealg.abelianization",
-    "liealg._quotient_table",
-    "pairs.Pair.ideal_algebra",
+    "liealg._induced_algebra",
     "pairs._inner_pair",
     "pairs.pair_full",
     "pairs.make_pair_with_actions",  # checked right after
     "pairs.quotient_pair",
-    "tensor.NonabelianTensor.algebra",
 }
 
 

@@ -14,11 +14,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
-from oracles import combine, dense_act, dense_jacobi_violation, vadd, vscale
+from oracles import (
+    combine,
+    dense_act,
+    dense_jacobi_violation,
+    dense_quotient_with_section,
+    dense_subalgebra_brackets,
+    vadd,
+    vscale,
+)
 
 import tensoralg.tensor
 from tensoralg.catalog import abelian, catalog_selectors, heisenberg, pair_center, pair_full, resolve_selector
-from tensoralg.liealg import AlgebraHom, LieAlgebra, abelianization, direct_sum, validate_structure
+from tensoralg.liealg import AlgebraHom, LieAlgebra, _induced_algebra, abelianization, direct_sum, validate_structure
 from tensoralg.linalg import LinalgError, Subspace, from_support, kernel, quotient_maps, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
@@ -503,6 +511,66 @@ def test_unchecked_algebras_satisfy_jacobi(name):
         assert dense_jacobi_violation(algebra.dim, dict(algebra.brackets)) is None, label
 
 
+# The tensor, exterior and ideal tables come from one builder,
+# liealg._induced_algebra, which brackets representatives and reads the result
+# back through a map.  Each is compared here, as its nonzero i < j entries,
+# with a dense reference that does the same by hand: the tensor's with the
+# projected symbol brackets, the exterior's with eps([s(e_i), s(e_j)]) through
+# the dense quotient by the diagonal, the ideal's with the dense ideal
+# coordinates of [n_a, n_b].
+
+
+def _dense_upper(table):
+    """{(i, j): table[i][j]} over i < j with a nonzero entry."""
+    return {(i, j): row[j] for i, row in enumerate(table) for j in range(i + 1, len(row)) if any(row[j])}
+
+
+def _dense_exterior_table(maps, tensor_table):
+    """eps([s(e_i), s(e_j)]) for every i, j: the tensor bracket of the dense section representatives, projected."""
+    t_dim = len(tensor_table)
+    eps, reps = dense_quotient_with_section(t_dim, maps.square.basis)
+    products = [tensor_table[a][b] for a in range(t_dim) for b in range(t_dim)]
+
+    def bracket(x, y):
+        w = combine([x[a] * y[b] for a in range(t_dim) for b in range(t_dim)], products, t_dim)
+        return tuple(sum((r * c for r, c in zip(row, w)), Fraction(0)) for row in eps)
+
+    return [[bracket(x, y) for y in reps] for x in reps]
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_derived_tables_match_dense_references(name):
+    if name in DIFFERENTIAL_PAIRS:
+        pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"tables/{name}"))
+    else:
+        pair = resolve_selector(name)
+    t = construct_tensor(pair)
+    maps = kappa_maps(t)
+    tensor_table = _dense_bracket_table(pair)
+    assert dict(t.algebra.brackets) == _dense_upper(tensor_table)
+    assert dict(maps.exterior.brackets) == _dense_upper(_dense_exterior_table(maps, tensor_table))
+    ideal = dense_subalgebra_brackets(pair.left_dim, dict(pair.algebra.brackets), pair.ideal.space.basis)
+    assert dict(pair.ideal_algebra.brackets) == ideal
+
+
+def test_a_symbol_bracket_that_projects_to_zero_is_left_out():
+    # in heisenberg(1) (x) heisenberg(1) the symbol bracket of section
+    # representatives 1 and 2 is nonzero and lies in the relations, so the
+    # builder reads it back as zero and stores no bracket for the pair
+    pair = pair_full(heisenberg(1))
+    t = construct_tensor(pair)
+    reps = [from_support(t.section.column_entries(k), pair.left_dim * pair.right_dim) for k in range(t.dim)]
+    tables = _dense_collapse_tables(pair)
+    vanishing = [
+        (i, j)
+        for i in range(t.dim)
+        for j in range(i + 1, t.dim)
+        if any(beta := _dense_beta(pair, tables, reps[i], reps[j])) and not any(t.projection.apply(beta))
+    ]
+    assert vanishing == [(1, 2)]
+    assert t.algebra.bracket_entries(1, 2) == ()
+
+
 # The construction checks neither the induced bracket nor the evaluation map
 # nor the quotient projections: each is what it should be by theorem (the
 # tensor module docstring).  Here the checks it skips run on every tensor
@@ -546,16 +614,17 @@ def test_construction_by_theorem_matches_the_skipped_checks(name):
     assert _theorem_defects(pair) == []
 
 
-def _flip_first_entry(dim, names, brackets):
-    """LieAlgebra with the sign of the first entry of its first bracket, if any, flipped."""
-    if brackets:
-        (ij, ((k, c), *rest)), *others = brackets
-        brackets = ((ij, ((k, -c), *rest)), *others)
-    return LieAlgebra(dim, names, brackets)
+def _flip_first_tensor_entry(bracket, read, representatives, prefix):
+    """_induced_algebra with the sign of the first entry of the first bracket, if any, of the "t" table flipped."""
+    algebra = _induced_algebra(bracket, read, representatives, prefix)
+    if prefix != "t" or not algebra._brackets:
+        return algebra
+    (ij, ((k, c), *rest)), *others = algebra._brackets
+    return LieAlgebra(algebra.dim, algebra.basis_names, ((ij, ((k, -c), *rest)), *others))
 
 
 def test_skipped_checks_catch_a_flipped_bracket_sign(monkeypatch):
-    monkeypatch.setattr(tensoralg.tensor, "LieAlgebra", _flip_first_entry)
+    monkeypatch.setattr(tensoralg.tensor, "_induced_algebra", _flip_first_tensor_entry)
     # sl2 (x) sl2 is sl2, so the flipped table also breaks Jacobi and kappa;
     # sl2 is perfect, so the quotient pair is zero and has no bracket to flip
     assert _theorem_defects(pair_full(sl2())) == [

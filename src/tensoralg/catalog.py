@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Iterable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
@@ -309,6 +309,15 @@ def _expect_keys(obj: dict, allowed: set, kind: str):
             raise DocumentError(f"missing key in {kind} document", witness=key)
 
 
+def _check_basis_names(basis: Iterable[str]) -> None:
+    """Refuse a basis name that a document cannot carry, as DocumentError with the name as witness."""
+    for b in basis:  # a JSON escape can decode to a lone surrogate, which no UTF-8 output can hold
+        if any("\ud800" <= c <= "\udfff" for c in b):
+            raise DocumentError("basis name does not encode as UTF-8", witness=repr(b))
+        if "," in b or b != b.strip():  # a bracket key splits at "," and strips its parts
+            raise DocumentError("basis name cannot be named in a bracket key", witness=repr(b))
+
+
 def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDocument:
     """The algebra document held by obj, the object at path in text."""
     _expect_keys(obj, {"name", "dim", "basis", "brackets"}, "algebra")
@@ -325,11 +334,7 @@ def _algebra_document(obj: dict, text: str, path: tuple[str, ...]) -> AlgebraDoc
         raise DocumentError("basis length does not match dim", witness=f"{len(basis)} vs {dim}")
     if len(set(basis)) != dim:
         raise DocumentError("basis names must be unique")
-    for b in basis:  # a JSON escape can decode to a lone surrogate, which no UTF-8 output can hold
-        if any("\ud800" <= c <= "\udfff" for c in b):
-            raise DocumentError("basis name does not encode as UTF-8", witness=repr(b))
-        if "," in b or b != b.strip():  # a bracket key splits at "," and strips its parts
-            raise DocumentError("basis name cannot be named in a bracket key", witness=repr(b))
+    _check_basis_names(basis)
     index = {b: k for k, b in enumerate(basis)}
     raw = obj["brackets"]
     if not isinstance(raw, dict):
@@ -456,6 +461,7 @@ def _json_parts(obj, newline: str, parts: list[str]) -> None:
 
 
 def _algebra_payload(doc: AlgebraDocument) -> dict:
+    _check_basis_names(doc.basis)
     return {
         "name": doc.name,
         "dim": doc.dim,
@@ -470,7 +476,10 @@ def _algebra_payload(doc: AlgebraDocument) -> dict:
 
 
 def serialize(doc: AlgebraDocument | PairDocument) -> str:
-    """Canonical text for a document; parse(serialize(doc)) == doc."""
+    """Canonical text for a document; parse(serialize(doc)) == doc.
+
+    A basis name that parse would refuse is refused here, with the same
+    DocumentError, so no document is written that cannot be read back."""
     if isinstance(doc, AlgebraDocument):
         payload = _algebra_payload(doc)
     else:

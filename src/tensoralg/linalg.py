@@ -24,6 +24,13 @@ the result of naive exact Gaussian elimination.  Build a subspace with
 :meth:`Subspace.from_vectors` or, from a reduced echelon basis given by hand,
 :meth:`Subspace.from_basis`, which checks that form.
 
+:func:`kernel` takes one elimination: it reduces the rows of the map with
+the columns in reverse order, so each reduced row leads at its largest
+column, and then the vector e_j minus the rows' entries in column j, for each
+free column j, is zero below j and at every other free column.  Those vectors
+are the kernel's reduced row-echelon basis as they stand, with no second
+elimination.
+
 A :class:`LinearMap` is stored as the supports of its columns and nothing
 else, so applying it touches only nonzero entries.  Build one with
 :meth:`LinearMap.from_columns`, from dense or sparse columns.
@@ -396,25 +403,40 @@ class LinearMap:
 
 
 def kernel(f: LinearMap) -> Subspace:
+    """The kernel of f, from one elimination of its rows with the columns reversed.
+
+    The rows of f go into an :class:`Echelon` with column j relabelled
+    n - 1 - j, n = f.domain_dim, so each reduced row leads at its largest
+    original column P, its pivot, and is otherwise nonzero only at free
+    columns below P: zero at every other pivot by Gauss-Jordan form, and at
+    columns above P by being its leading column.  For each free column j the
+    vector
+
+        v_j = e_j - sum_P (row_P[j] / row_P[P]) e_P
+
+    is in the kernel, since each row_P meets it as row_P[j] - row_P[j] = 0.
+    A term e_P needs row_P[j] != 0, so P > j: v_j is zero at every column
+    below j, 1 at j, and zero at every other free column.  So the v_j are
+    independent, n - rank of them span the kernel, and in ascending j they
+    are already its reduced row-echelon basis, pivoted at the free columns.
+    Each is stored as its primitive row, with no second elimination.
+    """
+    n = f.domain_dim
     rows: list[dict[int, Exact]] = [{} for _ in range(f.codomain_dim)]
     for j, col in enumerate(f._columns):
         for r, a in col:
-            rows[r][j] = a
-    reduced = Echelon(f.domain_dim)
+            rows[r][n - 1 - j] = a
+    reduced = Echelon(n)
     for row in rows:
         if row:
             reduced.insert(row)
-    # One vector per free column j: e_j minus the pivot rows' entries in column j.
-    vectors = []
-    for j in range(f.domain_dim):
-        if j not in reduced.rows:
-            v = {j: 1}
-            for p, row in reduced.rows.items():
-                y = row.get(j)
-                if y:
-                    v[p] = _ratio(-y, row[p])
-            vectors.append(v)
-    return Subspace.from_vectors(f.domain_dim, vectors)
+    vectors: dict[int, dict[int, Exact]] = {j: {j: 1} for j in range(n) if n - 1 - j not in reduced.rows}
+    for p, row in reduced.rows.items():
+        a = row[p]
+        for k, y in row.items():
+            if k != p:  # a free column: the row is zero at the other pivots
+                vectors[n - 1 - k][n - 1 - p] = _ratio(-y, a)
+    return Subspace(n, {j: _primitive(v) for j, v in vectors.items()})
 
 
 def subspace_maps(space: Subspace) -> tuple[LinearMap, LinearMap]:

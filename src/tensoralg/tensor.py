@@ -111,7 +111,12 @@ def _span(gens: dict, width: int) -> Subspace:
 
 
 def relation_seed(pair: Pair) -> Subspace:
-    """Span of the defining relations of the presentation, in symbol coordinates."""
+    """Span of the defining relations of the presentation, in symbol coordinates.
+
+    A relation whose bracket and both action terms are empty vanishes and is
+    skipped before its accumulator is built, as every relation of an abelian
+    pair is; one that sums to zero from nonempty terms is dropped by
+    _keep_nonzero."""
     p, q = pair.left_dim, pair.right_dim
     left, right = (f._columns for f in pair.collapse_maps)
     out: dict = {}
@@ -120,20 +125,26 @@ def relation_seed(pair: Pair) -> Subspace:
         for j in range(i + 1, p):
             bracket = pair.algebra.bracket_entries(i, j)
             for a in range(q):
+                ja, ia = right[j * q + a], right[i * q + a]
+                if not (bracket or ja or ia):
+                    continue
                 acc: dict[int, Exact] = {}
                 _add_slot(acc, bracket, a, q)
-                _add_slot(acc, right[j * q + a], i * q, 1, -1)
-                _add_slot(acc, right[i * q + a], j * q, 1)
+                _add_slot(acc, ja, i * q, 1, -1)
+                _add_slot(acc, ia, j * q, 1)
                 _keep_nonzero(out, acc)
     # l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
     n_alg = pair.ideal_algebra
     for i in range(p):
         for a in range(q):
             for b in range(a + 1, q):
+                bracket, ib, ia = n_alg.bracket_entries(a, b), left[i * q + b], left[i * q + a]
+                if not (bracket or ib or ia):
+                    continue
                 acc = {}
-                _add_slot(acc, n_alg.bracket_entries(a, b), i * q, 1)
-                _add_slot(acc, left[i * q + b], a, q, -1)
-                _add_slot(acc, left[i * q + a], b, q)
+                _add_slot(acc, bracket, i * q, 1)
+                _add_slot(acc, ib, a, q, -1)
+                _add_slot(acc, ia, b, q)
                 _keep_nonzero(out, acc)
     return _span(out, p * q)
 

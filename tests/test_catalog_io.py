@@ -107,6 +107,39 @@ def test_pair_document_round_trip_inline_and_all():
     assert pair_from_document(full).right_dim == 2
 
 
+# serialize refuses the basis names parse refuses, with the same message and
+# witness, so it writes no document that cannot be read back.
+UNREADABLE_NAMES = {
+    "a,b": "basis name cannot be named in a bracket key (witness: 'a,b')",
+    " x": "basis name cannot be named in a bracket key (witness: ' x')",
+    "x\ud800": "basis name does not encode as UTF-8 (witness: 'x\\ud800')",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_NAMES), ids=ascii)
+@pytest.mark.parametrize("inline", [False, True], ids=["algebra", "inline-in-pair"])
+def test_serialize_refuses_the_basis_names_parse_refuses(name, inline):
+    algebra = AlgebraDocument("c", 3, (name, "y", "z"), (((0, 1), (Fraction(0), Fraction(0), Fraction(1))),))
+    doc = PairDocument(algebra, None) if inline else algebra
+    with pytest.raises(DocumentError) as refused:
+        serialize(doc)
+    assert str(refused.value) == UNREADABLE_NAMES[name]
+    assert refused.value.witness == repr(name)
+    text = json.dumps({"name": "c", "dim": 3, "basis": [name, "y", "z"], "brackets": {}})
+    with pytest.raises(DocumentError) as parsed:
+        parse(text if not inline else '{"algebra": ' + text + ', "ideal": "all"}')
+    assert (str(parsed.value), parsed.value.witness) == (str(refused.value), refused.value.witness)
+
+
+@pytest.mark.parametrize("selector", catalog_selectors())
+def test_every_catalog_pair_round_trips_as_a_document(selector):
+    pair = resolve_selector(selector)
+    a = pair.algebra
+    algebra = AlgebraDocument(selector, a.dim, a.basis_names, a.brackets)
+    for doc in (algebra, PairDocument(algebra, None), PairDocument(algebra, tuple(pair.ideal.space.basis))):
+        assert parse(serialize(doc)) == doc
+
+
 def test_scalars_accept_integers_and_fractions():
     text = '{"name": "s", "dim": 2, "basis": ["x", "y"], "brackets": {"x,y": {"x": 2, "y": "-1/3"}}}'
     doc = parse(text)

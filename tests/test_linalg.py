@@ -95,6 +95,45 @@ def test_kernel_of_injective_map_is_zero():
     assert ker.dim == 0
 
 
+def test_kernel_builds_its_basis_without_a_second_elimination(monkeypatch):
+    calls = []
+    real = Subspace.from_vectors.__func__
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(lambda cls, *args: calls.append(1) or real(cls, *args)))
+    ker = kernel(_map([[1, 2, 0, 3], [0, 0, 1, 1]], 4))
+    assert calls == []
+    assert ker.basis == dense_kernel([[1, 2, 0, 3], [0, 0, 1, 1]], 4)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, expected",
+    [
+        # the zero map: the whole domain
+        ([[0, 0, 0], [0, 0, 0]], 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        # an injective map: nothing
+        ([[1, 1], [0, 1], [2, 5]], 2, ()),
+        # Fraction entries; the kernel's pivots 0 and 1 are not the free columns 1 and 3
+        # of the usual elimination, whose pivots are 0 and 2
+        ([["1/2", 0, "1/3", "2/3"], [0, 0, "3/4", "-1/4"]], 4,
+         ((1, 0, Fraction(-3, 14), Fraction(-9, 14)), (0, 1, 0, 0))),
+        # the one free column, 0, lies below both pivots, so v_0 takes an entry from every row
+        ([[1, 0, -1], [1, -1, 0]], 3, ((1, 1, 1),)),
+    ],
+    ids=["zero-map", "injective", "fractions", "one-free-column"],
+)
+def test_kernel_edge_cases(rows, cols, expected):
+    f = _map([as_vector(r) for r in rows], cols)
+    ker = kernel(f)
+    assert ker.basis == tuple(as_vector(v) for v in expected)
+    assert ker.basis == dense_kernel([as_vector(r) for r in rows], cols)
+    assert f.kills(ker) and ker.dim + f.image().dim == cols
+
+
+def test_kernel_of_an_empty_domain_or_codomain():
+    assert kernel(LinearMap.from_columns(3, [])) == Subspace.zero(0)
+    assert kernel(LinearMap.from_columns(0, [[], [], []])) == Subspace.full(3)
+    assert kernel(LinearMap.from_columns(0, [])) == Subspace.zero(0)
+
+
 def test_kills_and_image_of():
     first = _map([[1, 0, 0]], 3)  # F^3 -> F, the first coordinate
     plane = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])

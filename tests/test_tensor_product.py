@@ -485,6 +485,49 @@ def test_sparse_relations_match_dense_reference(name):
     assert _dense_closure(pair, seed) == seed == closure(pair, seed)
 
 
+def _counted_keep_nonzero(monkeypatch):
+    """Patch tensor._keep_nonzero to record each accumulator it is handed."""
+    seen = []
+    real = tensoralg.tensor._keep_nonzero
+    monkeypatch.setattr(tensoralg.tensor, "_keep_nonzero", lambda gens, acc: seen.append(dict(acc)) or real(gens, acc))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["abelian(4)", *ZERO_ACTION_ALGEBRAS])
+def test_relation_seed_builds_no_accumulator_for_a_vanishing_relation(name, monkeypatch):
+    if name in DIFFERENTIAL_PAIRS:
+        pair = DIFFERENTIAL_PAIRS[name]()
+    else:
+        pair = _zero_actions(pair_full(ZERO_ACTION_ALGEBRAS[name]))
+    seen = _counted_keep_nonzero(monkeypatch)
+    relation_seed(pair)
+    # The inner actions of an abelian pair are zero too.  With zero actions
+    # a relation is its bracket term alone, so it vanishes
+    # exactly when the bracket does: one accumulator per nonzero bracket of L
+    # and each n_a, and per nonzero bracket of N and each l_i.
+    p, q = pair.left_dim, pair.right_dim
+    expected = len(pair.algebra.brackets) * q + len(pair.ideal_algebra.brackets) * p
+    assert len(seen) == expected
+    assert all(any(acc.values()) for acc in seen)
+
+
+def test_relations_with_only_a_bracket_term_are_kept():
+    # heisenberg(1) on x, y, z.  Over its centre N = span(z) the one nonzero
+    # relation is [x, y] (x) z - x (x) (y . z) + y (x) (x . z) = z (x) z,
+    # symbol 2: its action terms are empty.  With zero actions on the full
+    # pair every relation is its bracket term, [l, l'] (x) n or l (x) [n, n'],
+    # so the seed is spanned by z (x) n and l (x) z, symbols 6, 7, 8, 2 and 5.
+    centre = pair_center(heisenberg1())
+    right = centre.collapse_maps[1]
+    assert centre.algebra.bracket_entries(0, 1) == ((2, 1),)
+    assert not (right.column_entries(0) or right.column_entries(1))
+    zero = _zero_actions(full_pair(heisenberg1()))
+    for pair, symbols in ((centre, [2]), (zero, [2, 5, 6, 7, 8])):
+        seed = relation_seed(pair)
+        assert seed == Subspace.from_vectors(pair.left_dim * pair.right_dim, [{k: 1} for k in symbols])
+        assert seed == _dense_relation_seed(pair)
+
+
 # A quotient by an ideal and a subalgebra of a Lie algebra are Lie algebras, so
 # the library builds them from a checked algebra without a Jacobi sweep.  Here
 # both the sparse sweep and the dense reference sweep must find nothing on them.

@@ -202,9 +202,9 @@ class Echelon:
     shared with the subspaces built from this basis.
     """
 
-    def __init__(self, width: int, rows: Mapping[int, IntRow] | None = None):
+    def __init__(self, width: int):
         self.width = width
-        self.rows: dict[int, IntRow] = dict(rows or {})
+        self.rows: dict[int, IntRow] = {}
 
     def insert(self, v) -> bool:
         """Add v to the span; False, and nothing changes, when v already lies in it."""
@@ -308,10 +308,6 @@ class Subspace:
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._rows)
-
-    def echelon(self) -> Echelon:
-        """This subspace's basis as an :class:`Echelon` that can grow without changing it."""
-        return Echelon(self.ambient_dim, self._rows)
 
     def contains(self, v: Sequence) -> bool:
         return not _reduce(self._rows, _primitive(_entries(v, self.ambient_dim)))

@@ -360,8 +360,8 @@ _shapes = st.integers(0, 12).flatmap(lambda c: st.tuples(st.just(c), _row_lists(
 
 
 def _assert_integer_rows_match(space: Subspace):
-    """The echelon rows are primitive, lead with a positive pivot, and scale to the RREF basis."""
-    rows = space.echelon().rows
+    """The Gauss-Jordan rows are primitive, lead with a positive pivot, and scale to the RREF basis."""
+    rows = space._rows
     assert tuple(sorted(rows)) == space.pivots()
     for (p, row), vector in zip(sorted(rows.items()), space.basis):
         assert min(row) == p and row[p] > 0

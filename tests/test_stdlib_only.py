@@ -10,8 +10,7 @@ construct a trusted type positionally are a pinned list, and so are the
 names `__init__.py` exports.  No module calls json.dump or json.dumps:
 `catalog._json_text` renders every JSON output.  No private function has a
 defaulted parameter that every call leaves at its default.  Outside `linalg`,
-no module reads a subspace's Gauss-Jordan rows, and `.echelon()` is called
-only to grow the splitting basis in `verify.verify_splitting`.
+no module reads a subspace's Gauss-Jordan rows or calls `.echelon()`.
 """
 
 from __future__ import annotations
@@ -117,9 +116,8 @@ def test_a_json_dumps_call_is_found():
 
 # A Subspace's Gauss-Jordan rows are linalg's own format: other modules push
 # a subspace through a map with LinearMap.kills and LinearMap.image_of, and
-# read its basis through `entries`.  The one growing basis outside linalg is
-# the diagonal's in verify_splitting.
-ROW_SITES_ALLOWED = [("verify.verify_splitting", "echelon()")]
+# read its basis through `entries`.  No module outside linalg grows a basis.
+ROW_SITES_ALLOWED = []
 
 
 def _row_sites(source: str, module: str) -> list[tuple[str, int, str]]:

@@ -26,8 +26,16 @@ from oracles import (
 
 import tensoralg.tensor
 from tensoralg.catalog import abelian, catalog_selectors, heisenberg, pair_center, pair_full, resolve_selector
-from tensoralg.liealg import AlgebraHom, LieAlgebra, _induced_algebra, abelianization, direct_sum, validate_structure
-from tensoralg.linalg import LinalgError, Subspace, from_support, kernel, quotient_maps, support
+from tensoralg.liealg import (
+    AlgebraHom,
+    AlgebraSubspace,
+    LieAlgebra,
+    _induced_algebra,
+    abelianization,
+    direct_sum,
+    validate_structure,
+)
+from tensoralg.linalg import Echelon, LinalgError, Subspace, from_support, kernel, quotient_maps, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
     TensorConstructionError,
@@ -37,6 +45,7 @@ from tensoralg.tensor import (
     kappa_maps,
     relation_seed,
 )
+from tensoralg.verify import _Derivation, verify_splitting
 
 
 def nonabelian2():
@@ -421,6 +430,13 @@ def _permuted(pair, rng):
     return rebased(pair, [pair.algebra.basis_vector(k) for k in perm])
 
 
+def _differential_pair(name, salt):
+    """A DIFFERENTIAL_PAIRS pair in a basis permuted by a seed from salt and name, or a catalog pair."""
+    if name in DIFFERENTIAL_PAIRS:
+        return _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"{salt}/{name}"))
+    return resolve_selector(name)
+
+
 DIFFERENTIAL_PAIRS = {
     # tensor-wide
     "abelian(3)": lambda: pair_full(abelian(3)),
@@ -535,10 +551,7 @@ def test_relations_with_only_a_bracket_term_are_kept():
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
 def test_unchecked_algebras_satisfy_jacobi(name):
-    if name in DIFFERENTIAL_PAIRS:
-        pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"jacobi/{name}"))
-    else:
-        pair = resolve_selector(name)
+    pair = _differential_pair(name, "jacobi")
     quotient = quotient_pair(pair).pair
     # each with the prefix of its basis names
     algebras = {
@@ -583,10 +596,7 @@ def _dense_exterior_table(maps, tensor_table):
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
 def test_derived_tables_match_dense_references(name):
-    if name in DIFFERENTIAL_PAIRS:
-        pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"tables/{name}"))
-    else:
-        pair = resolve_selector(name)
+    pair = _differential_pair(name, "tables")
     t = construct_tensor(pair)
     maps = kappa_maps(t)
     tensor_table = _dense_bracket_table(pair)
@@ -650,10 +660,7 @@ def _theorem_defects(pair):
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
 def test_construction_by_theorem_matches_the_skipped_checks(name):
-    if name in DIFFERENTIAL_PAIRS:
-        pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"theorem/{name}"))
-    else:
-        pair = resolve_selector(name)
+    pair = _differential_pair(name, "theorem")
     assert _theorem_defects(pair) == []
 
 
@@ -675,6 +682,52 @@ def test_skipped_checks_catch_a_flipped_bracket_sign(monkeypatch):
         "pair: stored bracket breaks Jacobi",
         "pair: kappa breaks the bracket",
     ]
+
+
+# verify_splitting reads [T, T] off the collapse maps and decides the
+# splitting by dimension, with the lemma in its docstring.  Here the factored
+# [T, T] is compared with the derived algebra of the bracket table, and the
+# verdict with a complement built from the table: [T, T] extended by the
+# first basis vectors that stay independent of it and of the diagonal.
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_splitting_agrees_with_the_bracket_table(name):
+    d = _Derivation(_differential_pair(name, "splitting"))
+    t, box = d.tensor, d.maps.square
+    derived = t.algebra.derived_algebra.space
+    assert d.derived == derived
+    grown = Echelon(t.dim)
+    for v in box.entries + derived.entries:
+        grown.insert(dict(v))
+    extra = [{k: 1} for k in range(t.dim) if grown.insert({k: 1})]
+    complement = Subspace.from_vectors(t.dim, [*map(dict, derived.entries), *extra])
+    table_splits = box.dim + complement.dim == t.dim and AlgebraSubspace(t.algebra, complement).is_ideal() is None
+    record = verify_splitting(d, name)
+    assert table_splits == (record.status == "pass")
+    assert record.dims["complement"] == complement.dim
+
+
+def test_splitting_holds_on_a_derived_pair_without_the_complement_hypothesis():
+    # ROADMAP item 4's audit: (n4, [n4, n4]) splits, though the hypothesis
+    # the paper's splitting theorem is stated under fails there
+    record = verify_splitting(DIFFERENTIAL_PAIRS["derived(n4)"](), "derived(n4)")
+    assert (record.status, record.flags) == ("pass", {"complement-hypothesis": False})
+
+
+# ROADMAP item 17: x (x) m + m (x) x = 0 in L (x) N for x in N and m in
+# [N, L] would make psi well defined with image the diagonal.  The lemma is
+# not proved yet; this is the evidence for it.
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_ideal_symbols_anticommute_with_the_relative_commutator(name):
+    pair = _differential_pair(name, "anticommute")
+    t, inclusion = construct_tensor(pair), pair.inclusion
+    for m in pair.relative_commutator_in_ideal.entries:
+        m_ambient = inclusion.apply_entries(dict(m)).items()
+        for a in range(pair.right_dim):
+            assert t.class_entries([(inclusion.column_entries(a), m), (m_ambient, ((a, 1),))]) == {}
 
 
 def _derived_dims(pair):

@@ -2,21 +2,19 @@
 
 import dataclasses
 import sys
-from fractions import Fraction
 
 import pytest
 
 import tensoralg.liealg
 import tensoralg.verify
 from algebra_examples import IDEAL_ALGEBRAS, sl2
-from oracles import dense_bracket
 from tensoralg.catalog import AlgebraDocument, PairDocument, catalog_pairs, catalog_selectors, resolve_selector, serialize
 from tensoralg.cli import main
-from tensoralg.gamma import GammaSpace
-from tensoralg.liealg import AlgebraSubspace, LieAlgebra
-from tensoralg.linalg import LinearMap, Subspace
+from tensoralg.gamma import GammaSpace, gamma_dim
+from tensoralg.liealg import AlgebraSubspace, LieAlgebra, direct_sum
+from tensoralg.linalg import LinearMap, Subspace, quotient_maps
 from tensoralg.pairs import Pair, make_pair
-from tensoralg.tensor import TensorConstructionError, construct_tensor, kappa_maps
+from tensoralg.tensor import TensorConstructionError, construct_tensor, diagonal, kappa_maps
 from tensoralg.verify import (
     CheckRecord,
     VerificationReport,
@@ -340,32 +338,36 @@ def test_broken_subspace_gives_the_pinned_witness(owner, name, zero, witnesses, 
     assert failed == witnesses
 
 
-def test_splitting_fails_on_a_short_span(monkeypatch):
-    # Without the complement representatives (x) ideal symbols the kept
-    # candidates stop short of the tensor.  The complement never meets the
-    # diagonal, so only the span, the size and the ideal test can fail.
-    real = tensoralg.verify.quotient_maps
-    monkeypatch.setattr(tensoralg.verify, "quotient_maps", lambda n, space: (real(n, space)[0], LinearMap(n, ())))
-    pair = resolve_selector("builtin:pair_direct_sum(pair_center(heisenberg(1)),pair_full(abelian(1)))")
-    record = verify_splitting(pair, "z+a1")
-    assert record.failed_assertion
-    assert record.dims == {"tensor": 6, "diagonal": 2, "complement": 0, "exterior": 4}
-    assert record.witness == "diagonal 2 + complement 0 spans 2 of 6"
+@pytest.mark.parametrize(
+    "algebra, dims, witness",
+    [
+        # sl2 (x) sl2 = sl2 is perfect and its diagonal is 0
+        (sl2, {"tensor": 3, "diagonal": 1, "complement": 3, "exterior": 3}, "diagonal 1 meets [T, T] 3 in dimension 1"),
+        # diagonal 3 and [T, T] 3 of 9, in direct sum before the mutation
+        (
+            lambda: direct_sum(sl2(), heisenberg1()),
+            {"tensor": 9, "diagonal": 4, "complement": 6, "exterior": 6},
+            "diagonal 4 meets [T, T] 3 in dimension 1",
+        ),
+    ],
+    ids=["sl2", "sl2+h1"],
+)
+def test_splitting_fails_when_the_diagonal_meets_the_derived_algebra(algebra, dims, witness, monkeypatch):
+    # A diagonal that also holds a vector of [T, T] has no ideal complement;
+    # the maps are otherwise the real ones, so the exterior keeps its size.
+    pair = full_pair(algebra())
+    extra = dict(tensoralg.verify._Derivation(pair).derived.entries[0])
+    real = tensoralg.verify.kappa_maps
 
+    def grown(t):
+        maps = real(t)
+        return dataclasses.replace(maps, square=Subspace.from_vectors(t.dim, [*map(dict, maps.square.entries), extra]))
 
-def test_splitting_witness_is_the_bracket_that_leaves_the_complement(monkeypatch):
-    # A complement that is not an ideal is witnessed by [t_k, c] for the basis
-    # index k and complement vector c that is_ideal reports; sl2 (x) sl2 = sl2
-    # has brackets to show.
-    pair = full_pair(sl2())
-    c = (Fraction(0), Fraction(1, 2), Fraction(-3))
-    monkeypatch.setattr(AlgebraSubspace, "is_ideal", lambda self: (0, c))
-    record = verify_splitting(pair, "sl2")
+    monkeypatch.setattr(tensoralg.verify, "kappa_maps", grown)
+    record = verify_splitting(pair, "mutant")
     assert record.failed_assertion
-    table = dict(construct_tensor(pair).algebra.brackets)
-    expected = dense_bracket(3, table, (1, 0, 0), c)
-    assert any(expected)
-    assert record.witness == "(" + ", ".join(str(a) for a in expected) + ")"
+    assert record.dims == dims
+    assert record.witness == witness
 
 
 def test_projection_that_keeps_the_relations_is_refused(monkeypatch):
@@ -449,18 +451,38 @@ def test_verify_pair_runs_no_jacobi_sweep(selector, monkeypatch):
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())
-def test_verify_pair_checks_one_ideal(selector, monkeypatch):
+def test_verify_pair_checks_no_ideal(selector, monkeypatch):
     pair, other = resolve_selector(selector), full_pair(heisenberg1())
     checked = []
     real = AlgebraSubspace.is_ideal
     monkeypatch.setattr(AlgebraSubspace, "is_ideal", lambda self: checked.append(self.parent) or real(self))
-    verify_pair(pair, selector)
     # [N, L], [L, L] and the ideals of the pairs derived from a checked pair are
-    # ideals by theorem; the one check is verify_splitting's, on its complement
-    assert checked == [construct_tensor(pair).algebra]
-    checked.clear()
+    # ideals by theorem, and verify_splitting decides by dimension
+    verify_pair(pair, selector)
     verify_kunneth(pair, other, selector, "h1")
     assert checked == []
+
+
+def _recorded_derivations(monkeypatch):
+    """The tensors and derived maps the verifier builds from here on, in two lists."""
+    tensors, maps = [], []
+    real_construct, real_maps = tensoralg.verify.construct_tensor, tensoralg.verify.kappa_maps
+    monkeypatch.setattr(tensoralg.verify, "construct_tensor", lambda p: tensors.append(real_construct(p)) or tensors[-1])
+    monkeypatch.setattr(tensoralg.verify, "kappa_maps", lambda t: maps.append(real_maps(t)) or maps[-1])
+    return tensors, maps
+
+
+@pytest.mark.parametrize("selector", catalog_selectors())
+def test_verify_splitting_builds_no_bracket_table(selector, monkeypatch):
+    # [T, T] is read off the collapse maps, so neither the tensor's bracket
+    # nor the exterior product's is built.
+    tensors, maps = _recorded_derivations(monkeypatch)
+    record = verify_splitting(resolve_selector(selector), selector)
+    assert record.status == "pass"
+    assert len(tensors) == len(maps) == 1
+    # a table built on first read is cached under its name
+    assert "algebra" not in vars(tensors[0])
+    assert "exterior" not in vars(maps[0])
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())
@@ -506,10 +528,7 @@ KUNNETH_SUMMANDS = ("builtin:pair_full(nonabelian2)", "builtin:pair_full(abelian
 def test_verify_kunneth_builds_no_bracket_table(left, right, monkeypatch):
     # The records read dimensions of the diagonal, of j2 and of the multiplier,
     # none of which needs the bracket of the tensor or of the exterior product.
-    tensors, maps = [], []
-    real_construct, real_maps = tensoralg.verify.construct_tensor, tensoralg.verify.kappa_maps
-    monkeypatch.setattr(tensoralg.verify, "construct_tensor", lambda p: tensors.append(real_construct(p)) or tensors[-1])
-    monkeypatch.setattr(tensoralg.verify, "kappa_maps", lambda t: maps.append(real_maps(t)) or maps[-1])
+    tensors, maps = _recorded_derivations(monkeypatch)
     records = verify_kunneth(resolve_selector(left), resolve_selector(right), left, right)
     assert not [r for r in records if r.failed_assertion]
     assert tensors and len(maps) == len(tensors)
@@ -548,3 +567,29 @@ def test_derived_pair_document_verifies_with_exit_0(name, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(serialize(doc), encoding="utf-8")
     assert main(["verify", str(path)]) == 0
+
+
+def test_quotient_diagonal_exceeds_the_item_4_closed_form():
+    # ROADMAP item 4's closed form for the quotient diagonal,
+    # gamma(dim N/(N meet [L, L])), fails on this catalog pair.  L = h1 + Q on
+    # x, y, z, a and N = span(z, a) meet [L, L] = span(z) in span(z), so the
+    # form gives gamma(1) = 1.  [N, L] = 0, so the quotient pair is the pair.
+    # (R1) kills z (x) n = [x, y] (x) n, but not a (x) z.
+    pair = resolve_selector("builtin:pair_direct_sum(pair_center(heisenberg(1)),pair_full(abelian(1)))")
+    n, derived = pair.ideal.space, pair.algebra.derived_algebra.space
+    meet = n.dim + derived.dim - Subspace.from_vectors(pair.left_dim, [*n.basis, *derived.basis]).dim
+    assert gamma_dim(n.dim - meet) == 1
+    record = verify_diagonal_descent(pair, "z+a1")
+    assert record.status == "pass"
+    assert record.dims["quotient-diagonal"] == 2
+    # The lower bound: l (x) n -> (l mod [L, L]) (x) n into L^ab (x) N kills
+    # (R1) and (R2), and sends a (x) a and a (x) z to independent vectors.
+    proj, _ = quotient_maps(pair.left_dim, derived)
+    q = pair.right_dim
+    symbol = LinearMap.from_columns(
+        proj.codomain_dim * q,
+        [{k * q + a: c for k, c in proj.column_entries(i)} for i in range(pair.left_dim) for a in range(q)],
+    )
+    t = construct_tensor(pair)
+    assert symbol.kills(t.relations)
+    assert symbol.compose(t.section).image_of(diagonal(t)).dim == 2

@@ -48,8 +48,8 @@ does not give; kappa_maps checks it, and the diagonal is then central.
 construct_tensor builds the relations, the projection and the section, and
 kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
 tables, NonabelianTensor.algebra and DerivedMaps.exterior, are built on first
-read, so a caller that reads only dimensions and subspaces, as verify_kunneth
-and verify_splitting do, builds neither.  Both come, unchecked, from liealg._induced_algebra:
+read, so a caller that reads only dimensions and subspaces, as verify_pair
+and verify_kunneth do, builds neither.  Both come, unchecked, from liealg._induced_algebra:
 the tensor's projects beta of the section's representatives, a Lie bracket by
 (a) to (c); the exterior's projects the tensor's bracket of eps_section's
 representatives through eps, a quotient by the diagonal, a central ideal.

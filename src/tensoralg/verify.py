@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined
-from .liealg import LieAlgebra, center
-from .linalg import LinearMap, Subspace, kernel
+from .liealg import LieAlgebra
+from .linalg import LinearMap, Subspace, Vector, kernel
 from .pairs import (
     Pair,
     QuotientPair,
@@ -137,6 +137,18 @@ class _Derivation:
         left, right = (f.image().entries for f in self.pair.collapse_maps)
         return Subspace.from_vectors(t.dim, [t.class_entries([(u, w)]) for u in left for w in right])
 
+    def noncentral(self, space: Subspace, lift: LinearMap, read: LinearMap) -> Vector | None:
+        """The first basis vector x of space for which read does not kill the
+        class of lift(x) (x) w for some w in a basis of im rho, or None.
+
+        lift takes space into L; verify_diagram says why this tests centrality.
+        """
+        t, right = self.tensor, self.pair.collapse_maps[1].image().entries
+        for k, u in enumerate(lift._image(v).items() for v in space.entries):
+            if any(read._image(t.class_entries([(u, w)]).items()) for w in right):
+                return space.basis[k]
+        return None
+
     @cached_property
     def induced(self) -> tuple[QuotientPair, NonabelianTensor, LinearMap]:
         """The map of tensor products induced by quotienting the pair by [N, L].
@@ -185,17 +197,9 @@ def _shared_derivation(held: list[_Derivation], pair: Pair) -> _Derivation:
     return held[-1]
 
 
-def _containment_witness(container: Subspace, sub: Subspace) -> str | None:
-    for k, v in enumerate(sub.entries):
-        if not container.contains(dict(v)):
-            return _fmt_vector(sub.basis[k])
-    return None
-
-
-def _containment_record(pair_id, check, anchor, dims, container: Subspace, sub: Subspace) -> CheckRecord:
-    """Asserted: sub lies in container; the witness is the first basis vector outside it."""
-    witness = _containment_witness(container, sub)
-    return _record(pair_id, check, anchor, witness is None, True, dims, witness=witness)
+def _central_record(pair_id, check, anchor, dims, witness: Vector | None) -> CheckRecord:
+    """Asserted: a subspace is central; the witness is its first basis vector that is not."""
+    return _record(pair_id, check, anchor, witness is None, True, dims, witness=witness and _fmt_vector(witness))
 
 
 def _equality_record(pair_id, check, anchor, dims, left: tuple[str, Subspace], right: tuple[str, Subspace]):
@@ -216,16 +220,25 @@ def _sum_record(pair_id, check, anchor, asserted, sizes: tuple[int, int, int], c
 
 
 def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
-    """Centrality and image checks tying together all derived objects."""
+    """Centrality and image checks tying together all derived objects.
+
+    Centrality is read off the collapse maps, with no bracket table.  With s
+    the section, [x, y] = -proj(lam(s x) (x) rho(s y)) (the tensor module
+    docstring), and rho(s y) runs over im rho as y runs over T because rho
+    kills the relations.  So x in T is central exactly when lam(s x) (x) w has
+    class 0 for every w in a basis of im rho.  The exterior product's bracket
+    is the tensor's read through eps, so a class of it is central exactly when
+    eps kills those classes for its representative x under eps_section.
+    """
     d = _derive(pair)
     t, maps = d.tensor, d.maps
     box = maps.square
-    t_center = center(t.algebra).space
     comm = d.pair.relative_commutator.space
+    lam, identity = d.pair.collapse_maps[0].compose(t.section), t.projection.compose(t.section)
     dims = {
         "tensor": t.dim,
         "diagonal": box.dim,
-        "exterior": maps.exterior.dim,
+        "exterior": maps.eps.codomain_dim,
         "j2": maps.j2.dim,
         "multiplier": maps.multiplier.dim,
         "commutator": comm.dim,
@@ -235,9 +248,10 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
             pair_id, "exterior-kernel-is-diagonal", "tensor-to-exterior-kernel", dims,
             ("kernel", kernel(maps.eps)), ("diagonal", box),
         ),
-        _containment_record(pair_id, "diagonal-is-central", "diagonal-centrality", dims, t_center, box),
-        _containment_record(
-            pair_id, "evaluation-kernel-is-central", "evaluation-kernel-centrality", dims, t_center, maps.j2
+        _central_record(pair_id, "diagonal-is-central", "diagonal-centrality", dims, d.noncentral(box, lam, identity)),
+        _central_record(
+            pair_id, "evaluation-kernel-is-central", "evaluation-kernel-centrality", dims,
+            d.noncentral(maps.j2, lam, identity),
         ),
         _equality_record(
             pair_id, "evaluation-image-is-commutator", "evaluation-image", dims,
@@ -247,9 +261,9 @@ def verify_diagram(pair: Pair, pair_id: str = "pair") -> list[CheckRecord]:
             pair_id, "exterior-evaluation-image-is-commutator", "exterior-evaluation-image", dims,
             ("image", maps.kappa_prime.image()), ("commutator", comm),
         ),
-        _containment_record(
+        _central_record(
             pair_id, "multiplier-is-central-in-exterior", "multiplier-centrality", dims,
-            center(maps.exterior).space, maps.multiplier,
+            d.noncentral(maps.multiplier, lam.compose(maps.eps_section), maps.eps),
         ),
         _record(
             pair_id, "kernel-dimensions-split", "kernel-dimension-identity",

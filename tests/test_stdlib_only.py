@@ -10,7 +10,9 @@ construct a trusted type positionally are a pinned list, and so are the
 names `__init__.py` exports.  No module calls json.dump or json.dumps:
 `catalog._json_text` renders every JSON output.  No private function has a
 defaulted parameter that every call leaves at its default.  Outside `linalg`,
-no module reads a subspace's Gauss-Jordan rows or calls `.echelon()`.
+no module reads a subspace's Gauss-Jordan rows or calls `.echelon()`.  Only
+`catalog.pair_center` calls `center`, and no module reads an `exterior`
+attribute.
 """
 
 from __future__ import annotations
@@ -120,31 +122,37 @@ def test_a_json_dumps_call_is_found():
 ROW_SITES_ALLOWED = []
 
 
-def _row_sites(source: str, module: str) -> list[tuple[str, int, str]]:
-    """(module.qualname, line, read) for every attribute read of rows or _rows
-    and every .echelon() call, sorted."""
+def _sites(source: str, module: str, label) -> list[tuple[str, int, str]]:
+    """(module.qualname, line, label(node)) for every node that label names, sorted."""
     found = []
 
     def visit(node, scope: tuple[str, ...]):
         for child in ast.iter_child_nodes(node):
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             inner = scope + (child.name,) if named else scope
-            where = ".".join((module,) + inner)
-            if isinstance(child, ast.Attribute) and child.attr in ("rows", "_rows"):
-                found.append((where, child.lineno, child.attr))
-            elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "echelon":
-                found.append((where, child.lineno, "echelon()"))
+            read = label(child)
+            if read is not None:
+                found.append((".".join((module,) + inner), child.lineno, read))
             visit(child, inner)
 
     visit(ast.parse(source, filename=f"{module}.py"), ())
     return sorted(found)
 
 
+def _row_read(node) -> str | None:
+    """The attribute name for a read of rows or _rows, echelon() for a call of .echelon()."""
+    if isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows"):
+        return node.attr
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "echelon":
+        return "echelon()"
+    return None
+
+
 def test_only_linalg_reads_gauss_jordan_rows():
     found = []
     for path in SOURCES:
         if path.name != "linalg.py":
-            found += _row_sites(path.read_text(encoding="utf-8"), path.stem)
+            found += _sites(path.read_text(encoding="utf-8"), path.stem, _row_read)
     assert [(where, read) for where, _, read in found] == ROW_SITES_ALLOWED
 
 
@@ -154,8 +162,45 @@ def test_a_row_read_is_found():
         "class Map:\n    def push(self, space):\n        return [self.f(r) for r in space._rows.values()]\n"
         "def fine(rows, space):\n    rows = space.entries\n    return ActionData.from_rows(1, 1, rows), echelon()\n"
     )
-    assert _row_sites(source, "example") == [
+    assert _sites(source, "example", _row_read) == [
         ("example.Map.push", 6, "_rows"), ("example.grow", 2, "echelon()"), ("example.grow", 3, "rows"),
+    ]
+
+
+# verify_pair reads centrality and [T, T] off the collapse maps, with no
+# bracket table.  A centre is computed only to build the centre pair, and no
+# module reads the exterior product's table, DerivedMaps.exterior, which is
+# kept for callers outside the package.
+TABLE_SITES_ALLOWED = [("catalog.pair_center", "center()")]
+
+
+def _table_read(node) -> str | None:
+    """center() for a call of center, by name or as an attribute; exterior for a read of an exterior attribute."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "center":
+            return "center()"
+    if isinstance(node, ast.Attribute) and node.attr == "exterior":
+        return "exterior"
+    return None
+
+
+def test_table_reads_are_the_reviewed_sites():
+    found = []
+    for path in SOURCES:
+        found += _sites(path.read_text(encoding="utf-8"), path.stem, _table_read)
+    assert [(where, read) for where, _, read in found] == TABLE_SITES_ALLOWED
+
+
+def test_a_table_read_is_found():
+    source = (
+        "from .liealg import center\ndef pair_center(a):\n    return center(a)\n"
+        "class Report:\n    def size(self, maps):\n        return maps.exterior.dim + liealg.center(maps.tensor.algebra).dim\n"
+        "def fine(exterior, centre):\n    return exterior, centre.center, center\n"
+    )
+    assert _sites(source, "example", _table_read) == [
+        ("example.Report.size", 6, "center()"), ("example.Report.size", 6, "exterior"),
+        ("example.pair_center", 3, "center()"),
     ]
 
 

@@ -32,6 +32,7 @@ from tensoralg.liealg import (
     LieAlgebra,
     _induced_algebra,
     abelianization,
+    center,
     direct_sum,
     validate_structure,
 )
@@ -715,14 +716,62 @@ def test_splitting_holds_on_a_derived_pair_without_the_complement_hypothesis():
     assert (record.status, record.flags) == ("pass", {"complement-hypothesis": False})
 
 
-# ROADMAP item 17: x (x) m + m (x) x = 0 in L (x) N for x in N and m in
-# [N, L] would make psi well defined with image the diagonal.  The lemma is
-# not proved yet; this is the evidence for it.
+# verify_diagram reads centrality off the collapse maps (the criterion is in
+# its docstring).  Here _Derivation.noncentral is compared with the centre of
+# the bracket table, in T and in the exterior product: the table centre must
+# pass, and a unit vector or a seeded rational combination must pass exactly
+# when the table centre holds it.
+
+
+def _rational_combination(rng, vectors):
+    acc = {}
+    for v in vectors:
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        for k, x in v.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return acc
 
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_factored_centre_agrees_with_the_bracket_table(name):
+    d = _Derivation(_differential_pair(name, "centre"))
+    t, maps = d.tensor, d.maps
+    lam = d.pair.collapse_maps[0].compose(t.section)
+    rng = random.Random(f"centre/{name}")
+    for table, lift, read in (
+        (t.algebra, lam, t.projection.compose(t.section)),
+        (maps.exterior, lam.compose(maps.eps_section), maps.eps),
+    ):
+        centre = center(table).space
+        assert d.noncentral(centre, lift, read) is None
+        units = [{k: 1} for k in range(table.dim)]
+        central = [dict(v) for v in centre.entries]
+        # combinations of everything, and of the centre with one unit vector
+        vectors = units + [_rational_combination(rng, units) for _ in range(3)]
+        vectors += [_rational_combination(rng, central + [rng.choice(units)]) for _ in range(2) if units]
+        for v in vectors:
+            line = Subspace.from_vectors(table.dim, [v])
+            assert (d.noncentral(line, lift, read) is None) == centre.contains_subspace(line)
+
+
+# ROADMAP item 17: x (x) m + m (x) x = 0 in L (x) N for x in N and m in
+# [N, L] makes psi well defined with image the diagonal.  The gamma module
+# docstring proves it for the inner actions from (R1) and (R2); supplied
+# actions are not covered by that proof, and the zero-action pairs here are
+# evidence for them.
+ZERO_ACTION_IDEALS = {
+    f"{kind}({name}), zero actions": partial(make_pair, algebra, space.basis)
+    for name, algebra in {"heisenberg(1)": heisenberg(1), "sl2": sl2(), **IDEAL_ALGEBRAS}.items()
+    for kind, space in ideals(algebra).items()
+}
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors(), *ZERO_ACTION_IDEALS])
 def test_ideal_symbols_anticommute_with_the_relative_commutator(name):
-    pair = _differential_pair(name, "anticommute")
+    if name in ZERO_ACTION_IDEALS:
+        pair = _zero_actions(_permuted(ZERO_ACTION_IDEALS[name](), random.Random(f"anticommute/{name}")))
+    else:
+        pair = _differential_pair(name, "anticommute")
     t, inclusion = construct_tensor(pair), pair.inclusion
     for m in pair.relative_commutator_in_ideal.entries:
         m_ambient = inclusion.apply_entries(dict(m)).items()

@@ -303,10 +303,6 @@ def _zero_kernel(linear_map):
     return Subspace.zero(linear_map.domain_dim)
 
 
-def _zero_center(algebra):
-    return AlgebraSubspace(algebra, Subspace.zero(algebra.dim))
-
-
 def _zero_commutator(pair):
     return AlgebraSubspace(pair.algebra, Subspace.zero(pair.left_dim))
 
@@ -318,17 +314,12 @@ def _zero_commutator(pair):
             "exterior-kernel-is-diagonal": "kernel dim 0 vs diagonal dim 3",
             "projection-kernel-is-mixed-commutator-span": "kernel dim 0 vs mixed span dim 2",
         }),
-        (tensoralg.verify, "center", _zero_center, {
-            "diagonal-is-central": "(1, 0, 0, 0, 0, 0)",
-            "evaluation-kernel-is-central": "(1, 0, 0, 0, 0, 0)",
-            "multiplier-is-central-in-exterior": "(0, 1, 0)",
-        }),
         (Pair, "relative_commutator", property(_zero_commutator), {
             "evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
             "exterior-evaluation-image-is-commutator": "image dim 1 vs commutator dim 0",
         }),
     ],
-    ids=["kernel", "center", "relative_commutator"],
+    ids=["kernel", "relative_commutator"],
 )
 def test_broken_subspace_gives_the_pinned_witness(owner, name, zero, witnesses, monkeypatch):
     # every equality and containment record names what it compared when it fails
@@ -336,6 +327,28 @@ def test_broken_subspace_gives_the_pinned_witness(owner, name, zero, witnesses, 
     report = verify_pair(full_pair(heisenberg1()), "h1")
     failed = {r.check: r.witness for r in report.records if r.failed_assertion}
     assert failed == witnesses
+
+
+CENTRALITY_CHECKS = ("diagonal-is-central", "evaluation-kernel-is-central", "multiplier-is-central-in-exterior")
+
+
+def _full_spaces(t):
+    """The real derived maps, with the diagonal, j2 and the multiplier taken for the full spaces."""
+    maps = kappa_maps(t)
+    return dataclasses.replace(
+        maps, square=Subspace.full(t.dim), j2=Subspace.full(t.dim), multiplier=Subspace.full(maps.eps.codomain_dim)
+    )
+
+
+def test_noncentral_spaces_give_the_pinned_witness(monkeypatch):
+    # sl2 (x) sl2 is sl2 and its diagonal is 0, so the exterior product is sl2
+    # too; both have centre 0, and each centrality record fails at the first
+    # basis vector of the full space.  Other records fail under this fault
+    # too; only the centrality witnesses are pinned here.
+    monkeypatch.setattr(tensoralg.verify, "kappa_maps", _full_spaces)
+    report = verify_pair(full_pair(sl2()), "sl2")
+    failed = {r.check: r.witness for r in report.records if r.failed_assertion}
+    assert {check: failed.get(check) for check in CENTRALITY_CHECKS} == dict.fromkeys(CENTRALITY_CHECKS, "(1, 0, 0)")
 
 
 @pytest.mark.parametrize(
@@ -473,16 +486,25 @@ def _recorded_derivations(monkeypatch):
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())
-def test_verify_splitting_builds_no_bracket_table(selector, monkeypatch):
-    # [T, T] is read off the collapse maps, so neither the tensor's bracket
-    # nor the exterior product's is built.
+def test_verify_pair_builds_no_bracket_table(selector, monkeypatch):
+    # [T, T] and the centrality records are read off the collapse maps, so
+    # neither the tensor's bracket nor the exterior product's is built, and
+    # no centre is computed (pair_center computes one, before verify_pair).
+    pair = resolve_selector(selector)
     tensors, maps = _recorded_derivations(monkeypatch)
-    record = verify_splitting(resolve_selector(selector), selector)
-    assert record.status == "pass"
-    assert len(tensors) == len(maps) == 1
+    centres = []
+    real = tensoralg.liealg.center
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tensoralg") and getattr(module, "center", None) is real:
+            monkeypatch.setattr(module, "center", lambda a: centres.append(a) or real(a))
+    report = verify_pair(pair, selector)
+    assert report.ok
+    # the pair's tensor and its quotient pair's; maps for the pair's alone
+    assert len(tensors) == 2 and len(maps) == 1
     # a table built on first read is cached under its name
-    assert "algebra" not in vars(tensors[0])
+    assert [t for t in tensors if "algebra" in vars(t)] == []
     assert "exterior" not in vars(maps[0])
+    assert centres == []
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())

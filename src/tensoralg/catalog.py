@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
 from .pairs import Pair, _inner_pair, direct_sum_pair, make_pair, pair_full
-from .verify import VerificationReport
+
+if TYPE_CHECKING:  # read only in an annotation; a document reader loads no verifier
+    from .verify import VerificationReport
 
 
 class DocumentError(ValueError):

@@ -19,26 +19,19 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .catalog import (
-    DocumentError,
-    SelectorError,
-    _document_plan,
-    _json_text,
-    _Plan,
-    _selector_plan,
-    catalog_selectors,
-    resolve_selector,
-    serialize_report,
-)
 from .liealg import NotAnIdealError, StructureError
-from .linalg import LinalgError
+from .linalg import LinalgError, _fmt_vector
 from .pairs import Pair
 from .tensor import TensorConstructionError, construct_tensor, kappa_maps
-from .verify import VerificationReport, _fmt_vector, _selected_checks, verify_kunneth, verify_pair
+
+if TYPE_CHECKING:
+    from .catalog import _Plan
+    from .verify import VerificationReport
 
 _DEFAULT_CAP = 8
 
@@ -47,14 +40,24 @@ class _UsageError(RuntimeError):
     """A refusal that exits with code 2: a dimension over the cap, or unwritable output."""
 
 
+@functools.cache
+def _layer(name: str):
+    """The package's module `name`, imported on the first call.
+
+    The document layer and the verifier load through here, so importing this
+    module loads neither, and `tensor` loads no verifier.  The module is held,
+    not its functions, so each read finds a function as its module holds it."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _check_cap(dim: int, what: str) -> None:
     raw = os.environ.get("TENSORALG_MAX_DIM", str(_DEFAULT_CAP))
     try:
         cap = int(raw)
     except ValueError:
-        raise SelectorError(f"TENSORALG_MAX_DIM is not an integer: {raw!r}") from None
+        raise _layer("catalog").SelectorError(f"TENSORALG_MAX_DIM is not an integer: {raw!r}") from None
     if cap < 0:
-        raise SelectorError(f"TENSORALG_MAX_DIM is negative: {raw!r}")
+        raise _layer("catalog").SelectorError(f"TENSORALG_MAX_DIM is negative: {raw!r}")
     if dim > cap:
         raise _UsageError(
             f"{what} dimension {dim} exceeds the cap {cap}; raise TENSORALG_MAX_DIM to allow it"
@@ -65,9 +68,10 @@ def _checked_dim(target: str, need_pair: bool) -> _Plan:
     """Read what a target names without building it; refuse a pair or an algebra over the cap.
 
     The plan it returns builds the target from what was read here."""
-    plan = _selector_plan(target) if target.startswith("builtin:") else _document_plan(target)
+    catalog = _layer("catalog")
+    plan = catalog._selector_plan(target) if target.startswith("builtin:") else catalog._document_plan(target)
     if need_pair and plan.kind is not Pair:
-        raise SelectorError(f"{target} names an algebra; this command needs a pair")
+        raise catalog.SelectorError(f"{target} names an algebra; this command needs a pair")
     _check_cap(plan.dim, "pair" if plan.kind is Pair else "algebra")
     return plan
 
@@ -116,17 +120,18 @@ def _symbol_names(pair: Pair, tensor) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
+    catalog = _layer("catalog")
     obj = _checked_dim(args.target, need_pair=False).build()
     if isinstance(obj, Pair):
         if args.machine:
             payload = {"kind": "pair", "algebra-dim": obj.left_dim, "ideal-dim": obj.right_dim}
-            _emit(_json_text(payload), args.out)
+            _emit(catalog._json_text(payload), args.out)
         else:
             _emit(f"pair ok: algebra dim {obj.left_dim}, ideal dim {obj.right_dim}\n", args.out)
     else:
         if args.machine:
             payload = {"kind": "algebra", "dim": obj.dim, "brackets": len(obj._brackets)}
-            _emit(_json_text(payload), args.out)
+            _emit(catalog._json_text(payload), args.out)
         else:
             count = len(obj._brackets)
             _emit(f"algebra ok: dim {obj.dim}, {count} bracket entr{'y' if count == 1 else 'ies'}\n", args.out)
@@ -152,7 +157,7 @@ def _cmd_tensor(args) -> int:
                 for (i, j), v in t.algebra.brackets
             },
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_layer("catalog")._json_text(payload), args.out)
         return 0
     lines = [f"tensor product: dim {t.dim}"]
     for k, name in enumerate(names):
@@ -183,39 +188,41 @@ def _theorem_list(raw: str | None) -> Sequence[str] | None:
         return None
     names = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        _selected_checks(names)
+        _layer("verify")._selected_checks(names)
     except ValueError as e:
-        raise SelectorError(str(e)) from None
+        raise _layer("catalog").SelectorError(str(e)) from None
     return names
 
 
 def _finish_report(report: VerificationReport, args) -> int:
-    _emit(serialize_report(report, machine=args.machine), args.out)
+    _emit(_layer("catalog").serialize_report(report, machine=args.machine), args.out)
     return 1 if report.asserted_failures() else 0
 
 
 def _cmd_verify(args) -> int:
     checks = _theorem_list(args.theorems)
     pair = _load_pair(args.target)
-    return _finish_report(verify_pair(pair, pair_id=args.target, checks=checks), args)
+    return _finish_report(_layer("verify").verify_pair(pair, pair_id=args.target, checks=checks), args)
 
 
 def _cmd_kunneth(args) -> int:
+    verify = _layer("verify")
     plans = [_checked_dim(target, need_pair=True) for target in (args.left, args.right)]
     _check_cap(sum(plan.dim for plan in plans), "direct sum")
     pair_a, pair_b = (plan.build() for plan in plans)
-    records = verify_kunneth(pair_a, pair_b, args.left, args.right)
-    return _finish_report(VerificationReport(tuple(records)), args)
+    records = verify.verify_kunneth(pair_a, pair_b, args.left, args.right)
+    return _finish_report(verify.VerificationReport(tuple(records)), args)
 
 
 def _cmd_catalog(args) -> int:
+    catalog = _layer("catalog")
     rows = []
-    for selector in catalog_selectors():
-        pair = resolve_selector(selector)
+    for selector in catalog.catalog_selectors():
+        pair = catalog.resolve_selector(selector)
         rows.append((selector, pair.left_dim, pair.right_dim))
     if args.machine:
         payload = [{"selector": s, "algebra-dim": l, "ideal-dim": r} for s, l, r in rows]
-        _emit(_json_text(payload), args.out)
+        _emit(catalog._json_text(payload), args.out)
     else:
         lines = [f"{s}\talgebra dim {l}\tideal dim {r}" for s, l, r in rows]
         _emit("\n".join(lines) + "\n", args.out)
@@ -265,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    catalog = _layer("catalog")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -272,10 +280,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, SelectorError) as e:
+    except (_UsageError, catalog.SelectorError) as e:
         print(f"tensoralg: {e}", file=sys.stderr)
         return 2
-    except DocumentError as e:
+    except catalog.DocumentError as e:
         print(f"tensoralg: {e}", file=sys.stderr)
         return 1
     except StructureError as e:

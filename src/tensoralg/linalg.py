@@ -119,6 +119,10 @@ def from_support(entries: Support, width: int) -> Vector:
     return tuple(out)
 
 
+def _fmt_vector(v: Sequence) -> str:
+    return "(" + ", ".join(str(c) for c in v) + ")"
+
+
 def _entries(v, width: int) -> dict[int, Exact]:
     """The nonzero entries of v, given as width scalars or as a mapping from index to scalar.
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined
 from .liealg import LieAlgebra
-from .linalg import LinearMap, Subspace, Vector, kernel
+from .linalg import LinearMap, Subspace, Vector, _fmt_vector, kernel
 from .pairs import (
     Pair,
     QuotientPair,
@@ -92,10 +92,6 @@ def _record(pair_id, check, anchor, ok, asserted, dims, flags=None, witness=None
     )
 
 
-def _fmt_vector(v: Sequence) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
-
-
 class _Derivation:
     """One pair's derived objects, each built on first use; lives for one call."""
 
@@ -126,6 +122,12 @@ class _Derivation:
         return Subspace.from_vectors(tensor.dim, gens)
 
     @cached_property
+    def collapse_images(self) -> tuple[Subspace, Subspace]:
+        """im lam in L and im rho in N, each from one elimination."""
+        left, right = self.pair.collapse_maps
+        return left.image(), right.image()
+
+    @cached_property
     def derived(self) -> Subspace:
         """[T, T], read with no bracket table.
 
@@ -134,7 +136,7 @@ class _Derivation:
         u over a basis of im lam and w over a basis of im rho.
         """
         t = self.tensor
-        left, right = (f.image().entries for f in self.pair.collapse_maps)
+        left, right = (image.entries for image in self.collapse_images)
         return Subspace.from_vectors(t.dim, [t.class_entries([(u, w)]) for u in left for w in right])
 
     def noncentral(self, space: Subspace, lift: LinearMap, read: LinearMap) -> Vector | None:
@@ -143,7 +145,7 @@ class _Derivation:
 
         lift takes space into L; verify_diagram says why this tests centrality.
         """
-        t, right = self.tensor, self.pair.collapse_maps[1].image().entries
+        t, right = self.tensor, self.collapse_images[1].entries
         for k, u in enumerate(lift._image(v).items() for v in space.entries):
             if any(read._image(t.class_entries([(u, w)]).items()) for w in right):
                 return space.basis[k]

@@ -9,11 +9,15 @@ are gated on `bench/expected_cli.json`.  Nothing under `bench/` is modified.
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tensoralg.catalog  # every layer the tracer wraps is loaded before its snapshot
 import tensoralg.cli
 import tensoralg.verify
 
@@ -96,3 +100,41 @@ def test_tracer_round_trip_and_cli_pass(workload, constructions, tmp_path):
     assert reductions and all(set(sizes) == {"rows_in", "rank_out"} for sizes in reductions)
     assert any(sizes["rank_out"] > 0 for sizes in reductions)
     assert any(name == "linalg.kernel" for name, *_ in tracer.spans)
+
+
+# In a fresh interpreter the package has read none of its lazily loaded names
+# yet; the layers themselves are loaded, so the tracer wraps their functions.
+_LEAK_PROBE = """
+import json, sys
+import tracer
+import tensoralg, tensoralg.catalog, tensoralg.verify
+names = ("verify_pair", "load_path")
+assert not any(name in vars(tensoralg) for name in names)
+t = tracer.Tracer()
+t.install()
+try:
+    during = [getattr(tensoralg, name) for name in names]
+finally:
+    t.uninstall()
+homes = [tensoralg.verify.verify_pair, tensoralg.catalog.load_path]
+print(json.dumps({
+    "wrapped while installed": [hasattr(f, "__wrapped__") for f in during],
+    "shipped after uninstall": [getattr(tensoralg, name) is f for name, f in zip(names, homes)],
+    "unwrapped homes": [not hasattr(f, "__wrapped__") for f in homes],
+}))
+"""
+
+
+def test_a_tracer_does_not_leak_into_the_package():
+    # The package resolves these names on each read and stores none, so a
+    # first read under the tracer cannot keep its wrapper once it is gone.
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(BENCH)]))
+    done = subprocess.run([sys.executable, "-c", _LEAK_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "wrapped while installed": [True, True],
+        "shipped after uninstall": [True, True],
+        "unwrapped homes": [True, True],
+    }

@@ -4,8 +4,9 @@ and nothing it does not use.
 Every import in `src/tensoralg` must be relative (a module of the package) or
 name a top-level module listed in `sys.stdlib_module_names`; the source is
 parsed, not imported, so an import inside a function or a branch counts too.
-Every name a top-level import binds must be read somewhere in its module,
-except in `__init__.py`, which imports to re-export.  The functions that
+Every name an import binds must be read in its scope, the function around
+the import or else the module, except in `__init__.py`, which imports to
+re-export.  The functions that
 construct a trusted type positionally are a pinned list, and so are the
 names `__init__.py` exports.  No module calls json.dump or json.dumps:
 `catalog._json_text` renders every JSON output.  No private function has a
@@ -55,16 +56,30 @@ def test_an_outside_import_is_found():
 
 
 def _unused_imports(source: str, filename: str) -> list[tuple[int, str]]:
-    """(line, name) for every name a top-level import binds that the module never reads."""
-    tree = ast.parse(source, filename=filename)
-    bound = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound.extend((node.lineno, (alias.asname or alias.name).partition(".")[0]) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound.extend((node.lineno, alias.asname or alias.name) for alias in node.names)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name in bound if name not in read]
+    """(line, name) for every name an import binds that its scope never reads, sorted.
+
+    The scope of an import is the innermost function around it, else the module."""
+    found = []
+
+    def bind(node, bound: list):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(child)
+            elif isinstance(child, ast.Import):
+                bound.extend((child.lineno, (alias.asname or alias.name).partition(".")[0]) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                bound.extend((child.lineno, alias.asname or alias.name) for alias in child.names)
+            else:
+                bind(child, bound)
+
+    def check(scope):
+        bound: list = []
+        bind(scope, bound)
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        found.extend((line, name) for line, name in bound if name not in read)
+
+    check(ast.parse(source, filename=filename))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
@@ -78,6 +93,19 @@ def test_an_unused_import_is_found():
         "from .linalg import Vector, kernel as k\nx: Vector = json.loads('1')\n"
     )
     assert _unused_imports(source, "example.py") == [(2, "os"), (4, "k")]
+
+
+def test_an_unused_function_level_import_is_found():
+    # A name a function imports must be read in that function; a read
+    # elsewhere in the module does not count.
+    source = (
+        "def f():\n    from .catalog import SelectorError, _json_text\n    return _json_text(1)\n"
+        "def g(x):\n    if x:\n        import json\n    def inner():\n        return json.loads(x)\n    return inner\n"
+        "def h():\n    from .verify import verify_pair\n    return 1\n"
+        "verify_pair = SelectorError = None\n"
+        "class C:\n    def m(self):\n        try:\n            import os.path\n        finally:\n            pass\n"
+    )
+    assert _unused_imports(source, "example.py") == [(2, "SelectorError"), (11, "verify_pair"), (17, "os")]
 
 
 def _json_dump_calls(source: str, filename: str) -> list[tuple[int, str]]:

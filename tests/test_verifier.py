@@ -497,6 +497,9 @@ def test_verify_pair_builds_no_bracket_table(selector, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("tensoralg") and getattr(module, "center", None) is real:
             monkeypatch.setattr(module, "center", lambda a: centres.append(a) or real(a))
+    imaged = []
+    real_image = LinearMap.image
+    monkeypatch.setattr(LinearMap, "image", lambda f: imaged.append(f) or real_image(f))
     report = verify_pair(pair, selector)
     assert report.ok
     # the pair's tensor and its quotient pair's; maps for the pair's alone
@@ -505,6 +508,8 @@ def test_verify_pair_builds_no_bracket_table(selector, monkeypatch):
     assert [t for t in tensors if "algebra" in vars(t)] == []
     assert "exterior" not in vars(maps[0])
     assert centres == []
+    # [T, T] and the three centrality records share one image of each collapse
+    assert [sum(f is g for f in imaged) for g in pair.collapse_maps] == [1, 1]
 
 
 @pytest.mark.parametrize("selector", catalog_selectors())

@@ -5,7 +5,8 @@ of that quotient is the symmetric square, of dimension d(d+1)/2, with basis
 labelled by pairs (a, b) with a <= b.  The squaring map sends a square
 generator to the class of n (x) n in the tensor product, choosing coset
 representatives for the quotient basis; mixed generators go to the polarized
-value n (x) n' + n' (x) n.
+value n (x) n' + n' (x) n.  So psi is tensor._squares over the quotient
+representatives, GammaSpace.section, whose order of pairs it shares.
 
 Well-definedness means the squares do not depend on the choice of coset
 representative: shifting a representative n by a commutator m must move
@@ -25,11 +26,10 @@ Supplied actions are not covered by this proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .linalg import Exact, LinearMap, Subspace, Support, Vector, from_support, quotient_maps
+from .linalg import LinearMap, Subspace, Vector, from_support, quotient_maps
 from .pairs import Pair
-from .tensor import NonabelianTensor
+from .tensor import NonabelianTensor, _ideal_class, _squares
 
 
 def gamma_dim(d: int) -> int:
@@ -60,12 +60,6 @@ class GammaSpace:
         return len(self.pairs)
 
 
-def _ideal_class(tensor: NonabelianTensor, products: Sequence[tuple[Support, Support]]) -> dict[int, Exact]:
-    """The entries of the class of the sum of x (x) y over pairs of ideal vectors, given as supports."""
-    inclusion = tensor.pair.inclusion
-    return tensor.class_entries((inclusion._image(x).items(), y) for x, y in products)
-
-
 @dataclass(frozen=True)
 class PsiDefect:
     """A representative-dependence witness for the squaring map.
@@ -83,12 +77,7 @@ def psi_map(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace) -> LinearMa
     """The squaring map from the symmetric square of the pair's gamma space into tensor coordinates."""
     if tensor.pair != pair:
         raise ValueError("tensor was built from a different pair")
-    reps = [gamma.section.column_entries(k) for k in range(gamma.source_dim)]
-    columns = [
-        _ideal_class(tensor, [(reps[a], reps[b])] if a == b else [(reps[a], reps[b]), (reps[b], reps[a])])
-        for a, b in gamma.pairs
-    ]
-    return LinearMap.from_columns(tensor.dim, columns)
+    return LinearMap.from_columns(tensor.dim, _squares(tensor, gamma.section))
 
 
 def psi_welldefined(pair: Pair, tensor: NonabelianTensor, gamma: GammaSpace, image: Subspace) -> PsiDefect | None:

@@ -36,7 +36,7 @@ from .linalg import (
     Support,
     Vector,
     _entries,
-    _exact,
+    _sorted_entries,
     as_vector,
     from_support,
     kernel,
@@ -170,7 +170,7 @@ class LieAlgebra:
                 raise LinalgError("bracket index pair must satisfy 0 <= i < j < dim")
             entries = _entries(brackets[(i, j)], dim)
             if entries:
-                supports.append(((i, j), tuple(sorted(entries.items()))))
+                supports.append(((i, j), _sorted_entries(entries)))
         algebra = cls(dim, tuple(basis_names), tuple(supports))
         violation = algebra.jacobi_violation()
         if violation is not None:
@@ -318,11 +318,6 @@ def center(a: LieAlgebra) -> AlgebraSubspace:
         for i in range(a.dim)
     ]
     return AlgebraSubspace(a, kernel(LinearMap.from_columns(len(row_of), columns)))
-
-
-def _sorted_entries(v: Mapping[int, Exact]) -> Entries:
-    """The nonzero entries of a vector the engine built, in index order and internal form."""
-    return tuple(sorted((k, _exact(c)) for k, c in v.items()))
 
 
 def _induced_algebra(bracket: Callable[[Support, Support], Mapping[int, Exact]], read: LinearMap,

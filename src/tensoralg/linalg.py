@@ -119,6 +119,11 @@ def from_support(entries: Support, width: int) -> Vector:
     return tuple(out)
 
 
+def _sorted_entries(v: Mapping[int, Exact]) -> Entries:
+    """The nonzero entries of a vector the engine built, in index order and internal form."""
+    return tuple(sorted((k, _exact(c)) for k, c in v.items()))
+
+
 def _fmt_vector(v: Sequence) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
@@ -320,6 +325,17 @@ class Subspace:
         return all(self.contains(row) for row in other._rows.values())
 
 
+def _meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim of a meet b, as dim a + dim b - dim(a + b).
+
+    a + b is a's Gauss-Jordan rows grown by b's, in one elimination that
+    reduces only b's rows; the rows that stay independent number
+    dim(a + b) - dim a."""
+    joined = Echelon(a.ambient_dim)
+    joined.rows = dict(a._rows)
+    return b.dim - sum(joined.insert(row) for row in b._rows.values())
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map held by the supports of its columns.
@@ -395,7 +411,7 @@ class LinearMap:
                 columns.append(own[c[0][0]])
             else:
                 # a product of two Fractions may be integral, so each entry is put in its internal form
-                columns.append(tuple(sorted((r, _exact(x)) for r, x in self._image(c).items())))
+                columns.append(_sorted_entries(self._image(c)))
         return LinearMap(self.codomain_dim, tuple(columns))
 
     def image(self) -> Subspace:

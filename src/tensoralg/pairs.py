@@ -34,7 +34,6 @@ from .liealg import (
     _induced_algebra,
     _quotient,
     _require_ideal,
-    _sorted_entries,
     bracket_subspaces,
     direct_sum,
 )
@@ -47,6 +46,8 @@ from .linalg import (
     Support,
     Vector,
     _exact,
+    _meet_dim,
+    _sorted_entries,
     as_vector,
     from_support,
     subspace_maps,
@@ -397,9 +398,7 @@ def relative_abelianization_dim(pair: Pair) -> int:
 def pair_is_clean(pair: Pair) -> bool:
     """True when the intersection of N with [L,L] is exactly [N,L]: as [N,L] lies in N and
     in [L,L], that is dim N + dim [L,L] - dim(N + [L,L]) == dim [N,L]."""
-    n, derived = pair.ideal.space, pair.algebra.derived_algebra.space
-    total = Subspace.from_vectors(pair.left_dim, [dict(v) for v in n.entries + derived.entries])
-    return n.dim + derived.dim - total.dim == pair.relative_commutator.dim
+    return _meet_dim(pair.ideal.space, pair.algebra.derived_algebra.space) == pair.relative_commutator.dim
 
 
 def complement_condition(pair: Pair) -> bool:

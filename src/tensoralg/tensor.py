@@ -45,6 +45,14 @@ the kernels and images that go with them.  The exterior product and the
 evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
 does not give; kappa_maps checks it, and the diagonal is then central.
 
+Every product of ideal vectors is formed here, by three private functions
+that the diagonal, the squaring map of the gamma module and the verifier
+share: _ideal_class (the class of a sum of x (x) y, x lifted into L),
+_squares (the polarized squares of a family of representatives) and
+_induced_map (the map of tensor products induced by a morphism of pairs).
+The first two and kappa_maps are the only readers of the inclusion of N
+into L.
+
 construct_tensor builds the relations, the projection and the section, and
 kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
 tables, NonabelianTensor.algebra and DerivedMaps.exterior, are built on first
@@ -187,17 +195,12 @@ class NonabelianTensor:
         the one builder of derived tables, liealg._induced_algebra; by (a) to
         (c) of the module docstring it is a Lie bracket.
         """
-        left, right = (f._columns for f in self.pair.collapse_maps)
+        lam, rho = self.pair.collapse_maps
         q = self.pair.right_dim
 
         def beta(u: Support, v: Support) -> dict[int, Exact]:
             acc: dict[int, Exact] = {}
-            for s, c in u:
-                for i, x in left[s]:
-                    for t, d in v:
-                        for a, y in right[t]:
-                            k = i * q + a
-                            acc[k] = acc.get(k, 0) - c * d * x * y
+            _add_expansion(acc, [(i, -x) for i, x in lam._image(u).items()], rho._image(v).items(), q)
             return acc
 
         return _induced_algebra(beta, self.projection, self.section, "t")
@@ -224,22 +227,60 @@ def construct_tensor(pair: Pair) -> NonabelianTensor:
     return NonabelianTensor(pair, relations, proj, section)
 
 
+def _ideal_class(tensor: NonabelianTensor, products: Iterable[tuple[Support, Support]]) -> dict[int, Exact]:
+    """The entries of the class of the sum of x (x) y over pairs of ideal vectors,
+    given as supports in ideal coordinates; each x is lifted into L through the inclusion."""
+    inclusion = tensor.pair.inclusion
+    return tensor.class_entries((inclusion._image(x).items(), y) for x, y in products)
+
+
+def _squares(tensor: NonabelianTensor, reps: LinearMap) -> list[dict[int, Exact]]:
+    """The entries of the classes of r_a (x) r_a and of r_a (x) r_b + r_b (x) r_a
+    for a < b, r_k column k of reps in ideal coordinates.
+
+    They come in the order (0, 0), (0, 1), ..., (1, 1), ..., which is the
+    order of gamma.GammaSpace.pairs.  Each representative is lifted into L
+    once; a unit column of reps lifts to the inclusion's column as stored."""
+    lifted, cols = tensor.pair.inclusion.compose(reps)._columns, reps._columns
+    d = len(cols)
+    return [
+        tensor.class_entries([(lifted[a], cols[a])] if a == b else [(lifted[a], cols[b]), (lifted[b], cols[a])])
+        for a in range(d)
+        for b in range(a, d)
+    ]
+
+
+def _induced_map(source: NonabelianTensor, target: NonabelianTensor, f: LinearMap, g: LinearMap) -> LinearMap:
+    """The map of tensor products induced by a morphism of pairs, f on the algebras and g on the ideals.
+
+    Built symbol by symbol, as a map from the source's symbols: column
+    i * q + a is the class in target of f(l_i) (x) g(n_a).  The relations of
+    the source must die in the target for the map to make sense, and that is
+    checked on a basis, otherwise TensorConstructionError.  The induced map is
+    the symbol map after the source's section.
+    """
+    symbol_map = LinearMap.from_columns(
+        target.dim,
+        [
+            target.class_entries([(f.column_entries(i), g.column_entries(a))])
+            for i in range(source.pair.left_dim)
+            for a in range(source.pair.right_dim)
+        ],
+    )
+    if not symbol_map.kills(source.relations):
+        raise TensorConstructionError("projection does not kill the relations")
+    return symbol_map.compose(source.section)
+
+
 def diagonal(tensor: NonabelianTensor) -> Subspace:
     """The diagonal subspace, spanned by classes of n (x) n over the ideal.
 
     Polarization turns the quadratic family into a linear spanning set:
-    the squares n_a (x) n_a together with n_a (x) n_b + n_b (x) n_a.
+    _squares over the ideal's basis, the squares n_a (x) n_a together with
+    n_a (x) n_b + n_b (x) n_a.
     """
-    pair = tensor.pair
-    q = pair.right_dim
-    ambient = [pair.inclusion.column_entries(a) for a in range(q)]
-    gens = [tensor.class_entries([(ambient[a], ((a, 1),))]) for a in range(q)]
-    gens += [
-        tensor.class_entries([(ambient[a], ((b, 1),)), (ambient[b], ((a, 1),))])
-        for a in range(q)
-        for b in range(a + 1, q)
-    ]
-    return Subspace.from_vectors(tensor.dim, gens)
+    q = tensor.pair.right_dim
+    return Subspace.from_vectors(tensor.dim, _squares(tensor, LinearMap(q, tuple(((a, 1),) for a in range(q)))))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .gamma import GammaSpace, gamma_dim, psi_map, psi_welldefined
 from .liealg import LieAlgebra
-from .linalg import LinearMap, Subspace, Vector, _fmt_vector, kernel
+from .linalg import LinearMap, Subspace, Vector, _fmt_vector, _meet_dim, kernel
 from .pairs import (
     Pair,
     QuotientPair,
@@ -26,13 +26,7 @@ from .pairs import (
     quotient_pair,
     relative_abelianization_dim,
 )
-from .tensor import (
-    NonabelianTensor,
-    TensorConstructionError,
-    construct_tensor,
-    diagonal,
-    kappa_maps,
-)
+from .tensor import NonabelianTensor, _ideal_class, _induced_map, construct_tensor, diagonal, kappa_maps
 
 _STATUSES = ("pass", "fail", "not-applicable")
 
@@ -116,9 +110,8 @@ class _Derivation:
             for m in comm:
                 gens.append(tensor.class_entries([(((i, 1),), m)]))
         for m in comm:
-            amb = pair.inclusion._image(m).items()
             for a in range(pair.right_dim):
-                gens.append(tensor.class_entries([(amb, ((a, 1),))]))
+                gens.append(_ideal_class(tensor, [(m, ((a, 1),))]))
         return Subspace.from_vectors(tensor.dim, gens)
 
     @cached_property
@@ -153,28 +146,10 @@ class _Derivation:
 
     @cached_property
     def induced(self) -> tuple[QuotientPair, NonabelianTensor, LinearMap]:
-        """The map of tensor products induced by quotienting the pair by [N, L].
-
-        Built symbol by symbol, as a map from the source's symbols; the
-        relations of the source must die in the target for the map to make
-        sense, and that is checked on a basis.  The induced map is the symbol
-        map after the source's section.
-        """
-        pair, tensor = self.pair, self.tensor
-        qp = quotient_pair(pair)
+        """The map of tensor products induced by quotienting the pair by [N, L] (tensor._induced_map)."""
+        qp = quotient_pair(self.pair)
         tq = construct_tensor(qp.pair)
-        proj_l, proj_n = qp.proj_algebra.map, qp.proj_ideal.map
-        symbol_map = LinearMap.from_columns(
-            tq.dim,
-            [
-                tq.class_entries([(proj_l.column_entries(i), proj_n.column_entries(a))])
-                for i in range(pair.left_dim)
-                for a in range(pair.right_dim)
-            ],
-        )
-        if not symbol_map.kills(tensor.relations):
-            raise TensorConstructionError("projection does not kill the relations")
-        return qp, tq, symbol_map.compose(tensor.section)
+        return qp, tq, _induced_map(self.tensor, tq, qp.proj_algebra.map, qp.proj_ideal.map)
 
     @cached_property
     def quotient_diagonal(self) -> Subspace:
@@ -332,8 +307,7 @@ def verify_splitting(pair: Pair, pair_id: str = "pair") -> CheckRecord:
     d = _derive(pair)
     t, maps, derived = d.tensor, d.maps, d.derived
     box = maps.square
-    joined = Subspace.from_vectors(t.dim, [dict(v) for v in box.entries + derived.entries])
-    meet = box.dim + derived.dim - joined.dim
+    meet = _meet_dim(box, derived)
     return _record(
         pair_id, "tensor-splits-as-diagonal-plus-complement", "diagonal-complement-splitting", meet == 0, True,
         {"tensor": t.dim, "diagonal": box.dim, "complement": t.dim - box.dim + meet, "exterior": maps.eps.codomain_dim},

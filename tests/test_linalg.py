@@ -23,6 +23,7 @@ from tensoralg.linalg import (
     LinalgError,
     LinearMap,
     Subspace,
+    _meet_dim,
     as_vector,
     from_support,
     kernel,
@@ -274,7 +275,11 @@ def test_sum_intersect_dimension_formula(m1, m2):
     a = Subspace.from_vectors(ambient, rows)
     b = Subspace.from_vectors(ambient, padded)
     total = Subspace.from_vectors(ambient, a.basis + b.basis)
-    assert total.dim + len(dense_span_intersect(ambient, a.basis, b.basis)) == a.dim + b.dim
+    meet = len(dense_span_intersect(ambient, a.basis, b.basis))
+    assert total.dim + meet == a.dim + b.dim
+    # _meet_dim grows a's rows by b's, in either order, and leaves both spaces as they were
+    assert _meet_dim(a, b) == _meet_dim(b, a) == meet
+    assert a == Subspace.from_vectors(ambient, rows) and b == Subspace.from_vectors(ambient, padded)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,8 @@ names `__init__.py` exports.  No module calls json.dump or json.dumps:
 defaulted parameter that every call leaves at its default.  Outside `linalg`,
 no module reads a subspace's Gauss-Jordan rows or calls `.echelon()`.  Only
 `catalog.pair_center` calls `center`, and no module reads an `exterior`
-attribute.
+attribute.  Only `tensor` reads a pair's `inclusion`, in the pinned functions
+that form products of ideal vectors.
 """
 
 from __future__ import annotations
@@ -229,6 +230,39 @@ def test_a_table_read_is_found():
     assert _sites(source, "example", _table_read) == [
         ("example.Report.size", 6, "center()"), ("example.Report.size", 6, "exterior"),
         ("example.pair_center", 3, "center()"),
+    ]
+
+
+# Every product of ideal vectors is formed in the tensor module: the diagonal,
+# psi and the verifier share tensor._ideal_class and tensor._squares, which
+# lift an ideal vector into L, and kappa_maps carries rho into L.  No other
+# function reads a pair's inclusion.
+INCLUSION_SITES_ALLOWED = [
+    ("tensor._ideal_class", "inclusion"), ("tensor._squares", "inclusion"), ("tensor.kappa_maps", "inclusion"),
+]
+
+
+def _inclusion_read(node) -> str | None:
+    """inclusion for a read of an inclusion attribute."""
+    return "inclusion" if isinstance(node, ast.Attribute) and node.attr == "inclusion" else None
+
+
+def test_only_the_tensor_layer_lifts_ideal_vectors():
+    found = []
+    for path in SOURCES:
+        found += _sites(path.read_text(encoding="utf-8"), path.stem, _inclusion_read)
+    assert [(where, read) for where, _, read in found] == INCLUSION_SITES_ALLOWED
+
+
+def test_an_inclusion_read_is_found():
+    source = (
+        "def lift(pair, m):\n    return pair.inclusion._image(m)\n"
+        "class Derivation:\n    def mixed(self):\n        inclusion = self.pair.ideal_maps[1]\n"
+        "        return [inclusion, self.pair.inclusion]\n"
+        "def fine(inclusion):\n    return inclusion.compose(inclusion)\n"
+    )
+    assert _sites(source, "example", _inclusion_read) == [
+        ("example.Derivation.mixed", 6, "inclusion"), ("example.lift", 2, "inclusion"),
     ]
 
 

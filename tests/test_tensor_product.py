@@ -36,10 +36,13 @@ from tensoralg.liealg import (
     direct_sum,
     validate_structure,
 )
-from tensoralg.linalg import Echelon, LinalgError, Subspace, from_support, kernel, quotient_maps, support
+from tensoralg.gamma import GammaSpace, psi_map
+from tensoralg.linalg import Echelon, LinalgError, LinearMap, Subspace, from_support, kernel, quotient_maps, support
 from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
 from tensoralg.tensor import (
     TensorConstructionError,
+    _ideal_class,
+    _induced_map,
     closure,
     construct_tensor,
     diagonal,
@@ -777,6 +780,98 @@ def test_ideal_symbols_anticommute_with_the_relative_commutator(name):
         m_ambient = inclusion.apply_entries(dict(m)).items()
         for a in range(pair.right_dim):
             assert t.class_entries([(inclusion.column_entries(a), m), (m_ambient, ((a, 1),))]) == {}
+
+
+# Every product of ideal vectors is formed by tensor._ideal_class,
+# tensor._squares and tensor._induced_map.  These tests form the same products
+# without them, through tensor_of, on the differential and catalog pairs.
+
+
+def _rational_vector(rng, width):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)]
+
+
+def _identity(n):
+    return LinearMap(n, tuple(((k, 1),) for k in range(n)))
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_ideal_class_lifts_the_left_factor(name):
+    # the class of x (x) y + x' (x) y' for ideal vectors, x and x' lifted by the inclusion
+    pair = _differential_pair(name, "ideal-class")
+    t, q = construct_tensor(pair), pair.right_dim
+    rng = random.Random(f"ideal-class/{name}")
+    x, y, x2, y2 = (_rational_vector(rng, q) for _ in range(4))
+    expected = vadd(t.tensor_of(pair.inclusion.apply(x), y), t.tensor_of(pair.inclusion.apply(x2), y2))
+    found = _ideal_class(t, [(support(x), support(y)), (support(x2), support(y2))])
+    assert from_support(found.items(), t.dim) == expected
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_mixed_span_is_formed_from_lifted_commutators(name):
+    # (L (x) [N, L]) + ([N, L] (x) N), each m in [N, L] lifted into L for the left slot
+    d = _Derivation(_differential_pair(name, "mixed"))
+    pair, t = d.pair, d.tensor
+    p, q = pair.left_dim, pair.right_dim
+    comm = pair.relative_commutator_in_ideal.basis
+    units = [[int(k == j) for k in range(p)] for j in range(p)]
+    gens = [t.tensor_of(l, m) for l in units for m in comm]
+    gens += [t.tensor_of(pair.inclusion.apply(m), [int(k == a) for k in range(q)]) for m in comm for a in range(q)]
+    assert d.mixed == Subspace.from_vectors(t.dim, gens)
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_diagonal_is_spanned_by_squares_of_ideal_vectors(name):
+    # no polarization: (iota n) (x) n for seeded rational n lies in the
+    # diagonal, and q(q+1)/2 + 2 of them span it
+    pair = _differential_pair(name, "squares")
+    t, q = construct_tensor(pair), pair.right_dim
+    box = diagonal(t)
+    rng = random.Random(f"squares/{name}")
+    squares = []
+    for _ in range(q * (q + 1) // 2 + 2):
+        n = _rational_vector(rng, q)
+        squares.append(t.tensor_of(pair.inclusion.apply(n), n))
+    assert all(box.contains(v) for v in squares)
+    assert Subspace.from_vectors(t.dim, squares) == box
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_psi_columns_follow_the_gamma_pairs(name):
+    # column k is r_a (x) r_a, or r_a (x) r_b + r_b (x) r_a, for (a, b) = pairs[k]
+    pair = _differential_pair(name, "psi")
+    t, gamma = construct_tensor(pair), GammaSpace.from_pair(pair)
+    psi = psi_map(pair, t, gamma)
+    reps = [from_support(gamma.section.column_entries(k), pair.right_dim) for k in range(gamma.source_dim)]
+    lifted = [pair.inclusion.apply(r) for r in reps]
+    assert psi.domain_dim == len(gamma.pairs)
+    for k, (a, b) in enumerate(gamma.pairs):
+        expected = t.tensor_of(lifted[a], reps[b])
+        if a != b:
+            expected = vadd(expected, t.tensor_of(lifted[b], reps[a]))
+        assert from_support(psi.column_entries(k), t.dim) == expected
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_induced_map_of_the_identity_is_the_identity(name):
+    pair = _differential_pair(name, "identity")
+    t = construct_tensor(pair)
+    assert _induced_map(t, t, _identity(pair.left_dim), _identity(pair.right_dim)) == _identity(t.dim)
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_induced_map_of_the_quotient_projection_is_onto_and_natural(name):
+    # onto the quotient tensor, and the class of x (x) n goes to that of f(x) (x) g(n)
+    pair = _differential_pair(name, "induced")
+    t, qp = construct_tensor(pair), quotient_pair(pair)
+    tq = construct_tensor(qp.pair)
+    f, g = qp.proj_algebra.map, qp.proj_ideal.map
+    pi = _induced_map(t, tq, f, g)
+    assert pi.image() == Subspace.full(tq.dim)
+    rng = random.Random(f"induced/{name}")
+    for _ in range(3):
+        x, n = _rational_vector(rng, pair.left_dim), _rational_vector(rng, pair.right_dim)
+        assert pi.apply(t.tensor_of(x, n)) == tq.tensor_of(f.apply(x), g.apply(n))
 
 
 def _derived_dims(pair):

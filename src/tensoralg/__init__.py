@@ -23,16 +23,11 @@ from .liealg import (
 )
 from .linalg import LinalgError, LinearMap, Subspace, kernel, parse_scalar
 from .pairs import (
-    ActionData,
-    ActionViolation,
-    CompatibilityViolation,
     Pair,
-    PairValidationError,
     QuotientPair,
     complement_condition,
     direct_sum_pair,
     make_pair,
-    make_pair_with_actions,
     pair_full,
     pair_is_clean,
     quotient_pair,
@@ -78,13 +73,10 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "ActionData",
-    "ActionViolation",
     "AlgebraDocument",
     "AlgebraHom",
     "AlgebraSubspace",
     "CheckRecord",
-    "CompatibilityViolation",
     "DerivedMaps",
     "DocumentError",
     "GammaSpace",
@@ -95,7 +87,6 @@ __all__ = [
     "NotAnIdealError",
     "Pair",
     "PairDocument",
-    "PairValidationError",
     "PsiDefect",
     "QuotientPair",
     "SelectorError",
@@ -123,7 +114,6 @@ __all__ = [
     "kernel",
     "load_path",
     "make_pair",
-    "make_pair_with_actions",
     "nonabelian2",
     "pair_center",
     "pair_from_document",

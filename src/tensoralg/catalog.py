@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
 from .linalg import Vector, parse_scalar
-from .pairs import Pair, _inner_pair, direct_sum_pair, make_pair, pair_full
+from .pairs import Pair, direct_sum_pair, make_pair, pair_full
 
 if TYPE_CHECKING:  # read only in an annotation; a document reader loads no verifier
     from .verify import VerificationReport
@@ -84,8 +84,8 @@ def heisenberg(m: int) -> LieAlgebra:
 
 
 def pair_center(algebra: LieAlgebra) -> Pair:
-    """(L, Z(L)) with the inner actions; the centre is an ideal by theorem, as [L, Z(L)] = 0."""
-    return _inner_pair(algebra, center(algebra))
+    """(L, Z(L)); the centre is an ideal by theorem, as [L, Z(L)] = 0."""
+    return Pair(algebra, center(algebra))
 
 
 _TOKEN = re.compile(r"\s*([a-z_][a-z0-9_]*|\d+|[(),])")

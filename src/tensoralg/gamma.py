@@ -13,14 +13,14 @@ representative: shifting a representative n by a commutator m must move
 n (x) n inside the image of the map.  The checker reports the first basis
 pair where that fails.
 
-For the inner actions it cannot fail.  Take x in N, l in L and n in N, and
-let m = [l, n].  The relation (R1) of the tensor module on (x, l, n) gives
-x (x) [l, n] = [x, l] (x) n + l (x) [x, n], and (R2) on (l, n, x) gives
-[n, l] (x) x the same right side.  So x (x) m + m (x) x = 0, and by linearity
-this holds for every m in [N, L].  Taking x = m gives m (x) m = 0 over the
-rationals, so (n + m) (x) (n + m) - n (x) n = 0.  The squares therefore do not
-depend on the representative, and the image of the map is the diagonal.
-Supplied actions are not covered by this proof.
+It cannot fail, as every pair acts by the bracket.  Take x in N, l in L and
+n in N, and let m = [l, n].  The relation (R1) of the tensor module on
+(x, l, n) gives x (x) [l, n] = [x, l] (x) n + l (x) [x, n], and (R2) on
+(l, n, x) gives [n, l] (x) x the same right side.  So x (x) m + m (x) x = 0,
+and by linearity this holds for every m in [N, L].  Taking x = m gives
+m (x) m = 0 over the rationals, so (n + m) (x) (n + m) - n (x) n = 0.  The
+squares therefore do not depend on the representative, and the image of the
+map is the diagonal.
 """
 
 from __future__ import annotations

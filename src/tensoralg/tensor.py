@@ -2,7 +2,8 @@
 
 The construction is presentation by generators and relations.  Generators are
 the basis symbols l_i (x) n_a, spanning a space V of dimension p * q.  The
-defining relations expand brackets in either slot through the actions:
+defining relations expand brackets in either slot through the actions, the
+inner ones l . n = [l, n] in N and n . l = [n, l] in L:
 
     (R1)  [l, l'] (x) n   =  l (x) (l'. n)  -  l' (x) (l . n)
     (R2)  l (x) [n, n']   =  (n'. l) (x) n  -  (n . l) (x) n'
@@ -10,10 +11,13 @@ defining relations expand brackets in either slot through the actions:
 Let R0 be their span, and lam(l (x) n) = n . l in L, rho(l (x) n) = l . n in N
 the two collapses (Pair.collapse_maps).  The bracket on symbols is beta(u, v) = -lam(u) (x) rho(v),
 that is [l (x) n, l' (x) n'] = -(n . l) (x) (l'. n').  The quotient V / R0 is
-the tensor product, and R0 needs no closing.  The proof uses the action
-axioms and the compatibility equations (n . l) . n' = [n', l . n] and
-(l . n) . l' = [l', n . l] of pairs.validate_compatible; "=" in (b) and (c)
-is taken modulo R0.
+the tensor product, and R0 needs no closing.  The proof rests on the Jacobi
+identity of L, in the form of the two action axioms, [l, l'] . n =
+l . (l'. n) - l'. (l . n) and l . [n, n'] = [l . n, n'] + [n, l . n'] (and
+their mirrors for N acting on L), and of the compatibility equations
+(n . l) . n' = [n', l . n] and (l . n) . l' = [l', n . l], which for the
+inner actions are Jacobi and antisymmetry; "=" in (b) and (c) is taken
+modulo R0.
 
 (a) lam and rho vanish on R0.  rho(R1) and lam(R2) vanish by the first
     action axiom.  lam(R1) = n.[l, l'] - (l'.n).l + (l.n).l', which the
@@ -32,18 +36,16 @@ is taken modulo R0.
     rationals J, lies in R0.
 
 So the quotient is a Lie algebra, and none of (a) to (c) is checked again
-but (a) on the relation basis, in closure(), which a positional Pair whose
-actions break an axiom or a compatibility equation can fail.  The pairs the
-library derives without a check (pairs.pair_full, pairs.direct_sum_pair,
-pairs.quotient_pair, catalog.pair_center) carry the inner actions on an
-ideal, which satisfy the axioms and compatibility by the Jacobi identity of
-L, so they always pass it.
+but (a) on the relation basis, in closure().  Every pair passes it, so that
+check guards against a fault of the engine (a wrong collapse column, a wrong
+relation), not against an input.
 
 Derived data: the diagonal ideal generated by n (x) n, the exterior product
 (quotient by the diagonal), the evaluation map sending l (x) n to l . n, and
 the kernels and images that go with them.  The exterior product and the
-evaluation maps also need (iota n) . n = 0 for n in N, which compatibility
-does not give; kappa_maps checks it, and the diagonal is then central.
+evaluation maps also need (iota n) . n = [n, n] = 0 for n in N; kappa_maps
+checks it, again as a guard against a fault of the engine, and the diagonal
+is then central.
 
 Every product of ideal vectors is formed here, by three private functions
 that the diagonal, the squaring map of the gamma module and the verifier
@@ -162,8 +164,9 @@ def closure(pair: Pair, seed: Subspace) -> Subspace:
 
     Both collapses must kill every basis vector of the seed, so that the seed
     brackets to zero with anything; otherwise TensorConstructionError.  The
-    defining relations of a pair with compatible actions always pass and need
-    no closing (see the module docstring), so the seed is returned as it is.
+    defining relations always pass and need no closing (see the module
+    docstring), so the check guards against a fault of the engine, and the
+    seed is returned as it is.
     """
     for name, f in zip(("left collapse n . l", "right collapse l . n"), pair.collapse_maps):
         if not f.kills(seed):
@@ -313,10 +316,10 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """The diagonal, the evaluation maps, the projection onto the exterior product and the kernels.
 
     The evaluation map kappa sends the class of l (x) n to the ambient l . n.
-    It must kill the diagonal, that is (iota n) . n = 0 for every n in N,
-    otherwise TensorConstructionError.  The inner actions always pass
-    ([n, n] = 0); supplied compatible actions need not.  The tensor's
-    bracket table is not read.
+    It must kill the diagonal, that is (iota n) . n = [n, n] = 0 for every n
+    in N, otherwise TensorConstructionError.  Every pair passes, so the check
+    guards against a fault of the engine.  The tensor's bracket table is not
+    read.
     """
     box = diagonal(tensor)
     pair = tensor.pair

@@ -26,7 +26,7 @@ from .pairs import (
     quotient_pair,
     relative_abelianization_dim,
 )
-from .tensor import NonabelianTensor, _ideal_class, _induced_map, construct_tensor, diagonal, kappa_maps
+from .tensor import NonabelianTensor, _induced_map, construct_tensor, diagonal, kappa_maps
 
 _STATUSES = ("pass", "fail", "not-applicable")
 
@@ -102,16 +102,15 @@ class _Derivation:
 
     @cached_property
     def mixed(self) -> Subspace:
-        """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product."""
+        """(L (x) [N,L]) + ([N,L] (x) N) inside the tensor product.
+
+        Spanned by its first summand: m (x) x = -x (x) m for x in N and m in
+        [N, L] (the lemma in the gamma module docstring), and x, lifted into
+        L, lies in L.
+        """
         pair, tensor = self.pair, self.tensor
         comm = pair.relative_commutator_in_ideal.entries
-        gens = []
-        for i in range(pair.left_dim):
-            for m in comm:
-                gens.append(tensor.class_entries([(((i, 1),), m)]))
-        for m in comm:
-            for a in range(pair.right_dim):
-                gens.append(_ideal_class(tensor, [(m, ((a, 1),))]))
+        gens = [tensor.class_entries([(((i, 1),), m)]) for i in range(pair.left_dim) for m in comm]
         return Subspace.from_vectors(tensor.dim, gens)
 
     @cached_property

@@ -406,6 +406,14 @@ def dense_action_violation(actor_dim, actor_brackets, acted_dim, acted_brackets,
     return None
 
 
+def dense_action_tables(left, right, p, q):
+    """(on_ideal, on_algebra) from the dense collapse columns of a pair: column i * q + a of left is n_a . l_i in L,
+    of right l_i . n_a in N; on_ideal[i][a] = l_i . n_a and on_algebra[a][i] = n_a . l_i."""
+    on_ideal = [[right[i * q + a] for a in range(q)] for i in range(p)]
+    on_algebra = [[left[i * q + a] for i in range(p)] for a in range(q)]
+    return on_ideal, on_algebra
+
+
 def dense_compatibility_violation(p, algebra_brackets, q, ideal_brackets, on_ideal, on_algebra):
     """The first broken compatibility equation of a pair's two action tables, or None.
 

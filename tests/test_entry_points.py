@@ -96,7 +96,7 @@ def test_star_import_binds_every_exported_name():
     done = _run("-c", "from tensoralg import *\nprint(sorted(k for k in globals() if not k.startswith('_')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == repr(sorted(tensoralg.__all__))
-    assert len(tensoralg.__all__) == 71
+    assert len(tensoralg.__all__) == 66
 
 
 def test_an_unknown_name_is_an_attribute_error():

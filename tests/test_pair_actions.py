@@ -1,5 +1,6 @@
-"""Tests for ideal pairs, action axioms, and compatibility."""
+"""Tests for ideal pairs, their collapse maps, and the pairs built by theorem."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased
 from oracles import (
+    dense_action_tables,
     dense_action_violation,
     dense_bracket,
     dense_compatibility_violation,
@@ -28,22 +30,16 @@ from tensoralg.liealg import (
     direct_sum,
     quotient_algebra,
 )
-from tensoralg.linalg import LinearMap, from_support, support
+from tensoralg.linalg import LinearMap, from_support
 from tensoralg.pairs import (
-    ActionData,
-    CompatibilityViolation,
     Pair,
-    PairValidationError,
     complement_condition,
     direct_sum_pair,
     make_pair,
-    make_pair_with_actions,
     pair_full,
     pair_is_clean,
     quotient_pair,
     relative_abelianization_dim,
-    validate_action,
-    validate_compatible,
 )
 
 
@@ -55,22 +51,26 @@ def heisenberg1():
     return LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
 
 
-def test_make_pair_full_ideal_uses_bracket_actions():
+def test_a_pair_is_its_algebra_and_ideal():
+    assert [f.name for f in dataclasses.fields(Pair)] == ["algebra", "ideal"]
+
+
+def test_make_pair_full_ideal_collapses_by_the_bracket():
     a = nonabelian2()
     pair = make_pair(a, [(1, 0), (0, 1)])
     assert pair.left_dim == 2 and pair.right_dim == 2
-    # [x, y] = y, read in ideal coordinates
-    assert pair.act_on_ideal.act_entries(0, 1) == ((1, 1),)
-    assert pair.act_on_ideal.act_entries(1, 0) == ((1, -1),)
-    assert pair.act_on_algebra.act_entries(1, 0) == ((1, -1),)
+    left, right = pair.collapse_maps
+    # [x, y] = y, read in ideal coordinates: symbol i * 2 + a is l_i (x) n_a
+    assert right.column_entries(1) == ((1, 1),)
+    assert right.column_entries(2) == ((1, -1),)
+    assert left.column_entries(1) == ((1, -1),)
 
 
-def test_make_pair_center_of_heisenberg_acts_trivially():
+def test_make_pair_center_of_heisenberg_collapses_to_zero():
     a = heisenberg1()
     pair = make_pair(a, [(0, 0, 1)])
     assert pair.right_dim == 1
-    assert all(pair.act_on_ideal.act_entries(i, 0) == () for i in range(3))
-    assert all(pair.act_on_algebra.act_entries(0, i) == () for i in range(3))
+    assert all(f.column_entries(k) == () for f in pair.collapse_maps for k in range(3))
     assert pair.ideal_algebra.is_abelian()
 
 
@@ -81,64 +81,6 @@ def test_make_pair_rejects_non_ideal():
     # [y, x] = -z is the first bracket outside the line
     assert str(exc.value) == "bracket of basis element 1 leaves the span"
     assert exc.value.witness == (1, (Fraction(1), Fraction(0), Fraction(0)))
-
-
-def test_inner_actions_satisfy_axioms_and_compatibility():
-    a = heisenberg1()
-    pair = make_pair(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert validate_action(pair.act_on_ideal, a, pair.ideal_algebra) is None
-    assert validate_action(pair.act_on_algebra, pair.ideal_algebra, a) is None
-    assert validate_compatible(pair) is None
-
-
-def test_validate_action_flags_broken_leibniz_rule():
-    # One-dimensional algebra sending the Heisenberg generator x to itself:
-    # acting on [x, y] gives 0 but [a.x, y] + [x, a.y] = [x, y] = z.
-    actor = LieAlgebra.abelian(1)
-    acted = heisenberg1()
-    act = ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 0)]])
-    bad = validate_action(act, actor, acted)
-    assert bad is not None
-    assert bad.axiom == 2
-    assert bad.indices == (0, 0, 1)
-    assert bad.residual == (Fraction(0), Fraction(0), Fraction(-1))
-
-
-def test_validate_action_flags_broken_actor_bracket_rule():
-    # The nonabelian 2-dim algebra acting on a line: both generators act as
-    # the identity, so the bracket [x, y] = y should act as xy - yx = 0,
-    # but the table says y acts as the identity.
-    actor = nonabelian2()
-    acted = LieAlgebra.abelian(1)
-    act = ActionData.from_rows(2, 1, [[(1,)], [(1,)]])
-    bad = validate_action(act, actor, acted)
-    assert bad is not None
-    assert bad.axiom == 1
-    assert bad.indices == (0, 1, 0)
-
-
-def test_incompatible_actions_are_detected():
-    # L is Heisenberg, N its center. Each action satisfies its own axioms,
-    # but acting with (z . x) = x on z gives z, while [z, x . z] = 0.
-    a = heisenberg1()
-    act_on_ideal = ActionData.from_rows(3, 1, [[(1,)], [(0,)], [(0,)]])
-    act_on_algebra = ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 1)]])
-    pair = make_pair(a, [(0, 0, 1)])
-    candidate = pair.__class__(a, pair.ideal, act_on_ideal, act_on_algebra)
-    assert validate_action(act_on_ideal, a, pair.ideal_algebra) is None
-    assert validate_action(act_on_algebra, pair.ideal_algebra, a) is None
-    bad = validate_compatible(candidate)
-    assert bad == CompatibilityViolation(1, (0, 0, 0), (Fraction(1),))
-    with pytest.raises(PairValidationError) as exc:
-        make_pair_with_actions(a, [(0, 0, 1)], act_on_ideal, act_on_algebra)
-    assert exc.value.witness == bad
-
-
-def test_make_pair_with_actions_accepts_inner_tables():
-    a = nonabelian2()
-    inner = make_pair(a, [(0, 1)])
-    rebuilt = make_pair_with_actions(a, [(0, 1)], inner.act_on_ideal, inner.act_on_algebra)
-    assert rebuilt.act_on_ideal == inner.act_on_ideal
 
 
 def test_relative_commutator_and_abelianization():
@@ -203,81 +145,6 @@ def test_direct_sum_pair_blocks():
     assert total.relative_commutator.space.basis == ((Fraction(0), Fraction(1), Fraction(0)),)
 
 
-def test_act_sparse_is_bilinear():
-    a = heisenberg1()
-    pair = make_pair(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    act = pair.act_on_ideal
-    x = (Fraction(2), Fraction(-1), Fraction(3))
-    n = (Fraction(1), Fraction(1, 2), Fraction(0))
-    expected = a.bracket_sparse(support(x), pair.inclusion.apply_entries(n).items())
-    assert expected == {2: Fraction(2)}
-    assert pair.inclusion.apply_entries(act.act_sparse(support(x), support(n))) == expected
-
-
-# Differential tests: the sparse action checks against the dense loops kept
-# in tests/oracles.py, on the broken tables above and on seeded perturbations
-# of inner actions.  Both must report the same first violation.
-
-
-def _dense_action(act, actor, acted):
-    return dense_action_violation(actor.dim, dict(actor.brackets), acted.dim, dict(acted.brackets), act.table)
-
-
-def _dense_compatibility(pair):
-    return dense_compatibility_violation(
-        pair.left_dim, dict(pair.algebra.brackets), pair.right_dim, dict(pair.ideal_algebra.brackets),
-        pair.act_on_ideal.table, pair.act_on_algebra.table,
-    )
-
-
-def _as_tuple(violation, number):
-    if violation is None:
-        return None
-    assert all(type(a) is Fraction for a in violation.residual)
-    return getattr(violation, number), violation.indices, violation.residual
-
-
-def _assert_checks_match_dense(pair):
-    """validate_action on both tables and validate_compatible against the dense loops."""
-    n_alg = pair.ideal_algebra
-    for act, actor, acted in ((pair.act_on_ideal, pair.algebra, n_alg), (pair.act_on_algebra, n_alg, pair.algebra)):
-        assert _as_tuple(validate_action(act, actor, acted), "axiom") == _dense_action(act, actor, acted)
-    assert _as_tuple(validate_compatible(pair), "equation") == _dense_compatibility(pair)
-
-
-def test_broken_tables_give_the_dense_first_violation():
-    cases = [
-        (ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 0)]]), LieAlgebra.abelian(1), heisenberg1()),
-        (ActionData.from_rows(2, 1, [[(1,)], [(1,)]]), nonabelian2(), LieAlgebra.abelian(1)),
-    ]
-    for act, actor, acted in cases:
-        dense = _dense_action(act, actor, acted)
-        assert dense is not None
-        assert _as_tuple(validate_action(act, actor, acted), "axiom") == dense
-    a = heisenberg1()
-    centre = make_pair(a, [(0, 0, 1)])
-    incompatible = Pair(
-        a, centre.ideal,
-        ActionData.from_rows(3, 1, [[(1,)], [(0,)], [(0,)]]),
-        ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 1)]]),
-    )
-    assert _dense_compatibility(incompatible) == (1, (0, 0, 0), (Fraction(1),))
-    _assert_checks_match_dense(incompatible)
-
-
-def _perturbed(pair, rng):
-    """The pair with one to three random entries of its action tables moved by a small rational."""
-    tables = [[list(row) for row in pair.act_on_ideal.table], [list(row) for row in pair.act_on_algebra.table]]
-    for _ in range(rng.randint(1, 3)):
-        table = rng.choice(tables)
-        i, j = rng.randrange(len(table)), rng.randrange(len(table[0]))
-        v = list(table[i][j])
-        v[rng.randrange(len(v))] += Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-        table[i][j] = tuple(v)
-    p, q = pair.left_dim, pair.right_dim
-    return Pair(pair.algebra, pair.ideal, ActionData.from_rows(p, q, tables[0]), ActionData.from_rows(q, p, tables[1]))
-
-
 DIFFERENTIAL_PAIRS = {
     f"{kind}({name})": (name, kind)
     for name, algebra in IDEAL_ALGEBRAS.items()
@@ -285,19 +152,58 @@ DIFFERENTIAL_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
-def test_perturbed_tables_give_the_dense_first_violation(name):
-    algebra_name, kind = DIFFERENTIAL_PAIRS[name]
-    algebra = IDEAL_ALGEBRAS[algebra_name]
-    pair = make_pair(algebra, ideals(algebra)[kind].basis)
-    _assert_checks_match_dense(pair)  # the inner actions pass both
-    rng = random.Random(f"actions/{name}")
-    for _ in range(6):
-        _assert_checks_match_dense(_perturbed(pair, rng))
+# The collapse maps are the actions read on basis symbols: column i * q + a
+# is n_a . l_i in L and l_i . n_a in N.  As tables they must satisfy both
+# action axioms and both compatibility equations, by the Jacobi identity of
+# L, and the dense loops of tests/oracles.py check that with their own
+# arithmetic.
+
+
+def _dense_violations(pair, left, right):
+    """The first broken axiom of each action and the first broken compatibility equation, by the dense loops."""
+    p, q = pair.left_dim, pair.right_dim
+    dense = ([from_support(col, f.codomain_dim) for col in f._columns] for f in (left, right))
+    on_ideal, on_algebra = dense_action_tables(*dense, p, q)
+    brackets, ideal_brackets = dict(pair.algebra.brackets), dict(pair.ideal_algebra.brackets)
+    return (
+        dense_action_violation(p, brackets, q, ideal_brackets, on_ideal),
+        dense_action_violation(q, ideal_brackets, p, brackets, on_algebra),
+        dense_compatibility_violation(p, brackets, q, ideal_brackets, on_ideal, on_algebra),
+    )
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_collapse_maps_satisfy_the_action_axioms_and_compatibility(name):
+    if name in DIFFERENTIAL_PAIRS:
+        pair = _permuted(name, random.Random(f"collapse/{name}"))
+    else:
+        pair = resolve_selector(name)
+    assert _dense_violations(pair, *pair.collapse_maps) == (None, None, None)
+
+
+def _flip_first_entry(f):
+    """f with the sign of the first entry of its first nonzero column flipped."""
+    k = next(k for k, col in enumerate(f._columns) if col)
+    (t, c), *rest = f._columns[k]
+    return LinearMap(f.codomain_dim, (*f._columns[:k], ((t, -c), *rest), *f._columns[k + 1:]))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_flipped_collapse_sign_breaks_the_actions(side):
+    # nonabelian2 on itself, [x, y] = y: the first nonzero column is that of
+    # x (x) n_y.  On heisenberg(1) no flip would show: every collapse value
+    # is central there, so every term of the axioms is a double bracket, 0.
+    pair = pair_full(nonabelian2())
+    left, right = pair.collapse_maps
+    if side == "left":
+        left = _flip_first_entry(left)
+    else:
+        right = _flip_first_entry(right)
+    assert _dense_violations(pair, left, right) != (None, None, None)
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
-def test_make_pair_keeps_the_action_tables_as_supports(name, monkeypatch):
+def test_make_pair_keeps_the_collapse_maps_as_supports(name, monkeypatch):
     algebra_name, kind = DIFFERENTIAL_PAIRS[name]
     algebra = IDEAL_ALGEBRAS[algebra_name]
     vectors = ideals(algebra)[kind].basis
@@ -311,18 +217,13 @@ def test_make_pair_keeps_the_action_tables_as_supports(name, monkeypatch):
                 if hasattr(module, helper):
                     patch.setattr(module, helper, no_dense_round_trip)
         pair = make_pair(algebra, vectors)
-    p, q = pair.left_dim, pair.right_dim
-    for act in (pair.act_on_ideal, pair.act_on_algebra):
-        assert "table" not in vars(act)
-        # read afterwards, the dense table is the one the supports stand for
-        assert act._supports == tuple(tuple(tuple(support(v)) for v in row) for row in act.table)
-        again = ActionData.from_rows(act.actor_dim, act.acted_dim, act.table)
-        assert again == act and hash(again) == hash(act)
-    for i in range(p):
-        for a in range(q):
-            w = algebra.bracket_sparse(((i, 1),), pair.ideal.space.entries[a])
-            assert pair.inclusion.apply_entries(dict(pair.act_on_ideal.act_entries(i, a))) == w
-            assert dict(pair.act_on_algebra.act_entries(a, i)) == {k: -x for k, x in w.items()}
+        left, right = pair.collapse_maps
+    q = pair.right_dim
+    for i in range(pair.left_dim):
+        for a, n in enumerate(pair.ideal.space.entries):
+            w = algebra.bracket_sparse(((i, 1),), n)
+            assert pair.inclusion.apply_entries(dict(right.column_entries(i * q + a))) == w
+            assert dict(left.column_entries(i * q + a)) == {k: -x for k, x in w.items()}
 
 
 # Differential test of the pairs built by theorem: each must equal the pair
@@ -400,7 +301,7 @@ def test_ideal_algebra_matches_the_dense_subalgebra(name):
         assert _ideal_table_mismatches(p) == []
         assert p.ideal_algebra.basis_names == tuple(f"n{k}" for k in range(p.right_dim))
         assert _internal([e for _, e in p.ideal_algebra._brackets])
-        assert _internal(e for row in p.act_on_ideal._supports for e in row)
+        assert _internal(col for f in p.collapse_maps for col in f._columns)
     assert _internal(q.proj_ideal.map._columns)
     assert AlgebraHom.make(q.proj_ideal.source, q.proj_ideal.target, q.proj_ideal.map) == q.proj_ideal
     # the quotients built by theorem equal what the checked quotient_algebra builds

@@ -2,7 +2,7 @@
 
 Internally a scalar is an int when it is integral and a Fraction only when it
 has a denominator, so the sparse loops run on ints.  Every value a caller can
-read (brackets, bases, map matrices, images, action tables and violation
+read (brackets, bases, map matrices, images, collapse maps and violation
 residuals) must still be a Fraction, and no float may appear anywhere.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from tensoralg.catalog import catalog_pairs, load_path
 from tensoralg.liealg import LieAlgebra, StructureError, abelianization, direct_sum, quotient_algebra, validate_structure
 from tensoralg.linalg import LinearMap, Subspace
-from tensoralg.pairs import ActionData, Pair, make_pair, quotient_pair, validate_action, validate_compatible
+from tensoralg.pairs import Pair, make_pair, quotient_pair
 from tensoralg.tensor import construct_tensor, kappa_maps
 
 # r3(1/2): [x, y] = y, [x, z] = z/2, with its full and derived ideals
@@ -59,7 +59,7 @@ def _public_vectors(pair: Pair):
     t = construct_tensor(pair)
     maps = kappa_maps(t)
     algebras = _algebras(pair, t, maps)
-    linear = (t.projection, t.section, maps.kappa, maps.eps, maps.kappa_prime)
+    linear = (t.projection, t.section, maps.kappa, maps.eps, maps.kappa_prime, *pair.collapse_maps)
     for a in algebras:
         yield from (v for _, v in a.brackets)
         for i in range(a.dim):
@@ -71,9 +71,6 @@ def _public_vectors(pair: Pair):
             yield f.apply({k: 1})
             yield f.apply([1 if j == k else 0 for j in range(f.domain_dim)])
         yield from f.image().basis
-    for act in (pair.act_on_ideal, pair.act_on_algebra):
-        for row in act.table:
-            yield from row
     for i in range(pair.left_dim):
         for a in range(pair.right_dim):
             yield t.tensor_of({i: 1}, {a: 1})
@@ -88,11 +85,7 @@ def _internal_values(pair: Pair):
         for row in a._ad:
             for entries in row.values():
                 yield from (c for _, c in entries)
-    for act in (pair.act_on_ideal, pair.act_on_algebra):
-        for row in act._supports:
-            for entries in row:
-                yield from (c for _, c in entries)
-    for f in (t.projection, t.section, maps.kappa, maps.eps, maps.kappa_prime):
+    for f in (t.projection, t.section, maps.kappa, maps.eps, maps.kappa_prime, *pair.collapse_maps):
         for col in f._columns:
             yield from (c for _, c in col)
     for space in (t.relations, maps.square, maps.j2, maps.multiplier):
@@ -140,17 +133,3 @@ def test_violation_residuals_are_fractions():
         LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
     assert caught.value.violation.kind == "jacobi"
     assert type(caught.value.violation.residual) is Fraction
-
-    h1 = LieAlgebra.make(3, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
-    # z . x = x and x . z = z on the centre of h1 break compatibility
-    centre = make_pair(h1, [(0, 0, 1)])
-    bad = Pair(
-        h1, centre.ideal,
-        ActionData.from_rows(3, 1, [[(1,)], [(0,)], [(0,)]]),
-        ActionData.from_rows(1, 3, [[(1, 0, 0), (0, 0, 0), (0, 0, 0)]]),
-    )
-    violations = [validate_compatible(bad), validate_action(bad.act_on_algebra, bad.ideal_algebra, h1)]
-    assert violations[0] is not None
-    for violation in violations:
-        if violation is not None:
-            assert all(type(a) is Fraction for a in violation.residual)

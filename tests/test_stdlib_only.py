@@ -189,7 +189,7 @@ def test_a_row_read_is_found():
     source = (
         "def grow(space):\n    basis = space.echelon()\n    return basis.rows\n"
         "class Map:\n    def push(self, space):\n        return [self.f(r) for r in space._rows.values()]\n"
-        "def fine(rows, space):\n    rows = space.entries\n    return ActionData.from_rows(1, 1, rows), echelon()\n"
+        "def fine(rows, space):\n    rows = space.entries\n    return grid.from_rows(1, rows), echelon()\n"
     )
     assert _sites(source, "example", _row_read) == [
         ("example.Map.push", 6, "_rows"), ("example.grow", 2, "echelon()"), ("example.grow", 3, "rows"),
@@ -267,10 +267,10 @@ def test_an_inclusion_read_is_found():
 
 
 # The positional constructors of these types are trusted by contract; each
-# type has one checked edge (LieAlgebra.make, make_pair and
-# make_pair_with_actions, AlgebraHom.make).  Every function that calls one
-# positionally must build what is a Lie algebra, a pair or a homomorphism by
-# theorem, so the list is pinned here and a new site is a reviewed change.
+# type has one checked edge (LieAlgebra.make, make_pair, AlgebraHom.make).
+# Every function that calls one positionally must build what is a Lie
+# algebra, a pair or a homomorphism by theorem, so the list is pinned here and
+# a new site is a reviewed change.
 TRUSTED_TYPES = {"LieAlgebra", "Pair", "AlgebraHom"}
 POSITIONAL_SITES = {
     "liealg.LieAlgebra.make",  # checked right after
@@ -280,10 +280,11 @@ POSITIONAL_SITES = {
     "liealg.direct_sum",
     "liealg.abelianization",
     "liealg._induced_algebra",
-    "pairs._inner_pair",
+    "pairs.make_pair",  # checked right before
     "pairs.pair_full",
-    "pairs.make_pair_with_actions",  # checked right after
     "pairs.quotient_pair",
+    "pairs.direct_sum_pair",
+    "catalog.pair_center",
 }
 
 
@@ -323,7 +324,7 @@ def test_a_positional_construction_is_found():
         "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n"
         "def checked(a):\n    return LieAlgebra.make(1, ('x',), {})\n"
         "def planted(a, n, x, y):\n    def inner():\n        return liealg.AlgebraHom(a, a, x)\n"
-        "    return Pair(a, n, x, y), inner\n"
+        "    return Pair(a, n), inner\n"
     )
     assert _positional_constructions(source, "example") == {
         "example.LieAlgebra.zero", "example.planted", "example.planted.inner",
@@ -334,14 +335,13 @@ def test_a_positional_construction_is_found():
 # A name added to or dropped from __all__ is a reviewed change, so the list is
 # pinned here.
 EXPORTED = frozenset({
-    "ActionData", "ActionViolation", "AlgebraDocument", "AlgebraHom", "AlgebraSubspace", "CheckRecord",
-    "CompatibilityViolation", "DerivedMaps", "DocumentError", "GammaSpace", "LieAlgebra", "LinalgError",
-    "LinearMap", "NonabelianTensor", "NotAnIdealError", "Pair", "PairDocument", "PairValidationError",
-    "PsiDefect", "QuotientPair", "SelectorError", "StructureError", "StructureViolation", "Subspace",
+    "AlgebraDocument", "AlgebraHom", "AlgebraSubspace", "CheckRecord", "DerivedMaps", "DocumentError",
+    "GammaSpace", "LieAlgebra", "LinalgError", "LinearMap", "NonabelianTensor", "NotAnIdealError", "Pair",
+    "PairDocument", "PsiDefect", "QuotientPair", "SelectorError", "StructureError", "StructureViolation", "Subspace",
     "TensorConstructionError", "VerificationReport", "abelian", "abelianization",
     "algebra_from_document", "catalog_pairs", "catalog_selectors", "center", "check_names", "closure",
     "complement_condition", "construct_tensor", "diagonal", "direct_sum", "direct_sum_pair",
-    "gamma_dim", "heisenberg", "kappa_maps", "kernel", "load_path", "make_pair", "make_pair_with_actions",
+    "gamma_dim", "heisenberg", "kappa_maps", "kernel", "load_path", "make_pair",
     "nonabelian2", "pair_center", "pair_from_document", "pair_full", "pair_is_clean", "parse", "parse_scalar",
     "psi_map", "psi_welldefined", "quotient_algebra", "quotient_pair", "relation_seed",
     "relative_abelianization_dim", "resolve_selector", "serialize", "serialize_report", "validate_structure",

@@ -8,7 +8,7 @@ checks that on every pair it is given.
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,8 +17,11 @@ from algebra_examples import IDEAL_ALGEBRAS, ideals, rebased, sl2
 from oracles import (
     combine,
     dense_act,
+    dense_action_tables,
+    dense_bracket,
     dense_jacobi_violation,
     dense_quotient_with_section,
+    dense_solve,
     dense_subalgebra_brackets,
     vadd,
     vscale,
@@ -38,7 +41,7 @@ from tensoralg.liealg import (
 )
 from tensoralg.gamma import GammaSpace, psi_map
 from tensoralg.linalg import Echelon, LinalgError, LinearMap, Subspace, from_support, kernel, quotient_maps, support
-from tensoralg.pairs import ActionData, Pair, make_pair, make_pair_with_actions, quotient_pair
+from tensoralg.pairs import Pair, make_pair, quotient_pair
 from tensoralg.tensor import (
     TensorConstructionError,
     _ideal_class,
@@ -262,34 +265,29 @@ def test_induced_bracket_matches_dense_reference(pair):
     assert validate_structure(t.dim, table) is None
 
 
-def _unchecked_pair(algebra, ideal_vectors, on_ideal_rows, on_algebra_rows):
-    """A pair whose action tables go in without the axiom and compatibility checks."""
-    ideal = make_pair(algebra, ideal_vectors).ideal
-    p, q = algebra.dim, ideal.space.dim
-    return Pair(algebra, ideal, ActionData.from_rows(p, q, on_ideal_rows), ActionData.from_rows(q, p, on_algebra_rows))
+# The relations always pass closure's check and kappa_maps's (the tensor
+# module docstring); the checks guard against faults of the engine, so they
+# are tested on a seed, or a diagonal, that no pair produces.
 
 
-@pytest.mark.parametrize(
-    "pair, message",
-    [
-        # the incompatible tables of test_incompatible_actions_are_detected:
-        # (z . x) = x and x . z = z
-        (
-            _unchecked_pair(heisenberg1(), [(0, 0, 1)], [[(1,)], [(0,)], [(0,)]], [[(1, 0, 0), (0, 0, 0), (0, 0, 1)]]),
-            "left collapse n . l does not kill the relations",
-        ),
-        # L acts on N as the identity, N on L by zero
-        (
-            _unchecked_pair(nonabelian2(), [(1, 0), (0, 1)], [[(1, 0), (0, 1)]] * 2, [[(0, 0), (0, 0)]] * 2),
-            "right collapse l . n does not kill the relations",
-        ),
-    ],
-    ids=["heisenberg-centre", "nonabelian2-identity"],
-)
-def test_relations_the_bracket_does_not_kill_are_refused(pair, message):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_seed_the_collapses_do_not_kill_is_refused(side):
+    # nonabelian2 on itself, [x, y] = y: the symbol x (x) n_y, number 1,
+    # collapses to -y in L and to n_y in N.  The inclusion carries the right
+    # collapse to minus the left one, so the left check fails first; the
+    # right one is reached only past a planted left collapse that kills it.
+    pair = pair_full(nonabelian2())
+    left, right = pair.collapse_maps
+    if side == "right":
+        vars(pair)["collapse_maps"] = (LinearMap(2, ((),) * 4), right)
+    seed = Subspace.from_vectors(4, [{1: 1}])
+    assert pair.algebra.bracket_entries(0, 1) == ((1, 1),)
     with pytest.raises(TensorConstructionError) as caught:
-        construct_tensor(pair)
-    assert str(caught.value) == message
+        closure(pair, seed)
+    assert str(caught.value) == {
+        "left": "left collapse n . l does not kill the relations",
+        "right": "right collapse l . n does not kill the relations",
+    }[side]
 
 
 def test_evaluation_that_breaks_the_bracket_is_refused():
@@ -314,26 +312,14 @@ def test_evaluation_that_keeps_the_diagonal_is_refused(monkeypatch):
     assert str(caught.value) == "evaluation map does not kill the diagonal"
 
 
-@pytest.mark.parametrize("derive", [kappa_maps], ids=["kappa_maps"])
-def test_compatible_actions_whose_evaluation_keeps_the_diagonal_are_refused(derive):
-    # L = N = abelian(2), with e2 . e1 = e2 . e2 = -e2 (L on N) and e1 . e2 = -e1
-    # (N on L): both axioms and both compatibility equations hold, but
-    # (iota e2) . e2 = -e2 is not 0, so kappa does not kill the diagonal and
-    # the exterior product is not defined by it
-    on_ideal = ActionData.from_rows(2, 2, [[(0, 0), (0, 0)], [(0, -1), (0, -1)]])
-    on_algebra = ActionData.from_rows(2, 2, [[(0, 0), (-1, 0)], [(0, 0), (0, 0)]])
-    pair = make_pair_with_actions(LieAlgebra.abelian(2), [(1, 0), (0, 1)], on_ideal, on_algebra)
-    with pytest.raises(TensorConstructionError) as caught:
-        derive(construct_tensor(pair))
-    assert str(caught.value) == "evaluation map does not kill the diagonal"
-
-
 # ---------------------------------------------------------------- dense reference
 #
 # The relation seed and the closure as they were first written: every
 # generator is a dense symbol vector built from full expansions, and the
-# collapse tables are dense.  The construction reads sparse supports instead
-# and does not close the relations; both must give the same subspaces.
+# collapse tables are dense, built here from the dense bracket table and
+# solved into ideal coordinates by the oracle's own elimination.  The
+# construction reads the sparse collapse maps instead and does not close the
+# relations; both must give the same subspaces.
 
 
 def _outer(x, n):
@@ -349,21 +335,25 @@ def _outer(x, n):
 
 
 def _dense_collapse_tables(pair):
+    """Column i * q + a of each collapse, dense: n_a . l_i = -[l_i, n_a] in L, and l_i . n_a in N,
+    the coordinates of [l_i, n_a] in the ideal's basis."""
+    p, table, basis = pair.left_dim, dict(pair.algebra.brackets), pair.ideal.space.basis
     left, right = [], []
-    for i in range(pair.left_dim):
-        for a in range(pair.right_dim):
-            left.append(pair.act_on_algebra.table[a][i])
-            right.append(pair.act_on_ideal.table[i][a])
+    for i in range(p):
+        for n in basis:
+            w = dense_bracket(p, table, pair.algebra.basis_vector(i), n)
+            left.append(vscale(-1, w))
+            right.append(dense_solve(basis, w))
     return left, right
 
 
 def _dense_relation_seed(pair):
     algebra = pair.algebra
-    n_alg = pair.ideal_algebra
-    on_ideal, on_algebra = pair.act_on_ideal.table, pair.act_on_algebra.table
     p, q = pair.left_dim, pair.right_dim
+    on_ideal, on_algebra = dense_action_tables(*_dense_collapse_tables(pair), p, q)
+    ideal_brackets = dense_subalgebra_brackets(p, dict(algebra.brackets), pair.ideal.space.basis)
     unit_l = [algebra.basis_vector(i) for i in range(p)]
-    unit_n = [n_alg.basis_vector(a) for a in range(q)]
+    unit_n = [tuple(Fraction(int(a == b)) for b in range(q)) for a in range(q)]
     out = []
     for i in range(p):
         for j in range(i + 1, p):
@@ -376,7 +366,7 @@ def _dense_relation_seed(pair):
     for i in range(p):
         for a in range(q):
             for b in range(a + 1, q):
-                v = _outer(unit_l[i], from_support(n_alg.bracket_entries(a, b), q))
+                v = _outer(unit_l[i], ideal_brackets.get((a, b), (Fraction(0),) * q))
                 v = vadd(v, vscale(-1, _outer(on_algebra[b][i], unit_n[a])))
                 v = vadd(v, _outer(on_algebra[a][i], unit_n[b]))
                 if any(v):
@@ -389,7 +379,7 @@ def _dense_closure(pair, seed):
     p, q = pair.left_dim, pair.right_dim
     width = p * q
 
-    act = partial(dense_act, pair.act_on_ideal.table, p, q)
+    act = partial(dense_act, dense_action_tables(left, right, p, q)[0], p, q)
 
     gens = list(seed.basis)
     for u in range(width):
@@ -474,29 +464,9 @@ DIFFERENTIAL_PAIRS.update(
     for kind, space in ideals(algebra).items()
 )
 
-# Zero actions pass both action axioms and both compatibility equations on any
-# pair, and they are not the inner actions.
-ZERO_ACTION_ALGEBRAS = {
-    "heisenberg(1), zero actions": heisenberg(1),
-    "sl2, zero actions": sl2(),
-    "n4, zero actions": IDEAL_ALGEBRAS["n4"],
-}
-
-
-def _zero_actions(pair):
-    p, q = pair.left_dim, pair.right_dim
-    on_ideal = ActionData.from_rows(p, q, [[(0,) * q] * q] * p)
-    on_algebra = ActionData.from_rows(q, p, [[(0,) * p] * p] * q)
-    return make_pair_with_actions(pair.algebra, pair.ideal.space.basis, on_ideal, on_algebra)
-
-
-@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS) + list(ZERO_ACTION_ALGEBRAS))
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
 def test_sparse_relations_match_dense_reference(name):
-    rng = random.Random(f"differential/{name}")
-    if name in DIFFERENTIAL_PAIRS:
-        pair = _permuted(DIFFERENTIAL_PAIRS[name](), rng)
-    else:
-        pair = _zero_actions(_permuted(pair_full(ZERO_ACTION_ALGEBRAS[name]), rng))
+    pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"differential/{name}"))
     seed = relation_seed(pair)
     assert seed == _dense_relation_seed(pair)
     # The defining relations are already closed (the proof is in the tensor
@@ -513,18 +483,15 @@ def _counted_keep_nonzero(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("name", ["abelian(4)", *ZERO_ACTION_ALGEBRAS])
+@pytest.mark.parametrize("name", ["abelian(4)", "center(heisenberg(1))", "centre(n4)", "centre(gl2)"])
 def test_relation_seed_builds_no_accumulator_for_a_vanishing_relation(name, monkeypatch):
-    if name in DIFFERENTIAL_PAIRS:
-        pair = DIFFERENTIAL_PAIRS[name]()
-    else:
-        pair = _zero_actions(pair_full(ZERO_ACTION_ALGEBRAS[name]))
+    pair = DIFFERENTIAL_PAIRS[name]()
     seen = _counted_keep_nonzero(monkeypatch)
     relation_seed(pair)
-    # The inner actions of an abelian pair are zero too.  With zero actions
-    # a relation is its bracket term alone, so it vanishes
-    # exactly when the bracket does: one accumulator per nonzero bracket of L
-    # and each n_a, and per nonzero bracket of N and each l_i.
+    # On an abelian pair and on a centre pair both collapses are zero, so a
+    # relation is its bracket term alone and vanishes exactly when the
+    # bracket does: one accumulator per nonzero bracket of L and each n_a,
+    # and per nonzero bracket of N and each l_i.
     p, q = pair.left_dim, pair.right_dim
     expected = len(pair.algebra.brackets) * q + len(pair.ideal_algebra.brackets) * p
     assert len(seen) == expected
@@ -534,18 +501,14 @@ def test_relation_seed_builds_no_accumulator_for_a_vanishing_relation(name, monk
 def test_relations_with_only_a_bracket_term_are_kept():
     # heisenberg(1) on x, y, z.  Over its centre N = span(z) the one nonzero
     # relation is [x, y] (x) z - x (x) (y . z) + y (x) (x . z) = z (x) z,
-    # symbol 2: its action terms are empty.  With zero actions on the full
-    # pair every relation is its bracket term, [l, l'] (x) n or l (x) [n, n'],
-    # so the seed is spanned by z (x) n and l (x) z, symbols 6, 7, 8, 2 and 5.
+    # symbol 2: its action terms are empty.
     centre = pair_center(heisenberg1())
     right = centre.collapse_maps[1]
     assert centre.algebra.bracket_entries(0, 1) == ((2, 1),)
     assert not (right.column_entries(0) or right.column_entries(1))
-    zero = _zero_actions(full_pair(heisenberg1()))
-    for pair, symbols in ((centre, [2]), (zero, [2, 5, 6, 7, 8])):
-        seed = relation_seed(pair)
-        assert seed == Subspace.from_vectors(pair.left_dim * pair.right_dim, [{k: 1} for k in symbols])
-        assert seed == _dense_relation_seed(pair)
+    seed = relation_seed(centre)
+    assert seed == Subspace.from_vectors(3, [{2: 1}])
+    assert seed == _dense_relation_seed(centre)
 
 
 # A quotient by an ideal and a subalgebra of a Lie algebra are Lie algebras, so
@@ -757,24 +720,15 @@ def test_factored_centre_agrees_with_the_bracket_table(name):
             assert (d.noncentral(line, lift, read) is None) == centre.contains_subspace(line)
 
 
-# ROADMAP item 17: x (x) m + m (x) x = 0 in L (x) N for x in N and m in
-# [N, L] makes psi well defined with image the diagonal.  The gamma module
-# docstring proves it for the inner actions from (R1) and (R2); supplied
-# actions are not covered by that proof, and the zero-action pairs here are
-# evidence for them.
-ZERO_ACTION_IDEALS = {
-    f"{kind}({name}), zero actions": partial(make_pair, algebra, space.basis)
-    for name, algebra in {"heisenberg(1)": heisenberg(1), "sl2": sl2(), **IDEAL_ALGEBRAS}.items()
-    for kind, space in ideals(algebra).items()
-}
+# x (x) m + m (x) x = 0 in L (x) N for x in N and m in [N, L] makes psi well
+# defined with image the diagonal, and lets verify._Derivation.mixed span
+# ([N, L] (x) N) by L (x) [N, L].  The gamma module docstring proves it from
+# (R1) and (R2).
 
 
-@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors(), *ZERO_ACTION_IDEALS])
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
 def test_ideal_symbols_anticommute_with_the_relative_commutator(name):
-    if name in ZERO_ACTION_IDEALS:
-        pair = _zero_actions(_permuted(ZERO_ACTION_IDEALS[name](), random.Random(f"anticommute/{name}")))
-    else:
-        pair = _differential_pair(name, "anticommute")
+    pair = _differential_pair(name, "anticommute")
     t, inclusion = construct_tensor(pair), pair.inclusion
     for m in pair.relative_commutator_in_ideal.entries:
         m_ambient = inclusion.apply_entries(dict(m)).items()
@@ -809,7 +763,8 @@ def test_ideal_class_lifts_the_left_factor(name):
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
 def test_mixed_span_is_formed_from_lifted_commutators(name):
-    # (L (x) [N, L]) + ([N, L] (x) N), each m in [N, L] lifted into L for the left slot
+    # (L (x) [N, L]) + ([N, L] (x) N), each m in [N, L] lifted into L for the left slot;
+    # the verifier forms the first summand alone, which contains the second
     d = _Derivation(_differential_pair(name, "mixed"))
     pair, t = d.pair, d.tensor
     p, q = pair.left_dim, pair.right_dim
@@ -901,9 +856,9 @@ def test_derived_dimensions_invariant_under_rational_change_of_basis(name, entri
     assert _derived_dims(rebased(pair_full(algebra), columns)) == dims
 
 
-# The construction reads subspaces and action tables sparsely: no dense basis
-# or dense action table is built unless a caller reads it, and the collapse
-# maps of a pair are built once, however many stages read them.
+# The construction reads subspaces and collapse maps sparsely: no dense basis
+# is built unless a caller reads it, and the collapse maps of a pair are built
+# once, however many stages read them.
 
 SPARSE_PAIRS = ["sl2+heisenberg(1)", "center(heisenberg(1))", "derived(gl2)", "full(r3(1/2))", "full(sl2+Q2)"]
 
@@ -911,20 +866,20 @@ SPARSE_PAIRS = ["sl2+heisenberg(1)", "center(heisenberg(1))", "derived(gl2)", "f
 @pytest.mark.parametrize("name", SPARSE_PAIRS)
 def test_construction_builds_no_dense_view_and_one_set_of_collapse_tables(name, monkeypatch):
     pair = _permuted(DIFFERENTIAL_PAIRS[name](), random.Random(f"sparse/{name}"))
-    read = []
-    real = ActionData.act_entries
-    monkeypatch.setattr(ActionData, "act_entries", lambda self, i, j: read.append((i, j)) or real(self, i, j))
+    built = []
+    build = Pair.collapse_maps.func
+    counted = cached_property(lambda self: built.append(self) or build(self))
+    counted.__set_name__(Pair, "collapse_maps")
+    monkeypatch.setattr(Pair, "collapse_maps", counted)
     t = construct_tensor(pair)
     maps = kappa_maps(t)
     assert closure(pair, relation_seed(pair)) == t.relations
     assert t.algebra.dim == t.dim  # the bracket table reads the collapse maps again
+    assert built == [pair]
     p, q = pair.left_dim, pair.right_dim
-    assert len(read) == 2 * p * q
     for space in (pair.ideal.space, t.relations, maps.square, maps.j2, maps.multiplier):
         assert "basis" not in vars(space)
-    for act in (pair.act_on_ideal, pair.act_on_algebra):
-        assert "table" not in vars(act)
-    # the dense views, once read, are the ones the sparse data stand for
+    # the sparse collapse maps are the dense ones built from the bracket table
     dense = _dense_collapse_tables(pair)
     assert [f.codomain_dim for f in pair.collapse_maps] == [p, q]
     for f, table in zip(pair.collapse_maps, dense):

@@ -887,3 +887,23 @@ def test_construction_builds_no_dense_view_and_one_set_of_collapse_tables(name, 
     for space in (t.relations, maps.square, maps.j2, maps.multiplier):
         assert space.entries == tuple(tuple(support(v)) for v in space.basis)
         assert space == Subspace.from_basis(space.ambient_dim, space.basis)
+
+
+# pair_full writes its collapse maps straight from the bracket table instead
+# of building them through the ideal's coordinate map; the pairs above pass
+# through rebased, which calls make_pair, so this checks that seed on its own,
+# in the algebra's basis and in a permuted one.
+
+FULL_PAIRS = [name for name, make in DIFFERENTIAL_PAIRS.items() if (pair := make()).right_dim == pair.left_dim]
+
+
+@pytest.mark.parametrize("name", FULL_PAIRS)
+def test_pair_full_seeds_the_collapse_maps_the_bracket_gives(name):
+    pair = DIFFERENTIAL_PAIRS[name]()
+    for algebra in (pair.algebra, _permuted(pair, random.Random(f"full-seed/{name}")).algebra):
+        seeded = pair_full(algebra)
+        assert "collapse_maps" in vars(seeded)
+        assert seeded.collapse_maps == Pair(algebra, seeded.ideal).collapse_maps
+        for f, table in zip(seeded.collapse_maps, _dense_collapse_tables(seeded)):
+            assert f.codomain_dim == algebra.dim
+            assert f._columns == tuple(tuple(support(v)) for v in table)

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .liealg import LieAlgebra, NotAnIdealError, StructureError, center
-from .linalg import Vector, parse_scalar
+from .linalg import Vector, _fmt_vector, parse_scalar
 from .pairs import Pair, direct_sum_pair, make_pair, pair_full
 
 if TYPE_CHECKING:  # read only in an annotation; a document reader loads no verifier
@@ -512,7 +512,8 @@ def _build_pair(doc: AlgebraDocument, ideal: tuple[Vector, ...] | None) -> Pair:
     try:
         return make_pair(algebra, ideal)
     except NotAnIdealError as e:
-        raise DocumentError("ideal is not an ideal", witness=e.witness) from None
+        i, v = e.witness
+        raise DocumentError("ideal is not an ideal", witness=f"basis element {i}, vector {_fmt_vector(v)}") from None
 
 
 def _read_json(path: str, what: str) -> tuple[object, str]:

@@ -3,12 +3,16 @@
 A ``LieAlgebra`` stores only the supports of the brackets of basis pairs
 (i, j) with i < j; antisymmetry is implied by the storage.  ``ad[i][j]``
 lists the nonzero (k, c) entries of [e_i, e_j], for both orders of each
-nonzero pair, built once on first use.  Each type is checked once, where
-outside input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
+nonzero pair, built once on first use, and [L, L] is the span of the stored
+brackets, with no bracket formed.  Each type is checked once, where outside
+input enters: a table by :meth:`LieAlgebra.make`, a homomorphism by
 :meth:`AlgebraHom.make`, an ideal by :func:`quotient_algebra` (and by
-``pairs.make_pair``).  The positional constructors are trusted by contract;
-the library uses them for direct sums, quotients, subalgebras, tensor
-products and quotient projections, which are what they claim by theorem.
+``pairs.make_pair``).  The two ideal checks share one membership loop,
+``_ideal_witness``: ``quotient_algebra`` feeds it the brackets [e_i, s_a], and
+``make_pair`` the pair's collapse columns, which hold the same brackets.  The
+positional constructors are trusted by contract; the library uses them for
+direct sums, quotients, subalgebras, tensor products and quotient
+projections, which are what they claim by theorem.
 The private ``_induced_algebra`` is the one builder of every derived table
 but direct sums: it brackets representatives and reads the result back
 through a map.  It gives quotients (through ``_quotient``), a pair's ideal
@@ -193,9 +197,8 @@ class LieAlgebra:
 
     @cached_property
     def derived_algebra(self) -> "AlgebraSubspace":
-        """[L, L] as a subspace of L."""
-        full = AlgebraSubspace.full(self)
-        return bracket_subspaces(self, full, full)
+        """[L, L] as a subspace of L: by bilinearity the span of the stored brackets [e_i, e_j], i < j."""
+        return AlgebraSubspace(self, Subspace.from_vectors(self.dim, [dict(e) for _, e in self._brackets]))
 
     def bracket_entries(self, i: int, j: int) -> Entries:
         """The nonzero (k, c) entries of [e_i, e_j]."""
@@ -257,14 +260,8 @@ class AlgebraSubspace:
 
     def is_ideal(self) -> tuple[int, Vector] | None:
         """None when [L, S] <= S, otherwise a witness (basis index, subspace vector)."""
-        a = self.parent
-        entries = self.space.entries
-        for i in range(a.dim):
-            for k, sv in enumerate(entries):
-                w = a.bracket_sparse(((i, 1),), sv)
-                if w and not self.space.contains(w):
-                    return (i, self.space.basis[k])
-        return None
+        a, entries = self.parent, self.space.entries
+        return _ideal_witness(self.space, (a.bracket_sparse(((i, 1),), s) for i in range(a.dim) for s in entries))
 
 
 @dataclass(frozen=True)
@@ -289,20 +286,6 @@ class AlgebraHom:
                 if map._image(source.bracket_entries(i, j)) != target.bracket_sparse(images[i], images[j]):
                     raise LinalgError(f"map does not respect the bracket of basis pair ({i}, {j})")
         return cls(source, target, map)
-
-
-def bracket_subspaces(a: LieAlgebra, s: AlgebraSubspace, t: AlgebraSubspace) -> AlgebraSubspace:
-    """The span [S, T]; bilinearity makes basis products a spanning set."""
-    if s.parent != a or t.parent != a:
-        raise LinalgError("subspace parent mismatch")
-    right = t.space.entries
-    vectors = []
-    for left in s.space.entries:
-        for sv in right:
-            w = a.bracket_sparse(left, sv)
-            if w:
-                vectors.append(w)
-    return AlgebraSubspace(a, Subspace.from_vectors(a.dim, vectors))
 
 
 def center(a: LieAlgebra) -> AlgebraSubspace:
@@ -346,19 +329,33 @@ def _quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
     return _induced_algebra(a.bracket_sparse, proj, section, "q"), proj
 
 
-def _require_ideal(ideal: AlgebraSubspace) -> AlgebraSubspace:
-    """The subspace, checked: NotAnIdealError with the first (i, basis vector) whose bracket leaves it."""
-    witness = ideal.is_ideal()
+def _ideal_witness(space: Subspace, brackets: Iterable[Mapping[int, Exact]]) -> tuple[int, Vector] | None:
+    """The first (i, s_a) whose bracket leaves the space, or None when none does.
+
+    brackets yields [e_i, s_a], or its negative, sparsely, for i over the
+    algebra's basis and then s_a over the space's RREF basis; it is read up to
+    the first bracket outside the space.
+    """
+    q = space.dim
+    for k, w in enumerate(brackets):
+        if not space.contains(w):
+            i, a = divmod(k, q)
+            return i, space.basis[a]
+    return None
+
+
+def _require_ideal(witness: tuple[int, Vector] | None) -> None:
+    """NotAnIdealError for an ideal check's witness; None passes."""
     if witness is not None:
         raise NotAnIdealError(f"bracket of basis element {witness[0]} leaves the span", witness=witness)
-    return ideal
 
 
 def quotient_algebra(a: LieAlgebra, ideal: AlgebraSubspace) -> tuple[LieAlgebra, AlgebraHom]:
     """The quotient algebra and its projection, through the canonical section; the ideal is checked."""
     if ideal.parent != a:
         raise LinalgError("ideal parent mismatch")
-    quotient, proj = _quotient(a, _require_ideal(ideal).space)
+    _require_ideal(ideal.is_ideal())
+    quotient, proj = _quotient(a, ideal.space)
     return quotient, AlgebraHom(a, quotient, proj)
 
 

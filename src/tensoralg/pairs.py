@@ -4,9 +4,11 @@ The actions are the inner ones by definition: l . n = [l, n] in N and
 n . l = [n, l] in L.  The ideal keeps its canonical RREF basis, which doubles
 as its coordinate system everywhere downstream; ``Pair.ideal_maps`` reads it
 at the pivots, a left inverse of the inclusion with no membership test (the
-public ``ambient_to_ideal`` checks).  ``Pair(algebra, ideal)`` is trusted by
-contract, and ``make_pair`` is the checked edge for an ideal supplied from
-outside: it checks that the span is an ideal.
+public ``ambient_to_ideal`` checks).  Only ``Pair.collapse_maps`` forms the
+brackets [l_i, n_a]: [N, L], in L and in N, is the image of either collapse.
+``Pair(algebra, ideal)`` is trusted by contract, and ``make_pair`` is the
+checked edge for an ideal supplied from outside: it checks that the span is
+an ideal, on the left collapse columns.
 
 The pairs the library derives from a pair or algebra it already holds are
 built positionally, by theorem, with no ideal check:
@@ -28,10 +30,10 @@ from .liealg import (
     AlgebraHom,
     AlgebraSubspace,
     LieAlgebra,
+    _ideal_witness,
     _induced_algebra,
     _quotient,
     _require_ideal,
-    bracket_subspaces,
     direct_sum,
 )
 from .linalg import (
@@ -90,20 +92,20 @@ class Pair:
 
     @cached_property
     def relative_commutator(self) -> AlgebraSubspace:
-        """[N, L] as a subspace of L."""
-        return bracket_subspaces(self.algebra, self.ideal, AlgebraSubspace.full(self.algebra))
+        """[N, L] as a subspace of L: the image of the left collapse, spanned by the -[l_i, n_a]."""
+        return AlgebraSubspace(self.algebra, self.collapse_maps[0].image())
 
     @cached_property
     def relative_commutator_in_ideal(self) -> Subspace:
-        """[N, L] in the ideal's own coordinates."""
-        return self.ideal_maps[0].image_of(self.relative_commutator.space)
+        """[N, L] in the ideal's own coordinates: the image of the right collapse, spanned by the [l_i, n_a]."""
+        return self.collapse_maps[1].image()
 
     @cached_property
     def collapse_maps(self) -> tuple[LinearMap, LinearMap]:
         """The collapses of the symbols into L and into N: column i * q + a is n_a . l_i, and l_i . n_a.
 
-        Each w = [l_i, n_a] is computed once: n_a . l_i is -w, and l_i . n_a
-        is w read through the ideal's coordinate map, as it lies in the ideal.
+        Each w = [l_i, n_a] is formed here once, and nowhere else: n_a . l_i is
+        -w, and l_i . n_a is w read through the ideal's coordinate map.
         """
         coordinates = self.ideal_maps[0]
         left, right = [], []
@@ -124,9 +126,12 @@ class Pair:
 def make_pair(algebra: LieAlgebra, ideal_vectors: Sequence[Iterable]) -> Pair:
     """The pair on the span of the vectors; raises NotAnIdealError when the span is not an ideal.
 
-    The first [l_i, n_a] outside the span, in the order i, then a, is the witness.
+    The check reads the left collapse columns, -[l_i, n_a] in the order i,
+    then a: the first outside the span is the witness.
     """
-    return Pair(algebra, _require_ideal(AlgebraSubspace.from_vectors(algebra, ideal_vectors)))
+    pair = Pair(algebra, AlgebraSubspace.from_vectors(algebra, ideal_vectors))
+    _require_ideal(_ideal_witness(pair.ideal.space, map(dict, pair.collapse_maps[0]._columns)))
+    return pair
 
 
 def pair_full(algebra: LieAlgebra) -> Pair:

@@ -114,30 +114,25 @@ class _Derivation:
         return Subspace.from_vectors(tensor.dim, gens)
 
     @cached_property
-    def collapse_images(self) -> tuple[Subspace, Subspace]:
-        """im lam in L and im rho in N, each from one elimination."""
-        left, right = self.pair.collapse_maps
-        return left.image(), right.image()
-
-    @cached_property
     def derived(self) -> Subspace:
         """[T, T], read with no bracket table.
 
         [x, y] = -proj(lam(x) (x) rho(y)) on representatives (the tensor
         module docstring), so [T, T] is spanned by the classes of u (x) w for
-        u over a basis of im lam and w over a basis of im rho.
+        u over a basis of im lam and w over a basis of im rho: [N, L] in L and
+        in N, as the pair holds them.
         """
-        t = self.tensor
-        left, right = (image.entries for image in self.collapse_images)
+        t, pair = self.tensor, self.pair
+        left, right = pair.relative_commutator.space.entries, pair.relative_commutator_in_ideal.entries
         return Subspace.from_vectors(t.dim, [t.class_entries([(u, w)]) for u in left for w in right])
 
     def noncentral(self, space: Subspace, lift: LinearMap, read: LinearMap) -> Vector | None:
         """The first basis vector x of space for which read does not kill the
-        class of lift(x) (x) w for some w in a basis of im rho, or None.
+        class of lift(x) (x) w for some w in a basis of im rho, [N, L] in N, or None.
 
         lift takes space into L; verify_diagram says why this tests centrality.
         """
-        t, right = self.tensor, self.collapse_images[1].entries
+        t, right = self.tensor, self.pair.relative_commutator_in_ideal.entries
         for k, u in enumerate(lift._image(v).items() for v in space.entries):
             if any(read._image(t.class_entries([(u, w)]).items()) for w in right):
                 return space.basis[k]

@@ -276,6 +276,11 @@ def dense_span(cols, vectors):
     return reduced[: len(pivots)]
 
 
+def dense_bracket_span(dim, brackets, left, right):
+    """The RREF basis of the span of [x, y] for x in left and y in right, formed by dense_bracket."""
+    return dense_span(dim, [dense_bracket(dim, brackets, x, y) for x in left for y in right])
+
+
 def dense_kernel(rows, cols):
     """The RREF basis of the null space of the matrix with the given rows and cols columns."""
     reduced, pivots = dense_rref(rows, cols)

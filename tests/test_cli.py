@@ -279,7 +279,7 @@ def test_document_ideal_that_is_not_an_ideal_exits_1_with_one_line(command, tmp_
     code, out, err = run(capsys, command, str(doc))
     assert code == 1
     assert out == ""
-    assert err == "tensoralg: ideal is not an ideal (witness: (1, (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))))\n"
+    assert err == "tensoralg: ideal is not an ideal (witness: basis element 1, vector (1, 0, 0))\n"
 
 
 # A file that is not UTF-8 text, or JSON nested deeper than the decoder

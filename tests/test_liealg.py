@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
-from oracles import dense_bracket, dense_is_ideal, dense_jacobi_violation
+from oracles import dense_bracket, dense_bracket_span, dense_is_ideal, dense_jacobi_violation
 
 from tensoralg.liealg import (
     AlgebraHom,
@@ -15,7 +15,6 @@ from tensoralg.liealg import (
     NotAnIdealError,
     StructureError,
     abelianization,
-    bracket_subspaces,
     center,
     direct_sum,
     quotient_algebra,
@@ -146,12 +145,16 @@ def test_center_of_abelian_is_everything():
     assert center(LieAlgebra.abelian(3)).dim == 3
 
 
-def test_bracket_subspaces_center_against_whole():
+def _units(algebra):
+    return [algebra.basis_vector(i) for i in range(algebra.dim)]
+
+
+def test_derived_algebra_and_center_against_dense_brackets():
     h = heisenberg1()
-    z = center(h)
-    full = AlgebraSubspace.full(h)
-    assert bracket_subspaces(h, z, full).dim == 0
-    assert bracket_subspaces(h, full, full).space == Subspace.from_vectors(3, [[0, 0, 1]])
+    table, units = dict(h.brackets), _units(h)
+    assert dense_bracket_span(3, table, center(h).space.basis, units) == ()
+    assert h.derived_algebra.space == Subspace.from_vectors(3, [[0, 0, 1]])
+    assert h.derived_algebra.space.basis == dense_bracket_span(3, table, units, units)
 
 
 def test_quotient_of_heisenberg_by_center_is_abelian_plane():
@@ -190,8 +193,9 @@ def test_abelianization_dimensions():
         ab, _ = abelianization(algebra)
         assert ab.dim == expected
         assert ab.is_abelian()
-        derived = bracket_subspaces(algebra, AlgebraSubspace.full(algebra), AlgebraSubspace.full(algebra))
-        assert ab.dim == algebra.dim - derived.dim
+        units = _units(algebra)
+        derived = dense_bracket_span(algebra.dim, dict(algebra.brackets), units, units)
+        assert ab.dim == algebra.dim - len(derived)
 
 
 def test_algebra_hom_rejects_non_homomorphism():
@@ -264,6 +268,8 @@ def test_sparse_core_matches_dense_reference(case):
             assert (found.kind, found.indices, found.residual) == ("jacobi", *expected)
     for x, y in zip(vectors, vectors[1:]):
         assert a.bracket_sparse(support(x), support(y)) == dict(support(dense_bracket(dim, brackets, x, y)))
-    full = AlgebraSubspace.full(a)
-    for s in (AlgebraSubspace.from_vectors(a, vectors), full, bracket_subspaces(a, full, full)):
+    units = _units(a)
+    derived = AlgebraSubspace.from_vectors(a, dense_bracket_span(dim, brackets, units, units))
+    assert a.derived_algebra == derived
+    for s in (AlgebraSubspace.from_vectors(a, vectors), AlgebraSubspace.full(a), derived):
         assert s.is_ideal() == dense_is_ideal(dim, brackets, s.space.basis)

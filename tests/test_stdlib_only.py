@@ -14,7 +14,8 @@ defaulted parameter that every call leaves at its default.  Outside `linalg`,
 no module reads a subspace's Gauss-Jordan rows or calls `.echelon()`.  Only
 `catalog.pair_center` calls `center`, and no module reads an `exterior`
 attribute.  Only `tensor` reads a pair's `inclusion`, in the pinned functions
-that form products of ideal vectors.
+that form products of ideal vectors, and `LieAlgebra.bracket_sparse` is read
+only in a pinned list of functions.
 """
 
 from __future__ import annotations
@@ -263,6 +264,42 @@ def test_an_inclusion_read_is_found():
     )
     assert _sites(source, "example", _inclusion_read) == [
         ("example.Derivation.mixed", 6, "inclusion"), ("example.lift", 2, "inclusion"),
+    ]
+
+
+# A pair's brackets [l_i, n_a] are formed once, in Pair.collapse_maps, and
+# [N, L], [L, L] and make_pair's ideal check read them from there and from
+# the bracket table.  The other functions that read LieAlgebra.bracket_sparse
+# bracket what no table holds: the ideal test of a bare subspace, a map's
+# images, and the representatives of a derived algebra's basis.
+BRACKET_SITES_ALLOWED = [
+    ("liealg.AlgebraHom.make", "bracket_sparse"), ("liealg.AlgebraSubspace.is_ideal", "bracket_sparse"),
+    ("liealg._quotient", "bracket_sparse"), ("pairs.Pair.collapse_maps", "bracket_sparse"),
+    ("pairs.Pair.ideal_algebra", "bracket_sparse"), ("tensor.DerivedMaps.exterior", "bracket_sparse"),
+]
+
+
+def _bracket_read(node) -> str | None:
+    """bracket_sparse for a read of a bracket_sparse attribute, called or passed on."""
+    return "bracket_sparse" if isinstance(node, ast.Attribute) and node.attr == "bracket_sparse" else None
+
+
+def test_brackets_are_formed_at_the_reviewed_sites():
+    found = []
+    for path in SOURCES:
+        found += _sites(path.read_text(encoding="utf-8"), path.stem, _bracket_read)
+    assert [(where, read) for where, _, read in found] == BRACKET_SITES_ALLOWED
+
+
+def test_a_bracket_read_is_found():
+    source = (
+        "class Pair:\n    def relative_commutator(self):\n"
+        "        return [self.algebra.bracket_sparse(((i, 1),), n) for i, n in self.symbols]\n"
+        "def derived(a):\n    return induced(a.bracket_sparse, a)\n"
+        "def fine(bracket_sparse, a):\n    return bracket_sparse(a), a.bracket_entries(0, 1)\n"
+    )
+    assert _sites(source, "example", _bracket_read) == [
+        ("example.Pair.relative_commutator", 3, "bracket_sparse"), ("example.derived", 5, "bracket_sparse"),
     ]
 
 

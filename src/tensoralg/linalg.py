@@ -20,7 +20,13 @@ positive scale per row, so two subspaces are equal as sets exactly when their
 rows compare equal.  The engine reads the basis sparsely, through
 ``Subspace.entries``; the ``Fraction`` basis is built from the rows on first
 read of ``basis``.  The reduced echelon form is unique, so it is identical to
-the result of naive exact Gaussian elimination.  Build a subspace with
+the result of naive exact Gaussian elimination in any order of the vectors.
+So :class:`Echelon`, for :meth:`Subspace.from_vectors` and :func:`kernel`,
+presolves unit rows: each vector with one nonzero entry, at k, goes in first
+as the row {k: 1}, and only the others are eliminated, against those rows.  A
+unit row is zero at every other column, so no later step changes it, and the
+rows that come out are that unique form.  Most defining relations of a tensor
+product are such monomials (``tensor.relation_seed``).  Build a subspace with
 :meth:`Subspace.from_vectors` or, from a reduced echelon basis given by hand,
 :meth:`Subspace.from_basis`, which checks that form.
 
@@ -134,13 +140,13 @@ def _entries(v, width: int) -> dict[int, Exact]:
     Values come out in their internal form (other scalars are coerced first), engine-built
     ones too: ``LinearMap._image`` and ``tensor.relation_seed`` sums can hold an integral
     Fraction (1/2 * 2 is ``Fraction(1, 1)``), on which ``_primitive`` raises TypeError."""
-    if not isinstance(v, (tuple, list)):  # tested first: the Mapping check is slower
-        if isinstance(v, Mapping):
-            for k in v:
-                if not 0 <= k < width:
-                    raise LinalgError(f"index {k} out of range for a vector of length {width}")
-            return _nonzero(v.items())
-        v = tuple(v)
+    # a plain dict is tested first, then tuple and list: the Mapping check is slower
+    if type(v) is dict or not isinstance(v, (tuple, list)) and isinstance(v, Mapping):
+        for k in v:
+            if not 0 <= k < width:
+                raise LinalgError(f"index {k} out of range for a vector of length {width}")
+        return _nonzero(v.items())
+    v = tuple(v)
     if len(v) != width:
         raise LinalgError(f"expected vector of length {width}, got {len(v)}")
     return _nonzero(enumerate(v))
@@ -149,10 +155,10 @@ def _entries(v, width: int) -> dict[int, Exact]:
 def _nonzero(pairs: Iterable[tuple[int, object]]) -> dict[int, Exact]:
     out = {}
     for k, a in pairs:
-        if not isinstance(a, (int, Fraction)):
-            a = _coerce(a)
+        if type(a) is not int:
+            a = _exact(a if isinstance(a, (int, Fraction)) else _coerce(a))
         if a:
-            out[k] = a if type(a) is int else _exact(a)
+            out[k] = a
     return out
 
 
@@ -211,13 +217,21 @@ class Echelon:
     shared with the subspaces built from this basis.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, vectors: Iterable = ()):
+        """The basis of the span of vectors, each read by _entries in order, unit rows first."""
         self.width = width
-        self.rows: dict[int, IntRow] = {}
+        read = [_entries(v, width) for v in vectors]
+        self.rows: dict[int, IntRow] = {k: {k: 1} for x in read if len(x) == 1 for k in x}
+        for x in read:
+            if len(x) > 1:
+                self._add(x)
 
     def insert(self, v) -> bool:
         """Add v to the span; False, and nothing changes, when v already lies in it."""
-        x = _reduce(self.rows, _primitive(_entries(v, self.width)))
+        return self._add(_entries(v, self.width))
+
+    def _add(self, entries: dict[int, Exact]) -> bool:
+        x = _reduce(self.rows, _primitive(entries))
         if not x:
             return False
         pivot = min(x)
@@ -298,10 +312,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Iterable]) -> "Subspace":
-        basis = Echelon(ambient_dim)
-        for v in vectors:
-            basis.insert(v)
-        return basis.subspace()
+        return Echelon(ambient_dim, vectors).subspace()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -442,10 +453,7 @@ def kernel(f: LinearMap) -> Subspace:
     for j, col in enumerate(f._columns):
         for r, a in col:
             rows[r][n - 1 - j] = a
-    reduced = Echelon(n)
-    for row in rows:
-        if row:
-            reduced.insert(row)
+    reduced = Echelon(n, [row for row in rows if row])
     vectors: dict[int, dict[int, Exact]] = {j: {j: 1} for j in range(n) if n - 1 - j not in reduced.rows}
     for p, row in reduced.rows.items():
         a = row[p]
@@ -484,6 +492,8 @@ def quotient_maps(ambient_dim: int, r: Subspace) -> tuple[LinearMap, LinearMap]:
         row = rows.get(j)
         if row is None:
             columns.append(((slot[j], 1),))
+        elif len(row) == 1:  # a unit row: e_j lies in r
+            columns.append(())
         else:
             # e_j reduces to -(basis row at pivot j - e_j), supported on free columns.
             a = row[j]

@@ -98,65 +98,54 @@ def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int) -> Non
             acc[k] = acc.get(k, 0) + xi * na
 
 
-def _add_slot(acc: dict[int, Exact], entries: Support, start: int, step: int, sign: int = 1) -> None:
-    """acc[start + step * k] += sign * c over the (k, c) in entries.
-
-    This is acc += sign * (x (x) n) when one slot is a basis vector: x (x) n_a
-    is start = a, step = q, and l_i (x) n is start = i * q, step = 1."""
-    for k, c in entries:
-        s = start + step * k
-        acc[s] = acc.get(s, 0) + sign * c
-
-
-def _keep_nonzero(gens: dict, acc: dict[int, Exact]) -> None:
-    """Record an accumulated generator by its sorted support, once, unless it vanishes."""
-    key = tuple(sorted((k, a) for k, a in acc.items() if a))
-    if key:
-        gens[key] = None
-
-
-def _span(gens: dict, width: int) -> Subspace:
-    """The span of the recorded generators, in the order they were first seen."""
-    return Subspace.from_vectors(width, [dict(g) for g in gens])
+def _record(units: dict[int, None], sums: dict, terms: tuple[tuple[Support, int, int, int], ...]) -> None:
+    """Record one relation, the sum of sign * c at symbol start + step * k over the (k, c) of
+    each term (entries, start, step, sign); x (x) n_a is start a, step q, and l_i (x) n is
+    start i * q, step 1.  A relation whose only nonempty term has one entry goes into units as
+    its symbol; any other is summed in one accumulator, kept once in sums unless it is zero."""
+    live = [t for t in terms if t[0]]
+    if len(live) == 1 and len(live[0][0]) == 1:
+        ((k, _),), start, step, _ = live[0]
+        units[start + step * k] = None
+        return
+    acc: dict[int, Exact] = {}
+    for entries, start, step, sign in live:
+        for k, c in entries:
+            s = start + step * k
+            acc[s] = acc.get(s, 0) + sign * c
+    acc = {s: c for s, c in acc.items() if c}
+    if acc:
+        sums[frozenset(acc.items())] = acc
 
 
 def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates.
 
     A relation whose bracket and both action terms are empty vanishes and is
-    skipped before its accumulator is built, as every relation of an abelian
-    pair is; one that sums to zero from nonempty terms is dropped by
-    _keep_nonzero."""
+    skipped, as every relation of an abelian pair is; each other one goes to
+    _record.  Most relations are monomials, a multiple of one symbol, and are
+    recorded as that symbol with no accumulator; Subspace.from_vectors puts
+    each in as its unit row before it eliminates the rest."""
     p, q = pair.left_dim, pair.right_dim
     left, right = (f._columns for f in pair.collapse_maps)
-    out: dict = {}
+    units, sums = {}, {}
     # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
     for i in range(p):
         for j in range(i + 1, p):
             bracket = pair.algebra.bracket_entries(i, j)
             for a in range(q):
                 ja, ia = right[j * q + a], right[i * q + a]
-                if not (bracket or ja or ia):
-                    continue
-                acc: dict[int, Exact] = {}
-                _add_slot(acc, bracket, a, q)
-                _add_slot(acc, ja, i * q, 1, -1)
-                _add_slot(acc, ia, j * q, 1)
-                _keep_nonzero(out, acc)
+                if bracket or ja or ia:
+                    _record(units, sums, ((bracket, a, q, 1), (ja, i * q, 1, -1), (ia, j * q, 1, 1)))
     # l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
-    n_alg = pair.ideal_algebra
-    for i in range(p):
-        for a in range(q):
-            for b in range(a + 1, q):
-                bracket, ib, ia = n_alg.bracket_entries(a, b), left[i * q + b], left[i * q + a]
-                if not (bracket or ib or ia):
-                    continue
-                acc = {}
-                _add_slot(acc, bracket, i * q, 1)
-                _add_slot(acc, ib, a, q, -1)
-                _add_slot(acc, ia, b, q)
-                _keep_nonzero(out, acc)
-    return _span(out, p * q)
+    for a in range(q):
+        for b in range(a + 1, q):
+            bracket = pair.ideal_algebra.bracket_entries(a, b)
+            for i in range(p):
+                ib, ia = left[i * q + b], left[i * q + a]
+                if bracket or ib or ia:
+                    _record(units, sums, ((bracket, i * q, 1, 1), (ib, a, q, -1), (ia, b, q, 1)))
+    return Subspace.from_vectors(p * q, [{k: 1} for k in units] + list(sums.values()))
 
 
 def closure(pair: Pair, seed: Subspace) -> Subspace:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -20,9 +22,11 @@ from oracles import (
 )
 
 from tensoralg.linalg import (
+    Echelon,
     LinalgError,
     LinearMap,
     Subspace,
+    _entries,
     _meet_dim,
     as_vector,
     from_support,
@@ -548,3 +552,122 @@ def test_compose_does_not_pick_a_scaled_unit_column():
     assert outer.compose(inner)._columns == (
         ((0, 2), (1, Fraction(2, 3))), ((1, 5),), (), ((0, Fraction(3, 2)), (1, Fraction(1, 2))),
     )
+
+
+# Echelon presolves unit rows: a vector with one nonzero entry goes in as the
+# unit row before the others are eliminated.  The Gauss-Jordan form is unique,
+# so every family below must give the rows, basis and entries of the dense
+# reference, and the rows that inserting the vectors one at a time gives.
+
+
+def _unit(rng, cols, scales=(1,)):
+    return {rng.randrange(cols): rng.choice(scales)}
+
+
+def _dense_row(rng, cols, values=(-2, -1, 1, 3, Fraction(1, 2))):
+    keys = rng.sample(range(cols), rng.randint(2, cols))
+    return {k: rng.choice(values) for k in keys}
+
+
+def _family(kind: str, rng, cols: int) -> list[dict]:
+    if kind == "units-duplicated":
+        units = [_unit(rng, cols) for _ in range(cols // 2 + 1)]
+        return units + [dict(u) for u in rng.sample(units, 2)]
+    if kind == "scaled-units":
+        return [_unit(rng, cols, (-3, Fraction(1, 2), 5, Fraction(-2, 3))) for _ in range(cols)]
+    if kind == "integral-fractions":
+        return [_unit(rng, cols, (Fraction(4, 2), Fraction(-6, 3))) for _ in range(2)] + [
+            _dense_row(rng, cols, (Fraction(4, 2), Fraction(3, 1), -1)) for _ in range(3)
+        ]
+    if kind == "no-units":
+        return [_dense_row(rng, cols) for _ in range(rng.randint(1, cols + 1))]
+    if kind == "all-units":
+        return [_unit(rng, cols, (1, -1, 7)) for _ in range(rng.randint(1, 2 * cols))]
+    # unit vectors mixed with dense rows, in a random order
+    vectors = [_unit(rng, cols, (1, -3, Fraction(1, 2))) for _ in range(3)] + [
+        _dense_row(rng, cols) for _ in range(3)
+    ]
+    rng.shuffle(vectors)
+    return vectors
+
+
+FAMILIES = ["units-duplicated", "scaled-units", "integral-fractions", "no-units", "all-units", "mixed"]
+
+
+def _one_at_a_time(cols: int, vectors) -> dict:
+    basis = Echelon(cols)
+    for v in vectors:
+        basis.insert(v)
+    return basis.subspace()._rows
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("trial", range(8))
+def test_unit_row_presolve_matches_the_dense_reference(kind, trial):
+    rng = random.Random(f"presolve/{kind}/{trial}")
+    cols = rng.randint(3, 7)
+    vectors = _family(kind, rng, cols)
+    dense = [from_support(v.items(), cols) for v in vectors]
+    space = Subspace.from_vectors(cols, vectors)
+    reduced, pivots = dense_rref(dense, cols)
+    assert space.basis == reduced[: len(pivots)]
+    assert space.entries == tuple(tuple(support(v)) for v in reduced[: len(pivots)])
+    assert space.pivots() == pivots
+    assert list(space._rows.items()) == list(_one_at_a_time(cols, vectors).items())
+    _assert_integer_rows_match(space)
+    # the family as the rows of a map: kernel presolves the unit rows among them
+    ker = kernel(_map(dense, cols))
+    assert ker.basis == dense_kernel(dense, cols)
+    assert ker.entries == tuple(tuple(support(v)) for v in ker.basis)
+    _assert_integer_rows_match(ker)
+
+
+def test_unit_rows_are_stored_as_unit_rows():
+    space = Subspace.from_vectors(4, [{2: -3}, {0: 1, 2: 5, 3: 2}, {2: Fraction(1, 2)}, {1: Fraction(4, 2)}])
+    assert space._rows == {0: {0: 1, 3: 2}, 1: {1: 1}, 2: {2: 1}}
+    assert all(type(x) is int for row in space._rows.values() for x in row.values())
+
+
+def test_quotient_maps_on_a_space_with_unit_rows():
+    space = Subspace.from_vectors(4, [{1: 3}, {0: 1, 2: -2}])
+    proj, section = quotient_maps(4, space)
+    assert proj._columns == (((0, 2),), (), ((0, 1),), ((1, 1),))
+    assert (_grid(proj), _representatives(section)) == dense_quotient_with_section(4, space.basis)
+    assert proj.kills(space)
+
+
+# _entries is the one point where a vector is read; each refusal names what is
+# wrong, and the fast paths for dicts and ints refuse and read the same.
+@pytest.mark.parametrize(
+    "vector, width, message",
+    [
+        ({1: 1, 7: 1, -2: 1}, 3, "index 7 out of range for a vector of length 3"),
+        ({0: 1, -1: 2}, 3, "index -1 out of range for a vector of length 3"),
+        ({3: 1}, 3, "index 3 out of range for a vector of length 3"),
+        (MappingProxyType({0: 1, 4: 1}), 3, "index 4 out of range for a vector of length 3"),
+        ({1: 1, float("nan"): 1}, 3, "index nan out of range for a vector of length 3"),
+        ([1, 2], 3, "expected vector of length 3, got 2"),
+        ((1, 2, 3, 4), 3, "expected vector of length 3, got 4"),
+        ([1, None, 0], 3, "cannot coerce None to a rational scalar"),
+        ({0: 1.5}, 3, "cannot coerce 1.5 to a rational scalar"),
+        ([0, "x", 0], 3, "not a rational literal: 'x'"),
+    ],
+    ids=["first-bad-key", "negative-key", "key-at-width", "mapping", "nan-key", "short", "long", "none", "float", "text"],
+)
+def test_entries_refusals_name_the_fault(vector, width, message):
+    with pytest.raises(LinalgError) as refused:
+        _entries(vector, width)
+    assert str(refused.value) == message
+    with pytest.raises(LinalgError) as refused:
+        Subspace.from_vectors(width, [{0: 1}, vector])
+    assert str(refused.value) == message
+
+
+def test_entries_read_values_in_their_internal_form():
+    read = _entries([True, 0, False], 3)
+    assert read == {0: 1} and type(read[0]) is int
+    read = _entries({2: Fraction(4, 2), 0: Fraction(1, 2), 1: 0}, 3)
+    assert read == {2: 2, 0: Fraction(1, 2)} and type(read[2]) is int
+    assert _entries(MappingProxyType({1: "3/6"}), 2) == {1: Fraction(1, 2)}
+    assert _entries(iter(["2/1", 0]), 2) == {0: 2}
+    assert type(_entries(["2/1", 0], 2)[0]) is int

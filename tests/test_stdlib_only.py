@@ -197,6 +197,41 @@ def test_a_row_read_is_found():
     ]
 
 
+# One elimination kernel: a fresh Echelon, which presolves unit rows, is built
+# only by the span and kernel entry points and by _meet_dim, which grows a
+# copy of a's rows, so no second elimination path grows beside them.
+ECHELON_SITES_ALLOWED = [
+    ("linalg.Subspace.from_vectors", "Echelon()"), ("linalg._meet_dim", "Echelon()"), ("linalg.kernel", "Echelon()"),
+]
+
+
+def _echelon_built(node) -> str | None:
+    """Echelon() for a call of Echelon, by name or as an attribute."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Echelon":
+            return "Echelon()"
+    return None
+
+
+def test_echelons_are_built_at_the_reviewed_sites():
+    found = []
+    for path in SOURCES:
+        found += _sites(path.read_text(encoding="utf-8"), path.stem, _echelon_built)
+    assert [(where, read) for where, _, read in found] == ECHELON_SITES_ALLOWED
+
+
+def test_an_echelon_construction_is_found():
+    source = (
+        "class Subspace:\n    def from_vectors(cls, n, vectors):\n        return Echelon(n, vectors).subspace()\n"
+        "def planted(f):\n    basis = linalg.Echelon(f.domain_dim)\n    return basis\n"
+        "def fine(Echelon, basis):\n    return Echelon, basis.insert({0: 1}), basis.rows\n"
+    )
+    assert _sites(source, "example", _echelon_built) == [
+        ("example.Subspace.from_vectors", 3, "Echelon()"), ("example.planted", 5, "Echelon()"),
+    ]
+
+
 # verify_pair reads centrality and [T, T] off the collapse maps, with no
 # bracket table.  A centre is computed only to build the centre pair, and no
 # module reads the exterior product's table, DerivedMaps.exterior, which is

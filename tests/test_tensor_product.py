@@ -210,6 +210,72 @@ def test_tensor_square_of_perfect_algebra_is_the_algebra():
             assert lhs == sl2().bracket_sparse(cols[i], cols[j])
 
 
+def _matrix_algebra(n: int, traceless: bool, rng: random.Random) -> LieAlgebra:
+    """sl(n) or gl(n) through LieAlgebra.make, on its Chevalley basis in a seeded order.
+
+    The basis is E_ij for i != j and, for sl(n), H_k = E_kk - E_(k+1)(k+1), or
+    for gl(n) every E_kk.  A traceless diagonal diag(d) is sum_k (d_0 + ... +
+    d_k) H_k."""
+    keys = [("E", i, j) for i in range(n) for j in range(n) if i != j]
+    keys += [("H", k) for k in range(n - 1)] if traceless else [("E", k, k) for k in range(n)]
+    rng.shuffle(keys)
+    slot = {key: t for t, key in enumerate(keys)}
+
+    def matrix(key):
+        return {(key[1], key[2]): 1} if key[0] == "E" else {(key[1], key[1]): 1, (key[1] + 1, key[1] + 1): -1}
+
+    def coordinates(m):
+        out = [0] * len(keys)
+        for (i, j), c in m.items():
+            if i != j or not traceless:
+                out[slot["E", i, j]] += c
+        partial_sum = 0
+        for k in range(n - 1 if traceless else 0):
+            partial_sum += m.get((k, k), 0)
+            out[slot["H", k]] = partial_sum
+        return tuple(out)
+
+    def commutator(x, y):
+        out = {}
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + a * b
+                if l == i:
+                    out[k, j] = out.get((k, j), 0) - a * b
+        return out
+
+    mats = [matrix(key) for key in keys]
+    brackets = {}
+    for u in range(len(keys)):
+        for v in range(u + 1, len(keys)):
+            w = coordinates(commutator(mats[u], mats[v]))
+            if any(w):
+                brackets[u, v] = w
+    names = tuple("".join(map(str, key)) for key in keys)
+    return LieAlgebra.make(len(keys), names, brackets)
+
+
+# sl(n) is perfect, so L (x) L is its universal central extension (Ellis,
+# Glasgow Math. J. 33, 1991), and H_2(sl(n)) = 0 (Whitehead's second lemma):
+# T = n^2 - 1, no diagonal and no multiplier, so the relations have rank
+# p^2 - p.  gl(n) = sl(n) + Q adds the one symbol z (x) z: T = n^2 and the
+# diagonal is the line it spans.  Most of these relations are monomials.
+# sl(3)'s relations are also checked against the dense elimination.
+@pytest.mark.parametrize(
+    "n, traceless, expected, dense",
+    [(3, True, (8, 0, 0, 56), True), (4, True, (15, 0, 0, 210), False), (3, False, (9, 1, 0, 72), False)],
+    ids=["sl3", "sl4", "gl3"],
+)
+def test_matrix_algebras_have_their_closed_forms(n, traceless, expected, dense):
+    algebra = _matrix_algebra(n, traceless, random.Random(f"matrix/{n}/{traceless}"))
+    t = construct_tensor(full_pair(algebra))
+    maps = kappa_maps(t)
+    assert (t.dim, maps.square.dim, maps.multiplier.dim, t.relations.dim) == expected
+    if dense:
+        assert t.relations == _dense_relation_seed(t.pair)
+
+
 def test_evaluation_image_matches_relative_commutator():
     a = heisenberg1()
     pair = full_pair(a)
@@ -475,23 +541,33 @@ def test_sparse_relations_match_dense_reference(name):
     assert _dense_closure(pair, seed) == seed == closure(pair, seed)
 
 
-def _counted_keep_nonzero(monkeypatch):
-    """Patch tensor._keep_nonzero to record each accumulator it is handed."""
+def _counted_records(monkeypatch):
+    """Patch tensor._record to keep each relation it is handed, summed as a vector."""
     seen = []
-    real = tensoralg.tensor._keep_nonzero
-    monkeypatch.setattr(tensoralg.tensor, "_keep_nonzero", lambda gens, acc: seen.append(dict(acc)) or real(gens, acc))
+    real = tensoralg.tensor._record
+
+    def record(units, sums, terms):
+        acc = {}
+        for entries, start, step, sign in terms:
+            for k, c in entries:
+                acc[start + step * k] = acc.get(start + step * k, 0) + sign * c
+        seen.append(acc)
+        return real(units, sums, terms)
+
+    monkeypatch.setattr(tensoralg.tensor, "_record", record)
     return seen
 
 
 @pytest.mark.parametrize("name", ["abelian(4)", "center(heisenberg(1))", "centre(n4)", "centre(gl2)"])
 def test_relation_seed_builds_no_accumulator_for_a_vanishing_relation(name, monkeypatch):
     pair = DIFFERENTIAL_PAIRS[name]()
-    seen = _counted_keep_nonzero(monkeypatch)
+    seen = _counted_records(monkeypatch)
     relation_seed(pair)
     # On an abelian pair and on a centre pair both collapses are zero, so a
     # relation is its bracket term alone and vanishes exactly when the
-    # bracket does: one accumulator per nonzero bracket of L and each n_a,
-    # and per nonzero bracket of N and each l_i.
+    # bracket does: one record per nonzero bracket of L and each n_a, and
+    # per nonzero bracket of N and each l_i.  A vanishing relation is
+    # skipped before it is recorded.
     p, q = pair.left_dim, pair.right_dim
     expected = len(pair.algebra.brackets) * q + len(pair.ideal_algebra.brackets) * p
     assert len(seen) == expected

@@ -9,7 +9,7 @@ do integer arithmetic wherever the input is integral.  Dense tuples of
 (through :func:`from_support`) and the input it reads.  :func:`_entries` is
 the one point where input is read: every entry point that takes a vector
 takes it densely, as a sequence of scalars, or sparsely, as a mapping from
-index to scalar, and ``*_entries`` methods return their results sparsely.
+int index to scalar, and ``*_entries`` methods return their results sparsely.
 
 Row reduction has one internal representation: sparse primitive integer rows
 ``{column: int}``, with gcd 1 and a positive leading entry, held in
@@ -35,10 +35,13 @@ the columns in reverse order, so each reduced row leads at its largest
 column, and then the vector e_j minus the rows' entries in column j, for each
 free column j, is zero below j and at every other free column.  Those vectors
 are the kernel's reduced row-echelon basis as they stand, with no second
-elimination.
+elimination; one that is just {j: 1}, for a free column no row meets, is
+stored as it is, a unit row.
 
 A :class:`LinearMap` is stored as the supports of its columns and nothing
-else, so applying it touches only nonzero entries.  Build one with
+else, so applying it touches only nonzero entries, and
+:meth:`LinearMap.kills` reads a unit row {k: 1} of a subspace as column k
+being nonempty, with no image formed.  Build one with
 :meth:`LinearMap.from_columns`, from dense or sparse columns.
 :func:`quotient_maps` gives the projection onto a quotient and its section as
 maps, and :func:`subspace_maps` the coordinates on a subspace and its inclusion.
@@ -137,12 +140,16 @@ def _fmt_vector(v: Sequence) -> str:
 def _entries(v, width: int) -> dict[int, Exact]:
     """The nonzero entries of v, given as width scalars or as a mapping from index to scalar.
 
+    An index must be an int in range.  A bool, float, Fraction or str key is refused: it
+    would otherwise be stored as a column index, or raise a bare TypeError on the range test.
     Values come out in their internal form (other scalars are coerced first), engine-built
     ones too: ``LinearMap._image`` and ``tensor.relation_seed`` sums can hold an integral
     Fraction (1/2 * 2 is ``Fraction(1, 1)``), on which ``_primitive`` raises TypeError."""
     # a plain dict is tested first, then tuple and list: the Mapping check is slower
     if type(v) is dict or not isinstance(v, (tuple, list)) and isinstance(v, Mapping):
         for k in v:
+            if type(k) is not int:
+                raise LinalgError(f"index {k!r} is not an int")
             if not 0 <= k < width:
                 raise LinalgError(f"index {k} out of range for a vector of length {width}")
         return _nonzero(v.items())
@@ -395,8 +402,18 @@ class LinearMap:
         return space._rows.values()
 
     def kills(self, space: Subspace) -> bool:
-        """True when space lies in the kernel; stops at the first basis row with a nonzero image."""
-        return not any(self._image(row.items()) for row in self._rows_of(space))
+        """True when space lies in the kernel; stops at the first basis row with a nonzero image.
+
+        A unit row {k: 1} has a nonzero image exactly when column k is nonempty,
+        as a column holds only nonzero entries."""
+        cols = self._columns
+        for row in self._rows_of(space):
+            if len(row) == 1:
+                if cols[next(iter(row))]:
+                    return False
+            elif self._image(row.items()):
+                return False
+        return True
 
     def image_of(self, space: Subspace) -> Subspace:
         """The image of space: the span of the images of its basis rows."""
@@ -460,7 +477,7 @@ def kernel(f: LinearMap) -> Subspace:
         for k, y in row.items():
             if k != p:  # a free column: the row is zero at the other pivots
                 vectors[n - 1 - k][n - 1 - p] = _ratio(-y, a)
-    return Subspace(n, {j: _primitive(v) for j, v in vectors.items()})
+    return Subspace(n, {j: v if len(v) == 1 else _primitive(v) for j, v in vectors.items()})
 
 
 def subspace_maps(space: Subspace) -> tuple[LinearMap, LinearMap]:

@@ -52,8 +52,10 @@ that the diagonal, the squaring map of the gamma module and the verifier
 share: _ideal_class (the class of a sum of x (x) y, x lifted into L),
 _squares (the polarized squares of a family of representatives) and
 _induced_map (the map of tensor products induced by a morphism of pairs).
-The first two and kappa_maps are the only readers of the inclusion of N
-into L.
+The first two are the only readers of the inclusion of N into L.  The
+evaluation map kappa needs no lift: kappa(l (x) n) = [l, n] = -(n . l) =
+-lam(l (x) n), so kappa is -lam after the section, and its column k is the
+negated column of lam at the section's symbol k.
 
 construct_tensor builds the relations, the projection and the section, and
 kappa_maps the diagonal, the evaluation maps and their kernels.  The bracket
@@ -73,6 +75,7 @@ from typing import Iterable, Sequence
 
 from .liealg import LieAlgebra, _induced_algebra
 from .linalg import (
+    Entries,
     Exact,
     LinearMap,
     Subspace,
@@ -98,53 +101,69 @@ def _add_expansion(acc: dict[int, Exact], x: Support, n: Support, q: int) -> Non
             acc[k] = acc.get(k, 0) + xi * na
 
 
-def _record(units: dict[int, None], sums: dict, terms: tuple[tuple[Support, int, int, int], ...]) -> None:
-    """Record one relation, the sum of sign * c at symbol start + step * k over the (k, c) of
-    each term (entries, start, step, sign); x (x) n_a is start a, step q, and l_i (x) n is
-    start i * q, step 1.  A relation whose only nonempty term has one entry goes into units as
-    its symbol; any other is summed in one accumulator, kept once in sums unless it is zero."""
-    live = [t for t in terms if t[0]]
-    if len(live) == 1 and len(live[0][0]) == 1:
-        ((k, _),), start, step, _ = live[0]
-        units[start + step * k] = None
-        return
-    acc: dict[int, Exact] = {}
-    for entries, start, step, sign in live:
-        for k, c in entries:
-            s = start + step * k
-            acc[s] = acc.get(s, 0) + sign * c
-    acc = {s: c for s, c in acc.items() if c}
-    if acc:
-        sums[frozenset(acc.items())] = acc
+def _relations(
+    units: set[int], sums: dict, algebra: LieAlgebra, cols: Sequence[Entries], inner: int, so: int, si: int
+) -> None:
+    """Record the relations [e_u, e_v] (x) f_a - e_u (x) c(v, a) + e_v (x) c(u, a), for u < v.
+
+    The e_u are the basis of algebra, the f_a the inner ones of the other
+    side, and c(u, a), the collapse of the symbol of e_u and f_a, is column
+    u * so + a * si of cols.  Entry k of the bracket sits at symbol
+    k * so + a * si, and entry k of c(v, a) beside e_u at u * so + k * si.
+    (R1) is L with the right collapse, so = q and si = 1; (R2) is N with the
+    left collapse, so = 1 and si = q.  A relation's entries are counted before
+    anything is built: none, and it is skipped; one, and its symbol goes into
+    units; more, and it is summed in place as one dict, kept in sums once
+    unless it is zero."""
+    dim = algebra.dim
+    for u in range(dim):
+        for v in range(u + 1, dim):
+            bracket = algebra.bracket_entries(u, v)
+            nb = len(bracket)
+            for a in range(inner):
+                base = a * si
+                cu, cv = cols[u * so + base], cols[v * so + base]
+                size = nb + len(cu) + len(cv)
+                if size == 1:
+                    if nb:
+                        units.add(bracket[0][0] * so + base)
+                    elif cv:
+                        units.add(u * so + cv[0][0] * si)
+                    else:
+                        units.add(v * so + cu[0][0] * si)
+                elif size:
+                    acc = {k * so + base: c for k, c in bracket}
+                    at = u * so
+                    for k, c in cv:
+                        s = at + k * si
+                        acc[s] = acc.get(s, 0) - c
+                    at = v * so
+                    for k, c in cu:
+                        s = at + k * si
+                        acc[s] = acc.get(s, 0) + c
+                    acc = {s: c for s, c in acc.items() if c}
+                    if acc:
+                        sums[frozenset(acc.items())] = acc
 
 
 def relation_seed(pair: Pair) -> Subspace:
     """Span of the defining relations of the presentation, in symbol coordinates.
 
-    A relation whose bracket and both action terms are empty vanishes and is
-    skipped, as every relation of an abelian pair is; each other one goes to
-    _record.  Most relations are monomials, a multiple of one symbol, and are
-    recorded as that symbol with no accumulator; Subspace.from_vectors puts
-    each in as its unit row before it eliminates the rest."""
+    One walk per kind, (R1) over the index triples (i < j, a) and (R2) over
+    (a < b, i), counts each relation's entries in its bracket term and its two
+    action terms before it builds anything.  A relation with no entry (every
+    relation of an abelian pair) is skipped.  One with a single entry, a
+    monomial as most relations are, is kept as its symbol, and
+    Subspace.from_vectors puts it in as its unit row.  Any other is built
+    once, in place, as one dict, filtered for zeros and deduplicated."""
     p, q = pair.left_dim, pair.right_dim
     left, right = (f._columns for f in pair.collapse_maps)
-    units, sums = {}, {}
-    # [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
-    for i in range(p):
-        for j in range(i + 1, p):
-            bracket = pair.algebra.bracket_entries(i, j)
-            for a in range(q):
-                ja, ia = right[j * q + a], right[i * q + a]
-                if bracket or ja or ia:
-                    _record(units, sums, ((bracket, a, q, 1), (ja, i * q, 1, -1), (ia, j * q, 1, 1)))
-    # l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
-    for a in range(q):
-        for b in range(a + 1, q):
-            bracket = pair.ideal_algebra.bracket_entries(a, b)
-            for i in range(p):
-                ib, ia = left[i * q + b], left[i * q + a]
-                if bracket or ib or ia:
-                    _record(units, sums, ((bracket, i * q, 1, 1), (ib, a, q, -1), (ia, b, q, 1)))
+    units: set[int] = set()
+    sums: dict = {}
+    # (R1) [l_i, l_j] (x) n_a - l_i (x) (l_j . n_a) + l_j (x) (l_i . n_a)
+    _relations(units, sums, pair.algebra, right, q, q, 1)
+    # (R2) l_i (x) [n_a, n_b] - (n_b . l_i) (x) n_a + (n_a . l_i) (x) n_b
+    _relations(units, sums, pair.ideal_algebra, left, p, 1, q)
     return Subspace.from_vectors(p * q, [{k: 1} for k in units] + list(sums.values()))
 
 
@@ -232,14 +251,25 @@ def _squares(tensor: NonabelianTensor, reps: LinearMap) -> list[dict[int, Exact]
 
     They come in the order (0, 0), (0, 1), ..., (1, 1), ..., which is the
     order of gamma.GammaSpace.pairs.  Each representative is lifted into L
-    once; a unit column of reps lifts to the inclusion's column as stored."""
+    once; a unit column of reps lifts to the inclusion's column as stored.
+    The class of x (x) n is summed straight in tensor coordinates, as the sum
+    of x_i * n_c times the projection's column i * q + c."""
     lifted, cols = tensor.pair.inclusion.compose(reps)._columns, reps._columns
+    proj, q = tensor.projection._columns, tensor.pair.right_dim
     d = len(cols)
-    return [
-        tensor.class_entries([(lifted[a], cols[a])] if a == b else [(lifted[a], cols[b]), (lifted[b], cols[a])])
-        for a in range(d)
-        for b in range(a, d)
-    ]
+    out = []
+    for a in range(d):
+        for b in range(a, d):
+            acc: dict[int, Exact] = {}
+            for x, n in ((lifted[a], cols[a]),) if a == b else ((lifted[a], cols[b]), (lifted[b], cols[a])):
+                for i, xi in x:
+                    at = i * q
+                    for c, nc in n:
+                        f = xi * nc
+                        for r, m in proj[at + c]:
+                            acc[r] = acc.get(r, 0) + f * m
+            out.append({r: y for r, y in acc.items() if y})
+    return out
 
 
 def _induced_map(source: NonabelianTensor, target: NonabelianTensor, f: LinearMap, g: LinearMap) -> LinearMap:
@@ -312,15 +342,17 @@ def kappa_maps(tensor: NonabelianTensor) -> DerivedMaps:
     """
     box = diagonal(tensor)
     pair = tensor.pair
-    _, right = pair.collapse_maps
-    # rho lands in N and the inclusion carries it into L; by compatibility
-    # kappa[l (x) n, l' (x) n'] = [l . n, l'. n'], so kappa is a homomorphism
-    kappa = pair.inclusion.compose(right.compose(tensor.section))
+    lam = pair.collapse_maps[0]._columns
+    # kappa(l (x) n) = [l, n] = -(n . l): column k is -lam at the section's
+    # symbol k, a unit vector.  By compatibility kappa[l (x) n, l' (x) n'] =
+    # [l . n, l'. n'], so kappa is a homomorphism
+    kappa = LinearMap(pair.left_dim, tuple(tuple((r, -c) for r, c in lam[j]) for ((j, _),) in tensor.section._columns))
     if not kappa.kills(box):
         raise TensorConstructionError("evaluation map does not kill the diagonal")
-    # kappa kills the diagonal and the inclusion is injective, so rho kills
-    # it, beta(V, diagonal) = 0 and, by (b), the diagonal is central: the
-    # quotient by it, DerivedMaps.exterior, is a Lie algebra
+    # -lam is iota after rho, and the inclusion iota is injective, so both
+    # collapses kill the diagonal: beta(V, diagonal) = beta(diagonal, V) = 0
+    # and, by (b), the diagonal is central: the quotient by it,
+    # DerivedMaps.exterior, is a Lie algebra
     eps, eps_section = quotient_maps(tensor.dim, box)
     kappa_prime = kappa.compose(eps_section)
     return DerivedMaps(

@@ -153,6 +153,12 @@ def test_kills_stops_at_the_first_row_it_does_not_kill(monkeypatch):
     calls = []
     real = LinearMap._image
     monkeypatch.setattr(LinearMap, "_image", lambda self, entries: calls.append(1) or real(self, entries))
+    assert not _identity(3).kills(Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]]))
+    assert len(calls) == 1
+    # a unit row {k: 1} is read as column k, with no image formed
+    f = LinearMap(1, ((), ((0, 2),), ()))
+    assert f.kills(Subspace.from_vectors(3, [{0: 1}, {2: 5}]))
+    assert not f.kills(Subspace.from_vectors(3, [{0: 1}, {1: -1}]))
     assert not _identity(3).kills(Subspace.full(3))
     assert len(calls) == 1
 
@@ -645,14 +651,22 @@ def test_quotient_maps_on_a_space_with_unit_rows():
         ({0: 1, -1: 2}, 3, "index -1 out of range for a vector of length 3"),
         ({3: 1}, 3, "index 3 out of range for a vector of length 3"),
         (MappingProxyType({0: 1, 4: 1}), 3, "index 4 out of range for a vector of length 3"),
-        ({1: 1, float("nan"): 1}, 3, "index nan out of range for a vector of length 3"),
+        ({1: 1, float("nan"): 1}, 3, "index nan is not an int"),
+        ({0.5: 1}, 3, "index 0.5 is not an int"),
+        ({True: 1}, 3, "index True is not an int"),
+        ({0: 1, Fraction(2): 1}, 3, "index Fraction(2, 1) is not an int"),
+        ({"a": 1}, 3, "index 'a' is not an int"),
         ([1, 2], 3, "expected vector of length 3, got 2"),
         ((1, 2, 3, 4), 3, "expected vector of length 3, got 4"),
         ([1, None, 0], 3, "cannot coerce None to a rational scalar"),
         ({0: 1.5}, 3, "cannot coerce 1.5 to a rational scalar"),
         ([0, "x", 0], 3, "not a rational literal: 'x'"),
     ],
-    ids=["first-bad-key", "negative-key", "key-at-width", "mapping", "nan-key", "short", "long", "none", "float", "text"],
+    ids=[
+        "first-bad-key", "negative-key", "key-at-width", "mapping", "nan-key",
+        "fraction-key", "bool-key", "integral-fraction-key", "text-key",
+        "short", "long", "none", "float", "text",
+    ],
 )
 def test_entries_refusals_name_the_fault(vector, width, message):
     with pytest.raises(LinalgError) as refused:

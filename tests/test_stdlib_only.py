@@ -271,11 +271,10 @@ def test_a_table_read_is_found():
 
 # Every product of ideal vectors is formed in the tensor module: the diagonal,
 # psi and the verifier share tensor._ideal_class and tensor._squares, which
-# lift an ideal vector into L, and kappa_maps carries rho into L.  No other
-# function reads a pair's inclusion.
-INCLUSION_SITES_ALLOWED = [
-    ("tensor._ideal_class", "inclusion"), ("tensor._squares", "inclusion"), ("tensor.kappa_maps", "inclusion"),
-]
+# lift an ideal vector into L.  kappa_maps reads kappa off the left collapse,
+# kappa = -lam after the section, with no lift.  No other function reads a
+# pair's inclusion.
+INCLUSION_SITES_ALLOWED = [("tensor._ideal_class", "inclusion"), ("tensor._squares", "inclusion")]
 
 
 def _inclusion_read(node) -> str | None:

@@ -46,6 +46,7 @@ from tensoralg.tensor import (
     TensorConstructionError,
     _ideal_class,
     _induced_map,
+    _squares,
     closure,
     construct_tensor,
     diagonal,
@@ -541,37 +542,44 @@ def test_sparse_relations_match_dense_reference(name):
     assert _dense_closure(pair, seed) == seed == closure(pair, seed)
 
 
-def _counted_records(monkeypatch):
-    """Patch tensor._record to keep each relation it is handed, summed as a vector."""
-    seen = []
-    real = tensoralg.tensor._record
+def _seed_vectors(pair, monkeypatch):
+    """The vectors relation_seed hands to Subspace.from_vectors, in its one call there."""
+    pair.collapse_maps, pair.ideal_algebra  # built before the patch, so their spans are not counted
+    calls = []
+    real = Subspace.from_vectors.__func__
 
-    def record(units, sums, terms):
-        acc = {}
-        for entries, start, step, sign in terms:
-            for k, c in entries:
-                acc[start + step * k] = acc.get(start + step * k, 0) + sign * c
-        seen.append(acc)
-        return real(units, sums, terms)
+    def from_vectors(cls, ambient_dim, vectors):
+        calls.append(list(vectors))
+        return real(cls, ambient_dim, vectors)
 
-    monkeypatch.setattr(tensoralg.tensor, "_record", record)
-    return seen
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(from_vectors))
+    relation_seed(pair)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _line(v):
+    """A nonzero vector up to scale: its entries divided by the one at its first index."""
+    lead = v[min(v)]
+    return frozenset((k, Fraction(c, 1) / lead) for k, c in v.items())
 
 
 @pytest.mark.parametrize("name", ["abelian(4)", "center(heisenberg(1))", "centre(n4)", "centre(gl2)"])
 def test_relation_seed_builds_no_accumulator_for_a_vanishing_relation(name, monkeypatch):
     pair = DIFFERENTIAL_PAIRS[name]()
-    seen = _counted_records(monkeypatch)
-    relation_seed(pair)
+    vectors = _seed_vectors(pair, monkeypatch)
     # On an abelian pair and on a centre pair both collapses are zero, so a
-    # relation is its bracket term alone and vanishes exactly when the
-    # bracket does: one record per nonzero bracket of L and each n_a, and
-    # per nonzero bracket of N and each l_i.  A vanishing relation is
-    # skipped before it is recorded.
+    # relation is its bracket term alone, [l_i, l_j] (x) n_a or
+    # l_i (x) [n_a, n_b], and vanishes exactly when the bracket does.  No
+    # vanishing relation is handed over, each other one once, and a monomial
+    # as its unit symbol.
     p, q = pair.left_dim, pair.right_dim
-    expected = len(pair.algebra.brackets) * q + len(pair.ideal_algebra.brackets) * p
-    assert len(seen) == expected
-    assert all(any(acc.values()) for acc in seen)
+    expected = {_line({k * q + a: c for k, c in support(w)}) for _, w in pair.algebra.brackets for a in range(q)}
+    expected |= {_line({i * q + k: c for k, c in support(w)}) for _, w in pair.ideal_algebra.brackets for i in range(p)}
+    assert all(vectors)
+    assert all(set(v.values()) == {1} for v in vectors if len(v) == 1)
+    assert len({_line(v) for v in vectors}) == len(vectors)
+    assert {_line(v) for v in vectors} == expected
 
 
 def test_relations_with_only_a_bracket_term_are_kept():
@@ -823,6 +831,44 @@ def _rational_vector(rng, width):
 
 def _identity(n):
     return LinearMap(n, tuple(((k, 1),) for k in range(n)))
+
+
+# kappa_maps reads kappa off the left collapse, as -lam after the section, and
+# _squares sums each class straight in tensor coordinates.  These tests compare
+# both with the formulas they replace: the right collapse lifted through the
+# inclusion, and the symbol sum projected through class_entries.
+
+
+def _forms(columns):
+    """Columns with each entry's type, so an int and an integral Fraction differ."""
+    return [[(r, c, type(c)) for r, c in col] for col in columns]
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_kappa_is_the_lifted_right_collapse_after_the_section(name):
+    pair = _differential_pair(name, "kappa")
+    t = construct_tensor(pair)
+    kappa = kappa_maps(t).kappa
+    lifted = pair.inclusion.compose(pair.collapse_maps[1].compose(t.section))
+    assert kappa.codomain_dim == lifted.codomain_dim == pair.left_dim
+    assert _forms(kappa._columns) == _forms(lifted._columns)
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
+def test_squares_match_the_symbol_sums_projected(name):
+    # over the ideal's basis, as the diagonal takes them, and over seeded rational representatives
+    pair = _differential_pair(name, "squares-projected")
+    t, q = construct_tensor(pair), pair.right_dim
+    rng = random.Random(f"squares-projected/{name}")
+    for reps in (_identity(q), LinearMap.from_columns(q, [_rational_vector(rng, q) for _ in range(3)])):
+        lifted, cols = pair.inclusion.compose(reps)._columns, reps._columns
+        d = len(cols)
+        expected = [
+            t.class_entries([(lifted[a], cols[a])] if a == b else [(lifted[a], cols[b]), (lifted[b], cols[a])])
+            for a in range(d)
+            for b in range(a, d)
+        ]
+        assert _squares(t, reps) == expected
 
 
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_PAIRS, *catalog_selectors()])
